@@ -2,8 +2,11 @@
 
 The outage mixture runs over the size n of the decoding set (binomial with
 per-relay success chi); conditioned on n, each scheme reduces to integrals
-of Gamma survival series against the eavesdropper-gain density, evaluated by
-the g/h kernels. Conditioned on the eavesdropper gain x, both users stay
+of Gamma survival series against the eavesdropper-gain density. Written out,
+that is one g-kernel (h-kernel under jamming) integral per series term; here
+the series are summed at each quadrature node instead and integrated once
+(`quadrature.series_integral`), which is the same sum because quadrature is
+linear. Conditioned on the eavesdropper gain x, both users stay
 secure iff x < a, the strong user's gain exceeds b + theta1*x, and the weak
 user's gain exceeds c + alpha2/(d*(1-(e/d)*x)); the weak-user condition is
 only satisfiable below the ceiling a, which is what creates the outage
@@ -15,7 +18,11 @@ import math
 
 import numpy as np
 
-from .channels import gain_survival, jammed_ratio_terms
+from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of delta4)
+    gain_survival,
+    jammed_ratio_pdf_rows,
+    jammed_ratio_terms,
+)
 from .params import (
     PowerPolicy,
     SchemeConstants,
@@ -25,7 +32,15 @@ from .params import (
     feasibility_check,
     scheme_constants,
 )
-from .quadrature import QuadratureSpec, g_kernel, h_kernel
+from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
+    QuadratureSpec,
+    _signed_log_pow,
+    convolve_series,
+    g_kernel,
+    h_kernel,
+    series_integral,
+    series_rows,
+)
 
 
 def decode_prob_chi(params: SystemParams) -> float:
@@ -40,6 +55,20 @@ def decoding_set_pmf(params: SystemParams) -> np.ndarray:
     return np.array(
         [math.comb(k, n) * chi**n * (1.0 - chi) ** (k - n) for n in range(k + 1)]
     )
+
+
+def _user_series(base: np.ndarray, tau_u: int, log_rate: float, alternate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (rate*base)^k/k! for k < tau_u at the nodes, as series_rows (shift, rows).
+
+    alternate multiplies row k by (-1)^k, the sign carried by powers of the
+    negative weak-user constant.
+    """
+    k = np.arange(tau_u)[:, None]
+    log_coef = k * log_rate - np.array([math.lgamma(i + 1) for i in range(tau_u)])[:, None]
+    logmag, sign = _signed_log_pow(base, k)
+    if alternate:
+        sign = sign * (1.0 - 2.0 * (k % 2))
+    return series_rows(range(tau_u), log_coef + logmag, sign, tau_u)
 
 
 def _joint_secrecy_prob(
@@ -57,8 +86,10 @@ def _joint_secrecy_prob(
     and a Gamma(tau_e) eavesdropper link.
 
     Expands the two user survival series under the eavesdropper-gain integral;
-    the (k, j) term carries (lambda1*b)^k/k! * (lambda2*c)^j/j! times a g-kernel
-    whose sign (-1)^j cancels the sign of c^j, so every term is nonnegative.
+    the (k, j) term is (lambda1*b)^k/k! * (lambda2*c)^j/j! times the g-kernel
+    integrand with powers k, j, whose sign (-1)^j cancels the sign of c^j, so
+    every term is nonnegative. Both series are summed at each node and the
+    integral is taken once (`series_integral`).
     """
     a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
     log_beta_e = tau_e * math.log(lambda_e) - math.lgamma(tau_e)
@@ -67,14 +98,16 @@ def _joint_secrecy_prob(
     r = alpha2 / (d * c)
     h = lambda2 * alpha2 / d
     f = lambda1 * theta1 + lambda_e
-    total = 0.0
-    for k in range(tau_u):
-        log_k = k * math.log(lambda1 * b) - math.lgamma(k + 1)
-        for j in range(tau_u):
-            log_j = j * math.log(lambda2 * abs(c)) - math.lgamma(j + 1)
-            gval = g_kernel(a, tau_e, theta1 / b, r, q, f, h, k, j, quad)
-            total += (-1.0) ** j * math.exp(log_front + log_k + log_j) * gval
-    return total
+    c1 = theta1 / b
+
+    def integrand(x):
+        one_minus_qx = 1.0 - q * x
+        shift1, user1 = _user_series(1.0 + c1 * x, tau_u, math.log(lambda1 * b), alternate=False)
+        shift2, user2 = _user_series(1.0 + r / one_minus_qx, tau_u, math.log(lambda2 * abs(c)), alternate=True)
+        log_scale = log_front + (tau_e - 1.0) * np.log(x) - f * x - h / one_minus_qx + shift1 + shift2
+        return log_scale, convolve_series(user1, user2)
+
+    return series_integral(a, q, f, tau_e, 2 * tau_u - 1, integrand, quad)
 
 
 def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -145,7 +178,9 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
 
     Valid for n < K: the strongest of the K-n idle relays' eavesdropper links
     acts as jamming, so the effective eavesdropper gain is Y = G_E/(1+rho4*H_E)
-    with the closed-form Y-density expanded term by term into h-kernels.
+    with the closed-form Y-density. The (p, q, term) summand is an h-kernel
+    integrand; the two user series and the density's terms are summed at each
+    node and the integral is taken once (`series_integral`).
     """
     if n >= params.K:
         raise ValueError("n must be below K: the jamming relay comes from the idle set")
@@ -164,22 +199,21 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
     lambda_e = links.relay_eaves.rate
     p_e = links.relay_eaves
     ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
-    phi0 = (params.K - n) * lambda_e**p_e.m / math.factorial(p_e.m - 1)
+    count = params.K - n
+    phi0 = count * lambda_e**p_e.m / math.factorial(p_e.m - 1)
     f = lambda1 * params.theta1 + lambda_e
     r = lambda2 * w * u
     log_front = -lambda1 * ell - lambda2 * w
-    total = 0.0
-    for p in range(m_u):
-        log_p = p * math.log(lambda1) - math.lgamma(p + 1)
-        for q in range(m_u):
-            log_q = q * math.log(lambda2 * abs(w)) - math.lgamma(q + 1)
-            coef = (-1.0) ** q * math.exp(log_front + log_p + log_q)
-            for t in jammed_ratio_terms(p_e, params.K - n, rho4):
-                hval = h_kernel(
-                    1.0 / v, p, q, f, r, u, v, ell, params.theta1,
-                    t.k, t.varsigma, t.C, t.D, rho4, lambda_e, quad,
-                )
-                total += coef * t.delta * hval
+
+    def integrand(y):
+        one_minus_vy = 1.0 - v * y
+        shift1, user1 = _user_series(ell + params.theta1 * y, m_u, math.log(lambda1), alternate=False)
+        shift2, user2 = _user_series(1.0 + u / one_minus_vy, m_u, math.log(lambda2 * abs(w)), alternate=True)
+        log_scale = log_front - f * y - r / one_minus_vy + shift1 + shift2
+        jammed = jammed_ratio_pdf_rows(p_e, count, rho4, y)
+        return log_scale, convolve_series(convolve_series(user1, user2), jammed)
+
+    total = series_integral(1.0 / v, v, f, 1, 2 * m_u - 1 + p_e.m - 1, integrand, quad)
     return min(max(phi0 * total, 0.0), 1.0)
 
 
@@ -207,13 +241,16 @@ def sop_total(
     """Total SOP: mixture of the conditional SOPs over the decoding-set law."""
     scheme = SchemeKind(scheme)
     pmf = decoding_set_pmf(params)
+    # Single selection, and dual selection once every relay decodes, pick
+    # among i.i.d. candidates with the same per-relay delta1 at every n.
+    d1 = None if scheme is SchemeKind.TMRC else delta1(params, policy, quad)
     total = pmf[0]  # empty decoding set: outage is certain
     for n in range(1, params.K + 1):
         if scheme is SchemeKind.TMRC:
             cond = sop_tmrc_cond(params, policy, n, quad)
-        elif scheme in (SchemeKind.OSRS, SchemeKind.TSRS):
-            cond = sop_osrs_cond(params, policy, n, quad)
-        else:
+        elif scheme is SchemeKind.ODRS and n < params.K:
             cond = sop_odrs_cond(params, policy, n, quad)
+        else:
+            cond = (1.0 - d1) ** n
         total += pmf[n] * cond
     return SopResult(value=min(max(float(total), 0.0), 1.0), engine="analytic")

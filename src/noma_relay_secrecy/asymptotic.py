@@ -22,10 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import (
+import numpy as np
+
+from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _odrs_complement)
     NakagamiParams,
     _survival_series,
     gain_survival,
+    jammed_ratio_pdf_rows,
     jammed_ratio_survival,
     jammed_ratio_terms,
     mrc_sum_survival,
@@ -39,7 +42,15 @@ from .params import (
     feasibility_check,
     scheme_constants,
 )
-from .quadrature import QuadratureSpec, g_kernel, h_kernel
+from .quadrature import (  # noqa: F401  (h_kernel re-exported: the per-term reference of _odrs_complement)
+    QuadratureSpec,
+    _signed_log_pow,
+    convolve_series,
+    g_kernel,
+    h_kernel,
+    series_integral,
+    series_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -164,44 +175,6 @@ def sop_tmrc_asym_cond(
     return min(max(comp, 0.0), 1.0)
 
 
-def _osrs_complement(
-    params: SystemParams,
-    alpha1: float,
-    alpha2: float,
-    quad: QuadratureSpec,
-    include_floor: bool,
-) -> float:
-    """Leading-order per-relay outage probability 1 - delta1, floor term first."""
-    links = params.links
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.rho2)
-    m_u = links.m_u
-    m_e = links.relay_eaves.m
-    lam_e = links.relay_eaves.rate
-    phi3 = _leading_coeff(links.relay_user1.rate, m_u)
-    phi4 = _leading_coeff(links.relay_user2.rate, m_u)
-    beta_e = math.exp(m_e * math.log(lam_e) - math.lgamma(m_e))
-    a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
-    r = alpha2 / (c * d)
-    q = e / d
-    theta1 = params.theta1
-    floor = float(gain_survival(links.relay_eaves, a)) if include_floor else 0.0
-    t1 = sum(
-        math.comb(m_u, k) * theta1**k * b ** (m_u - k)
-        * lower_incomplete_gamma(k + m_e, lam_e * a) / lam_e ** (k + m_e)
-        for k in range(m_u + 1)
-    )
-    # Same endpoint-pole screening as the all-relay case, see above.
-    h_screen = links.relay_user2.rate * alpha2 / d
-    g2 = g_kernel(a, m_e, 0.0, r, q, lam_e, h_screen, 0, m_u, quad)
-    g3 = g_kernel(a, m_e, theta1 / b, r, q, lam_e, h_screen, m_u, m_u, quad)
-    return (
-        floor
-        + phi3 * beta_e * t1
-        + phi4 * beta_e * c**m_u * g2
-        - phi3 * phi4 * beta_e * b**m_u * c**m_u * g3
-    )
-
-
 def delta1_asym(
     params: SystemParams,
     policy: PowerPolicy,
@@ -213,7 +186,7 @@ def delta1_asym(
     if feasibility_check(scaled, policy) is not None:
         return 0.0
     alpha1, alpha2 = policy.resolve(scaled.links)
-    comp = _osrs_complement(scaled, alpha1, alpha2, quad, include_floor=not policy.is_dynamic)
+    comp = _tmrc_complement(scaled, alpha1, alpha2, 1, quad, include_floor=not policy.is_dynamic)
     return min(max(1.0 - comp, 0.0), 1.0)
 
 
@@ -233,7 +206,7 @@ def sop_osrs_asym_cond(
     if feasibility_check(scaled, policy) is not None:
         return 1.0
     alpha1, alpha2 = policy.resolve(scaled.links)
-    comp = _osrs_complement(scaled, alpha1, alpha2, quad, include_floor=not policy.is_dynamic)
+    comp = _tmrc_complement(scaled, alpha1, alpha2, 1, quad, include_floor=not policy.is_dynamic)
     return min(max(comp, 0.0), 1.0) ** n
 
 
@@ -264,18 +237,27 @@ def _odrs_complement(
     # exact kernel's exp(-r/(1-vy)) survives here to keep the y -> 1/v
     # endpoint integrable; it tends to 1 pointwise as omega2 grows.
     r_screen = links.relay_user2.rate * w * u
-    s_b = s_c = s_bc = 0.0
-    for t in jammed_ratio_terms(p_e, count, rho4):
-        args = (t.k, t.varsigma, t.C, t.D, rho4, lam_e, quad)
-        s_b += t.delta * h_kernel(1.0 / v, m_u, 0, lam_e, r_screen, u, v, ell, params.theta1, *args)
-        s_c += t.delta * h_kernel(1.0 / v, 0, m_u, lam_e, r_screen, u, v, ell, params.theta1, *args)
-        s_bc += t.delta * h_kernel(1.0 / v, m_u, m_u, lam_e, r_screen, u, v, ell, params.theta1, *args)
-    return (
-        floor
-        + phi3 * phi0 * s_b
-        + phi4 * w**m_u * phi0 * s_c
-        - phi3 * phi4 * w**m_u * phi0 * s_bc
-    )
+    # The three user terms phi3*B^m, phi4*w^m*C^m and -phi3*phi4*w^m*B^m*C^m
+    # (B = ell + theta1*y, C = 1 + u/(1-vy), m = m_u) are h-kernels with
+    # powers (b, c) = (m, 0), (0, m), (m, m); the domain cut counts degree
+    # b + c + k + 1, so their rows sit at b + c - m = 0, 0, m.
+    c_w = phi4 * w**m_u
+    log_phi3, log_cw, sign_cw = math.log(phi3), math.log(abs(c_w)), math.copysign(1.0, c_w)
+
+    def integrand(y):
+        one_minus_vy = 1.0 - v * y
+        log_b, sign_b = _signed_log_pow(ell + params.theta1 * y, m_u)
+        log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vy, m_u)
+        shift, user = series_rows(
+            (0, 0, m_u),
+            np.stack([log_phi3 + log_b, log_cw + log_c, log_phi3 + log_cw + log_b + log_c]),
+            np.stack([sign_b, sign_cw * sign_c, -sign_cw * sign_b * sign_c]),
+            m_u + 1,
+        )
+        log_scale = -lam_e * y - r_screen / one_minus_vy + shift
+        return log_scale, convolve_series(user, jammed_ratio_pdf_rows(p_e, count, rho4, y))
+
+    return floor + phi0 * series_integral(1.0 / v, v, lam_e, m_u + 1, m_u + p_e.m, integrand, quad)
 
 
 def delta4_asym(

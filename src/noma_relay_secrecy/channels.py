@@ -259,22 +259,38 @@ def jammed_ratio_cdf(p_e: NakagamiParams, count: int, rho4: float, y):
     return _as_given(y, 1.0 - np.asarray(jammed_ratio_survival(p_e, count, rho4, y)))
 
 
-def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
-    """PDF of Y = G/(1 + rho4*H); derivative of jammed_ratio_cdf.
+def jammed_ratio_pdf_rows(p_e: NakagamiParams, count: int, rho4: float, y) -> np.ndarray:
+    """The terms of the Y = G/(1 + rho4*H) density at y without its common
+    factor phi0*exp(-lambda*y), summed by their power k of y.
 
-    Each term contributes (rho4*lambda*y^{k+1} + D*y^k - C*k*y^{k-1})
-    / (rho4*y + C)^{varsigma+1}; the y^{k-1} piece carries a factor k and is
-    skipped at k = 0, where it vanishes identically.
+    Term t of jammed_ratio_terms is
+    delta*(rho4*lambda*y^{k+1} + D*y^k - C*k*y^{k-1}) / (rho4*y + C)^{varsigma+1};
+    the y^{k-1} piece carries a factor k and vanishes at k = 0. All terms are
+    evaluated at once, shape (T,) + y.shape, and row k of the result, shape
+    (m,) + y.shape, sums those with that k.
     """
+    y = np.asarray(y, dtype=float)
+    terms = jammed_ratio_terms(p_e, count, rho4)
+    k = np.array([t.k for t in terms])
+    col = (-1,) + (1,) * y.ndim  # one entry per term, broadcasting against y
+    big_c = np.array([t.C for t in terms], dtype=float).reshape(col)
+    big_d = np.array([t.D for t in terms]).reshape(col)
+    delta = np.array([t.delta for t in terms]).reshape(col)
+    # Powers of y only reach m, and many terms share one denominator.
+    y_pow = np.power(y, np.arange(p_e.m + 1).reshape(col))
+    numer = rho4 * p_e.rate * y_pow[k + 1] + big_d * y_pow[k] - big_c * k.reshape(col) * y_pow[np.maximum(k - 1, 0)]
+    shared, which = np.unique([(t.C, t.varsigma + 1) for t in terms], axis=0, return_inverse=True)
+    denom = np.power(rho4 * y + shared[:, 0].reshape(col), shared[:, 1].reshape(col))
+    vals = delta * numer / denom[which.ravel()]
+    return np.stack([vals[k == i].sum(axis=0) for i in range(p_e.m)])
+
+
+def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
+    """PDF of Y = G/(1 + rho4*H); derivative of jammed_ratio_cdf."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("y must be nonnegative")
     lam = p_e.rate
     phi0 = count * lam**p_e.m / math.factorial(p_e.m - 1)
-    acc = np.zeros_like(y)
-    for t in jammed_ratio_terms(p_e, count, rho4):
-        numer = rho4 * lam * np.power(y, t.k + 1) + t.D * np.power(y, t.k)
-        if t.k > 0:
-            numer = numer - t.C * t.k * np.power(y, t.k - 1)
-        acc = acc + t.delta * numer / np.power(rho4 * y + t.C, t.varsigma + 1)
+    acc = jammed_ratio_pdf_rows(p_e, count, rho4, y).sum(axis=0)
     return _as_given(y, phi0 * np.exp(-lam * y) * acc)

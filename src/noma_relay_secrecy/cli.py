@@ -370,7 +370,10 @@ def validate(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
             z_scores.append(math.inf)
             continue
         gap = row["sop"] - mc_row["sop"]
-        stderr = mc_row["stderr"]
+        # Binomial stderr at the analytic SOP, the value under test: the
+        # plug-in sqrt(p_hat*(1-p_hat)/N) is 0 whenever every trial lands on
+        # one side, which would score any gap as infinitely significant.
+        stderr = math.sqrt(row["sop"] * (1.0 - row["sop"]) / mc_row["trials"])
         z = 0.0 if gap == 0.0 else (gap / stderr if stderr > 0 else math.inf)
         z_scores.append(abs(z))
         lines.append(

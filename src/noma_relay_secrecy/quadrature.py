@@ -1,6 +1,6 @@
-"""Gauss-Legendre evaluation of the two security-probability integrals.
+"""Gauss-Legendre evaluation of the security-probability integrals.
 
-Both kernels integrate over (0, a) where the integrand may have a screened
+Every integral runs over (0, a) where the integrand may have a screened
 singularity at the right endpoint: the factor exp(-h/(1-qx)) (resp.
 exp(-r/(1-vy))) drives the integrand to zero there whenever h > 0 (r > 0).
 By construction the constants satisfy q*a = 1 exactly, so the 1/(1-qx) pole
@@ -8,6 +8,15 @@ sits on the boundary, strictly outside the open node set; only a pole in the
 interior (q*a > 1) is an error. Node values are combined in log space with
 sign tracking so the huge-but-cancelling endpoint factors never produce
 0 * inf.
+
+The closed-form SOPs are finite series of such integrals that share one
+integrand shape. `series_integral` evaluates a whole series at once: the
+caller builds, at each node, one row stack per factor of the integrand (a
+power series in one base, rows indexed by polynomial degree), the stacks are
+convolved along the degree axis, and the weights meet the node values in one
+dot product. Terms are grouped only by their `_effective_upper` cut, which
+depends on a term's degree. `g_kernel` and `h_kernel` evaluate one term of
+each shape on its own and are the reference the series are tested against.
 """
 from __future__ import annotations
 
@@ -60,15 +69,74 @@ def quadrature(n: int = 300) -> QuadratureSpec:
     return QuadratureSpec(n)
 
 
-def _signed_log_pow(base: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k*log|base| and sign(base)^k elementwise; k = 0 contributes nothing."""
-    if k == 0:
-        return np.zeros_like(base), np.ones_like(base)
-    with np.errstate(divide="ignore"):
-        logmag = k * np.log(np.abs(base))
-    sign = np.where(base < 0.0, (-1.0) ** k, 1.0)
-    sign = np.where(base == 0.0, 0.0, sign)
-    return logmag, sign
+def _signed_log_pow(base: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """k*log|base| and sign(base)^k elementwise; k = 0 contributes nothing.
+
+    k is a nonnegative integer or an integer array broadcasting against base.
+    """
+    k = np.asarray(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = np.where(k == 0, 0.0, k * np.log(np.abs(base)))
+    return logmag, np.sign(base) ** k  # 0^0 = 1: k = 0 keeps a zero base's sign at 1
+
+
+def _check_domain(a: float, pole: float, name: str) -> None:
+    """Reject an empty domain and a 1/(1 - pole*x) pole interior to (0, a)."""
+    if not a > 0:
+        raise ValueError(f"upper limit a must be positive, got {a!r}")
+    if pole * a > 1.0 + _POLE_TOL:
+        raise ValueError(f"pole inside domain: {name}*a = {pole * a!r} > 1")
+
+
+def series_rows(degrees, log_mag: np.ndarray, sign: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack signed log-space entries into rows by polynomial degree.
+
+    Entry i has degree degrees[i] and node values sign[i]*exp(log_mag[i]).
+    Returns (shift, rows): shift is the per-node maximum of log_mag and
+    rows[d] sums sign*exp(log_mag - shift) over the entries of degree d, so
+    every row stays within [-len(entries), len(entries)] and the magnitude
+    lives in shift alone.
+    """
+    shift = log_mag.max(axis=0)
+    shift = np.where(np.isfinite(shift), shift, 0.0)  # a node where every entry is 0
+    scaled = sign * np.exp(log_mag - shift)
+    rows = np.zeros((n_rows,) + shift.shape)
+    for degree, row in zip(degrees, scaled):
+        rows[degree] += row
+    return shift, rows
+
+
+def convolve_series(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two row stacks indexed by degree: row s sums a[i]*b[s-i]."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1,) + a.shape[1:])
+    for i, row in enumerate(a):
+        out[i : i + b.shape[0]] += row * b
+    return out
+
+
+def series_integral(
+    a: float, pole: float, f: float, degree0: int, n_degrees: int, integrand, quad: QuadratureSpec
+) -> float:
+    """Integral over (0, a) of a series of terms of degrees degree0 .. degree0+n_degrees-1.
+
+    `integrand(x)` returns (log_scale, series) at the nodes x, with series of
+    shape (n_degrees, len(x)): the degree-(degree0+s) terms sum to
+    exp(log_scale)*series[s]. Each degree keeps the `_effective_upper` cut a
+    separate g/h-kernel call would give it (e^{-f x} decay, `pole` as in
+    q or v), and degrees that share a cut share one set of nodes, so when no
+    cut applies the whole series is one evaluation and one dot product.
+    """
+    _check_domain(a, pole, "pole")
+    cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
+    total = 0.0
+    for cut in dict.fromkeys(cuts):
+        x, w = quad.map_to(cut)
+        log_scale, series = integrand(x)
+        keep = [s for s, c in enumerate(cuts) if c == cut]
+        with np.errstate(over="ignore"):
+            vals = np.exp(log_scale) * series[keep].sum(axis=0)
+        total += float(np.dot(w, vals))
+    return total
 
 
 def g_kernel(a, b, c, r, q, f, h, k, j, quad: QuadratureSpec) -> float:
@@ -78,10 +146,7 @@ def g_kernel(a, b, c, r, q, f, h, k, j, quad: QuadratureSpec) -> float:
     to the domain: q*a <= 1 (equality is the constructed case and is fine,
     the nodes stay strictly inside).
     """
-    if not a > 0:
-        raise ValueError(f"upper limit a must be positive, got {a!r}")
-    if q * a > 1.0 + _POLE_TOL:
-        raise ValueError(f"pole inside domain: q*a = {q * a!r} > 1")
+    _check_domain(a, q, "q")
     x, w = quad.map_to(_effective_upper(a, f, b + k + j))
     one_minus_qx = 1.0 - q * x
     log_val = (b - 1.0) * np.log(x) - f * x - h / one_minus_qx
@@ -126,10 +191,7 @@ def h_kernel(
     """
     if not v > 0:
         raise ValueError(f"v must be positive, got {v!r}")
-    if not a > 0:
-        raise ValueError(f"upper limit a must be positive, got {a!r}")
-    if v * a > 1.0 + _POLE_TOL:
-        raise ValueError(f"pole inside domain: v*a = {v * a!r} > 1")
+    _check_domain(a, v, "v")
     y, w = quad.map_to(_effective_upper(a, f, b + c + k + 1))
     one_minus_vy = 1.0 - v * y
     log_val = -f * y - r / one_minus_vy

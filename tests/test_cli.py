@@ -4,11 +4,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from noma_relay_secrecy import SopResult, cli
 from noma_relay_secrecy.cli import (
     ConfigError,
     load_config,
@@ -166,13 +169,31 @@ def test_validate_infeasible_is_exact_agreement(tmp_path):
     assert all("z=+0.00" in line for line in lines[:-1])
 
 
-def test_validate_fails_when_engines_disagree(tmp_path):
-    # 50 trials at deep outage: MC pins 1.0 with zero stderr, analytic is below
-    raw = _base_config(P_dB=-15.0, scheme=["osrs"], trials=50)
+def test_validate_fails_when_engines_disagree(tmp_path, monkeypatch):
+    # the analytic value is moved 10 binomial standard errors off the truth
+    raw = _base_config(scheme=["osrs"], trials=20_000)
     path = _write(tmp_path, raw)
+    exact = cli.sop_total
+
+    def off_by_ten_sigma(*args, **kwargs):
+        p = exact(*args, **kwargs).value
+        return SopResult(value=p + 10.0 * math.sqrt(p * (1.0 - p) / raw["trials"]), engine="analytic")
+
+    monkeypatch.setattr(cli, "sop_total", off_by_ten_sigma)
     passed, lines = validate(load_config(path))
     assert not passed
     assert main(["validate", path]) == 2
+
+
+def test_validate_deep_outage_with_no_secure_trial_passes(tmp_path):
+    # 50 trials at deep outage: MC sees no secure trial (p_hat = 1), which
+    # analytic = 0.99975 predicts (0.0125 secure trials expected)
+    raw = _base_config(P_dB=-15.0, scheme=["osrs"], trials=50)
+    path = _write(tmp_path, raw)
+    passed, lines = validate(load_config(path))
+    assert "mc=1.000000e+00" in lines[0]
+    assert passed
+    assert main(["validate", path]) == 0
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -234,3 +255,21 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sweep_var,")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "command, config, golden",
+    [
+        ("analytic", "reference.json", "reference_analytic.csv"),
+        ("asymptotic", "dynamic_split.json", "dynamic_split_asymptotic.csv"),
+    ],
+)
+def test_demo_csv_matches_golden(tmp_path, command, config, golden):
+    # the demo configs' CSV bytes are part of the interface: an engine
+    # rewrite that moves any printed digit shows here
+    out = tmp_path / golden
+    assert main([command, str(ROOT / "demos" / "configs" / config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()

@@ -1,0 +1,178 @@
+"""Node-series integrals against explicit per-term g/h-kernel sums.
+
+`_joint_secrecy_prob`, `delta4` and `asymptotic._odrs_complement` sum their
+series at every quadrature node and integrate once. Quadrature is linear, so
+they must equal the per-term sums below (one kernel call per series term, the
+way the closed forms are written) up to rounding, including where the
+domain cut of `_effective_upper` differs between terms of different degree.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from conftest import db, fixed_policy, grid_params
+
+from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, scaled_params
+from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
+from noma_relay_secrecy.asymptotic import _leading_coeff, _odrs_complement
+from noma_relay_secrecy.channels import jammed_ratio_survival, jammed_ratio_terms
+from noma_relay_secrecy.params import feasibility_check, scheme_constants
+from noma_relay_secrecy.quadrature import _effective_upper, g_kernel, h_kernel, quadrature
+
+QUAD = quadrature(300)
+
+
+def assert_close(got: float, ref: float) -> None:
+    assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-15), (got, ref)
+
+
+def joint_args(params, policy, n):
+    """The constants and shapes sop_tmrc_cond hands _joint_secrecy_prob."""
+    alpha1, alpha2 = policy.resolve(params.links)
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
+    links = params.links
+    return dict(
+        consts=consts,
+        tau_u=n * links.m_u,
+        tau_e=n * links.relay_eaves.m,
+        lambda1=links.relay_user1.rate,
+        lambda2=links.relay_user2.rate,
+        lambda_e=links.relay_eaves.rate,
+        theta1=params.theta1,
+        alpha2=alpha2,
+    )
+
+
+def joint_per_term(consts, tau_u, tau_e, lambda1, lambda2, lambda_e, theta1, alpha2, quad):
+    a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
+    log_front = tau_e * math.log(lambda_e) - math.lgamma(tau_e) - lambda1 * b - lambda2 * c
+    q, r, h, f = e / d, alpha2 / (d * c), lambda2 * alpha2 / d, lambda1 * theta1 + lambda_e
+    total = 0.0
+    for k in range(tau_u):
+        log_k = k * math.log(lambda1 * b) - math.lgamma(k + 1)
+        for j in range(tau_u):
+            log_j = j * math.log(lambda2 * abs(c)) - math.lgamma(j + 1)
+            gval = g_kernel(a, tau_e, theta1 / b, r, q, f, h, k, j, quad)
+            total += (-1.0) ** j * math.exp(log_front + log_k + log_j) * gval
+    return total
+
+
+def delta4_per_term(params, policy, n, quad):
+    alpha1, alpha2 = policy.resolve(params.links)
+    rho3 = (1.0 - policy.alphaJ) * params.rho2
+    rho4 = policy.alphaJ * params.rho2
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
+    links = params.links
+    lambda1, lambda2, p_e = links.relay_user1.rate, links.relay_user2.rate, links.relay_eaves
+    lambda_e = p_e.rate
+    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
+    phi0 = (params.K - n) * lambda_e**p_e.m / math.factorial(p_e.m - 1)
+    f = lambda1 * params.theta1 + lambda_e
+    total = 0.0
+    for p in range(links.m_u):
+        for q in range(links.m_u):
+            log_pq = (
+                -lambda1 * ell - lambda2 * w
+                + p * math.log(lambda1) - math.lgamma(p + 1)
+                + q * math.log(lambda2 * abs(w)) - math.lgamma(q + 1)
+            )
+            coef = (-1.0) ** q * math.exp(log_pq)
+            for t in jammed_ratio_terms(p_e, params.K - n, rho4):
+                hval = h_kernel(
+                    1.0 / v, p, q, f, lambda2 * w * u, u, v, ell, params.theta1,
+                    t.k, t.varsigma, t.C, t.D, rho4, lambda_e, quad,
+                )
+                total += coef * t.delta * hval
+    return min(max(phi0 * total, 0.0), 1.0)
+
+
+def odrs_complement_per_term(params, policy, alpha1, alpha2, n, quad, include_floor):
+    links = params.links
+    rho4 = policy.alphaJ * params.rho2
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, (1.0 - policy.alphaJ) * params.rho2)
+    m_u, p_e = links.m_u, links.relay_eaves
+    lam_e = p_e.rate
+    phi3 = _leading_coeff(links.relay_user1.rate, m_u)
+    phi4 = _leading_coeff(links.relay_user2.rate, m_u)
+    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
+    count = params.K - n
+    phi0 = count * lam_e**p_e.m / math.factorial(p_e.m - 1)
+    floor = float(jammed_ratio_survival(p_e, count, rho4, 1.0 / v)) if include_floor else 0.0
+    r_screen = links.relay_user2.rate * w * u
+    s_b = s_c = s_bc = 0.0
+    for t in jammed_ratio_terms(p_e, count, rho4):
+        args = (t.k, t.varsigma, t.C, t.D, rho4, lam_e, quad)
+        s_b += t.delta * h_kernel(1.0 / v, m_u, 0, lam_e, r_screen, u, v, ell, params.theta1, *args)
+        s_c += t.delta * h_kernel(1.0 / v, 0, m_u, lam_e, r_screen, u, v, ell, params.theta1, *args)
+        s_bc += t.delta * h_kernel(1.0 / v, m_u, m_u, lam_e, r_screen, u, v, ell, params.theta1, *args)
+    return floor + phi3 * phi0 * s_b + phi4 * w**m_u * phi0 * s_c - phi3 * phi4 * w**m_u * phi0 * s_bc
+
+
+def random_scenarios(seed: int, count: int):
+    """(params, policy) with K <= 8, m <= 3, fixed and dynamic splits, alphaJ in (0, 1)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        params = grid_params(
+            K=int(rng.integers(2, 9)),
+            P_dB=float(rng.uniform(0.0, 25.0)),
+            omegaE_dB=float(rng.uniform(-15.0, 0.0)),
+            m=int(rng.integers(1, 4)),
+        )
+        alphaJ = float(rng.uniform(0.05, 0.95))
+        if i % 2:
+            policy = PowerPolicy.dynamic(float(rng.uniform(2.0, 8.0)), float(rng.uniform(0.05, 0.3)), alphaJ=alphaJ)
+        else:
+            policy = fixed_policy(float(rng.uniform(0.05, 0.35)), alphaJ=alphaJ)
+        assert feasibility_check(params, policy) is None
+        yield rng, params, policy
+
+
+def asymptotic_frame(params, omega2_dB):
+    scaling = AsymptoticScaling(epsilon1=db(2.0), epsilon2=db(0.0), omega2=db(omega2_dB))
+    return scaled_params(params, scaling)
+
+
+def test_joint_secrecy_series_matches_per_term():
+    for rng, params, policy in random_scenarios(20241017, 10):
+        kwargs = joint_args(params, policy, int(rng.integers(1, params.K + 1)))
+        assert_close(_joint_secrecy_prob(quad=QUAD, **kwargs), joint_per_term(quad=QUAD, **kwargs))
+
+
+def test_delta4_series_matches_per_term():
+    for rng, params, policy in random_scenarios(7, 10):
+        n = int(rng.integers(1, params.K))
+        assert_close(delta4(params, policy, n, QUAD), delta4_per_term(params, policy, n, QUAD))
+
+
+def test_odrs_complement_series_matches_per_term():
+    for rng, params, policy in random_scenarios(31, 10):
+        scaled = asymptotic_frame(params, float(rng.uniform(20.0, 60.0)))
+        assert feasibility_check(scaled, policy) is None
+        alpha1, alpha2 = policy.resolve(scaled.links)
+        n = int(rng.integers(1, params.K))
+        include_floor = bool(rng.integers(0, 2))
+        args = (scaled, policy, alpha1, alpha2, n, QUAD, include_floor)
+        assert_close(_odrs_complement(*args), odrs_complement_per_term(*args))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_series_keep_each_degrees_domain_cut(m):
+    # omega_E = -40 dB makes the eavesdropper decay ~1e4 times faster than
+    # the domain is long, so every term's integral is cut short, and the cut
+    # grows with the term's degree: the series must keep each cut exactly
+    params = grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=m)
+    policy = fixed_policy(0.2, alphaJ=0.5)
+    for n in (1, 2, 3):
+        kwargs = joint_args(params, policy, n)
+        a = kwargs["consts"].a
+        f = kwargs["lambda1"] * kwargs["theta1"] + kwargs["lambda_e"]
+        cuts = {_effective_upper(a, f, kwargs["tau_e"] + s) for s in range(2 * kwargs["tau_u"] - 1)}
+        assert len(cuts) == 2 * kwargs["tau_u"] - 1 and max(cuts) < a
+        assert_close(_joint_secrecy_prob(quad=QUAD, **kwargs), joint_per_term(quad=QUAD, **kwargs))
+        assert_close(delta4(params, policy, n, QUAD), delta4_per_term(params, policy, n, QUAD))
+        scaled = asymptotic_frame(params, 30.0)
+        alpha1, alpha2 = policy.resolve(scaled.links)
+        args = (scaled, policy, alpha1, alpha2, n, QUAD, True)
+        assert_close(_odrs_complement(*args), odrs_complement_per_term(*args))
