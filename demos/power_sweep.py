@@ -1,7 +1,8 @@
 """Secrecy outage versus transmit power, closed form against simulation.
 
-Reproduces the reference comparison: three relay-selection schemes on the
-same channel draws, so the scheme gaps are paired rather than noisy.
+Reproduces the reference comparison: three relay-selection schemes at every
+power on the same channel draws, so the gaps between schemes and between
+powers are paired rather than noisy.
 """
 import numpy as np
 
@@ -36,12 +37,13 @@ for K in (2, 3):
     print(f"\nK = {K} relays   (analytic | simulated +- stderr)")
     header = "P [dB]" + "".join(f"{s.value:>31s}" for s in SCHEMES)
     print(header)
-    for P_dB in np.arange(0.0, 30.1, 5.0):
-        params = scenario(K, P_dB)
-        estimates = estimate_many(params, policy, SCHEMES, mc)
+    powers = np.arange(0.0, 30.1, 5.0)
+    grid = [scenario(K, P_dB) for P_dB in powers]
+    estimates = estimate_many(grid, [policy] * len(grid), SCHEMES, mc)
+    for i, (P_dB, params) in enumerate(zip(powers, grid)):
         cells = []
         for s in SCHEMES:
             exact = sop_total(params, policy, s, QUAD).value
-            est = estimates[s]
+            est = estimates[i, s]
             cells.append(f"{exact:.3e} | {est.p_hat:.3e}+-{est.stderr:.0e}")
         print(f"{P_dB:6.0f}" + "".join(f"{c:>31s}" for c in cells))

@@ -309,23 +309,36 @@ def sop_asym_total(
     scaling: AsymptoticScaling,
     quad: QuadratureSpec,
 ) -> float:
-    """Asymptotic total SOP: decoding-set weights collapse to their leading power."""
+    """Asymptotic total SOP: decoding-set weights collapse to their leading power.
+
+    The per-n conditionals are those of `sop_*_asym_cond`; the scaled
+    scenario, its feasibility, the split and the single-relay complement
+    are worked out once here rather than once per n.
+    """
     scheme = SchemeKind(scheme)
     scaled = scaled_params(params, scaling)
     m_r = scaled.links.source_relay.m
     phi_r = _leading_coeff(scaled.links.source_relay.rate, m_r)
     eta = scaled.eta
+    feasible = feasibility_check(scaled, policy) is None
+    if feasible:
+        alpha1, alpha2 = policy.resolve(scaled.links)
+        include_floor = not policy.is_dynamic
+        if scheme is not SchemeKind.TMRC:
+            single = min(max(_tmrc_complement(scaled, alpha1, alpha2, 1, quad, include_floor), 0.0), 1.0)
     total = 0.0
     for n in range(scaled.K + 1):
         weight = math.comb(scaled.K, n) * (phi_r * eta**m_r) ** (scaled.K - n)
-        if n == 0:
+        if n == 0 or not feasible:
             cond = 1.0
         elif scheme is SchemeKind.TMRC:
-            cond = sop_tmrc_asym_cond(params, policy, n, scaling, quad)
-        elif scheme in (SchemeKind.OSRS, SchemeKind.TSRS):
-            cond = sop_osrs_asym_cond(params, policy, n, scaling, quad)
+            comp = _tmrc_complement(scaled, alpha1, alpha2, n, quad, include_floor)
+            cond = min(max(comp, 0.0), 1.0)
+        elif scheme in (SchemeKind.OSRS, SchemeKind.TSRS) or n == scaled.K:
+            cond = single**n
         else:
-            cond = sop_odrs_asym_cond(params, policy, n, scaling, quad)
+            comp = _odrs_complement(scaled, policy, alpha1, alpha2, n, quad, include_floor)
+            cond = min(max(comp, 0.0), 1.0) ** n
         total += weight * cond
     return min(max(total, 0.0), 1.0)
 

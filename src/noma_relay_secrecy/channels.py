@@ -120,7 +120,9 @@ def sample_gain(p: NakagamiParams, rng: np.random.Generator, size=None):
     """
     shape = () if size is None else ((size,) if np.isscalar(size) else tuple(size))
     u = rng.random((p.m,) + shape)
-    g = -(p.omega / p.m) * np.log1p(-u).sum(axis=0)
+    # in place: the uniforms are the largest array a draw makes
+    g = np.log1p(np.negative(u, out=u), out=u).sum(axis=0)
+    g *= -(p.omega / p.m)
     return float(g) if size is None else g
 
 

@@ -26,6 +26,8 @@ from .quadrature import quadrature
 
 _ENGINES = ("analytic", "asymptotic", "montecarlo")
 _SWEEP_VARS = ("P_dB", "omega2_dB", "alpha1", "alphaJ", "K", "m")
+# Sweeps that leave K and every link unchanged, so their points share draws.
+_SHARED_DRAW_VARS = ("P_dB", "alpha1", "alphaJ")
 _COLUMNS = ("sweep_var", "sweep_value", "scheme", "engine", "sop", "stderr", "trials", "sdo", "error")
 
 _REQUIRED_KEYS = (
@@ -280,20 +282,22 @@ def _blank_row(cfg: ExperimentConfig, value: float, scheme: SchemeKind, engine: 
 
 
 def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> list[dict]:
-    """One row per (sweep value, scheme, engine); failures land in the error column."""
+    """One row per (sweep value, scheme, engine); failures land in the error column.
+
+    Monte Carlo draws depend on K and the links only, so the points of a
+    `P_dB`, `alpha1` or `alphaJ` sweep are simulated on one shared draw,
+    which makes their curves paired; `omega2_dB`, `K` and `m` sweeps draw
+    afresh at every point.
+    """
     engines = tuple(engines) if engines is not None else cfg.engines
     if cfg.sweep_var is None:
         values = [10.0 * math.log10(cfg.params.P_S)]
     else:
         values = list(cfg.sweep_values)
+    points = [(value, *_point_scenario(cfg, None if cfg.sweep_var is None else value)) for value in values]
     rows: list[dict] = []
-    for value in values:
-        point_value = None if cfg.sweep_var is None else value
-        params, policy = _point_scenario(cfg, point_value)
-        for engine in engines:
-            if engine == "montecarlo":
-                rows.extend(_mc_rows(cfg, value, params, policy))
-                continue
+    for value, params, policy in points:
+        for engine in (e for e in engines if e != "montecarlo"):
             for scheme in cfg.schemes:
                 row = _blank_row(cfg, value, scheme, engine)
                 try:
@@ -314,20 +318,26 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
                 except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
                     row["error"] = str(exc)
                 rows.append(row)
+    if "montecarlo" in engines and points:
+        groups = [points] if cfg.sweep_var in _SHARED_DRAW_VARS else [[point] for point in points]
+        for group in groups:
+            rows.extend(_mc_rows(cfg, group))
     rows.sort(key=lambda r: (r["sweep_value"], r["scheme"], r["engine"]))
     return rows
 
 
-def _mc_rows(cfg: ExperimentConfig, value: float, params: SystemParams, policy: PowerPolicy) -> list[dict]:
-    rows = [_blank_row(cfg, value, scheme, "montecarlo") for scheme in cfg.schemes]
+def _mc_rows(cfg: ExperimentConfig, points: list[tuple[float, SystemParams, PowerPolicy]]) -> list[dict]:
+    """Monte Carlo rows of sweep points that share one draw."""
+    keys = [(i, scheme) for i in range(len(points)) for scheme in cfg.schemes]
+    rows = [_blank_row(cfg, points[i][0], scheme, "montecarlo") for i, scheme in keys]
     try:
-        estimates = estimate_many(params, policy, cfg.schemes, cfg.mc)
+        estimates = estimate_many([p for _, p, _ in points], [pol for _, _, pol in points], cfg.schemes, cfg.mc)
     except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
         for row in rows:
             row["error"] = str(exc)
         return rows
-    for row, scheme in zip(rows, cfg.schemes):
-        est = estimates[scheme]
+    for row, key in zip(rows, keys):
+        est = estimates[key]
         row["sop"] = est.p_hat
         row["stderr"] = est.stderr
         row["trials"] = est.trials

@@ -77,12 +77,13 @@ def test_cross_engine_agreement():
     worst = 0.0
     points = 0
     for K in (2, 3):
-        for P_dB in GRID_POWERS:
-            params = grid_params(K=K, P_dB=P_dB)
-            estimates = estimate_many(params, policy, TRIO, MC)
+        grid = [grid_params(K=K, P_dB=P_dB) for P_dB in GRID_POWERS]
+        estimates = estimate_many(grid, [policy] * len(grid), TRIO, MC)
+        for i, P_dB in enumerate(GRID_POWERS):
+            params = grid[i]
             for scheme in TRIO:
                 exact = sop_total(params, policy, scheme, QUAD).value
-                est = estimates[scheme]
+                est = estimates[i, scheme]
                 gap = abs(exact - est.p_hat)
                 stderr = math.sqrt(exact * (1.0 - exact) / est.trials)
                 assert gap <= 3.0 * stderr, (K, P_dB, scheme, exact, est.p_hat, stderr)
@@ -109,15 +110,20 @@ def test_scheme_ordering():
             worst_sel = max(worst_sel, osrs - tmrc)
 
     worst_margin = math.inf
+    splits = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    policies = [PowerPolicy.fixed(0.2)] + [PowerPolicy.fixed(0.2, alphaJ=a) for a in splits]
     for K in (2, 3):
-        for P_dB in GRID_POWERS:
-            params = grid_params(K=K, P_dB=P_dB)
-            osrs = estimate_many(params, PowerPolicy.fixed(0.2), (SchemeKind.OSRS,), MC)[SchemeKind.OSRS]
+        # one shared draw for every power and split: the draws depend on K and the links only
+        scenarios = [(grid_params(K=K, P_dB=P_dB), pol) for P_dB in GRID_POWERS for pol in policies]
+        estimates = estimate_many([p for p, _ in scenarios], [pol for _, pol in scenarios],
+                                  (SchemeKind.OSRS, SchemeKind.ODRS), MC)
+        for point, P_dB in enumerate(GRID_POWERS):
+            first = point * len(policies)
+            osrs = estimates[first, SchemeKind.OSRS]
             best = math.inf
             best_se = 0.0
-            for alpha_j in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-                est = estimate_many(params, PowerPolicy.fixed(0.2, alphaJ=alpha_j),
-                                    (SchemeKind.ODRS,), MC)[SchemeKind.ODRS]
+            for j in range(1, len(policies)):
+                est = estimates[first + j, SchemeKind.ODRS]
                 if est.p_hat < best:
                     best, best_se = est.p_hat, est.stderr
             combined = math.sqrt(best_se**2 + osrs.stderr**2)

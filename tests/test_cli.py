@@ -5,13 +5,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from noma_relay_secrecy import SopResult, cli
+from noma_relay_secrecy import SchemeKind, SopResult, cli, estimate_many
 from noma_relay_secrecy.cli import (
     ConfigError,
     load_config,
@@ -122,6 +123,37 @@ def test_alpha1_sweep_ordering(tmp_path):
     # rows arrive sorted by (value, scheme, engine)
     keys = [(r["sweep_value"], r["scheme"]) for r in rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "var, values, calls",
+    [
+        ("P_dB", [0, 10, 20], 1),
+        ("alpha1", [0.1, 0.3], 1),
+        ("alphaJ", [0.0, 0.4], 1),
+        ("omega2_dB", [5, 10], 2),
+        ("K", [1, 2, 3], 3),
+        ("m", [1, 2], 2),
+    ],
+)
+def test_sweep_points_share_draws_only_when_links_stay(tmp_path, monkeypatch, var, values, calls):
+    raw = _base_config(scheme=["tmrc", "odrs"], engine=["montecarlo"], trials=2000,
+                       sweep={"var": var, "values": values})
+    cfg = load_config(_write(tmp_path, raw))
+    made = []
+
+    def counting(params, policy, schemes, config):
+        made.append(len(params))
+        return estimate_many(params, policy, schemes, config)
+
+    monkeypatch.setattr(cli, "estimate_many", counting)
+    rows = run_sweep(cfg)
+    assert made == [len(values) // calls] * calls
+    # each point reads what a simulation of that point alone reads
+    for row in rows:
+        params, policy = cli._point_scenario(cfg, row["sweep_value"])
+        alone = estimate_many(params, policy, [row["scheme"]], cfg.mc)[SchemeKind(row["scheme"])]
+        assert (row["sop"], row["stderr"], row["error"]) == (alone.p_hat, alone.stderr, "")
 
 
 def test_base_point_uses_power_in_db(tmp_path):
@@ -249,9 +281,11 @@ def test_out_field_in_config(tmp_path):
 
 def test_module_entry_point(tmp_path):
     path = _write(tmp_path, _base_config(scheme=["osrs"]))
+    # the child imports the package from wherever this process does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "noma_relay_secrecy.cli", "analytic", path],
-        capture_output=True, text=True, check=False,
+        capture_output=True, text=True, check=False, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sweep_var,")
@@ -264,6 +298,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "command, config, golden",
     [
         ("analytic", "reference.json", "reference_analytic.csv"),
+        ("simulate", "reference.json", "reference_simulate.csv"),
         ("asymptotic", "dynamic_split.json", "dynamic_split_asymptotic.csv"),
     ],
 )

@@ -9,6 +9,7 @@ import pytest
 from conftest import fixed_policy, grid_params
 
 from noma_relay_secrecy import (
+    NakagamiParams,
     PowerPolicy,
     SchemeKind,
     TrialConfig,
@@ -30,6 +31,7 @@ from noma_relay_secrecy.montecarlo import (
     OUTCOME_LABELS,
     _chunk_stream,
     _draw_chunk,
+    _relay_sum,
     _scheme_codes,
 )
 
@@ -141,8 +143,8 @@ def test_conditional_outage_given_set_size():
     policy_j = fixed_policy(0.2, alphaJ=0.5)
     trials = 400_000
     stream = _chunk_stream(TrialConfig(trials=trials, seed=11), 0)
-    g_sr, g_1, g_2, g_e = _draw_chunk(params, stream, trials)
-    n_arr = (g_sr >= params.eta).sum(axis=1)
+    g_sr, g_1, g_2, g_e = _draw_chunk(params, stream, trials)  # relay-major, (K, trials)
+    n_arr = (g_sr >= params.eta).sum(axis=0)
 
     def freq_and_sigma(codes, n):
         mask = n_arr == n
@@ -192,3 +194,118 @@ def test_dynamic_policy_simulates():
     policy = PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)
     est = estimate_sop(params, policy, SchemeKind.OSRS, TrialConfig(trials=50_000, seed=42))
     assert 0.0 < est.p_hat < 1.0
+
+
+def _outcome_by_hand(params, policy, scheme, g_sr, g_1, g_2, g_e) -> int:
+    """One trial's outcome code from the four selection rules, in plain Python floats."""
+    alpha1, alpha2 = policy.resolve(params.links)
+    rho = params.rho2
+    dec = [k for k in range(params.K) if g_sr[k] >= params.eta]
+    if not dec:
+        return OUTCOME_LABELS.index("no_relay")
+
+    def checks(rho, g1, g2, ge):
+        lhs1 = 1.0 + alpha1 * rho * g1
+        rhs1 = params.theta1 * (1.0 + alpha1 * rho * ge)
+        lhs2 = 1.0 + rho * g2
+        rhs2 = params.theta2 * (1.0 + alpha2 * rho * ge) * (1.0 + alpha1 * rho * g2)
+        return lhs1 >= rhs1, lhs2 >= rhs2, lhs1 / rhs1, lhs2 / rhs2
+
+    def code(ok1, ok2):
+        return int(not ok1) + 2 * int(not ok2)
+
+    if scheme is SchemeKind.TMRC:
+        ok1, ok2, _, _ = checks(rho / len(dec), *(sum(g[k] for k in dec) for g in (g_1, g_2, g_e)))
+        return code(ok1, ok2)
+    ge = list(g_e)
+    idle = [k for k in range(params.K) if k not in dec]
+    if scheme is SchemeKind.ODRS and idle:
+        # the strongest idle relay toward the eavesdropper jams it
+        jam = max(g_e[k] for k in idle)
+        ge = [g / (1.0 + policy.alphaJ * params.rho2 * jam) for g in g_e]
+        rho = (1.0 - policy.alphaJ) * params.rho2
+    c = {k: checks(rho, g_1[k], g_2[k], ge[k]) for k in dec}
+    if scheme is SchemeKind.TSRS:
+        psi = [k for k in dec if c[k][0]]
+        if psi:
+            j = max(psi, key=lambda k: c[k][3])
+            return code(True, c[j][1])
+        i = max(dec, key=lambda k: c[k][2])
+        return code(False, c[i][1])
+    if any(c[k][0] and c[k][1] for k in dec):
+        return 0
+    best = max(dec, key=lambda k: min(c[k][2], c[k][3]))  # max keeps the first on ties
+    return code(c[best][0], c[best][1])
+
+
+def test_kernel_matches_per_trial_rules():
+    # partial decoding (omegaR_dB=-10) and a strong user link as weak as the
+    # eavesdropper's (0 dB) leave every outcome in play, and make the relay a
+    # rule ranks first matter to how an outage is attributed
+    seen = set()
+    for K in range(1, 10):
+        base = grid_params(K=K, P_dB=10.0, omegaE_dB=0.0, omegaR_dB=-10.0)
+        links = dataclasses.replace(base.links, relay_user1=NakagamiParams(2, 1.0))
+        params = dataclasses.replace(base, links=links)
+        draws = _draw_chunk(params, np.random.default_rng(100 + K), 600)
+        for alpha_j in (0.0, 0.5):
+            policy = fixed_policy(0.2, alphaJ=alpha_j)
+            for scheme in SchemeKind:
+                codes = _scheme_codes(params, policy, scheme, *draws)
+                want = [_outcome_by_hand(params, policy, scheme, *(g[:, t] for g in draws))
+                        for t in range(codes.size)]
+                assert codes.tolist() == want, (K, alpha_j, scheme)
+                seen.update(want)
+    assert seen == set(range(len(OUTCOME_LABELS)))
+
+
+def test_margin_ties_go_to_the_first_relay():
+    # both relays fail user 1 with the same margin, which is also their
+    # worst-user margin; only the one holding g_2 = 5 passes user 2, so the
+    # tie-break alone decides how the outage is attributed
+    params = grid_params(K=2)
+    for g_2, label in (([0.15, 5.0], "both"), ([5.0, 0.15], "u1")):
+        draw = TrialDraw(g_sr=np.full(2, 10.0), g_1=np.full(2, 0.1), g_2=np.array(g_2), g_e=np.full(2, 0.05))
+        for scheme in (SchemeKind.OSRS, SchemeKind.TSRS):
+            assert run_trial(params, fixed_policy(0.2), scheme, draw) == label, (scheme, g_2)
+
+
+def test_relay_sum_matches_row_major_sum():
+    rng = np.random.default_rng(5)
+    for K in range(1, 13):
+        rows = rng.random((1000, K)) * 10.0 ** rng.uniform(-3, 3, (1000, K))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        assert np.array_equal(_relay_sum(np.ascontiguousarray(rows.T)), rows.sum(axis=1)), K
+
+
+def test_estimate_many_scenarios_equal_separate_calls():
+    config = TrialConfig(trials=120_000, seed=9, chunk=50_000)
+    scenarios = [
+        (grid_params(K=3, P_dB=0.0), fixed_policy(0.2, alphaJ=0.5)),
+        (grid_params(K=3, P_dB=15.0), fixed_policy(0.2, alphaJ=0.5)),
+        (grid_params(K=3, P_dB=15.0), fixed_policy(0.3, alphaJ=0.5)),
+        (grid_params(K=3, P_dB=15.0), fixed_policy(0.3, alphaJ=0.0)),
+        (grid_params(K=3, P_dB=15.0), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.2)),
+    ]
+    schemes = list(SchemeKind)
+    shared = estimate_many([p for p, _ in scenarios], [pol for _, pol in scenarios], schemes, config)
+    assert len(shared) == len(scenarios) * len(schemes)
+    for i, (params, policy) in enumerate(scenarios):
+        alone = estimate_many(params, policy, schemes, config)
+        for scheme in schemes:
+            assert shared[i, scheme] == alone[scheme], (i, scheme)
+
+
+def test_estimate_many_rejects_scenarios_without_shared_draws():
+    config = TrialConfig(trials=1_000, seed=1)
+    policy = fixed_policy(0.2)
+    base = grid_params(K=2)
+    for other in (grid_params(K=3), grid_params(K=2, omegaE_dB=-3.0), grid_params(K=2, m=3)):
+        with pytest.raises(ValueError, match="same K and links"):
+            estimate_many([base, other], [policy, policy], ["osrs"], config)
+    with pytest.raises(ValueError, match="one length"):
+        estimate_many([base, base], [policy], ["osrs"], config)
+    with pytest.raises(ValueError, match="one length"):
+        estimate_many([], [], ["osrs"], config)
+    with pytest.raises(ValueError, match="both"):
+        estimate_many(base, [policy], ["osrs"], config)
