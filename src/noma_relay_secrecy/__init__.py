@@ -5,71 +5,17 @@ probability for two NOMA users served through decode-and-forward relays
 over Nakagami-m fading, under four relay-selection rules: combine all
 decoding relays, pick the best single relay, two-step selection, and a
 data relay paired with a jamming relay.
+
+The top level holds what the README documents; every other function
+lives in its submodule (`analytic`, `asymptotic`, `montecarlo`,
+`channels`, `params`, `quadrature`).
 """
-from .analytic import (
-    SopResult,
-    decode_prob_chi,
-    decoding_set_pmf,
-    delta1,
-    delta4,
-    sop_odrs_cond,
-    sop_osrs_cond,
-    sop_tmrc_cond,
-    sop_total,
-)
-from .asymptotic import (
-    AsymptoticScaling,
-    SdoInputs,
-    asym_gain_cdf,
-    delta1_asym,
-    delta4_asym,
-    scaled_params,
-    sdo,
-    sop_asym_total,
-    sop_floor_cond,
-    sop_floor_total,
-    sop_odrs_asym_cond,
-    sop_osrs_asym_cond,
-    sop_tmrc_asym_cond,
-)
-from .channels import (
-    NakagamiParams,
-    enumerate_multinomial_terms,
-    gain_cdf,
-    gain_pdf,
-    gain_survival,
-    jammed_ratio_cdf,
-    jammed_ratio_pdf,
-    jammed_ratio_survival,
-    jammed_ratio_terms,
-    max_gain_pdf,
-    mrc_sum_cdf,
-    mrc_sum_pdf,
-    mrc_sum_survival,
-    sample_gain,
-)
-from .montecarlo import (
-    SopEstimate,
-    TrialConfig,
-    TrialDraw,
-    decoding_set,
-    draw_trial,
-    estimate_many,
-    estimate_sop,
-    paired_verdicts,
-    run_trial,
-    secrecy_capacities,
-)
-from .params import (
-    LinkSet,
-    PowerPolicy,
-    SchemeKind,
-    SystemParams,
-    dpa_coefficients,
-    feasibility_check,
-    scheme_constants,
-)
-from .quadrature import QuadratureSpec, g_kernel, h_kernel, quadrature
+from .analytic import SopResult, sop_total
+from .asymptotic import AsymptoticScaling, SdoInputs, scaled_params, sdo, sop_asym_total, sop_floor_total
+from .channels import NakagamiParams
+from .montecarlo import SopEstimate, TrialConfig, estimate_many, estimate_sop
+from .params import LinkSet, PowerPolicy, SchemeKind, SystemParams
+from .quadrature import g_kernel, h_kernel, quadrature
 
 __version__ = "0.1.0"
 
@@ -78,57 +24,20 @@ __all__ = [
     "LinkSet",
     "NakagamiParams",
     "PowerPolicy",
-    "QuadratureSpec",
     "SchemeKind",
     "SdoInputs",
     "SopEstimate",
     "SopResult",
     "SystemParams",
     "TrialConfig",
-    "TrialDraw",
-    "asym_gain_cdf",
-    "decode_prob_chi",
-    "decoding_set",
-    "decoding_set_pmf",
-    "delta1",
-    "delta1_asym",
-    "delta4",
-    "delta4_asym",
-    "dpa_coefficients",
-    "draw_trial",
-    "enumerate_multinomial_terms",
     "estimate_many",
     "estimate_sop",
-    "feasibility_check",
     "g_kernel",
-    "gain_cdf",
-    "gain_pdf",
-    "gain_survival",
     "h_kernel",
-    "jammed_ratio_cdf",
-    "jammed_ratio_pdf",
-    "jammed_ratio_survival",
-    "jammed_ratio_terms",
-    "max_gain_pdf",
-    "mrc_sum_cdf",
-    "mrc_sum_pdf",
-    "mrc_sum_survival",
-    "paired_verdicts",
     "quadrature",
-    "run_trial",
-    "sample_gain",
     "scaled_params",
-    "scheme_constants",
     "sdo",
-    "secrecy_capacities",
     "sop_asym_total",
-    "sop_floor_cond",
     "sop_floor_total",
-    "sop_odrs_asym_cond",
-    "sop_odrs_cond",
-    "sop_osrs_asym_cond",
-    "sop_osrs_cond",
-    "sop_tmrc_asym_cond",
-    "sop_tmrc_cond",
     "sop_total",
 ]

@@ -1,16 +1,19 @@
 """Closed-form secrecy outage probability for the four relay-selection schemes.
 
 The outage mixture runs over the size n of the decoding set (binomial with
-per-relay success chi); conditioned on n, each scheme reduces to integrals
-of Gamma survival series against the eavesdropper-gain density. Written out,
-that is one g-kernel (h-kernel under jamming) integral per series term; here
-the series are summed at each quadrature node instead and integrated once
+per-relay success chi). Conditioned on n (`sop_cond`), a scheme's relays
+transmit in one of three ways (`SchemeKind.transmission`): all n combine
+(`sop_tmrc_cond`), the best single relay sends (`delta1`), or it sends while
+an idle relay jams (`delta4`); each reduces to integrals of Gamma survival
+series against the eavesdropper-gain density. Written out, that is one
+g-kernel (h-kernel under jamming) integral per series term; here the series
+are summed at each quadrature node instead and integrated once
 (`quadrature.series_integral`), which is the same sum because quadrature is
-linear. Conditioned on the eavesdropper gain x, both users stay
-secure iff x < a, the strong user's gain exceeds b + theta1*x, and the weak
-user's gain exceeds c + alpha2/(d*(1-(e/d)*x)); the weak-user condition is
-only satisfiable below the ceiling a, which is what creates the outage
-floor at high SNR.
+linear. Conditioned on the eavesdropper gain x, both users stay secure iff
+x < a, the strong user's gain exceeds b + theta1*x, and the weak user's gain
+exceeds c + alpha2/(d*(1-(e/d)*x)); the weak-user condition is only
+satisfiable below the ceiling a, which is what creates the outage floor at
+high SNR.
 """
 from __future__ import annotations
 
@@ -110,22 +113,17 @@ def _joint_secrecy_prob(
     return series_integral(a, q, f, tau_e, 2 * tau_u - 1, integrand, quad)
 
 
-def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
-    """Outage probability given n decoding relays under all-relay combining.
-
-    Every decoding relay transmits at P_R/n and all receivers (eavesdropper
-    included) sum the n gains, so the user and eavesdropper shapes scale to
-    n*m_U and n*m_E.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1; the empty decoding set is certain outage")
+def _combined_secure(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
+    """P(both users secured) when n relays each send at P_R/n and every
+    receiver, the eavesdropper included, sums their n gains; the user and
+    eavesdropper shapes scale to n*m_U and n*m_E. 0 for an infeasible split."""
     if feasibility_check(params, policy) is not None:
-        return 1.0
+        return 0.0
     alpha1, alpha2 = policy.resolve(params.links)
     rho1 = params.P_R / (n * params.sigma2)
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho1)
     links = params.links
-    p_secure = _joint_secrecy_prob(
+    return _joint_secrecy_prob(
         consts,
         tau_u=n * links.m_u,
         tau_e=n * links.relay_eaves.m,
@@ -136,41 +134,19 @@ def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: Quadr
         alpha2=alpha2,
         quad=quad,
     )
-    return min(max(1.0 - p_secure, 0.0), 1.0)
+
+
+def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
+    """Outage probability given n decoding relays that all transmit and combine."""
+    if n < 1:
+        raise ValueError("n must be >= 1; the empty decoding set is certain outage")
+    return min(max(1.0 - _combined_secure(params, policy, n, quad), 0.0), 1.0)
 
 
 def delta1(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec) -> float:
-    """Per-relay probability that a single relay at full power secures both users."""
-    if feasibility_check(params, policy) is not None:
-        return 0.0
-    alpha1, alpha2 = policy.resolve(params.links)
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.rho2)
-    links = params.links
-    val = _joint_secrecy_prob(
-        consts,
-        tau_u=links.m_u,
-        tau_e=links.relay_eaves.m,
-        lambda1=links.relay_user1.rate,
-        lambda2=links.relay_user2.rate,
-        lambda_e=links.relay_eaves.rate,
-        theta1=params.theta1,
-        alpha2=alpha2,
-        quad=quad,
-    )
-    return min(max(val, 0.0), 1.0)
-
-
-def sop_osrs_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
-    """Outage given n decoding relays under best-single-relay selection.
-
-    Outage happens iff none of the n candidates secures both users, and the
-    candidates are i.i.d., so the conditional SOP is (1 - delta1)^n.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if n == 0:
-        return 1.0
-    return (1.0 - delta1(params, policy, quad)) ** n
+    """Per-relay probability that a single relay at full power secures both
+    users: the combined transmission at n = 1."""
+    return min(max(_combined_secure(params, policy, 1, quad), 0.0), 1.0)
 
 
 def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -217,19 +193,21 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
     return min(max(phi0 * total, 0.0), 1.0)
 
 
-def sop_odrs_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
-    """Outage given n decoding relays under data-plus-jammer dual selection.
+def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec):
+    """The scheme's conditional SOP as a function of n: combining is
+    `sop_tmrc_cond`, a single candidate fails with 1 - delta1 (computed at
+    most once) and a jammed one with 1 - delta4."""
+    return SchemeKind(scheme).conditional(
+        params.K,
+        combined=lambda n: sop_tmrc_cond(params, policy, n, quad),
+        single=lambda: 1.0 - delta1(params, policy, quad),
+        jammed=lambda n: 1.0 - delta4(params, policy, n, quad),
+    )
 
-    For n = K no idle relay remains, so the scheme degenerates to single-relay
-    selection at full power.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if n == 0:
-        return 1.0
-    if n == params.K:
-        return sop_osrs_cond(params, policy, n, quad)
-    return (1.0 - delta4(params, policy, n, quad)) ** n
+
+def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec) -> float:
+    """Outage probability given n decoding relays under the scheme."""
+    return _conditional(params, policy, scheme, quad)(n)
 
 
 def sop_total(
@@ -239,18 +217,7 @@ def sop_total(
     quad: QuadratureSpec,
 ) -> SopResult:
     """Total SOP: mixture of the conditional SOPs over the decoding-set law."""
-    scheme = SchemeKind(scheme)
     pmf = decoding_set_pmf(params)
-    # Single selection, and dual selection once every relay decodes, pick
-    # among i.i.d. candidates with the same per-relay delta1 at every n.
-    d1 = None if scheme is SchemeKind.TMRC else delta1(params, policy, quad)
-    total = pmf[0]  # empty decoding set: outage is certain
-    for n in range(1, params.K + 1):
-        if scheme is SchemeKind.TMRC:
-            cond = sop_tmrc_cond(params, policy, n, quad)
-        elif scheme is SchemeKind.ODRS and n < params.K:
-            cond = sop_odrs_cond(params, policy, n, quad)
-        else:
-            cond = (1.0 - d1) ** n
-        total += pmf[n] * cond
+    cond = _conditional(params, policy, scheme, quad)
+    total = sum(pmf[n] * cond(n) for n in range(params.K + 1))
     return SopResult(value=min(max(float(total), 0.0), 1.0), engine="analytic")

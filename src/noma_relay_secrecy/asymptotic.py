@@ -16,33 +16,36 @@ the ceiling recedes with omega2 and the mass decays faster than any power,
 so at leading order only the polynomial terms remain; evaluating the ceiling
 mass at finite omega2 would bury the power-law decay the diversity order
 describes, hence it is omitted on the dynamic branch.
+
+Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
+transmit off its `SchemeKind` record, as the exact engine does: combining,
+a single relay, or a jammed one each has a leading-order complement whose
+first term is that ceiling mass, and `sop_floor_cond` keeps that term alone.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _odrs_complement)
-    NakagamiParams,
+from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _jammed_complement)
     _survival_series,
-    gain_survival,
     jammed_ratio_pdf_rows,
     jammed_ratio_survival,
     jammed_ratio_terms,
     mrc_sum_survival,
 )
 from .params import (
-    LinkSet,
     PowerPolicy,
     SchemeKind,
     SystemParams,
-    dpa_coefficients,  # noqa: F401  (re-exported: the DPA rule belongs to this API too)
+    Transmission,
     feasibility_check,
     scheme_constants,
 )
-from .quadrature import (  # noqa: F401  (h_kernel re-exported: the per-term reference of _odrs_complement)
+from .quadrature import (  # noqa: F401  (h_kernel re-exported: the per-term reference of _jammed_complement)
     QuadratureSpec,
     _signed_log_pow,
     convolve_series,
@@ -72,24 +75,8 @@ class AsymptoticScaling:
 
 def scaled_params(params: SystemParams, scaling: AsymptoticScaling) -> SystemParams:
     """The scenario with its gains moved onto the scaling frame."""
-    links = params.links
-    new_links = LinkSet(
-        source_relay=NakagamiParams(links.source_relay.m, scaling.epsilon2 * scaling.omega2),
-        relay_user1=NakagamiParams(links.relay_user1.m, scaling.epsilon1 * scaling.omega2),
-        relay_user2=NakagamiParams(links.relay_user2.m, scaling.omega2),
-        relay_eaves=links.relay_eaves,
-    )
-    return SystemParams(
-        K=params.K,
-        links=new_links,
-        P_S=params.P_S,
-        P_R=params.P_R,
-        sigma2=params.sigma2,
-        R1_th=params.R1_th,
-        R2_th=params.R2_th,
-        R1_s=params.R1_s,
-        R2_s=params.R2_s,
-    )
+    links = params.links.on_frame(scaling.epsilon1, scaling.epsilon2, scaling.omega2)
+    return dataclasses.replace(params, links=links)
 
 
 def lower_incomplete_gamma(s: int, x: float) -> float:
@@ -114,29 +101,36 @@ def asym_gain_cdf(params: SystemParams, scaling: AsymptoticScaling, user: int, n
     return _leading_coeff(m_u / omega, tau_u) * x**tau_u
 
 
-def _tmrc_complement(
+def _clamp(p: float) -> float:
+    return min(max(p, 0.0), 1.0)
+
+
+def _combined_complement(
     params: SystemParams,
     alpha1: float,
     alpha2: float,
     n: int,
-    quad: QuadratureSpec,
+    quad: QuadratureSpec | None,
     include_floor: bool,
 ) -> float:
-    """Leading-order P(outage | n) for all-relay combining, floor term first."""
+    """Leading-order P(outage | n) when n relays combine, floor term first;
+    with quad None, the floor term alone."""
     links = params.links
     rho1 = params.P_R / (n * params.sigma2)
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho1)
+    a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
+    floor = float(mrc_sum_survival(links.relay_eaves, n, a)) if include_floor else 0.0
+    if quad is None:
+        return floor
     tau_u = n * links.m_u
     tau_e = n * links.relay_eaves.m
     lam_e = links.relay_eaves.rate
     phi1 = _leading_coeff(links.relay_user1.rate, tau_u)
     phi2 = _leading_coeff(links.relay_user2.rate, tau_u)
     beta_e = math.exp(tau_e * math.log(lam_e) - math.lgamma(tau_e))
-    a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
     r = alpha2 / (c * d)
     q = e / d
     theta1 = params.theta1
-    floor = float(mrc_sum_survival(links.relay_eaves, n, a)) if include_floor else 0.0
     t1 = sum(
         math.comb(tau_u, k) * theta1**k * b ** (tau_u - k)
         * lower_incomplete_gamma(k + tau_e, lam_e * a) / lam_e ** (k + tau_e)
@@ -157,82 +151,32 @@ def _tmrc_complement(
     )
 
 
-def sop_tmrc_asym_cond(
-    params: SystemParams,
-    policy: PowerPolicy,
-    n: int,
-    scaling: AsymptoticScaling,
-    quad: QuadratureSpec,
-) -> float:
-    """Asymptotic conditional SOP under all-relay combining."""
-    if n < 1:
-        raise ValueError("n must be >= 1; the empty decoding set is certain outage")
-    scaled = scaled_params(params, scaling)
-    if feasibility_check(scaled, policy) is not None:
-        return 1.0
-    alpha1, alpha2 = policy.resolve(scaled.links)
-    comp = _tmrc_complement(scaled, alpha1, alpha2, n, quad, include_floor=not policy.is_dynamic)
-    return min(max(comp, 0.0), 1.0)
-
-
-def delta1_asym(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scaling: AsymptoticScaling,
-    quad: QuadratureSpec,
-) -> float:
-    """Leading-order per-relay securing probability."""
-    scaled = scaled_params(params, scaling)
-    if feasibility_check(scaled, policy) is not None:
-        return 0.0
-    alpha1, alpha2 = policy.resolve(scaled.links)
-    comp = _tmrc_complement(scaled, alpha1, alpha2, 1, quad, include_floor=not policy.is_dynamic)
-    return min(max(1.0 - comp, 0.0), 1.0)
-
-
-def sop_osrs_asym_cond(
-    params: SystemParams,
-    policy: PowerPolicy,
-    n: int,
-    scaling: AsymptoticScaling,
-    quad: QuadratureSpec,
-) -> float:
-    """Asymptotic conditional SOP under best-single-relay selection: (1-delta1)^n."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if n == 0:
-        return 1.0
-    scaled = scaled_params(params, scaling)
-    if feasibility_check(scaled, policy) is not None:
-        return 1.0
-    alpha1, alpha2 = policy.resolve(scaled.links)
-    comp = _tmrc_complement(scaled, alpha1, alpha2, 1, quad, include_floor=not policy.is_dynamic)
-    return min(max(comp, 0.0), 1.0) ** n
-
-
-def _odrs_complement(
+def _jammed_complement(
     params: SystemParams,
     policy: PowerPolicy,
     alpha1: float,
     alpha2: float,
     n: int,
-    quad: QuadratureSpec,
+    quad: QuadratureSpec | None,
     include_floor: bool,
 ) -> float:
-    """Leading-order per-relay outage probability 1 - delta4, floor term first."""
+    """Leading-order per-relay outage probability 1 - delta4, floor term
+    first; with quad None, the floor term alone."""
     links = params.links
     rho3 = (1.0 - policy.alphaJ) * params.rho2
     rho4 = policy.alphaJ * params.rho2
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
-    m_u = links.m_u
     p_e = links.relay_eaves
+    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
+    count = params.K - n
+    floor = float(jammed_ratio_survival(p_e, count, rho4, 1.0 / v)) if include_floor else 0.0
+    if quad is None:
+        return floor
+    m_u = links.m_u
     lam_e = p_e.rate
     phi3 = _leading_coeff(links.relay_user1.rate, m_u)
     phi4 = _leading_coeff(links.relay_user2.rate, m_u)
-    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
-    count = params.K - n
     phi0 = count * lam_e**p_e.m / math.factorial(p_e.m - 1)
-    floor = float(jammed_ratio_survival(p_e, count, rho4, 1.0 / v)) if include_floor else 0.0
     # r_screen plays the same role as h_screen in the no-jamming cases: the
     # exact kernel's exp(-r/(1-vy)) survives here to keep the y -> 1/v
     # endpoint integrable; it tends to 1 pointwise as omega2 grows.
@@ -260,46 +204,39 @@ def _odrs_complement(
     return floor + phi0 * series_integral(1.0 / v, v, lam_e, m_u + 1, m_u + p_e.m, integrand, quad)
 
 
-def delta4_asym(
+def _conditional(
     params: SystemParams,
     policy: PowerPolicy,
+    scheme: SchemeKind,
+    quad: QuadratureSpec | None,
+    include_floor: bool,
+):
+    """The scheme's leading-order conditional SOP on an already scaled
+    scenario, as a function of n. Feasibility and the split are worked out
+    once per call, and the single-relay complement at most once, not once
+    per n. With quad None only the floor terms are kept."""
+    scheme = SchemeKind(scheme)
+    if feasibility_check(params, policy) is not None:
+        return lambda n: 1.0
+    alpha1, alpha2 = policy.resolve(params.links)
+    return scheme.conditional(
+        params.K,
+        combined=lambda n: _clamp(_combined_complement(params, alpha1, alpha2, n, quad, include_floor)),
+        single=lambda: _clamp(_combined_complement(params, alpha1, alpha2, 1, quad, include_floor)),
+        jammed=lambda n: _clamp(_jammed_complement(params, policy, alpha1, alpha2, n, quad, include_floor)),
+    )
+
+
+def sop_asym_cond(
+    params: SystemParams,
+    policy: PowerPolicy,
+    scheme: SchemeKind,
     n: int,
     scaling: AsymptoticScaling,
     quad: QuadratureSpec,
 ) -> float:
-    """Leading-order per-relay securing probability under jamming; needs n < K."""
-    if n >= params.K:
-        raise ValueError("n must be below K: the jamming relay comes from the idle set")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    scaled = scaled_params(params, scaling)
-    if feasibility_check(scaled, policy) is not None:
-        return 0.0
-    alpha1, alpha2 = policy.resolve(scaled.links)
-    comp = _odrs_complement(scaled, policy, alpha1, alpha2, n, quad, include_floor=not policy.is_dynamic)
-    return min(max(1.0 - comp, 0.0), 1.0)
-
-
-def sop_odrs_asym_cond(
-    params: SystemParams,
-    policy: PowerPolicy,
-    n: int,
-    scaling: AsymptoticScaling,
-    quad: QuadratureSpec,
-) -> float:
-    """Asymptotic conditional SOP under dual selection: (1-delta4)^n, n=K degenerates."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if n == 0:
-        return 1.0
-    if n == params.K:
-        return sop_osrs_asym_cond(params, policy, n, scaling, quad)
-    scaled = scaled_params(params, scaling)
-    if feasibility_check(scaled, policy) is not None:
-        return 1.0
-    alpha1, alpha2 = policy.resolve(scaled.links)
-    comp = _odrs_complement(scaled, policy, alpha1, alpha2, n, quad, include_floor=not policy.is_dynamic)
-    return min(max(comp, 0.0), 1.0) ** n
+    """Asymptotic SOP given n decoding relays under the scheme."""
+    return _conditional(scaled_params(params, scaling), policy, scheme, quad, not policy.is_dynamic)(n)
 
 
 def sop_asym_total(
@@ -309,63 +246,25 @@ def sop_asym_total(
     scaling: AsymptoticScaling,
     quad: QuadratureSpec,
 ) -> float:
-    """Asymptotic total SOP: decoding-set weights collapse to their leading power.
-
-    The per-n conditionals are those of `sop_*_asym_cond`; the scaled
-    scenario, its feasibility, the split and the single-relay complement
-    are worked out once here rather than once per n.
-    """
-    scheme = SchemeKind(scheme)
+    """Asymptotic total SOP: decoding-set weights collapse to their leading
+    power, and each weighs the `sop_asym_cond` of its n."""
     scaled = scaled_params(params, scaling)
+    cond = _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)
     m_r = scaled.links.source_relay.m
     phi_r = _leading_coeff(scaled.links.source_relay.rate, m_r)
     eta = scaled.eta
-    feasible = feasibility_check(scaled, policy) is None
-    if feasible:
-        alpha1, alpha2 = policy.resolve(scaled.links)
-        include_floor = not policy.is_dynamic
-        if scheme is not SchemeKind.TMRC:
-            single = min(max(_tmrc_complement(scaled, alpha1, alpha2, 1, quad, include_floor), 0.0), 1.0)
     total = 0.0
     for n in range(scaled.K + 1):
         weight = math.comb(scaled.K, n) * (phi_r * eta**m_r) ** (scaled.K - n)
-        if n == 0 or not feasible:
-            cond = 1.0
-        elif scheme is SchemeKind.TMRC:
-            comp = _tmrc_complement(scaled, alpha1, alpha2, n, quad, include_floor)
-            cond = min(max(comp, 0.0), 1.0)
-        elif scheme in (SchemeKind.OSRS, SchemeKind.TSRS) or n == scaled.K:
-            cond = single**n
-        else:
-            comp = _odrs_complement(scaled, policy, alpha1, alpha2, n, quad, include_floor)
-            cond = min(max(comp, 0.0), 1.0) ** n
-        total += weight * cond
-    return min(max(total, 0.0), 1.0)
+        total += weight * cond(n)
+    return _clamp(total)
 
 
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
     """The conditional SOP's high-gain floor: the securing terms vanish with the
     user-link coefficients and only the eavesdropper-side mass above the
-    ceiling a survives."""
-    scheme = SchemeKind(scheme)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if feasibility_check(params, policy) is not None:
-        return 1.0
-    alpha1, alpha2 = policy.resolve(params.links)
-    links = params.links
-    if scheme is SchemeKind.TMRC:
-        rho1 = params.P_R / (n * params.sigma2)
-        consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho1)
-        return float(mrc_sum_survival(links.relay_eaves, n, consts.a))
-    if scheme is SchemeKind.ODRS and n < params.K:
-        rho3 = (1.0 - policy.alphaJ) * params.rho2
-        rho4 = policy.alphaJ * params.rho2
-        consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
-        tail = float(jammed_ratio_survival(links.relay_eaves, params.K - n, rho4, 1.0 / consts.v))
-        return tail**n
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.rho2)
-    return float(gain_survival(links.relay_eaves, consts.a)) ** n
+    ceiling a survives, i.e. each complement's floor term."""
+    return _conditional(params, policy, scheme, None, True)(n)
 
 
 def sop_floor_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> float:
@@ -401,7 +300,7 @@ def sdo(scheme: SchemeKind, inputs: SdoInputs) -> float:
     if inputs.varpi is None:
         return 0.0
     k, m_r, m_u, varpi = inputs.K, inputs.m_r, inputs.m_u, inputs.varpi
-    if scheme in (SchemeKind.TMRC, SchemeKind.OSRS, SchemeKind.TSRS):
+    if scheme.sends is not Transmission.JAMMED:
         return k * min(m_u * (1.0 - varpi), m_r)
     return min(
         k * m_r,

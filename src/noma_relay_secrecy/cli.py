@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .analytic import sop_total
 from .asymptotic import AsymptoticScaling, SdoInputs, sdo, sop_asym_total
+from .channels import NakagamiParams
 from .montecarlo import TrialConfig, estimate_many
 from .params import LinkSet, PowerPolicy, SchemeKind, SystemParams
 from .quadrature import quadrature
@@ -99,66 +100,25 @@ def load_config(path: str) -> ExperimentConfig:
     m_r = _require_positive_int(raw, "mR")
     m_u = _require_positive_int(raw, "mU")
     m_e = _require_positive_int(raw, "mE")
-
     p_lin = _db_to_linear(_require_number(raw, "P_dB"))
-    sigma2 = float(raw.get("sigma2", 1.0))
-    if not sigma2 > 0:
-        raise ConfigError(f"sigma2 must be positive, got {sigma2!r}")
     rates = {key: _require_number(raw, key) for key in ("R1_th", "R2_th", "R1_s", "R2_s")}
-    for key in ("R1_th", "R2_th"):
-        if rates[key] < 0:
-            raise ConfigError(f"{key} must be nonnegative, got {rates[key]!r}")
-    for key in ("R1_s", "R2_s"):
-        if not rates[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {rates[key]!r}")
-
-    links = LinkSet(
-        source_relay=_nakagami(m_r, _db_to_linear(_require_number(raw, "omegaR_dB"))),
-        relay_user1=_nakagami(m_u, _db_to_linear(_require_number(raw, "omega1_dB"))),
-        relay_user2=_nakagami(m_u, _db_to_linear(_require_number(raw, "omega2_dB"))),
-        relay_eaves=_nakagami(m_e, _db_to_linear(_require_number(raw, "omegaE_dB"))),
-    )
-    params = SystemParams(
-        K=k, links=links, P_S=p_lin, P_R=p_lin, sigma2=sigma2,
-        R1_th=rates["R1_th"], R2_th=rates["R2_th"],
-        R1_s=rates["R1_s"], R2_s=rates["R2_s"],
-    )
-
-    alpha_j = float(raw.get("alphaJ", 0.0))
-    if not 0.0 <= alpha_j < 1.0:
-        raise ConfigError(f"alphaJ must be in [0,1), got {alpha_j!r}")
-    has_alpha1 = "alpha1" in raw
-    has_dpa = "dpa" in raw
-    if has_alpha1 and has_dpa:
-        raise ConfigError("give either alpha1 (fixed allocation) or dpa (dynamic), not both")
-    if has_alpha1:
-        alpha1 = _require_number(raw, "alpha1")
-        if not 0.0 < alpha1 < 1.0:
-            raise ConfigError(f"alpha1 must be in (0,1), got {alpha1!r}")
-        policy = PowerPolicy.fixed(alpha1, alphaJ=alpha_j)
-    elif has_dpa:
-        dpa = raw["dpa"]
-        if not isinstance(dpa, dict) or set(dpa) != {"mu", "varpi"}:
-            raise ConfigError("dpa must be an object with keys mu and varpi")
-        mu, varpi = float(dpa["mu"]), float(dpa["varpi"])
-        if not mu > 1:
-            raise ConfigError(f"dpa.mu must exceed 1, got {mu!r}")
-        if not 0.0 < varpi < 1.0:
-            raise ConfigError(f"dpa.varpi must be in (0,1), got {varpi!r}")
-        policy = PowerPolicy.dynamic(mu, varpi, alphaJ=alpha_j)
-    else:
-        raise ConfigError("missing config key: alpha1 or dpa")
+    omegas = [_db_to_linear(_require_number(raw, key))
+              for key in ("omegaR_dB", "omega1_dB", "omega2_dB", "omegaE_dB")]
+    # The scenario classes check their own values; what they reject is the config's error.
+    try:
+        links = LinkSet(*(NakagamiParams(m, omega) for m, omega in zip((m_r, m_u, m_u, m_e), omegas)))
+        sigma2 = float(raw.get("sigma2", 1.0))
+        params = SystemParams(K=k, links=links, P_S=p_lin, P_R=p_lin, sigma2=sigma2, **rates)
+        policy = _parse_policy(raw)
+        mc = TrialConfig(trials=raw.get("trials", 1_000_000), seed=raw.get("seed", 42))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     schemes = _parse_schemes(raw.get("scheme", [s.value for s in SchemeKind]))
     engines = _parse_engines(raw.get("engine", ["analytic"]))
     sweep_var, sweep_values = _parse_sweep(raw.get("sweep"), policy)
-
-    trials = raw.get("trials", 1_000_000)
-    seed = raw.get("seed", 42)
-    try:
-        mc = TrialConfig(trials=trials, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     quad_n = raw.get("quad_n", 300)
     if isinstance(quad_n, bool) or not isinstance(quad_n, int) or quad_n < 2:
         raise ConfigError(f"quad_n must be an integer >= 2, got {quad_n!r}")
@@ -172,10 +132,18 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def _nakagami(m: int, omega: float):
-    from .channels import NakagamiParams
-
-    return NakagamiParams(m=m, omega=omega)
+def _parse_policy(raw: dict) -> PowerPolicy:
+    alpha_j = float(raw.get("alphaJ", 0.0))
+    if "alpha1" in raw and "dpa" in raw:
+        raise ConfigError("give either alpha1 (fixed allocation) or dpa (dynamic), not both")
+    if "alpha1" in raw:
+        return PowerPolicy.fixed(_require_number(raw, "alpha1"), alphaJ=alpha_j)
+    if "dpa" in raw:
+        dpa = raw["dpa"]
+        if not isinstance(dpa, dict) or set(dpa) != {"mu", "varpi"}:
+            raise ConfigError("dpa must be an object with keys mu and varpi")
+        return PowerPolicy.dynamic(float(dpa["mu"]), float(dpa["varpi"]), alphaJ=alpha_j)
+    raise ConfigError("missing config key: alpha1 or dpa")
 
 
 def _parse_schemes(entries) -> tuple[SchemeKind, ...]:
@@ -237,17 +205,9 @@ def _point_scenario(cfg: ExperimentConfig, value: float | None) -> tuple[SystemP
         p_lin = _db_to_linear(value)
         return dataclasses.replace(params, P_S=p_lin, P_R=p_lin), policy
     if var == "omega2_dB":
-        links = params.links
-        omega2 = _db_to_linear(value)
-        eps1 = links.relay_user1.omega / links.relay_user2.omega
-        eps2 = links.source_relay.omega / links.relay_user2.omega
-        new_links = LinkSet(
-            source_relay=_nakagami(links.source_relay.m, eps2 * omega2),
-            relay_user1=_nakagami(links.relay_user1.m, eps1 * omega2),
-            relay_user2=_nakagami(links.relay_user2.m, omega2),
-            relay_eaves=links.relay_eaves,
-        )
-        return dataclasses.replace(params, links=new_links), policy
+        eps1, eps2, _ = params.links.frame
+        links = params.links.on_frame(eps1, eps2, _db_to_linear(value))
+        return dataclasses.replace(params, links=links), policy
     if var == "alpha1":
         return params, PowerPolicy.fixed(value, alphaJ=policy.alphaJ)
     if var == "alphaJ":
@@ -255,22 +215,9 @@ def _point_scenario(cfg: ExperimentConfig, value: float | None) -> tuple[SystemP
     if var == "K":
         return dataclasses.replace(params, K=int(value)), policy
     links = params.links
-    new_links = LinkSet(
-        source_relay=_nakagami(int(value), links.source_relay.omega),
-        relay_user1=_nakagami(int(value), links.relay_user1.omega),
-        relay_user2=_nakagami(int(value), links.relay_user2.omega),
-        relay_eaves=_nakagami(int(value), links.relay_eaves.omega),
-    )
-    return dataclasses.replace(params, links=new_links), policy
-
-
-def _scaling_for(params: SystemParams) -> AsymptoticScaling:
-    omega2 = params.links.relay_user2.omega
-    return AsymptoticScaling(
-        epsilon1=params.links.relay_user1.omega / omega2,
-        epsilon2=params.links.source_relay.omega / omega2,
-        omega2=omega2,
-    )
+    shapes = (links.source_relay, links.relay_user1, links.relay_user2, links.relay_eaves)
+    moved = LinkSet(*(NakagamiParams(int(value), link.omega) for link in shapes))
+    return dataclasses.replace(params, links=moved), policy
 
 
 def _blank_row(cfg: ExperimentConfig, value: float, scheme: SchemeKind, engine: str) -> dict:
@@ -305,7 +252,7 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
                         res = sop_total(params, policy, scheme, quadrature(cfg.quad_n))
                         row["sop"] = res.value
                     else:
-                        scaling = _scaling_for(params)
+                        scaling = AsymptoticScaling(*params.links.frame)
                         row["sop"] = sop_asym_total(params, policy, scheme, scaling, quadrature(cfg.quad_n))
                         if policy.is_dynamic:
                             inputs = SdoInputs(

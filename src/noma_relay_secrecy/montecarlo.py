@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import sample_gain
-from .params import PowerPolicy, SchemeKind, SystemParams
+from .params import PowerPolicy, SchemeKind, SystemParams, Transmission
 
 OUTCOME_LABELS = ("secure", "u1", "u2", "both", "no_relay")
 _SECURE, _U1, _U2, _BOTH, _NO_RELAY = range(5)
@@ -59,12 +59,12 @@ class TrialConfig:
     chunk: int = 250_000
 
     def __post_init__(self) -> None:
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if int(self.chunk) != self.chunk or self.chunk < 1:
-            raise ValueError(f"chunk must be a positive integer, got {self.chunk!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name, low in (("trials", 1), ("chunk", 1), ("seed", 0)):
+            val = getattr(self, name)
+            if int(val) != val or val < low:
+                kind = "positive" if low else "nonnegative"
+                raise ValueError(f"{name} must be a {kind} integer, got {val!r}")
+            object.__setattr__(self, name, int(val))
 
 
 @dataclass(frozen=True)
@@ -75,51 +75,6 @@ class SopEstimate:
     stderr: float
     trials: int
     breakdown: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TrialDraw:
-    """One realization of every link gain: source->relay and relay->{U1,U2,E}."""
-
-    g_sr: np.ndarray
-    g_1: np.ndarray
-    g_2: np.ndarray
-    g_e: np.ndarray
-
-
-def draw_trial(params: SystemParams, stream: np.random.Generator) -> TrialDraw:
-    """Sample all 4K link gains of a single trial, in a fixed link order."""
-    k = params.K
-    return TrialDraw(
-        g_sr=np.asarray(sample_gain(params.links.source_relay, stream, k)),
-        g_1=np.asarray(sample_gain(params.links.relay_user1, stream, k)),
-        g_2=np.asarray(sample_gain(params.links.relay_user2, stream, k)),
-        g_e=np.asarray(sample_gain(params.links.relay_eaves, stream, k)),
-    )
-
-
-def decoding_set(params: SystemParams, draw: TrialDraw) -> np.ndarray:
-    """Indices of relays whose source hop sustains both message rates."""
-    return np.flatnonzero(np.asarray(draw.g_sr) >= params.eta)
-
-
-def secrecy_capacities(alpha1: float, rho_signal, g1, g2, gE_eff):
-    """Per-user secrecy capacities (nats) against the worst-case eavesdropper.
-
-    gE_eff is the eavesdropper's effective gain: the plain relay->E gain, or
-    gain/(1 + rho4*H_E) when a jamming relay is active. Negative values mean
-    the tap is better than the legitimate link; callers compare to the rate
-    targets without flooring.
-    """
-    alpha2 = 1.0 - alpha1
-    gamma1 = alpha1 * rho_signal * np.asarray(g1)
-    gamma2n = alpha2 * rho_signal * np.asarray(g2)
-    gamma2 = gamma2n / (alpha1 * rho_signal * np.asarray(g2) + 1.0)
-    ge1 = alpha1 * rho_signal * np.asarray(gE_eff)
-    ge2 = alpha2 * rho_signal * np.asarray(gE_eff)
-    cs1 = 0.5 * (np.log1p(gamma1) - np.log1p(ge1))
-    cs2 = 0.5 * (np.log1p(gamma2) - np.log1p(ge2))
-    return cs1, cs2
 
 
 class _Rule(NamedTuple):
@@ -138,9 +93,10 @@ def _rule(params: SystemParams, policy: PowerPolicy) -> _Rule:
     return _Rule(params.eta, params.rho2, params.theta1, params.theta2, alpha1, alpha2)
 
 
-def _verdict(scheme: SchemeKind, policy: PowerPolicy) -> tuple[SchemeKind, float | None]:
-    """What, besides the rule, tells one scheme's verdicts apart: alphaJ, for odrs only."""
-    return scheme, policy.alphaJ if scheme is SchemeKind.ODRS else None
+def _verdict(scheme: SchemeKind, policy: PowerPolicy) -> tuple[Transmission, bool, float | None]:
+    """What, besides the rule, tells one scheme's verdicts apart: its record,
+    and alphaJ when it jams. Schemes with one record share one verdict."""
+    return scheme.sends, scheme.two_step, policy.alphaJ if scheme.sends is Transmission.JAMMED else None
 
 
 def _relay_sum(x: np.ndarray) -> np.ndarray:
@@ -197,8 +153,9 @@ def _margin(lhs, rhs, trials) -> np.ndarray:
 class _Selection:
     """The secrecy checks of every relay in a block, for the selection schemes.
 
-    One instance serves osrs and tsrs alike: both transmit from one relay at
-    the full relay SNR against the plain eavesdropper gain.
+    One instance serves every scheme that sends singly (osrs and tsrs): each
+    transmits from one relay at the full relay SNR against the plain
+    eavesdropper gain.
     """
 
     def __init__(self, rule: _Rule, rho, dec, live, g_1, g_2, ge) -> None:
@@ -218,8 +175,7 @@ class _Selection:
         return sel * self.dec.shape[1] + trials
 
     def pick_one(self, codes) -> None:
-        """osrs and odrs: outages go to the users failed by the relay of best
-        worst-user margin."""
+        """Outages go to the users failed by the relay of best worst-user margin."""
         codes[self.secure] = _SECURE
         out = np.flatnonzero(self.live & ~self.secure)
         if out.size:
@@ -228,8 +184,8 @@ class _Selection:
             codes[out] = (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
 
     def two_step(self, codes) -> None:
-        """tsrs: keep the relays passing user 1's check, then take the best
-        user-2 margin among them; with none left, the best user-1 margin."""
+        """Keep the relays passing user 1's check, then take the best user-2
+        margin among them; with none left, the best user-1 margin."""
         codes[self.secure] = _SECURE
         has = (self.dec & self.ok1).any(axis=0)
         codes[self.live & has & ~self.secure] = _U2
@@ -241,7 +197,7 @@ class _Selection:
 
 def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
     """Outcome code per trial of one block of relay-major (K, trials) gains,
-    for each wanted (scheme, alphaJ) verdict under one rule."""
+    for each wanted (transmission, two_step, alphaJ) verdict under one rule."""
     k = g_sr.shape[0]
     dec = g_sr >= rule.eta
     n = dec.sum(axis=0)
@@ -249,28 +205,27 @@ def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
     out = {v: np.full(n.shape, _NO_RELAY, dtype=np.int8) for v in verdicts}
     if not live.any():
         return out
-    single = None  # osrs and tsrs share it
-    for (scheme, alpha_j), codes in out.items():
-        if scheme is SchemeKind.TMRC:
+    single = None  # every verdict that sends singly shares it
+    for (sends, two_step, alpha_j), codes in out.items():
+        if sends is Transmission.COMBINED:
             rho1 = rule.rho2 / np.maximum(n, 1)
             sums = (_relay_sum(np.where(dec, g, 0.0)) for g in (g_1, g_2, g_e))
             lhs1, rhs1, lhs2, rhs2 = _pair_checks(rule, rho1, *sums)
             codes[live] = ((~(lhs1 >= rhs1)) + 2 * (~(lhs2 >= rhs2)))[live]
-        elif scheme is SchemeKind.ODRS:
+            continue
+        if sends is Transmission.JAMMED:
             # The strongest idle relay's eavesdropper link jams; with every
             # relay decoding there is none, and the full power goes to data.
             rho3 = (1.0 - alpha_j) * rule.rho2
             rho4 = alpha_j * rule.rho2
             h_e = np.where(n < k, np.where(dec, -np.inf, g_e).max(axis=0), 0.0)
             rho = np.where(n == k, rule.rho2, rho3)
-            _Selection(rule, rho, dec, live, g_1, g_2, g_e / (1.0 + rho4 * h_e)).pick_one(codes)
+            selection = _Selection(rule, rho, dec, live, g_1, g_2, g_e / (1.0 + rho4 * h_e))
         else:
             if single is None:
                 single = _Selection(rule, rule.rho2, dec, live, g_1, g_2, g_e)
-            if scheme is SchemeKind.OSRS:
-                single.pick_one(codes)
-            else:
-                single.two_step(codes)
+            selection = single
+        (selection.two_step if two_step else selection.pick_one)(codes)
     return out
 
 
@@ -286,12 +241,6 @@ def _scheme_codes(
     """Outcome code per trial for relay-major (K x trials) draws of one scenario."""
     verdict = _verdict(SchemeKind(scheme), policy)
     return _block_codes(_rule(params, policy), (verdict,), g_sr, g_1, g_2, g_e)[verdict]
-
-
-def run_trial(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, draw: TrialDraw) -> str:
-    """Outcome of a single trial: 'secure', 'u1', 'u2', 'both', or 'no_relay'."""
-    gains = (np.asarray(g, dtype=float)[:, None] for g in (draw.g_sr, draw.g_1, draw.g_2, draw.g_e))
-    return OUTCOME_LABELS[_scheme_codes(params, policy, scheme, *gains)[0]]
 
 
 def _chunk_sizes(config: TrialConfig):

@@ -1,27 +1,91 @@
 """Scenario description shared by the analytic, asymptotic, and Monte Carlo engines.
 
 Holds the relay-network parameters, the power-allocation policy (fixed split
-or the gain-driven dynamic rule), the per-scheme derived constants, and the
-result record every engine returns. All rates are in nats per channel use;
+or the gain-driven dynamic rule), the scheme record every engine reads (how a
+decoding set transmits and how an outage is blamed on a user), the threshold
+constants, and the result record every engine returns. All rates are in nats per channel use;
 capacities carry the 1/2 pre-log of the two-slot protocol, so a secrecy rate
 R maps to the threshold theta = exp(2R).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .channels import NakagamiParams
 
 
-class SchemeKind(str, Enum):
-    """Relay-selection scheme selector."""
+class Transmission(Enum):
+    """How the relays of a decoding set send to the users."""
 
-    TMRC = "tmrc"
-    OSRS = "osrs"
-    TSRS = "tsrs"
-    ODRS = "odrs"
+    COMBINED = "combined"  # all n relays send at P_R/n; every receiver sums their gains
+    SINGLE = "single"  # the best relay sends at full power P_R
+    JAMMED = "jammed"  # the best relay sends while the strongest idle relay jams the eavesdropper
+
+
+class SchemeKind(str, Enum):
+    """Relay-selection scheme, with the record every engine reads instead of its name.
+
+    `sends` is how a decoding set transmits. `two_step` is how an outage of a
+    selection is blamed on a user: by the two-step ranking (the relays that
+    pass user 1, then the best user-2 margin among them) instead of by the
+    relay of best worst-user margin. A scheme made of these pieces is one
+    line here.
+    """
+
+    TMRC = ("tmrc", Transmission.COMBINED, False)
+    OSRS = ("osrs", Transmission.SINGLE, False)
+    TSRS = ("tsrs", Transmission.SINGLE, True)
+    ODRS = ("odrs", Transmission.JAMMED, False)
+
+    def __new__(cls, value: str, sends: Transmission, two_step: bool):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.sends = sends
+        member.two_step = two_step
+        return member
+
+    def transmission(self, n: int, K: int) -> Transmission:
+        """How a decoding set of n out of K relays transmits. Jamming needs an
+        idle relay, so a jammed scheme sends singly once every relay decodes."""
+        if self.sends is Transmission.JAMMED and n == K:
+            return Transmission.SINGLE
+        return self.sends
+
+    def conditional(
+        self,
+        K: int,
+        combined: Callable[[int], float],
+        single: Callable[[], float],
+        jammed: Callable[[int], float],
+    ) -> Callable[[int], float]:
+        """The outage probability given n decoding relays, as a function of n.
+
+        combined(n) is the outage of n combining relays; single() and
+        jammed(n) are one candidate's outage when it sends alone or under
+        jamming. A selection fails iff all n candidates fail, taken as
+        independent, hence the n-th power. single() runs at most once.
+        """
+        single_outage: list[float] = []
+
+        def cond(n: int) -> float:
+            if n < 0:
+                raise ValueError(f"n must be nonnegative, got {n!r}")
+            if n == 0:
+                return 1.0  # empty decoding set: outage is certain
+            sends = self.transmission(n, K)
+            if sends is Transmission.COMBINED:
+                return combined(n)
+            if sends is Transmission.JAMMED:
+                return jammed(n) ** n
+            if not single_outage:
+                single_outage.append(single())
+            return single_outage[0] ** n
+
+        return cond
 
 
 @dataclass(frozen=True)
@@ -48,6 +112,24 @@ class LinkSet:
     def m_u(self) -> int:
         return self.relay_user1.m
 
+    @property
+    def frame(self) -> tuple[float, float, float]:
+        """(omega1/omega2, omegaR/omega2, omega2): the user-1 and source-hop
+        means relative to the weak user's mean, and that mean."""
+        omega2 = self.relay_user2.omega
+        return self.relay_user1.omega / omega2, self.source_relay.omega / omega2, omega2
+
+    def on_frame(self, epsilon1: float, epsilon2: float, omega2: float) -> "LinkSet":
+        """These links with the weak user's mean at omega2, the strong user's at
+        epsilon1*omega2 and the source hop's at epsilon2*omega2; the shapes and
+        the eavesdropper link stay."""
+        return dataclasses.replace(
+            self,
+            source_relay=NakagamiParams(self.source_relay.m, epsilon2 * omega2),
+            relay_user1=NakagamiParams(self.relay_user1.m, epsilon1 * omega2),
+            relay_user2=NakagamiParams(self.relay_user2.m, omega2),
+        )
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -71,15 +153,12 @@ class SystemParams:
         if int(self.K) != self.K or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         object.__setattr__(self, "K", int(self.K))
-        for name in ("P_S", "P_R", "sigma2"):
+        for name in ("P_S", "P_R", "sigma2", "R1_s", "R2_s"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("R1_th", "R2_th"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("R1_s", "R2_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
 
     @property
     def rho_s(self) -> float:
@@ -105,6 +184,13 @@ class SystemParams:
         return (math.exp(2.0 * (self.R1_th + self.R2_th)) - 1.0) / self.rho_s
 
 
+def _check_dpa(mu: float, varpi: float) -> None:
+    if not mu > 1:
+        raise ValueError(f"mu must exceed 1, got {mu!r}")
+    if not 0 < varpi < 1:
+        raise ValueError(f"varpi must lie in (0,1), got {varpi!r}")
+
+
 def dpa_coefficients(mu: float, varpi: float, lambda2: float) -> tuple[float, float]:
     """Dynamic power split driven by the weak user's channel rate lambda2.
 
@@ -112,10 +198,7 @@ def dpa_coefficients(mu: float, varpi: float, lambda2: float) -> tuple[float, fl
     alpha2/alpha1 = mu*lambda2^-varpi vanishes as the channel improves,
     which is what lifts the outage floor.
     """
-    if not mu > 1:
-        raise ValueError(f"mu must exceed 1, got {mu!r}")
-    if not 0 < varpi < 1:
-        raise ValueError(f"varpi must lie in (0,1), got {varpi!r}")
+    _check_dpa(mu, varpi)
     if not lambda2 > 0:
         raise ValueError(f"lambda2 must be positive, got {lambda2!r}")
     ratio = mu * lambda2 ** (-varpi)
@@ -143,8 +226,10 @@ class PowerPolicy:
             raise ValueError("give either alpha1 (fixed) or mu+varpi (dynamic)")
         if fixed and not 0 < self.alpha1 < 1:
             raise ValueError(f"alpha1 must lie in (0,1), got {self.alpha1!r}")
-        if dynamic and (self.mu is None or self.varpi is None):
-            raise ValueError("dynamic policy needs both mu and varpi")
+        if dynamic:
+            if self.mu is None or self.varpi is None:
+                raise ValueError("dynamic policy needs both mu and varpi")
+            _check_dpa(self.mu, self.varpi)
         if not 0 <= self.alphaJ < 1:
             raise ValueError(f"alphaJ must be in [0,1), got {self.alphaJ!r}")
 

@@ -26,23 +26,19 @@ from noma_relay_secrecy import (
     SystemParams,
     TrialConfig,
     estimate_many,
-    feasibility_check,
     g_kernel,
     h_kernel,
-    jammed_ratio_cdf,
-    jammed_ratio_pdf,
-    jammed_ratio_terms,
-    max_gain_pdf,
-    paired_verdicts,
     quadrature,
     scaled_params,
-    scheme_constants,
     sdo,
     sop_asym_total,
     sop_floor_total,
     sop_total,
 )
-from noma_relay_secrecy.analytic import sop_odrs_cond, sop_osrs_cond
+from noma_relay_secrecy.analytic import sop_cond
+from noma_relay_secrecy.channels import jammed_ratio_cdf, jammed_ratio_pdf, jammed_ratio_terms, max_gain_pdf
+from noma_relay_secrecy.montecarlo import paired_verdicts
+from noma_relay_secrecy.params import feasibility_check, scheme_constants
 
 QUAD = quadrature(300)
 MC = TrialConfig(trials=1_000_000, seed=42)
@@ -168,7 +164,7 @@ def test_zero_jamming_reduction():
     # with every relay decoding there is no idle jammer, so the jammed
     # branch must route to the plain selection even at alphaJ > 0
     loud = PowerPolicy.fixed(0.2, alphaJ=0.5)
-    assert sop_odrs_cond(params, loud, 3, QUAD) == sop_osrs_cond(params, loud, 3, QUAD)
+    assert sop_cond(params, loud, SchemeKind.ODRS, 3, QUAD) == sop_cond(params, loud, SchemeKind.OSRS, 3, QUAD)
     _report("zero-jamming reduction", f"analytic gap <= {worst:.1e}, "
             f"{matches}/{trials} verdicts match, full-set branch exact")
 

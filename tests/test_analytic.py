@@ -12,16 +12,11 @@ from noma_relay_secrecy import (
     PowerPolicy,
     SchemeKind,
     TrialConfig,
-    decode_prob_chi,
-    decoding_set_pmf,
-    delta1,
     estimate_sop,
     quadrature,
-    sop_odrs_cond,
-    sop_osrs_cond,
-    sop_tmrc_cond,
     sop_total,
 )
+from noma_relay_secrecy.analytic import decode_prob_chi, decoding_set_pmf, delta1, sop_cond, sop_tmrc_cond
 
 QUAD = quadrature(300)
 
@@ -53,8 +48,8 @@ def test_conditionals_are_probabilities():
         for n in range(1, K + 1):
             for val in (
                 sop_tmrc_cond(params, policy, n, QUAD),
-                sop_osrs_cond(params, policy, n, QUAD),
-                sop_odrs_cond(params, policy, n, QUAD),
+                sop_cond(params, policy, SchemeKind.OSRS, n, QUAD),
+                sop_cond(params, policy, SchemeKind.ODRS, n, QUAD),
             ):
                 assert 0.0 <= val <= 1.0
 
@@ -62,7 +57,7 @@ def test_conditionals_are_probabilities():
 def test_osrs_cond_nonincreasing_in_n():
     params = grid_params(K=3)
     policy = fixed_policy(0.2)
-    vals = [sop_osrs_cond(params, policy, n, QUAD) for n in range(4)]
+    vals = [sop_cond(params, policy, SchemeKind.OSRS, n, QUAD) for n in range(4)]
     assert all(lo >= hi for lo, hi in zip(vals, vals[1:]))
 
 
@@ -95,7 +90,7 @@ def test_dual_selection_without_jamming_reduces():
 def test_dual_selection_full_set_routes_to_single():
     params = grid_params(K=3)
     policy = fixed_policy(0.2, alphaJ=0.5)
-    assert sop_odrs_cond(params, policy, 3, QUAD) == sop_osrs_cond(params, policy, 3, QUAD)
+    assert sop_cond(params, policy, SchemeKind.ODRS, 3, QUAD) == sop_cond(params, policy, SchemeKind.OSRS, 3, QUAD)
 
 
 def test_infeasible_split_is_certain_outage():

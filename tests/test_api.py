@@ -1,0 +1,73 @@
+"""The public surface: the exported names, and the scheme record every engine reads."""
+from __future__ import annotations
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+from conftest import db, fixed_policy, grid_params
+
+import noma_relay_secrecy
+from noma_relay_secrecy import (
+    AsymptoticScaling,
+    PowerPolicy,
+    SchemeKind,
+    SdoInputs,
+    TrialConfig,
+    estimate_many,
+    quadrature,
+    scaled_params,
+    sdo,
+    sop_asym_total,
+    sop_floor_total,
+    sop_total,
+)
+from noma_relay_secrecy.analytic import decoding_set_pmf, sop_cond
+from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
+from noma_relay_secrecy.params import Transmission
+
+QUAD = quadrature(300)
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_every_export_is_importable_and_documented():
+    names = noma_relay_secrecy.__all__
+    assert len(names) == len(set(names))
+    star: dict = {}
+    exec("from noma_relay_secrecy import *", star)
+    for name in names:
+        assert name in star
+        assert re.search(rf"\b{name}\b", README), f"{name} is exported but not in README.md"
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_every_scheme_is_a_mixture_of_its_conditionals(scheme):
+    # partial decoding (omegaR_dB=0) gives every n weight; K=3 leaves idle
+    # relays to jam at n < K and none at n = K
+    params = grid_params(K=3, omegaR_dB=0.0)
+    assert scheme.transmission(params.K, params.K) is not Transmission.JAMMED
+    scaling = AsymptoticScaling(1.5, 2.0, db(30.0))
+    for policy in (fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)):
+        pmf = decoding_set_pmf(params)
+        total = 0.0
+        for n in range(params.K + 1):
+            total += pmf[n] * sop_cond(params, policy, scheme, n, QUAD)
+        assert sop_total(params, policy, scheme, QUAD).value == min(max(float(total), 0.0), 1.0)
+
+        scaled = scaled_params(params, scaling)
+        m_r = scaled.links.source_relay.m
+        miss = _leading_coeff(scaled.links.source_relay.rate, m_r) * scaled.eta**m_r
+        total = 0.0
+        for n in range(params.K + 1):
+            total += math.comb(params.K, n) * miss ** (params.K - n) * sop_asym_cond(
+                params, policy, scheme, n, scaling, QUAD)
+        assert sop_asym_total(params, policy, scheme, scaling, QUAD) == min(max(total, 0.0), 1.0)
+
+        assert sop_floor_total(params, policy, scheme) == sop_floor_cond(params, policy, scheme, params.K)
+
+    # the simulator and the diversity orders take every scheme too
+    policy = PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)
+    est = estimate_many(params, policy, [scheme], TrialConfig(trials=20_000, seed=3))[scheme]
+    assert 0.0 < est.p_hat < 1.0
+    assert sdo(scheme, SdoInputs(K=3, m_r=2, m_u=2, varpi=0.1)) > 0.0

@@ -10,37 +10,29 @@ from scipy import special
 
 from noma_relay_secrecy import (
     AsymptoticScaling,
+    LinkSet,
     NakagamiParams,
     PowerPolicy,
     SchemeKind,
     SdoInputs,
-    asym_gain_cdf,
-    gain_survival,
-    mrc_sum_cdf,
-    mrc_sum_survival,
+    SystemParams,
     quadrature,
     scaled_params,
     sdo,
     sop_asym_total,
-    sop_floor_cond,
     sop_floor_total,
-    sop_odrs_asym_cond,
-    sop_odrs_cond,
-    sop_osrs_asym_cond,
-    sop_osrs_cond,
-    sop_tmrc_asym_cond,
-    sop_tmrc_cond,
     sop_total,
 )
-from noma_relay_secrecy.asymptotic import lower_incomplete_gamma
+from noma_relay_secrecy.analytic import sop_cond
+from noma_relay_secrecy.asymptotic import asym_gain_cdf, lower_incomplete_gamma, sop_asym_cond, sop_floor_cond
+from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival, mrc_sum_cdf, mrc_sum_survival
+from noma_relay_secrecy.params import scheme_constants
 
 QUAD = quadrature(300)
 
 
 def _fig_params(K: int, P_dB: float, omegaE_dB: float):
     """Proportional-gain scenario used for the convergence checks."""
-    from noma_relay_secrecy import LinkSet, SystemParams
-
     links = LinkSet(
         source_relay=NakagamiParams(2, 2.0),
         relay_user1=NakagamiParams(2, 1.5),
@@ -116,15 +108,9 @@ def test_conditional_asymptotics_close_at_40db():
     scaling = AsymptoticScaling(1.5, 2.0, db(40.0))
     scaled = scaled_params(params, scaling)
     for n in (1, 2, 3):
-        pairs = [
-            (sop_tmrc_asym_cond(params, policy, n, scaling, QUAD),
-             sop_tmrc_cond(scaled, policy, n, QUAD)),
-            (sop_osrs_asym_cond(params, policy, n, scaling, QUAD),
-             sop_osrs_cond(scaled, policy, n, QUAD)),
-            (sop_odrs_asym_cond(params, policy_j, n, scaling, QUAD),
-             sop_odrs_cond(scaled, policy_j, n, QUAD)),
-        ]
-        for approx, exact in pairs:
+        for scheme, pol in ((SchemeKind.TMRC, policy), (SchemeKind.OSRS, policy), (SchemeKind.ODRS, policy_j)):
+            approx = sop_asym_cond(params, pol, scheme, n, scaling, QUAD)
+            exact = sop_cond(scaled, pol, scheme, n, QUAD)
             assert approx == pytest.approx(exact, rel=0.05)
 
 
@@ -155,8 +141,6 @@ def test_fixed_split_flattens_to_floor():
 def test_floor_formulas():
     params = grid_params(K=3)
     policy = fixed_policy(0.2, alphaJ=0.5)
-    from noma_relay_secrecy import jammed_ratio_survival, scheme_constants
-
     alpha1 = 0.2
     consts_full = scheme_constants(params.theta1, params.theta2, alpha1, 0.8, params.rho2)
     for n in (1, 2, 3):

@@ -57,9 +57,14 @@ def _without(cfg, key):
     return {k: v for k, v in cfg.items() if k != key}
 
 
+def _dpa_config(**dpa):
+    raw = _without(_base_config(), "alpha1")
+    raw["dpa"] = dpa
+    return raw
+
+
 def test_config_rejections(tmp_path):
-    bad_dpa = _without(_base_config(), "alpha1")
-    bad_dpa["dpa"] = {"mu": 5}
+    bad_dpa = _dpa_config(mu=5)
     cases = [
         (_base_config(bogus=1), "unknown config key: bogus"),
         (_without(_base_config(), "P_dB"), "missing config key: P_dB"),
@@ -68,6 +73,8 @@ def test_config_rejections(tmp_path):
          "give either alpha1 (fixed allocation) or dpa (dynamic), not both"),
         (_without(_base_config(), "alpha1"), "missing config key: alpha1 or dpa"),
         (bad_dpa, "dpa must be an object with keys mu and varpi"),
+        (_dpa_config(mu=1.0, varpi=0.1), "mu must exceed 1, got 1.0"),
+        (_dpa_config(mu=5.0, varpi=1.5), "varpi must lie in (0,1), got 1.5"),
         (_base_config(sweep={"var": "P_dB"}), "sweep must be an object with keys var and values"),
         (_base_config(scheme=["bogus"]), "unknown scheme: 'bogus'"),
         (_base_config(trials=0), "trials must be a positive integer, got 0"),
@@ -77,6 +84,27 @@ def test_config_rejections(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(_write(tmp_path, raw))
         assert str(err.value) == message
+
+
+def test_null_values_are_config_errors(tmp_path):
+    for key in ("sigma2", "alphaJ", "seed", "trials"):
+        with pytest.raises(ConfigError):
+            load_config(_write(tmp_path, _base_config(**{key: None})))
+
+
+def test_integral_float_trials_and_seed_run_as_integers(tmp_path, capsys):
+    # JSON writers may print whole numbers as 2000.0; they mean the integer
+    floats = _write(tmp_path, _base_config(scheme=["osrs"], trials=2000.0, seed=7.0), name="floats.json")
+    ints = _write(tmp_path, _base_config(scheme=["osrs"], trials=2000, seed=7), name="ints.json")
+    cfg = load_config(floats)
+    assert (cfg.mc.trials, cfg.mc.seed) == (2000, 7)
+    assert type(cfg.mc.trials) is int and type(cfg.mc.seed) is int
+    outputs = []
+    for path in (floats, ints):
+        assert main(["simulate", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert next(csv.DictReader(io.StringIO(outputs[0])))["trials"] == "2000"
 
 
 def test_config_file_problems(tmp_path):
@@ -300,6 +328,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("analytic", "reference.json", "reference_analytic.csv"),
         ("simulate", "reference.json", "reference_simulate.csv"),
         ("asymptotic", "dynamic_split.json", "dynamic_split_asymptotic.csv"),
+        ("sdo", "dynamic_split.json", "dynamic_split_sdo.csv"),
     ],
 )
 def test_demo_csv_matches_golden(tmp_path, command, config, golden):
@@ -308,3 +337,9 @@ def test_demo_csv_matches_golden(tmp_path, command, config, golden):
     out = tmp_path / golden
     assert main([command, str(ROOT / "demos" / "configs" / config), "--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
+
+
+def test_validate_report_matches_golden(capsys):
+    # the validate report prints every z-score, so it pins both engines
+    assert main(["validate", str(ROOT / "demos" / "configs" / "reference.json")]) == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "reference_validate.txt").read_text()

@@ -13,27 +13,20 @@ from noma_relay_secrecy import (
     PowerPolicy,
     SchemeKind,
     TrialConfig,
-    TrialDraw,
-    decoding_set,
-    draw_trial,
     estimate_many,
     estimate_sop,
-    paired_verdicts,
     quadrature,
-    run_trial,
-    scheme_constants,
-    secrecy_capacities,
-    sop_odrs_cond,
-    sop_osrs_cond,
-    sop_tmrc_cond,
 )
+from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy.montecarlo import (
     OUTCOME_LABELS,
     _chunk_stream,
     _draw_chunk,
     _relay_sum,
     _scheme_codes,
+    paired_verdicts,
 )
+from noma_relay_secrecy.params import scheme_constants
 
 QUAD = quadrature(300)
 
@@ -45,6 +38,11 @@ def test_config_validation():
         TrialConfig(seed=-1)
     with pytest.raises(ValueError):
         TrialConfig(chunk=0)
+    with pytest.raises(ValueError):
+        TrialConfig(trials=2.5)
+    whole = TrialConfig(trials=5.0, seed=7.0, chunk=2.0)
+    assert (whole.trials, whole.seed, whole.chunk) == (5, 7, 2)
+    assert all(type(v) is int for v in (whole.trials, whole.seed, whole.chunk))
 
 
 def test_estimates_are_deterministic():
@@ -67,31 +65,25 @@ def test_estimate_many_shares_draws():
     assert both[SchemeKind.OSRS] == estimate_sop(params, policy, SchemeKind.OSRS, config)
 
 
+def _one_trial(params, policy, scheme, g_sr, g_1, g_2, g_e) -> str:
+    """Outcome label of one trial, run as a (K, 1) batch of the kernel."""
+    gains = (np.asarray(g, dtype=float)[:, None] for g in (g_sr, g_1, g_2, g_e))
+    return OUTCOME_LABELS[_scheme_codes(params, policy, scheme, *gains)[0]]
+
+
 def test_single_trial_labels_and_sets():
     params = grid_params(K=3)
-    rng = np.random.default_rng(7)
-    draw = draw_trial(params, rng)
-    assert draw.g_sr.shape == (3,)
-    members = decoding_set(params, draw)
-    assert all(draw.g_sr[i] >= params.eta for i in members)
-    label = run_trial(params, fixed_policy(0.2, alphaJ=0.5), SchemeKind.ODRS, draw)
+    draws = _draw_chunk(params, np.random.default_rng(7), 1)
+    assert all(g.shape == (3, 1) for g in draws)
+    label = _one_trial(params, fixed_policy(0.2, alphaJ=0.5), SchemeKind.ODRS, *(g[:, 0] for g in draws))
     assert label in OUTCOME_LABELS
+    assert (label == "no_relay") == (not (draws[0] >= params.eta).any())
 
 
 def test_no_relay_outcome():
     params = grid_params(K=2)
-    draw = TrialDraw(
-        g_sr=np.zeros(2), g_1=np.ones(2), g_2=np.ones(2), g_e=np.full(2, 1e-9)
-    )
-    assert run_trial(params, fixed_policy(0.2), SchemeKind.OSRS, draw) == "no_relay"
-
-
-def test_secrecy_capacities_signs():
-    cs1, cs2 = secrecy_capacities(0.2, 10.0, g1=5.0, g2=5.0, gE_eff=5.0)
-    assert cs1 == pytest.approx(0.0, abs=1e-15)
-    assert cs2 < 0.0  # the weak user's SINR saturates below the tap's
-    cs1, cs2 = secrecy_capacities(0.2, 10.0, g1=5.0, g2=5.0, gE_eff=0.0)
-    assert cs1 > 0.0 and cs2 > 0.0
+    gains = (np.zeros(2), np.ones(2), np.ones(2), np.full(2, 1e-9))
+    assert _one_trial(params, fixed_policy(0.2), SchemeKind.OSRS, *gains) == "no_relay"
 
 
 def test_verdict_matches_margin_ratio_form():
@@ -105,8 +97,8 @@ def test_verdict_matches_margin_ratio_form():
     consts = scheme_constants(theta1, theta2, alpha1, 1.0 - alpha1, rho)
     rng = np.random.default_rng(7)
     for _ in range(500):
-        draw = draw_trial(params, rng)
-        g1, g2, ge = float(draw.g_1[0]), float(draw.g_2[0]), float(draw.g_e[0])
+        g_sr, g_1, g_2, g_e = (g[:, 0] for g in _draw_chunk(params, rng, 1))
+        g1, g2, ge = float(g_1[0]), float(g_2[0]), float(g_e[0])
         if ge >= consts.a:
             x_m = 0.0
         else:
@@ -114,7 +106,7 @@ def test_verdict_matches_margin_ratio_form():
             t = theta2 * (1.0 + (1.0 - alpha1) * rho * ge)
             d4 = (t - 1.0) / (rho * (1.0 - t * alpha1))
             x_m = min(g1 / d3, g2 / d4)
-        assert (run_trial(params, policy, SchemeKind.OSRS, draw) == "secure") == (x_m >= 1.0)
+        assert (_one_trial(params, policy, SchemeKind.OSRS, g_sr, g_1, g_2, g_e) == "secure") == (x_m >= 1.0)
 
 
 def test_two_step_verdicts_identical():
@@ -152,23 +144,20 @@ def test_conditional_outage_given_set_size():
         freq = float((codes[mask] != 0).mean())
         return freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / count)
 
-    for scheme, cond, pol in (
-        (SchemeKind.TMRC, sop_tmrc_cond, policy),
-        (SchemeKind.OSRS, sop_osrs_cond, policy),
-    ):
-        codes = _scheme_codes(params, pol, scheme, g_sr, g_1, g_2, g_e)
+    for scheme in (SchemeKind.TMRC, SchemeKind.OSRS):
+        codes = _scheme_codes(params, policy, scheme, g_sr, g_1, g_2, g_e)
         for n in (1, 2, 3):
             freq, sigma = freq_and_sigma(codes, n)
-            assert abs(cond(params, pol, n, QUAD) - freq) < 3.0 * sigma
+            assert abs(sop_cond(params, policy, scheme, n, QUAD) - freq) < 3.0 * sigma
 
     codes = _scheme_codes(params, policy_j, SchemeKind.ODRS, g_sr, g_1, g_2, g_e)
     for n in (1, 3):  # exact branches: single candidate, and full set (no jammer)
         freq, sigma = freq_and_sigma(codes, n)
-        assert abs(sop_odrs_cond(params, policy_j, n, QUAD) - freq) < 3.0 * sigma
+        assert abs(sop_cond(params, policy_j, SchemeKind.ODRS, n, QUAD) - freq) < 3.0 * sigma
     # at n=2 the two candidates share one jammer gain; the analytic product
     # of marginals undershoots the correlated outage by a small fixed amount
     freq, _ = freq_and_sigma(codes, 2)
-    assert abs(sop_odrs_cond(params, policy_j, 2, QUAD) - freq) < 3.5e-3
+    assert abs(sop_cond(params, policy_j, SchemeKind.ODRS, 2, QUAD) - freq) < 3.5e-3
 
 
 def test_infeasible_split_always_outages():
@@ -265,9 +254,9 @@ def test_margin_ties_go_to_the_first_relay():
     # tie-break alone decides how the outage is attributed
     params = grid_params(K=2)
     for g_2, label in (([0.15, 5.0], "both"), ([5.0, 0.15], "u1")):
-        draw = TrialDraw(g_sr=np.full(2, 10.0), g_1=np.full(2, 0.1), g_2=np.array(g_2), g_e=np.full(2, 0.05))
+        gains = (np.full(2, 10.0), np.full(2, 0.1), np.array(g_2), np.full(2, 0.05))
         for scheme in (SchemeKind.OSRS, SchemeKind.TSRS):
-            assert run_trial(params, fixed_policy(0.2), scheme, draw) == label, (scheme, g_2)
+            assert _one_trial(params, fixed_policy(0.2), scheme, *gains) == label, (scheme, g_2)
 
 
 def test_relay_sum_matches_row_major_sum():

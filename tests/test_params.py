@@ -6,15 +6,8 @@ import math
 import pytest
 from conftest import grid_params
 
-from noma_relay_secrecy import (
-    LinkSet,
-    NakagamiParams,
-    PowerPolicy,
-    SystemParams,
-    dpa_coefficients,
-    feasibility_check,
-    scheme_constants,
-)
+from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SystemParams
+from noma_relay_secrecy.params import dpa_coefficients, feasibility_check, scheme_constants
 
 
 def test_thresholds_and_eta():
@@ -66,6 +59,11 @@ def test_policy_validation():
         PowerPolicy(mu=5.0)  # varpi missing
     with pytest.raises(ValueError):
         PowerPolicy(alpha1=0.2, alphaJ=1.0)
+    # a dynamic split is checked when it is built, not when it is first resolved
+    with pytest.raises(ValueError, match="mu must exceed 1"):
+        PowerPolicy.dynamic(0.5, 0.1)
+    with pytest.raises(ValueError, match="varpi must lie in"):
+        PowerPolicy.dynamic(5.0, 2.0)
     assert not PowerPolicy.fixed(0.2).is_dynamic
     assert PowerPolicy.dynamic(5.0, 0.1).is_dynamic
 

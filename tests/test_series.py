@@ -1,6 +1,6 @@
 """Node-series integrals against explicit per-term g/h-kernel sums.
 
-`_joint_secrecy_prob`, `delta4` and `asymptotic._odrs_complement` sum their
+`_joint_secrecy_prob`, `delta4` and `asymptotic._jammed_complement` sum their
 series at every quadrature node and integrate once. Quadrature is linear, so
 they must equal the per-term sums below (one kernel call per series term, the
 way the closed forms are written) up to rounding, including where the
@@ -16,7 +16,7 @@ from conftest import db, fixed_policy, grid_params
 
 from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, scaled_params
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
-from noma_relay_secrecy.asymptotic import _leading_coeff, _odrs_complement
+from noma_relay_secrecy.asymptotic import _jammed_complement, _leading_coeff
 from noma_relay_secrecy.channels import jammed_ratio_survival, jammed_ratio_terms
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
 from noma_relay_secrecy.quadrature import _effective_upper, g_kernel, h_kernel, quadrature
@@ -154,7 +154,7 @@ def test_odrs_complement_series_matches_per_term():
         n = int(rng.integers(1, params.K))
         include_floor = bool(rng.integers(0, 2))
         args = (scaled, policy, alpha1, alpha2, n, QUAD, include_floor)
-        assert_close(_odrs_complement(*args), odrs_complement_per_term(*args))
+        assert_close(_jammed_complement(*args), odrs_complement_per_term(*args))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -175,4 +175,4 @@ def test_series_keep_each_degrees_domain_cut(m):
         scaled = asymptotic_frame(params, 30.0)
         alpha1, alpha2 = policy.resolve(scaled.links)
         args = (scaled, policy, alpha1, alpha2, n, QUAD, True)
-        assert_close(_odrs_complement(*args), odrs_complement_per_term(*args))
+        assert_close(_jammed_complement(*args), odrs_complement_per_term(*args))
