@@ -18,6 +18,7 @@ high SNR.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,17 +61,27 @@ def decoding_set_pmf(params: SystemParams) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=64)
+def _degree_column(tau_u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The degrees k < tau_u as a column, with log k! and (-1)^k beside them (read-only)."""
+    k = np.arange(tau_u)[:, None]
+    columns = (k, np.array([math.lgamma(i + 1) for i in range(tau_u)])[:, None], 1.0 - 2.0 * (k % 2))
+    for col in columns:
+        col.setflags(write=False)
+    return columns
+
+
 def _user_series(base: np.ndarray, tau_u: int, log_rate: float, alternate: bool) -> tuple[np.ndarray, np.ndarray]:
     """Rows (rate*base)^k/k! for k < tau_u at the nodes, as series_rows (shift, rows).
 
     alternate multiplies row k by (-1)^k, the sign carried by powers of the
     negative weak-user constant.
     """
-    k = np.arange(tau_u)[:, None]
-    log_coef = k * log_rate - np.array([math.lgamma(i + 1) for i in range(tau_u)])[:, None]
+    k, log_fact, alternating = _degree_column(tau_u)
+    log_coef = k * log_rate - log_fact
     logmag, sign = _signed_log_pow(base, k)
     if alternate:
-        sign = sign * (1.0 - 2.0 * (k % 2))
+        sign = sign * alternating
     return series_rows(range(tau_u), log_coef + logmag, sign, tau_u)
 
 

@@ -21,6 +21,12 @@ Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
 transmit off its `SchemeKind` record, as the exact engine does: combining,
 a single relay, or a jammed one each has a leading-order complement whose
 first term is that ceiling mass, and `sop_floor_cond` keeps that term alone.
+
+The combining complement's incomplete gammas all share one argument, so
+they come from one running pass of the survival series, and its two
+kernel integrals share all but one factor, so they take one node pass
+(`g_kernel_pair`). No engine calls `g_kernel` or `h_kernel`; both remain
+the per-term references of the complements.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _jammed_complement)
-    _survival_series,
+    _survival_prefixes,
     jammed_ratio_pdf_rows,
     jammed_ratio_survival,
     jammed_ratio_terms,
@@ -45,11 +51,12 @@ from .params import (
     feasibility_check,
     scheme_constants,
 )
-from .quadrature import (  # noqa: F401  (h_kernel re-exported: the per-term reference of _jammed_complement)
+from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of the complements)
     QuadratureSpec,
     _signed_log_pow,
     convolve_series,
     g_kernel,
+    g_kernel_pair,
     h_kernel,
     series_integral,
     series_rows,
@@ -83,7 +90,14 @@ def lower_incomplete_gamma(s: int, x: float) -> float:
     """Lower incomplete gamma at integer shape: (s-1)! * (1 - e^{-x} sum x^k/k!)."""
     if int(s) != s or s < 1:
         raise ValueError(f"shape s must be a positive integer, got {s!r}")
-    return math.factorial(int(s) - 1) * (1.0 - _survival_series(int(s), x)).item()
+    return _lower_incomplete_gammas(int(s), int(s), x)[0]
+
+
+def _lower_incomplete_gammas(s0: int, s1: int, x: float) -> list[float]:
+    """lower_incomplete_gamma(s, x) for s = s0..s1 from one running pass of
+    the survival series; each equals a pass that stops at s, bit for bit."""
+    survival = _survival_prefixes(s1, x)[:, 0]
+    return [math.factorial(s - 1) * (1.0 - survival[s - 1]).item() for s in range(s0, s1 + 1)]
 
 
 def _leading_coeff(rate: float, tau: int) -> float:
@@ -131,9 +145,9 @@ def _combined_complement(
     r = alpha2 / (c * d)
     q = e / d
     theta1 = params.theta1
+    gammas = _lower_incomplete_gammas(tau_e, tau_e + tau_u, lam_e * a)
     t1 = sum(
-        math.comb(tau_u, k) * theta1**k * b ** (tau_u - k)
-        * lower_incomplete_gamma(k + tau_e, lam_e * a) / lam_e ** (k + tau_e)
+        math.comb(tau_u, k) * theta1**k * b ** (tau_u - k) * gammas[k] / lam_e ** (k + tau_e)
         for k in range(tau_u + 1)
     )
     # The exact kernel's screening exponent h = lambda2*alpha2/d is kept: it
@@ -141,8 +155,7 @@ def _combined_complement(
     # but without it the integrand's (1-qx)^{-tau_u} endpoint pole makes the
     # quadrature blow up with the node count.
     h_screen = links.relay_user2.rate * alpha2 / d
-    g2 = g_kernel(a, tau_e, 0.0, r, q, lam_e, h_screen, 0, tau_u, quad)
-    g3 = g_kernel(a, tau_e, theta1 / b, r, q, lam_e, h_screen, tau_u, tau_u, quad)
+    g2, g3 = g_kernel_pair(a, tau_e, theta1 / b, r, q, lam_e, h_screen, tau_u, tau_u, quad)
     return (
         floor
         + phi1 * beta_e * t1

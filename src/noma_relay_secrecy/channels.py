@@ -5,14 +5,17 @@ CDF/PDF have finite-series forms. This module provides the single-link and
 MRC-sum distributions, inverse-CDF sampling, and the distributions that
 arise when the strongest of several gains feeds an interference ratio
 G/(1 + rho*H): the max-gain PDF via a multinomial expansion and the
-closed-form PDF/CDF of the ratio itself.
+closed-form PDF/CDF of the ratio itself. The ratio law's terms and arrays
+(`jammed_table`) are built once per (link, count, rho4), since they do not
+depend on where the law is evaluated, and every density and survival call
+reads them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,7 +28,7 @@ class NakagamiParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 1:
+        if isinstance(self.m, bool) or int(self.m) != self.m or self.m < 1:
             raise ValueError(f"shape m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
         if not self.omega > 0:
@@ -37,24 +40,50 @@ class NakagamiParams:
         return self.m / self.omega
 
 
-def _survival_series(m: int, z):
-    """exp(-z) * sum_{k<m} z^k/k! for z >= 0, switching to log space for large z."""
+def _survival_prefixes(m: int, z) -> np.ndarray:
+    """Row s-1 is exp(-z) * sum_{k<s} z^k/k! for s = 1..m, z >= 0.
+
+    One running pass of the series gives every shape's prefix, with the
+    operations of a pass that stops at s; z > 700 switches to log space.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    total = np.ones_like(z)
+    totals = np.empty((m,) + z.shape)
+    total = totals[0] = np.ones_like(z)
     term = np.ones_like(z)
     for k in range(1, m):
         term = term * z / k
-        total = total + term
+        total = totals[k] = total + term
     with np.errstate(over="ignore"):
-        out = np.exp(-z) * total
+        out = np.exp(-z) * totals
     big = z > 700.0
     if np.any(big):
         zb = z[big]
         logtot = np.zeros_like(zb)
+        out[0, big] = np.exp(-zb + logtot)
         for k in range(1, m):
             logtot = np.logaddexp(logtot, k * np.log(zb) - math.lgamma(k + 1))
-        out[big] = np.exp(-zb + logtot)
+            out[k, big] = np.exp(-zb + logtot)
     return out
+
+
+def _survival_series(m: int, z):
+    """exp(-z) * sum_{k<m} z^k/k! for z >= 0, switching to log space for large z."""
+    return _survival_prefixes(m, z)[m - 1]
+
+
+def _cdf_series(m: int, z: np.ndarray) -> np.ndarray:
+    """exp(-z) * sum_{k>=m} z^k/k!, the Gamma(m) CDF at rate-scaled z, summed
+    directly so that a small CDF keeps its relative precision (1 - survival
+    cancels to 0 there). Meant for z < m, where the terms fall from the first."""
+    with np.errstate(divide="ignore"):
+        term = np.exp(m * np.log(z) - z - math.lgamma(m + 1))
+    total = term.copy()
+    k = m
+    while np.any(term > total * 1e-17):
+        k += 1
+        term = term * z / k
+        total = total + term
+    return total
 
 
 def _as_given(x_in, out):
@@ -73,11 +102,15 @@ def gain_survival(p: NakagamiParams, x):
 
 
 def gain_cdf(p: NakagamiParams, x):
-    """CDF of the power gain, 1 - gain_survival; nondecreasing, 0 at the origin."""
+    """CDF of the power gain, 1 - gain_survival, with relative precision at small x."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    return _as_given(x, 1.0 - _survival_series(p.m, p.rate * x))
+    z = np.atleast_1d(p.rate * x)
+    out = 1.0 - _survival_series(p.m, z)
+    low = z < p.m  # at or above the mean m the CDF exceeds 1/2 and 1 - survival keeps its digits
+    out[low] = _cdf_series(p.m, z[low])
+    return _as_given(x, out)
 
 
 def gain_pdf(p: NakagamiParams, x):
@@ -213,12 +246,38 @@ class JammedTerm:
     delta: float
 
 
-def jammed_ratio_terms(p_e: NakagamiParams, count: int, rho4: float) -> tuple[JammedTerm, ...]:
-    """Materialize the triple-sum terms of the Y = G/(1+rho4*H) law.
+class JammedTable(NamedTuple):
+    """The y-free structure of the Y = G/(1 + rho4*H) law for one (link, count, rho4).
+
+    `terms` lists the law's triple-sum terms. The arrays index the terms
+    stably sorted by k, so the terms of each k form one slice (`bounds`) in
+    their original order: `up`, `at` and `down` pick y^{k+1}, y^k and y^{k-1}
+    (clipped at 0) from the powers of y, `ck`, `big_d` and `delta` are each
+    term's C*k, D and delta, and `which` is its row among the distinct
+    (C, varsigma+1) denominators `shared`.
+    """
+
+    terms: tuple[JammedTerm, ...]
+    up: np.ndarray
+    at: np.ndarray
+    down: np.ndarray
+    ck: np.ndarray
+    big_d: np.ndarray
+    delta: np.ndarray
+    shared: np.ndarray
+    which: np.ndarray
+    bounds: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=64)
+def jammed_table(p_e: NakagamiParams, count: int, rho4: float) -> JammedTable:
+    """The terms of the Y = G/(1+rho4*H) law and their arrays, built once per
+    (p_e, count, rho4): none depends on where the law is evaluated.
 
     G is one fresh gain and H the max of `count` independent gains, all of
     shape p_e.m and rate lambda = p_e.rate. Weights use log-factorials;
-    rho4 = 0 collapses to the plain gain law (only j = 0 survives).
+    rho4 = 0 collapses to the plain gain law (only j = 0 survives). Every
+    caller shares the result, so its arrays are read-only.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
@@ -226,7 +285,7 @@ def jammed_ratio_terms(p_e: NakagamiParams, count: int, rho4: float) -> tuple[Ja
         raise ValueError(f"rho4 must be nonnegative, got {rho4!r}")
     lam = p_e.rate
     m_e = p_e.m
-    out = []
+    terms = []
     for t in enumerate_multinomial_terms(m_e, count):
         for k in range(m_e):
             for j in range(k + 1):
@@ -238,8 +297,25 @@ def jammed_ratio_terms(p_e: NakagamiParams, count: int, rho4: float) -> tuple[Ja
                     * math.exp((k - varsigma) * math.log(lam) + math.lgamma(varsigma) - math.lgamma(k + 1))
                 )
                 d_coef = t.C * lam + rho4 * (varsigma - k)
-                out.append(JammedTerm(k, varsigma, t.C, d_coef, delta))
-    return tuple(out)
+                terms.append(JammedTerm(k, varsigma, t.C, d_coef, delta))
+    by_k = sorted(terms, key=lambda t: t.k)
+    k = np.array([t.k for t in by_k])
+    shared, which = np.unique([(t.C, t.varsigma + 1) for t in by_k], axis=0, return_inverse=True)
+    arrays = (
+        k + 1, k, np.maximum(k - 1, 0), np.array([t.C for t in by_k], dtype=float) * k,
+        np.array([t.D for t in by_k]), np.array([t.delta for t in by_k]), shared, which.ravel(),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    bounds = np.searchsorted(k, np.arange(m_e + 1)).tolist()
+    return JammedTable(tuple(terms), *arrays, tuple(zip(bounds[:-1], bounds[1:])))
+
+
+def jammed_ratio_terms(p_e: NakagamiParams, count: int, rho4: float) -> tuple[JammedTerm, ...]:
+    """The triple-sum terms of the Y = G/(1+rho4*H) law (see `jammed_table`),
+    one per (composition, k, j): the per-term reference of the engines'
+    node-summed jammed integrals."""
+    return jammed_table(p_e, count, rho4).terms
 
 
 def jammed_ratio_survival(p_e: NakagamiParams, count: int, rho4: float, y):
@@ -250,7 +326,7 @@ def jammed_ratio_survival(p_e: NakagamiParams, count: int, rho4: float, y):
     lam = p_e.rate
     phi0 = count * lam**p_e.m / math.factorial(p_e.m - 1)
     acc = np.zeros_like(y)
-    for t in jammed_ratio_terms(p_e, count, rho4):
+    for t in jammed_table(p_e, count, rho4).terms:
         acc = acc + t.delta * np.power(y, t.k) / np.power(t.C + rho4 * y, t.varsigma)
     return _as_given(y, phi0 * np.exp(-lam * y) * acc)
 
@@ -269,22 +345,19 @@ def jammed_ratio_pdf_rows(p_e: NakagamiParams, count: int, rho4: float, y) -> np
     delta*(rho4*lambda*y^{k+1} + D*y^k - C*k*y^{k-1}) / (rho4*y + C)^{varsigma+1};
     the y^{k-1} piece carries a factor k and vanishes at k = 0. All terms are
     evaluated at once, shape (T,) + y.shape, and row k of the result, shape
-    (m,) + y.shape, sums those with that k.
+    (m,) + y.shape, sums those with that k. The terms' y-free part is the
+    `jammed_table` of (p_e, count, rho4), built once, not once per call.
     """
     y = np.asarray(y, dtype=float)
-    terms = jammed_ratio_terms(p_e, count, rho4)
-    k = np.array([t.k for t in terms])
+    tab = jammed_table(p_e, count, rho4)
     col = (-1,) + (1,) * y.ndim  # one entry per term, broadcasting against y
-    big_c = np.array([t.C for t in terms], dtype=float).reshape(col)
-    big_d = np.array([t.D for t in terms]).reshape(col)
-    delta = np.array([t.delta for t in terms]).reshape(col)
     # Powers of y only reach m, and many terms share one denominator.
     y_pow = np.power(y, np.arange(p_e.m + 1).reshape(col))
-    numer = rho4 * p_e.rate * y_pow[k + 1] + big_d * y_pow[k] - big_c * k.reshape(col) * y_pow[np.maximum(k - 1, 0)]
-    shared, which = np.unique([(t.C, t.varsigma + 1) for t in terms], axis=0, return_inverse=True)
-    denom = np.power(rho4 * y + shared[:, 0].reshape(col), shared[:, 1].reshape(col))
-    vals = delta * numer / denom[which.ravel()]
-    return np.stack([vals[k == i].sum(axis=0) for i in range(p_e.m)])
+    numer = (rho4 * p_e.rate * y_pow[tab.up] + tab.big_d.reshape(col) * y_pow[tab.at]
+             - tab.ck.reshape(col) * y_pow[tab.down])
+    denom = np.power(rho4 * y + tab.shared[:, 0].reshape(col), tab.shared[:, 1].reshape(col))
+    vals = tab.delta.reshape(col) * numer / denom[tab.which]
+    return np.stack([vals[lo:hi].sum(axis=0) for lo, hi in tab.bounds])
 
 
 def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):

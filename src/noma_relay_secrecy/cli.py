@@ -182,17 +182,25 @@ def _parse_sweep(block, policy: PowerPolicy) -> tuple[str | None, tuple[float, .
     for val in values:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"sweep value must be a number, got {val!r}")
-        if var == "alpha1":
-            if policy.is_dynamic:
-                raise ConfigError("sweep.var alpha1 requires a fixed power allocation")
-            if not 0.0 < val < 1.0:
-                raise ConfigError(f"alpha1 must be in (0,1), got {val!r}")
-        elif var == "alphaJ" and not 0.0 <= val < 1.0:
-            raise ConfigError(f"alphaJ must be in [0,1), got {val!r}")
+        if var == "alpha1" and policy.is_dynamic:
+            raise ConfigError("sweep.var alpha1 requires a fixed power allocation")
+        if var in ("alpha1", "alphaJ"):
+            # built as `_point_scenario` builds it, so PowerPolicy's own check and message apply
+            try:
+                _sweep_policy(policy, var, float(val))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         elif var in ("K", "m") and (int(val) != val or val < 1):
             raise ConfigError(f"{var} must be a positive integer, got {val!r}")
         checked.append(float(val))
     return var, tuple(checked)
+
+
+def _sweep_policy(policy: PowerPolicy, var: str, value: float) -> PowerPolicy:
+    """The power policy at one point of an alpha1 or alphaJ sweep."""
+    if var == "alpha1":
+        return PowerPolicy.fixed(value, alphaJ=policy.alphaJ)
+    return dataclasses.replace(policy, alphaJ=value)
 
 
 def _point_scenario(cfg: ExperimentConfig, value: float | None) -> tuple[SystemParams, PowerPolicy]:
@@ -208,10 +216,8 @@ def _point_scenario(cfg: ExperimentConfig, value: float | None) -> tuple[SystemP
         eps1, eps2, _ = params.links.frame
         links = params.links.on_frame(eps1, eps2, _db_to_linear(value))
         return dataclasses.replace(params, links=links), policy
-    if var == "alpha1":
-        return params, PowerPolicy.fixed(value, alphaJ=policy.alphaJ)
-    if var == "alphaJ":
-        return params, dataclasses.replace(policy, alphaJ=value)
+    if var in ("alpha1", "alphaJ"):
+        return params, _sweep_policy(policy, var, value)
     if var == "K":
         return dataclasses.replace(params, K=int(value)), policy
     links = params.links

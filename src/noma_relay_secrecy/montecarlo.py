@@ -61,7 +61,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         for name, low in (("trials", 1), ("chunk", 1), ("seed", 0)):
             val = getattr(self, name)
-            if int(val) != val or val < low:
+            if isinstance(val, bool) or int(val) != val or val < low:
                 kind = "positive" if low else "nonnegative"
                 raise ValueError(f"{name} must be a {kind} integer, got {val!r}")
             object.__setattr__(self, name, int(val))

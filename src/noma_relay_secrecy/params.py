@@ -150,7 +150,7 @@ class SystemParams:
     R2_s: float
 
     def __post_init__(self) -> None:
-        if int(self.K) != self.K or self.K < 1:
+        if isinstance(self.K, bool) or int(self.K) != self.K or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         object.__setattr__(self, "K", int(self.K))
         for name in ("P_S", "P_R", "sigma2", "R1_s", "R2_s"):

@@ -1,6 +1,8 @@
 """The public surface: the exported names, and the scheme record every engine reads."""
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -28,7 +30,8 @@ from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_flo
 from noma_relay_secrecy.params import Transmission
 
 QUAD = quadrature(300)
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def test_every_export_is_importable_and_documented():
@@ -71,3 +74,16 @@ def test_every_scheme_is_a_mixture_of_its_conditionals(scheme):
     est = estimate_many(params, policy, [scheme], TrialConfig(trials=20_000, seed=3))[scheme]
     assert 0.0 < est.p_hat < 1.0
     assert sdo(scheme, SdoInputs(K=3, m_r=2, m_u=2, varpi=0.1)) > 0.0
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's traced run wraps each (module, attribute) of its FULL
+    # tuple with getattr; a name dropped from the package (a re-export whose
+    # last caller went away, say) would crash that run, not just skip a span
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.FULL
+    for module_name, attr, _span in spans.FULL:
+        module = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

@@ -24,7 +24,13 @@ from noma_relay_secrecy import (
     sop_total,
 )
 from noma_relay_secrecy.analytic import sop_cond
-from noma_relay_secrecy.asymptotic import asym_gain_cdf, lower_incomplete_gamma, sop_asym_cond, sop_floor_cond
+from noma_relay_secrecy.asymptotic import (
+    _lower_incomplete_gammas,
+    asym_gain_cdf,
+    lower_incomplete_gamma,
+    sop_asym_cond,
+    sop_floor_cond,
+)
 from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival, mrc_sum_cdf, mrc_sum_survival
 from noma_relay_secrecy.params import scheme_constants
 
@@ -71,6 +77,17 @@ def test_lower_incomplete_gamma_matches_scipy():
             assert lower_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-12)
     with pytest.raises(ValueError):
         lower_incomplete_gamma(0, 1.0)
+
+
+def test_one_pass_gammas_equal_per_shape_calls():
+    # the combined complement's t1 takes every shape tau_e..tau_e+tau_u from
+    # one running pass; each must equal its own lower_incomplete_gamma call,
+    # log-space branch (x > 700) included
+    for s0, s1 in ((1, 1), (2, 4), (3, 9), (6, 18)):
+        for x in (0.0, 1e-9, 0.3, 4.0, 25.0, 699.0, 700.0, 700.5, 1200.0):
+            got = _lower_incomplete_gammas(s0, s1, x)
+            assert got == [lower_incomplete_gamma(s, x) for s in range(s0, s1 + 1)]
+            assert all(type(g) is float for g in got)
 
 
 def test_asym_gain_cdf_leading_order():

@@ -9,13 +9,18 @@ from scipy import integrate, special, stats
 
 from noma_relay_secrecy.channels import (
     NakagamiParams,
+    _survival_prefixes,
+    _survival_series,
     enumerate_multinomial_terms,
     gain_cdf,
     gain_pdf,
     gain_survival,
     jammed_ratio_cdf,
     jammed_ratio_pdf,
+    jammed_ratio_pdf_rows,
     jammed_ratio_survival,
+    jammed_ratio_terms,
+    jammed_table,
     max_gain_pdf,
     mrc_sum_cdf,
     mrc_sum_survival,
@@ -33,6 +38,8 @@ def test_params_validation():
         NakagamiParams(0, 1.0)
     with pytest.raises(ValueError):
         NakagamiParams(2.5, 1.0)
+    with pytest.raises(ValueError):
+        NakagamiParams(True, 1.0)
     with pytest.raises(ValueError):
         NakagamiParams(2, 0.0)
     assert NakagamiParams(2, 4.0).rate == 0.5
@@ -204,3 +211,81 @@ def test_jammed_ratio_empirical_cdf():
         ana = jammed_ratio_cdf(p, count, rho4, y)
         se = math.sqrt(ana * (1.0 - ana) / n)
         assert abs(emp - ana) < 4.0 * se
+
+
+def test_gain_cdf_relative_error_at_small_x():
+    # 1 - survival cancels to rounding noise as the CDF goes to 0 (5,500%
+    # relative error at x = 1e-9 for m = 2); the CDF must keep its digits
+    x = np.logspace(-12, -2, 41)
+    for m in (1, 2, 3, 4):
+        for omega in (1.0, 0.1):
+            got = gain_cdf(NakagamiParams(m, omega), x)
+            ref = special.gammainc(m, (m / omega) * x)
+            assert np.max(np.abs(got / ref - 1.0)) < 1e-12, m
+            assert mrc_sum_cdf(NakagamiParams(m, omega), 2, 1e-9) == pytest.approx(
+                float(special.gammainc(2 * m, (m / omega) * 1e-9)), rel=1e-12)
+    assert gain_cdf(NakagamiParams(2, 1.0), 0.0) == 0.0
+
+
+def _survival_series_per_shape(m, z):
+    """The survival series as one pass that stops at shape m: the reference
+    the running pass over every shape must equal bit for bit."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    for k in range(1, m):
+        term = term * z / k
+        total = total + term
+    with np.errstate(over="ignore"):
+        out = np.exp(-z) * total
+    big = z > 700.0
+    if np.any(big):
+        zb = z[big]
+        logtot = np.zeros_like(zb)
+        for k in range(1, m):
+            logtot = np.logaddexp(logtot, k * np.log(zb) - math.lgamma(k + 1))
+        out[big] = np.exp(-zb + logtot)
+    return out
+
+
+def test_survival_prefixes_equal_per_shape_passes():
+    z = np.concatenate([np.linspace(0.0, 60.0, 121), [699.9, 700.0, 700.5, 1500.0]])
+    for m in (1, 2, 5, 13):
+        prefixes = _survival_prefixes(m, z)
+        for s in range(1, m + 1):
+            assert np.array_equal(prefixes[s - 1], _survival_series_per_shape(s, z))
+        assert np.array_equal(_survival_series(m, z), _survival_series_per_shape(m, z))
+
+
+def _pdf_rows_from_terms(p_e, count, rho4, y):
+    """The jammed-density rows built straight from jammed_ratio_terms at
+    every call, as before the table: the reference for the cached table."""
+    y = np.asarray(y, dtype=float)
+    terms = jammed_ratio_terms(p_e, count, rho4)
+    k = np.array([t.k for t in terms])
+    col = (-1,) + (1,) * y.ndim
+    big_c = np.array([t.C for t in terms], dtype=float).reshape(col)
+    big_d = np.array([t.D for t in terms]).reshape(col)
+    delta = np.array([t.delta for t in terms]).reshape(col)
+    y_pow = np.power(y, np.arange(p_e.m + 1).reshape(col))
+    numer = rho4 * p_e.rate * y_pow[k + 1] + big_d * y_pow[k] - big_c * k.reshape(col) * y_pow[np.maximum(k - 1, 0)]
+    shared, which = np.unique([(t.C, t.varsigma + 1) for t in terms], axis=0, return_inverse=True)
+    denom = np.power(rho4 * y + shared[:, 0].reshape(col), shared[:, 1].reshape(col))
+    vals = delta * numer / denom[which.ravel()]
+    return np.stack([vals[k == i].sum(axis=0) for i in range(p_e.m)])
+
+
+def test_cached_jammed_rows_equal_rows_from_terms():
+    y = np.concatenate([[0.0], np.linspace(1e-6, 25.0, 300)])
+    for m_e in (1, 2, 3):
+        p = NakagamiParams(m_e, 0.6)
+        for count in range(1, 7):
+            for rho4 in (0.0, 5.0):
+                for _ in range(2):  # the first call builds the table, the second reads it
+                    for at in (y, 1.3, y.reshape(1, -1)):
+                        got = jammed_ratio_pdf_rows(p, count, rho4, at)
+                        assert np.array_equal(got, _pdf_rows_from_terms(p, count, rho4, at))
+    with pytest.raises(ValueError):
+        jammed_ratio_pdf_rows(NakagamiParams(2, 1.0), 0, 1.0, y)
+    with pytest.raises(ValueError):
+        jammed_table(NakagamiParams(2, 1.0), 2, 1.0).delta[0] = 0.0

@@ -79,6 +79,10 @@ def test_config_rejections(tmp_path):
         (_base_config(scheme=["bogus"]), "unknown scheme: 'bogus'"),
         (_base_config(trials=0), "trials must be a positive integer, got 0"),
         (_base_config(quad_n=True), "quad_n must be an integer >= 2, got True"),
+        # a sweep value is checked by building its point's PowerPolicy, with PowerPolicy's message
+        (_base_config(sweep={"var": "alpha1", "values": [0.2, 1.5]}), "alpha1 must lie in (0,1), got 1.5"),
+        (_base_config(sweep={"var": "alpha1", "values": [0]}), "alpha1 must lie in (0,1), got 0.0"),
+        (_base_config(sweep={"var": "alphaJ", "values": [0.5, 1.0]}), "alphaJ must be in [0,1), got 1.0"),
     ]
     for raw, message in cases:
         with pytest.raises(ConfigError) as err:
@@ -265,6 +269,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["analytic", bad]) == 1
     assert "config error" in capsys.readouterr().err
 
+    # JSON true/false are not counts: `"trials": true` once ran one trial
+    for key, flag in (("trials", True), ("seed", False), ("K", True), ("mE", True)):
+        flagged = _write(tmp_path, _base_config(scheme=["osrs"], **{key: flag}), name="flag.json")
+        assert main(["simulate", flagged]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     # equal user gains break the asymptotic scaling frame: numeric error, exit 3
     numeric = _write(tmp_path, _base_config(omega1_dB=10.0, scheme=["osrs"]), name="numeric.json")
     assert main(["asymptotic", numeric]) == 3
@@ -343,3 +353,25 @@ def test_validate_report_matches_golden(capsys):
     # the validate report prints every z-score, so it pins both engines
     assert main(["validate", str(ROOT / "demos" / "configs" / "reference.json")]) == 0
     assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "reference_validate.txt").read_text()
+
+
+def _high_gain_config(split: dict) -> dict:
+    # the deep tail of both engines: exact SOP down to rounding noise and the
+    # asymptote's power law, under the dynamic and a fixed split
+    return {
+        "K": 4, "mR": 3, "mU": 3, "mE": 3,
+        "omegaR_dB": 3.0, "omega1_dB": 1.8, "omega2_dB": 0.0, "omegaE_dB": -5.0,
+        "P_dB": 10.0, "R1_th": 0.2, "R2_th": 0.1, "R1_s": 0.1, "R2_s": 0.2,
+        "alphaJ": 0.5, "scheme": ["tmrc", "osrs", "odrs"], "engine": ["analytic", "asymptotic"],
+        "sweep": {"var": "omega2_dB", "values": list(range(20, 85, 5))}, "quad_n": 300,
+        **split,
+    }
+
+
+def test_high_gain_csv_matches_golden(tmp_path):
+    rows = []
+    for name, split in (("dpa", {"dpa": {"mu": 5.0, "varpi": 0.1}}), ("fixed", {"alpha1": 0.2})):
+        rows += run_sweep(load_config(_write(tmp_path, _high_gain_config(split), name=f"{name}.json")))
+    out = tmp_path / "high_gain.csv"
+    write_rows(rows, str(out))
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "high_gain.csv").read_bytes()

@@ -40,6 +40,9 @@ def test_config_validation():
         TrialConfig(chunk=0)
     with pytest.raises(ValueError):
         TrialConfig(trials=2.5)
+    for flag in ({"trials": True}, {"seed": False}, {"chunk": True}):
+        with pytest.raises(ValueError):
+            TrialConfig(**flag)
     whole = TrialConfig(trials=5.0, seed=7.0, chunk=2.0)
     assert (whole.trials, whole.seed, whole.chunk) == (5, 7, 2)
     assert all(type(v) is int for v in (whole.trials, whole.seed, whole.chunk))

@@ -28,6 +28,11 @@ def test_system_params_validation():
         )
     with pytest.raises(ValueError):
         SystemParams(
+            K=True, links=good.links, P_S=1.0, P_R=1.0, sigma2=1.0,
+            R1_th=0.2, R2_th=0.1, R1_s=0.1, R2_s=0.2,
+        )
+    with pytest.raises(ValueError):
+        SystemParams(
             K=2, links=good.links, P_S=0.0, P_R=1.0, sigma2=1.0,
             R1_th=0.2, R2_th=0.1, R1_s=0.1, R2_s=0.2,
         )

@@ -1,4 +1,5 @@
-"""Node-series integrals against explicit per-term g/h-kernel sums.
+"""Node-series integrals against explicit per-term g/h-kernel sums, and the
+paired g-kernel of the combined complement against two g-kernel calls.
 
 `_joint_secrecy_prob`, `delta4` and `asymptotic._jammed_complement` sum their
 series at every quadrature node and integrate once. Quadrature is linear, so
@@ -19,7 +20,7 @@ from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
 from noma_relay_secrecy.asymptotic import _jammed_complement, _leading_coeff
 from noma_relay_secrecy.channels import jammed_ratio_survival, jammed_ratio_terms
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
-from noma_relay_secrecy.quadrature import _effective_upper, g_kernel, h_kernel, quadrature
+from noma_relay_secrecy.quadrature import _effective_upper, g_kernel, g_kernel_pair, h_kernel, quadrature
 
 QUAD = quadrature(300)
 
@@ -176,3 +177,35 @@ def test_series_keep_each_degrees_domain_cut(m):
         alpha1, alpha2 = policy.resolve(scaled.links)
         args = (scaled, policy, alpha1, alpha2, n, QUAD, True)
         assert_close(_jammed_complement(*args), odrs_complement_per_term(*args))
+
+
+def combined_pair_args(scaled, policy, n):
+    """(a, b, c, r, q, f, h, tau_u): the g2/g3 pair `_combined_complement` integrates."""
+    alpha1, alpha2 = policy.resolve(scaled.links)
+    consts = scheme_constants(scaled.theta1, scaled.theta2, alpha1, alpha2, scaled.P_R / (n * scaled.sigma2))
+    links = scaled.links
+    return (
+        consts.a, n * links.relay_eaves.m, scaled.theta1 / consts.b, alpha2 / (consts.c * consts.d),
+        consts.e / consts.d, links.relay_eaves.rate, links.relay_user2.rate * alpha2 / consts.d, n * links.m_u,
+    )
+
+
+def test_paired_g_kernels_equal_two_calls():
+    # bit for bit, both where the two integrals share one domain cut (one
+    # node pass) and where omega_E = -40 dB cuts them at different points
+    cases = [(params, policy, float(rng.uniform(20.0, 60.0))) for rng, params, policy in random_scenarios(5, 6)]
+    cases += [(grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=m), fixed_policy(0.2, alphaJ=0.5), 30.0) for m in (2, 3)]
+    shared = split = 0
+    for params, policy, omega2_dB in cases:
+        scaled = asymptotic_frame(params, omega2_dB)
+        for n in range(1, params.K + 1):
+            a, b, c, r, q, f, h, tau = combined_pair_args(scaled, policy, n)
+            two = (g_kernel(a, b, 0.0, r, q, f, h, 0, tau, QUAD), g_kernel(a, b, c, r, q, f, h, tau, tau, QUAD))
+            assert g_kernel_pair(a, b, c, r, q, f, h, tau, tau, QUAD) == two
+            if _effective_upper(a, f, b + tau) == _effective_upper(a, f, b + 2 * tau):
+                shared += 1
+            else:
+                split += 1
+    assert shared and split
+    with pytest.raises(ValueError, match="pole inside domain"):
+        g_kernel_pair(2.0, 2, 0.5, 0.5, 1.0, 1.0, 0.1, 1, 1, QUAD)  # q*a = 2
