@@ -11,9 +11,9 @@ are summed at each quadrature node instead and integrated once
 (`quadrature.series_integral`), which is the same sum because quadrature is
 linear. Conditioned on the eavesdropper gain x, both users stay secure iff
 x < a, the strong user's gain exceeds b + theta1*x, and the weak user's gain
-exceeds c + alpha2/(d*(1-(e/d)*x)); the weak-user condition is only
-satisfiable below the ceiling a, which is what creates the outage floor at
-high SNR.
+exceeds c + alpha2/(d*(1-v*x)), v = e/d; only below the ceiling a = 1/v can
+that hold, which creates the high-SNR outage floor. The constants, the
+jamming split and the clip to [0, 1] come from `params`, as in every engine.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-
     gain_survival,
     jammed_ratio_pdf_rows,
     jammed_ratio_terms,
+    jammed_table,
 )
 from .params import (
     PowerPolicy,
@@ -33,7 +34,10 @@ from .params import (
     SchemeKind,
     SopResult,
     SystemParams,
+    clamp_probability,
+    combining_constants,
     feasibility_check,
+    jamming_split,
     scheme_constants,
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
@@ -105,11 +109,9 @@ def _joint_secrecy_prob(
     every term is nonnegative. Both series are summed at each node and the
     integral is taken once (`series_integral`).
     """
-    a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
+    a, b, c, d, q, r = consts.a, consts.b, consts.c, consts.d, consts.v, consts.u
     log_beta_e = tau_e * math.log(lambda_e) - math.lgamma(tau_e)
     log_front = log_beta_e - lambda1 * b - lambda2 * c
-    q = e / d
-    r = alpha2 / (d * c)
     h = lambda2 * alpha2 / d
     f = lambda1 * theta1 + lambda_e
     c1 = theta1 / b
@@ -131,11 +133,9 @@ def _combined_secure(params: SystemParams, policy: PowerPolicy, n: int, quad: Qu
     if feasibility_check(params, policy) is not None:
         return 0.0
     alpha1, alpha2 = policy.resolve(params.links)
-    rho1 = params.P_R / (n * params.sigma2)
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho1)
     links = params.links
     return _joint_secrecy_prob(
-        consts,
+        combining_constants(params, alpha1, alpha2, n),
         tau_u=n * links.m_u,
         tau_e=n * links.relay_eaves.m,
         lambda1=links.relay_user1.rate,
@@ -151,13 +151,13 @@ def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: Quadr
     """Outage probability given n decoding relays that all transmit and combine."""
     if n < 1:
         raise ValueError("n must be >= 1; the empty decoding set is certain outage")
-    return min(max(1.0 - _combined_secure(params, policy, n, quad), 0.0), 1.0)
+    return clamp_probability(1.0 - _combined_secure(params, policy, n, quad))
 
 
 def delta1(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec) -> float:
     """Per-relay probability that a single relay at full power secures both
     users: the combined transmission at n = 1."""
-    return min(max(_combined_secure(params, policy, 1, quad), 0.0), 1.0)
+    return clamp_probability(_combined_secure(params, policy, 1, quad))
 
 
 def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -176,8 +176,7 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
     if feasibility_check(params, policy) is not None:
         return 0.0
     alpha1, alpha2 = policy.resolve(params.links)
-    rho3 = (1.0 - policy.alphaJ) * params.rho2
-    rho4 = policy.alphaJ * params.rho2
+    rho3, rho4 = jamming_split(policy.alphaJ, params.rho2)
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
     links = params.links
     m_u = links.m_u
@@ -187,7 +186,6 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
     p_e = links.relay_eaves
     ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
     count = params.K - n
-    phi0 = count * lambda_e**p_e.m / math.factorial(p_e.m - 1)
     f = lambda1 * params.theta1 + lambda_e
     r = lambda2 * w * u
     log_front = -lambda1 * ell - lambda2 * w
@@ -201,7 +199,7 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
         return log_scale, convolve_series(convolve_series(user1, user2), jammed)
 
     total = series_integral(1.0 / v, v, f, 1, 2 * m_u - 1 + p_e.m - 1, integrand, quad)
-    return min(max(phi0 * total, 0.0), 1.0)
+    return clamp_probability(jammed_table(p_e, count, rho4).phi0 * total)
 
 
 def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec):
@@ -231,4 +229,4 @@ def sop_total(
     pmf = decoding_set_pmf(params)
     cond = _conditional(params, policy, scheme, quad)
     total = sum(pmf[n] * cond(n) for n in range(params.K + 1))
-    return SopResult(value=min(max(float(total), 0.0), 1.0), engine="analytic")
+    return SopResult(value=clamp_probability(float(total)), engine="analytic")

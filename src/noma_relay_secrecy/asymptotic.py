@@ -37,10 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _jammed_complement)
+    _is_count,
     _survival_prefixes,
     jammed_ratio_pdf_rows,
     jammed_ratio_survival,
     jammed_ratio_terms,
+    jammed_table,
     mrc_sum_survival,
 )
 from .params import (
@@ -48,7 +50,10 @@ from .params import (
     SchemeKind,
     SystemParams,
     Transmission,
+    clamp_probability,
+    combining_constants,
     feasibility_check,
+    jamming_split,
     scheme_constants,
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of the complements)
@@ -86,16 +91,10 @@ def scaled_params(params: SystemParams, scaling: AsymptoticScaling) -> SystemPar
     return dataclasses.replace(params, links=links)
 
 
-def lower_incomplete_gamma(s: int, x: float) -> float:
-    """Lower incomplete gamma at integer shape: (s-1)! * (1 - e^{-x} sum x^k/k!)."""
-    if int(s) != s or s < 1:
-        raise ValueError(f"shape s must be a positive integer, got {s!r}")
-    return _lower_incomplete_gammas(int(s), int(s), x)[0]
-
-
 def _lower_incomplete_gammas(s0: int, s1: int, x: float) -> list[float]:
-    """lower_incomplete_gamma(s, x) for s = s0..s1 from one running pass of
-    the survival series; each equals a pass that stops at s, bit for bit."""
+    """Lower incomplete gammas (s-1)! * (1 - e^{-x} sum_{k<s} x^k/k!) at the
+    integer shapes s = s0..s1, from one running pass of the survival series;
+    each equals a pass that stops at s, bit for bit."""
     survival = _survival_prefixes(s1, x)[:, 0]
     return [math.factorial(s - 1) * (1.0 - survival[s - 1]).item() for s in range(s0, s1 + 1)]
 
@@ -103,20 +102,6 @@ def _lower_incomplete_gammas(s0: int, s1: int, x: float) -> list[float]:
 def _leading_coeff(rate: float, tau: int) -> float:
     """Leading CDF coefficient phi = rate^tau / tau! of a Gamma(tau, rate) gain."""
     return math.exp(tau * math.log(rate) - math.lgamma(tau + 1))
-
-
-def asym_gain_cdf(params: SystemParams, scaling: AsymptoticScaling, user: int, n: int, x) -> float:
-    """Leading-order CDF phi_v * x^{tau_U} of user v's combined gain on the scaling frame."""
-    if user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user!r}")
-    m_u = params.links.m_u
-    tau_u = n * m_u
-    omega = (scaling.epsilon1 if user == 1 else 1.0) * scaling.omega2
-    return _leading_coeff(m_u / omega, tau_u) * x**tau_u
-
-
-def _clamp(p: float) -> float:
-    return min(max(p, 0.0), 1.0)
 
 
 def _combined_complement(
@@ -130,9 +115,8 @@ def _combined_complement(
     """Leading-order P(outage | n) when n relays combine, floor term first;
     with quad None, the floor term alone."""
     links = params.links
-    rho1 = params.P_R / (n * params.sigma2)
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho1)
-    a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
+    consts = combining_constants(params, alpha1, alpha2, n)
+    a, b, c, d, q, r = consts.a, consts.b, consts.c, consts.d, consts.v, consts.u
     floor = float(mrc_sum_survival(links.relay_eaves, n, a)) if include_floor else 0.0
     if quad is None:
         return floor
@@ -142,8 +126,6 @@ def _combined_complement(
     phi1 = _leading_coeff(links.relay_user1.rate, tau_u)
     phi2 = _leading_coeff(links.relay_user2.rate, tau_u)
     beta_e = math.exp(tau_e * math.log(lam_e) - math.lgamma(tau_e))
-    r = alpha2 / (c * d)
-    q = e / d
     theta1 = params.theta1
     gammas = _lower_incomplete_gammas(tau_e, tau_e + tau_u, lam_e * a)
     t1 = sum(
@@ -176,8 +158,7 @@ def _jammed_complement(
     """Leading-order per-relay outage probability 1 - delta4, floor term
     first; with quad None, the floor term alone."""
     links = params.links
-    rho3 = (1.0 - policy.alphaJ) * params.rho2
-    rho4 = policy.alphaJ * params.rho2
+    rho3, rho4 = jamming_split(policy.alphaJ, params.rho2)
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
     p_e = links.relay_eaves
     ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
@@ -189,7 +170,6 @@ def _jammed_complement(
     lam_e = p_e.rate
     phi3 = _leading_coeff(links.relay_user1.rate, m_u)
     phi4 = _leading_coeff(links.relay_user2.rate, m_u)
-    phi0 = count * lam_e**p_e.m / math.factorial(p_e.m - 1)
     # r_screen plays the same role as h_screen in the no-jamming cases: the
     # exact kernel's exp(-r/(1-vy)) survives here to keep the y -> 1/v
     # endpoint integrable; it tends to 1 pointwise as omega2 grows.
@@ -214,6 +194,7 @@ def _jammed_complement(
         log_scale = -lam_e * y - r_screen / one_minus_vy + shift
         return log_scale, convolve_series(user, jammed_ratio_pdf_rows(p_e, count, rho4, y))
 
+    phi0 = jammed_table(p_e, count, rho4).phi0
     return floor + phi0 * series_integral(1.0 / v, v, lam_e, m_u + 1, m_u + p_e.m, integrand, quad)
 
 
@@ -234,9 +215,11 @@ def _conditional(
     alpha1, alpha2 = policy.resolve(params.links)
     return scheme.conditional(
         params.K,
-        combined=lambda n: _clamp(_combined_complement(params, alpha1, alpha2, n, quad, include_floor)),
-        single=lambda: _clamp(_combined_complement(params, alpha1, alpha2, 1, quad, include_floor)),
-        jammed=lambda n: _clamp(_jammed_complement(params, policy, alpha1, alpha2, n, quad, include_floor)),
+        combined=lambda n: clamp_probability(_combined_complement(params, alpha1, alpha2, n, quad, include_floor)),
+        single=lambda: clamp_probability(_combined_complement(params, alpha1, alpha2, 1, quad, include_floor)),
+        jammed=lambda n: clamp_probability(
+            _jammed_complement(params, policy, alpha1, alpha2, n, quad, include_floor)
+        ),
     )
 
 
@@ -270,7 +253,7 @@ def sop_asym_total(
     for n in range(scaled.K + 1):
         weight = math.comb(scaled.K, n) * (phi_r * eta**m_r) ** (scaled.K - n)
         total += weight * cond(n)
-    return _clamp(total)
+    return clamp_probability(total)
 
 
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
@@ -301,7 +284,7 @@ class SdoInputs:
     def __post_init__(self) -> None:
         for name in ("K", "m_r", "m_u"):
             val = getattr(self, name)
-            if int(val) != val or val < 1:
+            if not _is_count(val):
                 raise ValueError(f"{name} must be a positive integer, got {val!r}")
         if self.varpi is not None and not 0 < self.varpi < 1:
             raise ValueError(f"varpi must lie in (0,1), got {self.varpi!r}")

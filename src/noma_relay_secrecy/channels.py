@@ -5,10 +5,11 @@ CDF/PDF have finite-series forms. This module provides the single-link and
 MRC-sum distributions, inverse-CDF sampling, and the distributions that
 arise when the strongest of several gains feeds an interference ratio
 G/(1 + rho*H): the max-gain PDF via a multinomial expansion and the
-closed-form PDF/CDF of the ratio itself. The ratio law's terms and arrays
-(`jammed_table`) are built once per (link, count, rho4), since they do not
-depend on where the law is evaluated, and every density and survival call
-reads them.
+closed-form PDF/CDF of the ratio itself. The ratio law's front phi0, terms
+and arrays (`jammed_table`) are built once per (link, count, rho4), since
+they do not depend on where the law is evaluated; every density and survival
+call, and both engines, read them. Every scenario record's numbers must be
+finite and its counts whole (`_check_finite`, `_is_count`).
 """
 from __future__ import annotations
 
@@ -20,6 +21,19 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 
+def _is_count(val, low: int = 1) -> bool:
+    """True for a finite whole number >= low that is not a bool."""
+    return not isinstance(val, bool) and math.isfinite(val) and int(val) == val and val >= low
+
+
+def _check_finite(record, names) -> None:
+    """Reject a non-finite number in the named fields of a record; None (unused) passes."""
+    for name in names:
+        val = getattr(record, name)
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val!r}")
+
+
 @dataclass(frozen=True)
 class NakagamiParams:
     """Nakagami-m power gain: Gamma with integer shape m and mean omega."""
@@ -28,9 +42,10 @@ class NakagamiParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.m, bool) or int(self.m) != self.m or self.m < 1:
+        if not _is_count(self.m):
             raise ValueError(f"shape m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
+        _check_finite(self, ("omega",))
         if not self.omega > 0:
             raise ValueError(f"mean power omega must be positive, got {self.omega!r}")
 
@@ -140,11 +155,6 @@ def mrc_sum_survival(p: NakagamiParams, n: int, x):
     return gain_survival(_mrc_params(p, n), x)
 
 
-def mrc_sum_pdf(p: NakagamiParams, n: int, x):
-    """PDF of the sum of n i.i.d. gains."""
-    return gain_pdf(_mrc_params(p, n), x)
-
-
 def sample_gain(p: NakagamiParams, rng: np.random.Generator, size=None):
     """Draw gains as a sum of m inverse-CDF exponentials of mean omega/m.
 
@@ -223,11 +233,10 @@ def max_gain_pdf(p: NakagamiParams, count: int, z):
     if np.any(z < 0):
         raise ValueError("z must be nonnegative")
     lam = p.rate
-    front = count * lam**p.m / math.factorial(p.m - 1)
     acc = np.zeros_like(z)
     for t in enumerate_multinomial_terms(p.m, count):
         acc = acc + t.a_value(lam) * np.power(z, t.B + p.m - 1) * np.exp(-t.C * lam * z)
-    return _as_given(z, front * acc)
+    return _as_given(z, jammed_table(p, count, 0.0).phi0 * acc)
 
 
 @dataclass(frozen=True)
@@ -249,14 +258,17 @@ class JammedTerm:
 class JammedTable(NamedTuple):
     """The y-free structure of the Y = G/(1 + rho4*H) law for one (link, count, rho4).
 
-    `terms` lists the law's triple-sum terms. The arrays index the terms
-    stably sorted by k, so the terms of each k form one slice (`bounds`) in
-    their original order: `up`, `at` and `down` pick y^{k+1}, y^k and y^{k-1}
-    (clipped at 0) from the powers of y, `ck`, `big_d` and `delta` are each
-    term's C*k, D and delta, and `which` is its row among the distinct
-    (C, varsigma+1) denominators `shared`.
+    `phi0` = count*lambda^m/(m-1)! is the front of the density of H, the max
+    of `count` gains, and so of the law's density and survival, whose
+    triple-sum terms `terms` lists. The arrays index the terms stably sorted
+    by k, so the terms of each k form one slice (`bounds`) in their original
+    order: `up`, `at` and `down` pick y^{k+1}, y^k and y^{k-1} (clipped at 0)
+    from the powers of y, `ck`, `big_d` and `delta` are each term's C*k, D
+    and delta, and `which` is its row among the distinct (C, varsigma+1)
+    denominators `shared`.
     """
 
+    phi0: float
     terms: tuple[JammedTerm, ...]
     up: np.ndarray
     at: np.ndarray
@@ -308,7 +320,8 @@ def jammed_table(p_e: NakagamiParams, count: int, rho4: float) -> JammedTable:
     for arr in arrays:
         arr.setflags(write=False)
     bounds = np.searchsorted(k, np.arange(m_e + 1)).tolist()
-    return JammedTable(tuple(terms), *arrays, tuple(zip(bounds[:-1], bounds[1:])))
+    phi0 = count * lam**m_e / math.factorial(m_e - 1)
+    return JammedTable(phi0, tuple(terms), *arrays, tuple(zip(bounds[:-1], bounds[1:])))
 
 
 def jammed_ratio_terms(p_e: NakagamiParams, count: int, rho4: float) -> tuple[JammedTerm, ...]:
@@ -323,12 +336,11 @@ def jammed_ratio_survival(p_e: NakagamiParams, count: int, rho4: float, y):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("y must be nonnegative")
-    lam = p_e.rate
-    phi0 = count * lam**p_e.m / math.factorial(p_e.m - 1)
+    tab = jammed_table(p_e, count, rho4)
     acc = np.zeros_like(y)
-    for t in jammed_table(p_e, count, rho4).terms:
+    for t in tab.terms:
         acc = acc + t.delta * np.power(y, t.k) / np.power(t.C + rho4 * y, t.varsigma)
-    return _as_given(y, phi0 * np.exp(-lam * y) * acc)
+    return _as_given(y, tab.phi0 * np.exp(-p_e.rate * y) * acc)
 
 
 def jammed_ratio_cdf(p_e: NakagamiParams, count: int, rho4: float, y):
@@ -365,7 +377,5 @@ def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("y must be nonnegative")
-    lam = p_e.rate
-    phi0 = count * lam**p_e.m / math.factorial(p_e.m - 1)
     acc = jammed_ratio_pdf_rows(p_e, count, rho4, y).sum(axis=0)
-    return _as_given(y, phi0 * np.exp(-lam * y) * acc)
+    return _as_given(y, jammed_table(p_e, count, rho4).phi0 * np.exp(-p_e.rate * y) * acc)

@@ -43,8 +43,11 @@ class ConfigError(ValueError):
     """A config file problem: missing key, bad type, or out-of-domain value."""
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _db_to_linear(db: float, key: str) -> float:
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{key} overflows a float in linear scale, got {db!r}") from None
 
 
 def _require_number(raw: dict, key: str) -> float:
@@ -96,29 +99,27 @@ def load_config(path: str) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"missing config key: {key}")
 
-    k = _require_positive_int(raw, "K")
-    m_r = _require_positive_int(raw, "mR")
-    m_u = _require_positive_int(raw, "mU")
-    m_e = _require_positive_int(raw, "mE")
-    p_lin = _db_to_linear(_require_number(raw, "P_dB"))
-    rates = {key: _require_number(raw, key) for key in ("R1_th", "R2_th", "R1_s", "R2_s")}
-    omegas = [_db_to_linear(_require_number(raw, key))
-              for key in ("omegaR_dB", "omega1_dB", "omega2_dB", "omegaE_dB")]
-    # The scenario classes check their own values; what they reject is the config's error.
+    # What the scenario classes reject, or a JSON integer past float range, is the config's error.
     try:
+        k = _require_positive_int(raw, "K")
+        m_r = _require_positive_int(raw, "mR")
+        m_u = _require_positive_int(raw, "mU")
+        m_e = _require_positive_int(raw, "mE")
+        p_lin = _db_to_linear(_require_number(raw, "P_dB"), "P_dB")
+        rates = {key: _require_number(raw, key) for key in ("R1_th", "R2_th", "R1_s", "R2_s")}
+        omegas = [_db_to_linear(_require_number(raw, key), key)
+                  for key in ("omegaR_dB", "omega1_dB", "omega2_dB", "omegaE_dB")]
         links = LinkSet(*(NakagamiParams(m, omega) for m, omega in zip((m_r, m_u, m_u, m_e), omegas)))
         sigma2 = float(raw.get("sigma2", 1.0))
         params = SystemParams(K=k, links=links, P_S=p_lin, P_R=p_lin, sigma2=sigma2, **rates)
         policy = _parse_policy(raw)
         mc = TrialConfig(trials=raw.get("trials", 1_000_000), seed=raw.get("seed", 42))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        sweep_var, sweep_values = _parse_sweep(raw.get("sweep"), policy)
+    except (TypeError, ValueError, OverflowError) as exc:  # a ConfigError keeps its message
         raise ConfigError(str(exc)) from exc
 
     schemes = _parse_schemes(raw.get("scheme", [s.value for s in SchemeKind]))
     engines = _parse_engines(raw.get("engine", ["analytic"]))
-    sweep_var, sweep_values = _parse_sweep(raw.get("sweep"), policy)
     quad_n = raw.get("quad_n", 300)
     if isinstance(quad_n, bool) or not isinstance(quad_n, int) or quad_n < 2:
         raise ConfigError(f"quad_n must be an integer >= 2, got {quad_n!r}")
@@ -126,10 +127,17 @@ def load_config(path: str) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a string path, got {out!r}")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         params=params, policy=policy, schemes=schemes, engines=engines,
         sweep_var=sweep_var, sweep_values=sweep_values, mc=mc, quad_n=quad_n, out=out,
     )
+    # Each sweep point is built as `run_sweep` builds it, so the scenario classes check its values.
+    for value in sweep_values:
+        try:
+            _point_scenario(cfg, value)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def _parse_policy(raw: dict) -> PowerPolicy:
@@ -178,29 +186,12 @@ def _parse_sweep(block, policy: PowerPolicy) -> tuple[str | None, tuple[float, .
     values = block["values"]
     if not isinstance(values, list):
         raise ConfigError("sweep.values must be a list")
-    checked = []
     for val in values:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"sweep value must be a number, got {val!r}")
         if var == "alpha1" and policy.is_dynamic:
             raise ConfigError("sweep.var alpha1 requires a fixed power allocation")
-        if var in ("alpha1", "alphaJ"):
-            # built as `_point_scenario` builds it, so PowerPolicy's own check and message apply
-            try:
-                _sweep_policy(policy, var, float(val))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        elif var in ("K", "m") and (int(val) != val or val < 1):
-            raise ConfigError(f"{var} must be a positive integer, got {val!r}")
-        checked.append(float(val))
-    return var, tuple(checked)
-
-
-def _sweep_policy(policy: PowerPolicy, var: str, value: float) -> PowerPolicy:
-    """The power policy at one point of an alpha1 or alphaJ sweep."""
-    if var == "alpha1":
-        return PowerPolicy.fixed(value, alphaJ=policy.alphaJ)
-    return dataclasses.replace(policy, alphaJ=value)
+    return var, tuple(float(val) for val in values)
 
 
 def _point_scenario(cfg: ExperimentConfig, value: float | None) -> tuple[SystemParams, PowerPolicy]:
@@ -210,19 +201,22 @@ def _point_scenario(cfg: ExperimentConfig, value: float | None) -> tuple[SystemP
         return params, policy
     var = cfg.sweep_var
     if var == "P_dB":
-        p_lin = _db_to_linear(value)
+        p_lin = _db_to_linear(value, var)
         return dataclasses.replace(params, P_S=p_lin, P_R=p_lin), policy
     if var == "omega2_dB":
         eps1, eps2, _ = params.links.frame
-        links = params.links.on_frame(eps1, eps2, _db_to_linear(value))
+        links = params.links.on_frame(eps1, eps2, _db_to_linear(value, var))
         return dataclasses.replace(params, links=links), policy
-    if var in ("alpha1", "alphaJ"):
-        return params, _sweep_policy(policy, var, value)
+    if var == "alpha1":
+        return params, PowerPolicy.fixed(value, alphaJ=policy.alphaJ)
+    if var == "alphaJ":
+        return params, dataclasses.replace(policy, alphaJ=value)
+    # K and m go in as given, so the scenario classes reject a fractional count
     if var == "K":
-        return dataclasses.replace(params, K=int(value)), policy
+        return dataclasses.replace(params, K=value), policy
     links = params.links
     shapes = (links.source_relay, links.relay_user1, links.relay_user2, links.relay_eaves)
-    moved = LinkSet(*(NakagamiParams(int(value), link.omega) for link in shapes))
+    moved = LinkSet(*(NakagamiParams(value, link.omega) for link in shapes))
     return dataclasses.replace(params, links=moved), policy
 
 
@@ -261,13 +255,7 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
                         scaling = AsymptoticScaling(*params.links.frame)
                         row["sop"] = sop_asym_total(params, policy, scheme, scaling, quadrature(cfg.quad_n))
                         if policy.is_dynamic:
-                            inputs = SdoInputs(
-                                K=params.K,
-                                m_r=params.links.source_relay.m,
-                                m_u=params.links.m_u,
-                                varpi=policy.varpi,
-                            )
-                            row["sdo"] = sdo(scheme, inputs)
+                            row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
                 except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
                     row["error"] = str(exc)
                 rows.append(row)
@@ -353,13 +341,13 @@ def validate(cfg: ExperimentConfig) -> tuple[bool, list[str]]:
     return passed, lines
 
 
+def _sdo_inputs(params: SystemParams, policy: PowerPolicy) -> SdoInputs:
+    """A scenario's diversity-order inputs; varpi is None under a fixed split."""
+    return SdoInputs(K=params.K, m_r=params.links.source_relay.m, m_u=params.links.m_u, varpi=policy.varpi)
+
+
 def _run_sdo(cfg: ExperimentConfig, out: str | None) -> None:
-    inputs = SdoInputs(
-        K=cfg.params.K,
-        m_r=cfg.params.links.source_relay.m,
-        m_u=cfg.params.links.m_u,
-        varpi=cfg.policy.varpi if cfg.policy.is_dynamic else None,
-    )
+    inputs = _sdo_inputs(cfg.params, cfg.policy)
     lines = [("scheme", "sdo")] + [(s.value, format(sdo(s, inputs), "g")) for s in cfg.schemes]
     text = "\n".join(",".join(line) for line in lines) + "\n"
     if out is None:

@@ -9,7 +9,8 @@ how chunks are scheduled.
 Layout. A chunk's gains are drawn trial-major, shape (trials, K), so the
 uniform stream is read in trial order, and stored relay-major, shape
 (K, trials): every reduction over relays then combines whole contiguous rows
-instead of striding across K-element rows. The verdict kernel walks a chunk
+instead of striding across K-element rows, and a combining sum adds the
+relays' rows in relay order. The verdict kernel walks a chunk
 in blocks of `_BLOCK_ELEMENTS // K` trials, so the temporaries of one block
 stay in cache.
 
@@ -19,7 +20,8 @@ therefore draws each chunk once for every scenario and scheme it is given
 (common random numbers), which makes differences between schemes, powers
 and splits paired. Inside a block, the decoding set is formed once per
 scenario, `osrs` and `tsrs` share one set of threshold checks, and scenarios
-with the same constants share one verdict.
+with the same constants share one verdict. The jamming split of the relay
+SNR is `params.jamming_split`, the one the closed forms use.
 
 All threshold checks are done in cross-multiplied form, 1 + leg SNR against
 theta * (1 + tap SNR), e.g. the user-2 check reads
@@ -37,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import sample_gain
-from .params import PowerPolicy, SchemeKind, SystemParams, Transmission
+from .channels import _is_count, sample_gain
+from .params import PowerPolicy, SchemeKind, SystemParams, Transmission, jamming_split
 
 OUTCOME_LABELS = ("secure", "u1", "u2", "both", "no_relay")
 _SECURE, _U1, _U2, _BOTH, _NO_RELAY = range(5)
@@ -61,7 +63,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         for name, low in (("trials", 1), ("chunk", 1), ("seed", 0)):
             val = getattr(self, name)
-            if isinstance(val, bool) or int(val) != val or val < low:
+            if not _is_count(val, low):
                 kind = "positive" if low else "nonnegative"
                 raise ValueError(f"{name} must be a {kind} integer, got {val!r}")
             object.__setattr__(self, name, int(val))
@@ -97,27 +99,6 @@ def _verdict(scheme: SchemeKind, policy: PowerPolicy) -> tuple[Transmission, boo
     """What, besides the rule, tells one scheme's verdicts apart: its record,
     and alphaJ when it jams. Schemes with one record share one verdict."""
     return scheme.sends, scheme.two_step, policy.alphaJ if scheme.sends is Transmission.JAMMED else None
-
-
-def _relay_sum(x: np.ndarray) -> np.ndarray:
-    """Column sums of a relay-major (K, trials) array, added in the order numpy's
-    row sum of the trial-major copy uses: in sequence for K < 8, otherwise in
-    eight lanes of every 8th relay, combined pairwise, then the rest in sequence.
-    """
-    k = x.shape[0]
-    if k < 8:
-        total = x[0].copy()
-        for row in x[1:]:
-            total += row
-        return total
-    full = k - k % 8
-    lane = x[:8].copy()
-    for start in range(8, full, 8):
-        lane += x[start:start + 8]
-    total = ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]))
-    for row in x[full:]:
-        total += row
-    return total
 
 
 def _first_argmax(key: np.ndarray) -> np.ndarray:
@@ -209,15 +190,14 @@ def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
     for (sends, two_step, alpha_j), codes in out.items():
         if sends is Transmission.COMBINED:
             rho1 = rule.rho2 / np.maximum(n, 1)
-            sums = (_relay_sum(np.where(dec, g, 0.0)) for g in (g_1, g_2, g_e))
+            sums = (np.where(dec, g, 0.0).sum(axis=0) for g in (g_1, g_2, g_e))
             lhs1, rhs1, lhs2, rhs2 = _pair_checks(rule, rho1, *sums)
             codes[live] = ((~(lhs1 >= rhs1)) + 2 * (~(lhs2 >= rhs2)))[live]
             continue
         if sends is Transmission.JAMMED:
             # The strongest idle relay's eavesdropper link jams; with every
             # relay decoding there is none, and the full power goes to data.
-            rho3 = (1.0 - alpha_j) * rule.rho2
-            rho4 = alpha_j * rule.rho2
+            rho3, rho4 = jamming_split(alpha_j, rule.rho2)
             h_e = np.where(n < k, np.where(dec, -np.inf, g_e).max(axis=0), 0.0)
             rho = np.where(n == k, rule.rho2, rho3)
             selection = _Selection(rule, rho, dec, live, g_1, g_2, g_e / (1.0 + rho4 * h_e))

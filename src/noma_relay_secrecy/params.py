@@ -3,9 +3,10 @@
 Holds the relay-network parameters, the power-allocation policy (fixed split
 or the gain-driven dynamic rule), the scheme record every engine reads (how a
 decoding set transmits and how an outage is blamed on a user), the threshold
-constants, and the result record every engine returns. All rates are in nats per channel use;
-capacities carry the 1/2 pre-log of the two-slot protocol, so a secrecy rate
-R maps to the threshold theta = exp(2R).
+constants, and the result record every engine returns. Values that several engines
+derive are defined here once: `jamming_split`, `combining_constants`, `clamp_probability`.
+All rates are in nats per channel use; capacities carry the 1/2 pre-log of
+the two-slot protocol, so a secrecy rate R maps to the threshold theta = exp(2R).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .channels import NakagamiParams
+from .channels import NakagamiParams, _check_finite, _is_count
 
 
 class Transmission(Enum):
@@ -150,9 +151,10 @@ class SystemParams:
     R2_s: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.K, bool) or int(self.K) != self.K or self.K < 1:
+        if not _is_count(self.K):
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         object.__setattr__(self, "K", int(self.K))
+        _check_finite(self, ("P_S", "P_R", "sigma2", "R1_th", "R2_th", "R1_s", "R2_s"))
         for name in ("P_S", "P_R", "sigma2", "R1_s", "R2_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -184,28 +186,6 @@ class SystemParams:
         return (math.exp(2.0 * (self.R1_th + self.R2_th)) - 1.0) / self.rho_s
 
 
-def _check_dpa(mu: float, varpi: float) -> None:
-    if not mu > 1:
-        raise ValueError(f"mu must exceed 1, got {mu!r}")
-    if not 0 < varpi < 1:
-        raise ValueError(f"varpi must lie in (0,1), got {varpi!r}")
-
-
-def dpa_coefficients(mu: float, varpi: float, lambda2: float) -> tuple[float, float]:
-    """Dynamic power split driven by the weak user's channel rate lambda2.
-
-    alpha1 = 1/(1 + mu*lambda2^-varpi), alpha2 = 1 - alpha1; the ratio
-    alpha2/alpha1 = mu*lambda2^-varpi vanishes as the channel improves,
-    which is what lifts the outage floor.
-    """
-    _check_dpa(mu, varpi)
-    if not lambda2 > 0:
-        raise ValueError(f"lambda2 must be positive, got {lambda2!r}")
-    ratio = mu * lambda2 ** (-varpi)
-    alpha1 = 1.0 / (1.0 + ratio)
-    return alpha1, 1.0 - alpha1
-
-
 @dataclass(frozen=True)
 class PowerPolicy:
     """Fixed power split (alpha1 given) or dynamic split (mu, varpi given).
@@ -226,10 +206,14 @@ class PowerPolicy:
             raise ValueError("give either alpha1 (fixed) or mu+varpi (dynamic)")
         if fixed and not 0 < self.alpha1 < 1:
             raise ValueError(f"alpha1 must lie in (0,1), got {self.alpha1!r}")
+        _check_finite(self, ("alpha1", "mu", "varpi", "alphaJ"))
         if dynamic:
             if self.mu is None or self.varpi is None:
                 raise ValueError("dynamic policy needs both mu and varpi")
-            _check_dpa(self.mu, self.varpi)
+            if not self.mu > 1:
+                raise ValueError(f"mu must exceed 1, got {self.mu!r}")
+            if not 0 < self.varpi < 1:
+                raise ValueError(f"varpi must lie in (0,1), got {self.varpi!r}")
         if not 0 <= self.alphaJ < 1:
             raise ValueError(f"alphaJ must be in [0,1), got {self.alphaJ!r}")
 
@@ -246,10 +230,19 @@ class PowerPolicy:
         return self.alpha1 is None
 
     def resolve(self, links: LinkSet) -> tuple[float, float]:
-        """The (alpha1, alpha2) pair in force for the given links."""
+        """The (alpha1, alpha2) pair in force for the given links. The dynamic split is
+        alpha1 = 1/(1 + mu*lambda2^-varpi) at the weak user's rate lambda2; alpha2/alpha1
+        vanishes as the channel improves, which is what lifts the outage floor."""
         if self.alpha1 is not None:
             return self.alpha1, 1.0 - self.alpha1
-        return dpa_coefficients(self.mu, self.varpi, links.relay_user2.rate)
+        alpha1 = 1.0 / (1.0 + self.mu * links.relay_user2.rate ** (-self.varpi))
+        return alpha1, 1.0 - alpha1
+
+
+def jamming_split(alpha_j: float, rho2: float) -> tuple[float, float]:
+    """(rho3, rho4): the data relay's and the jamming relay's SNR when a
+    fraction alpha_j of the relay SNR rho2 goes to jamming."""
+    return (1.0 - alpha_j) * rho2, alpha_j * rho2
 
 
 def feasibility_check(params: SystemParams, policy: PowerPolicy) -> str | None:
@@ -302,6 +295,16 @@ def scheme_constants(theta1: float, theta2: float, alpha1: float, alpha2: float,
     d = alpha1 * rho * margin
     e = rho**2 * alpha1**2 * alpha2 * theta2
     return SchemeConstants(a=a, b=b, c=c, d=d, e=e, ell=b, w=c, u=alpha2 / (d * c), v=e / d)
+
+
+def combining_constants(params: SystemParams, alpha1: float, alpha2: float, n: int) -> SchemeConstants:
+    """The threshold constants when n relays combine, each sending at P_R/n."""
+    return scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
+
+
+def clamp_probability(p: float) -> float:
+    """p clipped to [0, 1]: the one place an engine's rounding past either end is cut."""
+    return min(max(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,8 @@ from noma_relay_secrecy import (
 )
 from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy.asymptotic import (
+    _leading_coeff,
     _lower_incomplete_gammas,
-    asym_gain_cdf,
-    lower_incomplete_gamma,
     sop_asym_cond,
     sop_floor_cond,
 )
@@ -35,6 +34,11 @@ from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival, mr
 from noma_relay_secrecy.params import scheme_constants
 
 QUAD = quadrature(300)
+
+
+def _gamma_at(s: int, x: float) -> float:
+    """The lower incomplete gamma at one shape, from a one-shape pass."""
+    return _lower_incomplete_gammas(s, s, x)[0]
 
 
 def _fig_params(K: int, P_dB: float, omegaE_dB: float):
@@ -74,35 +78,42 @@ def test_lower_incomplete_gamma_matches_scipy():
     for s in (1, 2, 4, 7):
         for x in (0.1, 1.0, 4.0, 20.0):
             ref = float(special.gammainc(s, x)) * math.gamma(s)
-            assert lower_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-12)
-    with pytest.raises(ValueError):
-        lower_incomplete_gamma(0, 1.0)
+            assert _gamma_at(s, x) == pytest.approx(ref, rel=1e-12)
+            # every shape of a multi-shape pass, not only the last
+            assert _lower_incomplete_gammas(1, 7, x)[s - 1] == pytest.approx(ref, rel=1e-12)
 
 
 def test_one_pass_gammas_equal_per_shape_calls():
     # the combined complement's t1 takes every shape tau_e..tau_e+tau_u from
-    # one running pass; each must equal its own lower_incomplete_gamma call,
+    # one running pass; each must equal a pass that stops at its shape,
     # log-space branch (x > 700) included
     for s0, s1 in ((1, 1), (2, 4), (3, 9), (6, 18)):
         for x in (0.0, 1e-9, 0.3, 4.0, 25.0, 699.0, 700.0, 700.5, 1200.0):
             got = _lower_incomplete_gammas(s0, s1, x)
-            assert got == [lower_incomplete_gamma(s, x) for s in range(s0, s1 + 1)]
+            assert got == [_gamma_at(s, x) for s in range(s0, s1 + 1)]
             assert all(type(g) is float for g in got)
 
 
 def test_asym_gain_cdf_leading_order():
+    # the engines' leading-order CDF phi * x^tau of a combined user gain
     params = grid_params()
     scaling = AsymptoticScaling(1.5, 1.0, 100.0)
     scaled = scaled_params(params, scaling)
     x = 0.1  # 1e-3 * omega2
-    for user, link in ((1, scaled.links.relay_user1), (2, scaled.links.relay_user2)):
+    m_u = params.links.m_u
+
+    def leading_cdf(link, n):
+        return _leading_coeff(link.rate, n * m_u) * x ** (n * m_u)
+
+    user1, user2 = scaled.links.relay_user1, scaled.links.relay_user2
+    for link in (user1, user2):
         for n in (1, 2):
             exact = mrc_sum_cdf(link, n, x)
-            approx = asym_gain_cdf(params, scaling, user, n, x)
+            approx = leading_cdf(link, n)
             assert approx / exact == pytest.approx(1.0, abs=0.01)
     # the two users differ only through epsilon1^{-tau}
-    tau = 2 * params.links.m_u
-    ratio = asym_gain_cdf(params, scaling, 1, 2, x) / asym_gain_cdf(params, scaling, 2, 2, x)
+    tau = 2 * m_u
+    ratio = leading_cdf(user1, 2) / leading_cdf(user2, 2)
     assert ratio == pytest.approx(1.5 ** (-tau), rel=1e-12)
 
 
@@ -111,10 +122,10 @@ def test_strong_user_series_collapses_at_unit_threshold():
     tau, tau_e, lam, x = 4, 2, 0.8, 1.7
     b = 1e-12
     total = sum(
-        math.comb(tau, k) * b ** (tau - k) * lower_incomplete_gamma(k + tau_e, x) / lam ** (k + tau_e)
+        math.comb(tau, k) * b ** (tau - k) * _gamma_at(k + tau_e, x) / lam ** (k + tau_e)
         for k in range(tau + 1)
     )
-    top = lower_incomplete_gamma(tau + tau_e, x) / lam ** (tau + tau_e)
+    top = _gamma_at(tau + tau_e, x) / lam ** (tau + tau_e)
     assert total == pytest.approx(top, rel=1e-6)
 
 

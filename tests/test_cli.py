@@ -284,6 +284,41 @@ def test_exit_codes(tmp_path, capsys):
     assert rows and rows[0]["error"] != ""
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # JSON allows Infinity and NaN; they once wrote sop = nan rows with exit 0
+        (_base_config(R1_th=math.inf), "R1_th must be finite, got inf"),
+        (_base_config(R1_s=math.inf), "R1_s must be finite, got inf"),
+        (_base_config(R2_s=math.nan), "R2_s must be finite, got nan"),
+        (_base_config(omegaE_dB=math.inf), "omega must be finite, got inf"),
+        (_base_config(sigma2=math.inf), "sigma2 must be finite, got inf"),
+        (_base_config(trials=math.inf), "trials must be a positive integer, got inf"),
+        (_dpa_config(mu=math.inf, varpi=0.1), "mu must be finite, got inf"),
+        # 10^(4000/10) overflows: once an uncaught OverflowError
+        (_base_config(P_dB=4000), "P_dB overflows a float in linear scale, got 4000.0"),
+        # a JSON integer past float range: once an uncaught OverflowError too
+        (_base_config(P_dB=10**400), "int too large to convert to float"),
+        (_base_config(K=10**400), "int too large to convert to float"),
+        # sweep points are built at load, so a bad value fails before any row
+        (_base_config(sweep={"var": "P_dB", "values": [10, 4000]}),
+         "P_dB overflows a float in linear scale, got 4000.0"),
+        (_base_config(sweep={"var": "P_dB", "values": [10, math.inf]}), "P_S must be finite, got inf"),
+        (_base_config(sweep={"var": "omega2_dB", "values": [4000]}),
+         "omega2_dB overflows a float in linear scale, got 4000.0"),
+        (_base_config(sweep={"var": "K", "values": [2, 2.5]}), "K must be a positive integer, got 2.5"),
+        (_base_config(sweep={"var": "m", "values": [2.5]}), "shape m must be a positive integer, got 2.5"),
+        (_base_config(sweep={"var": "K", "values": [math.inf]}), "K must be a positive integer, got inf"),
+        (_base_config(sweep={"var": "K", "values": [10**400]}), "int too large to convert to float"),
+    ],
+)
+def test_non_finite_and_overflowing_numbers_are_config_errors(tmp_path, capsys, raw, message):
+    assert main(["analytic", _write(tmp_path, raw)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 def test_simulate_csv_is_deterministic(tmp_path):
     raw = _base_config(scheme=["osrs", "odrs"], trials=50_000)
     path = _write(tmp_path, raw)
@@ -375,3 +410,27 @@ def test_high_gain_csv_matches_golden(tmp_path):
     out = tmp_path / "high_gain.csv"
     write_rows(rows, str(out))
     assert out.read_bytes() == (ROOT / "tests" / "golden" / "high_gain.csv").read_bytes()
+
+
+def test_large_k_simulation_matches_golden(tmp_path):
+    # the only golden with K > 4: combining sums over 8 and 11 relays, in
+    # partial decoding sets (omegaR -10 dB), for all four schemes
+    raw = json.loads((ROOT / "demos" / "configs" / "reference.json").read_text())
+    raw.update(
+        omegaR_dB=-10.0, mR=2, mU=2, mE=2, scheme=["tmrc", "osrs", "tsrs", "odrs"], engine=["montecarlo"],
+        sweep={"var": "K", "values": [8, 11]}, trials=200_000, seed=5,
+    )
+    out = tmp_path / "relay_k8_simulate.csv"
+    assert main(["simulate", _write(tmp_path, raw), "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "relay_k8_simulate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("demo", ["power_sweep", "jamming_split", "diversity_slopes"])
+def test_demo_stdout_matches_golden(demo):
+    # the demo scripts are deterministic; their printed studies are pinned too
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert proc.stdout == (ROOT / "tests" / "golden" / f"demo_{demo}.txt").read_text()

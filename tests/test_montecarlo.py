@@ -22,7 +22,6 @@ from noma_relay_secrecy.montecarlo import (
     OUTCOME_LABELS,
     _chunk_stream,
     _draw_chunk,
-    _relay_sum,
     _scheme_codes,
     paired_verdicts,
 )
@@ -260,14 +259,6 @@ def test_margin_ties_go_to_the_first_relay():
         gains = (np.full(2, 10.0), np.full(2, 0.1), np.array(g_2), np.full(2, 0.05))
         for scheme in (SchemeKind.OSRS, SchemeKind.TSRS):
             assert _one_trial(params, fixed_policy(0.2), scheme, *gains) == label, (scheme, g_2)
-
-
-def test_relay_sum_matches_row_major_sum():
-    rng = np.random.default_rng(5)
-    for K in range(1, 13):
-        rows = rng.random((1000, K)) * 10.0 ** rng.uniform(-3, 3, (1000, K))
-        rows[rng.random(rows.shape) < 0.3] = 0.0
-        assert np.array_equal(_relay_sum(np.ascontiguousarray(rows.T)), rows.sum(axis=1)), K
 
 
 def test_estimate_many_scenarios_equal_separate_calls():

@@ -7,7 +7,7 @@ import pytest
 from conftest import grid_params
 
 from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SystemParams
-from noma_relay_secrecy.params import dpa_coefficients, feasibility_check, scheme_constants
+from noma_relay_secrecy.params import feasibility_check, scheme_constants
 
 
 def test_thresholds_and_eta():
@@ -78,20 +78,27 @@ def test_policy_resolve():
     a1, a2 = PowerPolicy.fixed(0.3).resolve(links)
     assert (a1, a2) == (0.3, 0.7)
     dyn = PowerPolicy.dynamic(5.0, 0.1)
-    assert dyn.resolve(links) == dpa_coefficients(5.0, 0.1, links.relay_user2.rate)
+    alpha1 = 1.0 / (1.0 + 5.0 * links.relay_user2.rate ** (-0.1))
+    assert dyn.resolve(links) == (alpha1, 1.0 - alpha1)
+
+
+def _links_with_mean(omega: float) -> LinkSet:
+    # every link Nakagami-2 of mean omega, so the weak user's rate is 2/omega
+    link = NakagamiParams(2, omega)
+    return LinkSet(source_relay=link, relay_user1=link, relay_user2=link, relay_eaves=link)
 
 
 def test_dpa_coefficients():
-    # mu=5, varpi=0.1, lambda2=1: ratio 5, alpha1 = 1/6
-    a1, a2 = dpa_coefficients(5.0, 0.1, 1.0)
+    # the dynamic split: mu=5, varpi=0.1, lambda2=1: ratio 5, alpha1 = 1/6
+    a1, a2 = PowerPolicy.dynamic(5.0, 0.1).resolve(_links_with_mean(2.0))
     assert a1 == pytest.approx(1.0 / 6.0, rel=1e-15)
     assert a1 + a2 == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ValueError):
-        dpa_coefficients(1.0, 0.1, 1.0)
+        PowerPolicy.dynamic(1.0, 0.1)
     with pytest.raises(ValueError):
-        dpa_coefficients(5.0, 1.0, 1.0)
+        PowerPolicy.dynamic(5.0, 1.0)
     with pytest.raises(ValueError):
-        dpa_coefficients(5.0, 0.1, 0.0)
+        _links_with_mean(math.inf)  # lambda2 = 0: an infinite mean gain is rejected
 
 
 def test_feasibility_boundary():

@@ -20,7 +20,15 @@ from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
 from noma_relay_secrecy.asymptotic import _jammed_complement, _leading_coeff
 from noma_relay_secrecy.channels import jammed_ratio_survival, jammed_ratio_terms
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
-from noma_relay_secrecy.quadrature import _effective_upper, g_kernel, g_kernel_pair, h_kernel, quadrature
+from noma_relay_secrecy.quadrature import (
+    _effective_upper,
+    g_kernel,
+    g_kernel_pair,
+    h_kernel,
+    quadrature,
+    series_integral,
+    series_rows,
+)
 
 QUAD = quadrature(300)
 
@@ -177,6 +185,45 @@ def test_series_keep_each_degrees_domain_cut(m):
         alpha1, alpha2 = policy.resolve(scaled.links)
         args = (scaled, policy, alpha1, alpha2, n, QUAD, True)
         assert_close(_jammed_complement(*args), odrs_complement_per_term(*args))
+
+
+def test_identity_series_rows_keep_each_entry_in_its_row():
+    # with one entry per degree, row d is entry d exactly, as when the
+    # entries come in any other order and are added into zeroed rows
+    rng = np.random.default_rng(3)
+    n = 6
+    log_mag = rng.uniform(-50.0, 50.0, (n, 40))
+    sign = rng.choice([-1.0, 1.0], (n, 40))
+    shift, rows = series_rows(range(n), log_mag, sign, n)
+    for d in range(n):
+        assert np.array_equal(rows[d], sign[d] * np.exp(log_mag[d] - shift)), d
+    order = rng.permutation(n)
+    assert np.array_equal(series_rows(order.tolist(), log_mag[order], sign[order], n)[1], rows)
+
+
+def test_series_integral_gives_each_degree_its_own_cut():
+    # omega_E = -40 dB cuts every degree's domain short at a point that grows
+    # with the degree; degree s must be integrated on the nodes of its own cut
+    params = grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=2)
+    kwargs = joint_args(params, fixed_policy(0.2), 2)
+    a, pole = kwargs["consts"].a, kwargs["consts"].v
+    f = kwargs["lambda1"] * kwargs["theta1"] + kwargs["lambda_e"]
+    degree0, n_degrees = kwargs["tau_e"], 2 * kwargs["tau_u"] - 1
+    cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
+    own_nodes = [QUAD.map_to(cut)[0] for cut in cuts]
+    assert len(set(cuts)) >= 2
+    received = []
+
+    def integrand(x):
+        received.append(x)
+        # row s is 1 on degree s's own nodes and NaN on any others
+        rows = [np.ones_like(x) if np.array_equal(x, own) else np.full_like(x, np.nan) for own in own_nodes]
+        return np.zeros_like(x), np.array(rows)
+
+    total = series_integral(a, pole, f, degree0, n_degrees, integrand, QUAD)
+    assert len(received) == len(set(cuts))
+    assert all(any(np.array_equal(x, own) for own in own_nodes) for x in received)
+    assert total == pytest.approx(sum(cuts), rel=1e-12)  # each degree counted once, over its own cut
 
 
 def combined_pair_args(scaled, policy, n):
