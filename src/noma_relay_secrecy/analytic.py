@@ -4,16 +4,17 @@ The outage mixture runs over the size n of the decoding set (binomial with
 per-relay success chi). Conditioned on n (`sop_cond`), a scheme's relays
 transmit in one of three ways (`SchemeKind.transmission`): all n combine
 (`sop_tmrc_cond`), the best single relay sends (`delta1`), or it sends while
-an idle relay jams (`delta4`); each reduces to integrals of Gamma survival
-series against the eavesdropper-gain density. Written out, that is one
-g-kernel (h-kernel under jamming) integral per series term; here the series
-are summed at each quadrature node instead and integrated once
-(`quadrature.series_integral`), which is the same sum because quadrature is
-linear. Conditioned on the eavesdropper gain x, both users stay secure iff
-x < a, the strong user's gain exceeds b + theta1*x, and the weak user's gain
-exceeds c + alpha2/(d*(1-v*x)), v = e/d; only below the ceiling a = 1/v can
-that hold, which creates the high-SNR outage floor. The constants, the
-jamming split and the clip to [0, 1] come from `params`, as in every engine.
+an idle relay jams (`delta4`). Each is one securing integral of the users'
+Gamma survival series against the eavesdropper's gain law
+(`_joint_secrecy_prob`); only the law changes (`channels.combined_law`,
+`channels.jammed_law`). Written out, that is one g-kernel (h-kernel under
+jamming) integral per series term; here the series are summed at each
+quadrature node and integrated once (`quadrature.series_integral`), the same
+sum because quadrature is linear. Given the eavesdropper gain x, both users
+stay secure iff x < a, the strong user's gain exceeds b + theta1*x, and the
+weak user's exceeds c*(1 + u/(1-v*x)), v = 1/a; only below the ceiling a can
+that hold, which creates the high-SNR outage floor. The constants, the laws,
+the jamming split and the clip to [0, 1] come from `params`, as in every engine.
 """
 from __future__ import annotations
 
@@ -23,10 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of delta4)
+    EavesdropperLaw,
     gain_survival,
-    jammed_ratio_pdf_rows,
     jammed_ratio_terms,
-    jammed_table,
 )
 from .params import (
     PowerPolicy,
@@ -37,8 +37,7 @@ from .params import (
     clamp_probability,
     combining_constants,
     feasibility_check,
-    jamming_split,
-    scheme_constants,
+    jamming_constants,
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
     QuadratureSpec,
@@ -90,40 +89,37 @@ def _user_series(base: np.ndarray, tau_u: int, log_rate: float, alternate: bool)
 
 
 def _joint_secrecy_prob(
-    consts: SchemeConstants,
-    tau_u: int,
-    tau_e: int,
-    lambda1: float,
-    lambda2: float,
-    lambda_e: float,
-    theta1: float,
-    alpha2: float,
-    quad: QuadratureSpec,
+    params: SystemParams, consts: SchemeConstants, alpha2: float, tau_u: int, law: EavesdropperLaw, quad: QuadratureSpec
 ) -> float:
     """P(both users secured) for one transmission with Gamma(tau_u) user links
-    and a Gamma(tau_e) eavesdropper link.
+    when the eavesdropper's gain follows `law`.
 
     Expands the two user survival series under the eavesdropper-gain integral;
-    the (k, j) term is (lambda1*b)^k/k! * (lambda2*c)^j/j! times the g-kernel
-    integrand with powers k, j, whose sign (-1)^j cancels the sign of c^j, so
-    every term is nonnegative. Both series are summed at each node and the
-    integral is taken once (`series_integral`).
+    the (k, j) term is (lambda1*b)^k/k! * (lambda2*c)^j/j! times a g-kernel
+    integrand with powers k, j (times the law's density rows, if it has any),
+    whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
+    summed at each node and the integral is taken once (`series_integral`).
     """
-    a, b, c, d, q, r = consts.a, consts.b, consts.c, consts.d, consts.v, consts.u
-    log_beta_e = tau_e * math.log(lambda_e) - math.lgamma(tau_e)
-    log_front = log_beta_e - lambda1 * b - lambda2 * c
-    h = lambda2 * alpha2 / d
-    f = lambda1 * theta1 + lambda_e
+    links = params.links
+    lambda1, lambda2, theta1 = links.relay_user1.rate, links.relay_user2.rate, params.theta1
+    a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
+    log_front = law.log_front - lambda1 * b - lambda2 * c
+    h = consts.screening(lambda2, alpha2)
+    f = lambda1 * theta1 + law.rate
     c1 = theta1 / b
 
     def integrand(x):
         one_minus_qx = 1.0 - q * x
         shift1, user1 = _user_series(1.0 + c1 * x, tau_u, math.log(lambda1 * b), alternate=False)
         shift2, user2 = _user_series(1.0 + r / one_minus_qx, tau_u, math.log(lambda2 * abs(c)), alternate=True)
-        log_scale = log_front + (tau_e - 1.0) * np.log(x) - f * x - h / one_minus_qx + shift1 + shift2
-        return log_scale, convolve_series(user1, user2)
+        power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
+        log_scale = log_front + power - f * x - h / one_minus_qx + shift1 + shift2
+        series = convolve_series(user1, user2)
+        if law.rows is not None:
+            series = convolve_series(series, law.rows(x))
+        return log_scale, series
 
-    return series_integral(a, q, f, tau_e, 2 * tau_u - 1, integrand, quad)
+    return series_integral(a, q, f, law.degree, 2 * tau_u - 1 + law.n_rows - 1, integrand, quad)
 
 
 def _combined_secure(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -133,18 +129,8 @@ def _combined_secure(params: SystemParams, policy: PowerPolicy, n: int, quad: Qu
     if feasibility_check(params, policy) is not None:
         return 0.0
     alpha1, alpha2 = policy.resolve(params.links)
-    links = params.links
-    return _joint_secrecy_prob(
-        combining_constants(params, alpha1, alpha2, n),
-        tau_u=n * links.m_u,
-        tau_e=n * links.relay_eaves.m,
-        lambda1=links.relay_user1.rate,
-        lambda2=links.relay_user2.rate,
-        lambda_e=links.relay_eaves.rate,
-        theta1=params.theta1,
-        alpha2=alpha2,
-        quad=quad,
-    )
+    consts, law = combining_constants(params, alpha1, alpha2, n)
+    return _joint_secrecy_prob(params, consts, alpha2, n * params.links.m_u, law, quad)
 
 
 def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -164,10 +150,8 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
     """Per-relay securing probability when a non-decoding relay jams the eavesdropper.
 
     Valid for n < K: the strongest of the K-n idle relays' eavesdropper links
-    acts as jamming, so the effective eavesdropper gain is Y = G_E/(1+rho4*H_E)
-    with the closed-form Y-density. The (p, q, term) summand is an h-kernel
-    integrand; the two user series and the density's terms are summed at each
-    node and the integral is taken once (`series_integral`).
+    acts as jamming, so the relay sends at rho3 and the eavesdropper's gain is
+    the jammed ratio G_E/(1+rho4*H_E) (`jammed_law`).
     """
     if n >= params.K:
         raise ValueError("n must be below K: the jamming relay comes from the idle set")
@@ -176,30 +160,8 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
     if feasibility_check(params, policy) is not None:
         return 0.0
     alpha1, alpha2 = policy.resolve(params.links)
-    rho3, rho4 = jamming_split(policy.alphaJ, params.rho2)
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
-    links = params.links
-    m_u = links.m_u
-    lambda1 = links.relay_user1.rate
-    lambda2 = links.relay_user2.rate
-    lambda_e = links.relay_eaves.rate
-    p_e = links.relay_eaves
-    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
-    count = params.K - n
-    f = lambda1 * params.theta1 + lambda_e
-    r = lambda2 * w * u
-    log_front = -lambda1 * ell - lambda2 * w
-
-    def integrand(y):
-        one_minus_vy = 1.0 - v * y
-        shift1, user1 = _user_series(ell + params.theta1 * y, m_u, math.log(lambda1), alternate=False)
-        shift2, user2 = _user_series(1.0 + u / one_minus_vy, m_u, math.log(lambda2 * abs(w)), alternate=True)
-        log_scale = log_front - f * y - r / one_minus_vy + shift1 + shift2
-        jammed = jammed_ratio_pdf_rows(p_e, count, rho4, y)
-        return log_scale, convolve_series(convolve_series(user1, user2), jammed)
-
-    total = series_integral(1.0 / v, v, f, 1, 2 * m_u - 1 + p_e.m - 1, integrand, quad)
-    return clamp_probability(jammed_table(p_e, count, rho4).phi0 * total)
+    consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
+    return clamp_probability(_joint_secrecy_prob(params, consts, alpha2, params.links.m_u, law, quad))
 
 
 def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec):

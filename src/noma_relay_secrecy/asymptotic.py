@@ -21,6 +21,7 @@ Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
 transmit off its `SchemeKind` record, as the exact engine does: combining,
 a single relay, or a jammed one each has a leading-order complement whose
 first term is that ceiling mass, and `sop_floor_cond` keeps that term alone.
+Mass and front come from the exact engine's eavesdropper laws (`channels`).
 
 The combining complement's incomplete gammas all share one argument, so
 they come from one running pass of the survival series, and its two
@@ -39,11 +40,7 @@ import numpy as np
 from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _jammed_complement)
     _is_count,
     _survival_prefixes,
-    jammed_ratio_pdf_rows,
-    jammed_ratio_survival,
     jammed_ratio_terms,
-    jammed_table,
-    mrc_sum_survival,
 )
 from .params import (
     PowerPolicy,
@@ -53,8 +50,7 @@ from .params import (
     clamp_probability,
     combining_constants,
     feasibility_check,
-    jamming_split,
-    scheme_constants,
+    jamming_constants,
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of the complements)
     QuadratureSpec,
@@ -115,28 +111,26 @@ def _combined_complement(
     """Leading-order P(outage | n) when n relays combine, floor term first;
     with quad None, the floor term alone."""
     links = params.links
-    consts = combining_constants(params, alpha1, alpha2, n)
-    a, b, c, d, q, r = consts.a, consts.b, consts.c, consts.d, consts.v, consts.u
-    floor = float(mrc_sum_survival(links.relay_eaves, n, a)) if include_floor else 0.0
+    consts, law = combining_constants(params, alpha1, alpha2, n)
+    a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
+    floor = float(law.survival(a)) if include_floor else 0.0
     if quad is None:
         return floor
     tau_u = n * links.m_u
-    tau_e = n * links.relay_eaves.m
-    lam_e = links.relay_eaves.rate
+    tau_e, lam_e, beta_e = law.degree, law.rate, law.front
     phi1 = _leading_coeff(links.relay_user1.rate, tau_u)
     phi2 = _leading_coeff(links.relay_user2.rate, tau_u)
-    beta_e = math.exp(tau_e * math.log(lam_e) - math.lgamma(tau_e))
     theta1 = params.theta1
     gammas = _lower_incomplete_gammas(tau_e, tau_e + tau_u, lam_e * a)
     t1 = sum(
         math.comb(tau_u, k) * theta1**k * b ** (tau_u - k) * gammas[k] / lam_e ** (k + tau_e)
         for k in range(tau_u + 1)
     )
-    # The exact kernel's screening exponent h = lambda2*alpha2/d is kept: it
-    # tends to 1 pointwise as omega2 grows, so the leading order is untouched,
-    # but without it the integrand's (1-qx)^{-tau_u} endpoint pole makes the
+    # The exact kernel's screening factor e^{-h/(1-qx)} is kept: it tends to
+    # 1 pointwise as omega2 grows, so the leading order is untouched, but
+    # without it the integrand's (1-qx)^{-tau_u} endpoint pole makes the
     # quadrature blow up with the node count.
-    h_screen = links.relay_user2.rate * alpha2 / d
+    h_screen = consts.screening(links.relay_user2.rate, alpha2)
     g2, g3 = g_kernel_pair(a, tau_e, theta1 / b, r, q, lam_e, h_screen, tau_u, tau_u, quad)
     return (
         floor
@@ -158,44 +152,39 @@ def _jammed_complement(
     """Leading-order per-relay outage probability 1 - delta4, floor term
     first; with quad None, the floor term alone."""
     links = params.links
-    rho3, rho4 = jamming_split(policy.alphaJ, params.rho2)
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
-    p_e = links.relay_eaves
-    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
-    count = params.K - n
-    floor = float(jammed_ratio_survival(p_e, count, rho4, 1.0 / v)) if include_floor else 0.0
+    consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
+    a, b, c, u, v = consts.a, consts.b, consts.c, consts.u, consts.v
+    floor = float(law.survival(a)) if include_floor else 0.0
     if quad is None:
         return floor
     m_u = links.m_u
-    lam_e = p_e.rate
+    lam_e = law.rate
     phi3 = _leading_coeff(links.relay_user1.rate, m_u)
     phi4 = _leading_coeff(links.relay_user2.rate, m_u)
-    # r_screen plays the same role as h_screen in the no-jamming cases: the
-    # exact kernel's exp(-r/(1-vy)) survives here to keep the y -> 1/v
-    # endpoint integrable; it tends to 1 pointwise as omega2 grows.
-    r_screen = links.relay_user2.rate * w * u
-    # The three user terms phi3*B^m, phi4*w^m*C^m and -phi3*phi4*w^m*B^m*C^m
-    # (B = ell + theta1*y, C = 1 + u/(1-vy), m = m_u) are h-kernels with
-    # powers (b, c) = (m, 0), (0, m), (m, m); the domain cut counts degree
-    # b + c + k + 1, so their rows sit at b + c - m = 0, 0, m.
-    c_w = phi4 * w**m_u
-    log_phi3, log_cw, sign_cw = math.log(phi3), math.log(abs(c_w)), math.copysign(1.0, c_w)
+    # The same screening factor as in the combining complement keeps the
+    # y -> a endpoint integrable.
+    h_screen = consts.screening(links.relay_user2.rate, alpha2)
+    # The three user terms phi3*B^m, phi4*c^m*C^m and -phi3*phi4*c^m*B^m*C^m
+    # (B = b + theta1*y, C = 1 + u/(1-vy), m = m_u) are h-kernels with
+    # powers (p, q) = (m, 0), (0, m), (m, m); the domain cut counts degree
+    # p + q + k + 1, so their rows sit at p + q - m = 0, 0, m.
+    phi4c = phi4 * c**m_u
+    log_phi3, log_phi4c, sign_phi4c = math.log(phi3), math.log(abs(phi4c)), math.copysign(1.0, phi4c)
 
     def integrand(y):
         one_minus_vy = 1.0 - v * y
-        log_b, sign_b = _signed_log_pow(ell + params.theta1 * y, m_u)
+        log_b, sign_b = _signed_log_pow(b + params.theta1 * y, m_u)
         log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vy, m_u)
         shift, user = series_rows(
             (0, 0, m_u),
-            np.stack([log_phi3 + log_b, log_cw + log_c, log_phi3 + log_cw + log_b + log_c]),
-            np.stack([sign_b, sign_cw * sign_c, -sign_cw * sign_b * sign_c]),
+            np.stack([log_phi3 + log_b, log_phi4c + log_c, log_phi3 + log_phi4c + log_b + log_c]),
+            np.stack([sign_b, sign_phi4c * sign_c, -sign_phi4c * sign_b * sign_c]),
             m_u + 1,
         )
-        log_scale = -lam_e * y - r_screen / one_minus_vy + shift
-        return log_scale, convolve_series(user, jammed_ratio_pdf_rows(p_e, count, rho4, y))
+        log_scale = -lam_e * y - h_screen / one_minus_vy + shift
+        return log_scale, convolve_series(user, law.rows(y))
 
-    phi0 = jammed_table(p_e, count, rho4).phi0
-    return floor + phi0 * series_integral(1.0 / v, v, lam_e, m_u + 1, m_u + p_e.m, integrand, quad)
+    return floor + law.front * series_integral(a, v, lam_e, m_u + 1, m_u + law.n_rows, integrand, quad)
 
 
 def _conditional(

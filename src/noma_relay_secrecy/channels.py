@@ -8,15 +8,17 @@ G/(1 + rho*H): the max-gain PDF via a multinomial expansion and the
 closed-form PDF/CDF of the ratio itself. The ratio law's front phi0, terms
 and arrays (`jammed_table`) are built once per (link, count, rho4), since
 they do not depend on where the law is evaluated; every density and survival
-call, and both engines, read them. Every scenario record's numbers must be
-finite and its counts whole (`_check_finite`, `_is_count`).
+call, and both engines, read them. Each eavesdropper law the securing integrals
+run against (a sum of n gains, the jammed ratio) is one `EavesdropperLaw`, built
+once per argument set. Every scenario record's numbers must be finite and its
+counts whole (`_check_finite`, `_is_count`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -150,11 +152,6 @@ def mrc_sum_cdf(p: NakagamiParams, n: int, x):
     return gain_cdf(_mrc_params(p, n), x)
 
 
-def mrc_sum_survival(p: NakagamiParams, n: int, x):
-    """Tail of the MRC sum; see gain_survival."""
-    return gain_survival(_mrc_params(p, n), x)
-
-
 def sample_gain(p: NakagamiParams, rng: np.random.Generator, size=None):
     """Draw gains as a sum of m inverse-CDF exponentials of mean omega/m.
 
@@ -162,9 +159,10 @@ def sample_gain(p: NakagamiParams, rng: np.random.Generator, size=None):
     uniform stream. `size` may be None (scalar), an int, or a shape tuple.
     """
     shape = () if size is None else ((size,) if np.isscalar(size) else tuple(size))
-    u = rng.random((p.m,) + shape)
-    # in place: the uniforms are the largest array a draw makes
-    g = np.log1p(np.negative(u, out=u), out=u).sum(axis=0)
+    g = np.zeros(shape)  # in place, one shape of uniforms at a time: two gain-sized arrays, not m + 1
+    for _ in range(p.m):
+        u = rng.random(shape)
+        g += np.log1p(np.negative(u, out=u), out=u)
     g *= -(p.omega / p.m)
     return float(g) if size is None else g
 
@@ -379,3 +377,35 @@ def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
         raise ValueError("y must be nonnegative")
     acc = jammed_ratio_pdf_rows(p_e, count, rho4, y).sum(axis=0)
     return _as_given(y, jammed_table(p_e, count, rho4).phi0 * np.exp(-p_e.rate * y) * acc)
+
+
+class EavesdropperLaw(NamedTuple):
+    """An eavesdropper gain law: density exp(log_front) * x^(degree-1) * e^(-rate*x) * sum(rows(x)),
+    row k of degree degree + k (rows None: one row of ones), and survival P(X > x)."""
+
+    log_front: float
+    rate: float
+    degree: int
+    n_rows: int
+    rows: Callable[[np.ndarray], np.ndarray] | None
+    survival: Callable[[float], float]
+
+    @property
+    def front(self) -> float:
+        return math.exp(self.log_front)
+
+
+@lru_cache(maxsize=64)
+def combined_law(p_e: NakagamiParams, n: int) -> EavesdropperLaw:
+    """The sum of n gains of link p_e: Gamma(tau = n*m) at the same rate, front lambda^tau/(tau-1)!."""
+    survival = partial(gain_survival, _mrc_params(p_e, n))
+    tau = n * p_e.m
+    return EavesdropperLaw(tau * math.log(p_e.rate) - math.lgamma(tau), p_e.rate, tau, 1, None, survival)
+
+
+@lru_cache(maxsize=64)
+def jammed_law(p_e: NakagamiParams, count: int, rho4: float) -> EavesdropperLaw:
+    """Y = G/(1 + rho4*H), H the max of `count` gains: front `jammed_table(...).phi0`, a row per power of y < m."""
+    args = (p_e, count, rho4)
+    rows, survival = partial(jammed_ratio_pdf_rows, *args), partial(jammed_ratio_survival, *args)
+    return EavesdropperLaw(math.log(jammed_table(*args).phi0), p_e.rate, 1, p_e.m, rows, survival)

@@ -50,17 +50,24 @@ def _db_to_linear(db: float, key: str) -> float:
         raise ConfigError(f"{key} overflows a float in linear scale, got {db!r}") from None
 
 
-def _require_number(raw: dict, key: str) -> float:
-    val = raw[key]
+def _require_number(val, key: str) -> float:
+    """A config number as a finite float; every error names its key."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{key} must be a number, got {val!r}")
-    return float(val)
+    try:
+        out = float(val)
+    except OverflowError:  # a JSON integer past float range
+        raise ConfigError(f"{key} overflows a float") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {val!r}")
+    return out
 
 
 def _require_positive_int(raw: dict, key: str) -> int:
     val = raw[key]
     if isinstance(val, bool) or not isinstance(val, int) or val < 1:
         raise ConfigError(f"{key} must be a positive integer, got {val!r}")
+    _require_number(val, key)  # rejects an integer past float range by name
     return val
 
 
@@ -105,12 +112,12 @@ def load_config(path: str) -> ExperimentConfig:
         m_r = _require_positive_int(raw, "mR")
         m_u = _require_positive_int(raw, "mU")
         m_e = _require_positive_int(raw, "mE")
-        p_lin = _db_to_linear(_require_number(raw, "P_dB"), "P_dB")
-        rates = {key: _require_number(raw, key) for key in ("R1_th", "R2_th", "R1_s", "R2_s")}
-        omegas = [_db_to_linear(_require_number(raw, key), key)
+        p_lin = _db_to_linear(_require_number(raw["P_dB"], "P_dB"), "P_dB")
+        rates = {key: _require_number(raw[key], key) for key in ("R1_th", "R2_th", "R1_s", "R2_s")}
+        omegas = [_db_to_linear(_require_number(raw[key], key), key)
                   for key in ("omegaR_dB", "omega1_dB", "omega2_dB", "omegaE_dB")]
         links = LinkSet(*(NakagamiParams(m, omega) for m, omega in zip((m_r, m_u, m_u, m_e), omegas)))
-        sigma2 = float(raw.get("sigma2", 1.0))
+        sigma2 = _require_number(raw.get("sigma2", 1.0), "sigma2")
         params = SystemParams(K=k, links=links, P_S=p_lin, P_R=p_lin, sigma2=sigma2, **rates)
         policy = _parse_policy(raw)
         mc = TrialConfig(trials=raw.get("trials", 1_000_000), seed=raw.get("seed", 42))
@@ -141,16 +148,17 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _parse_policy(raw: dict) -> PowerPolicy:
-    alpha_j = float(raw.get("alphaJ", 0.0))
+    alpha_j = _require_number(raw.get("alphaJ", 0.0), "alphaJ")
     if "alpha1" in raw and "dpa" in raw:
         raise ConfigError("give either alpha1 (fixed allocation) or dpa (dynamic), not both")
     if "alpha1" in raw:
-        return PowerPolicy.fixed(_require_number(raw, "alpha1"), alphaJ=alpha_j)
+        return PowerPolicy.fixed(_require_number(raw["alpha1"], "alpha1"), alphaJ=alpha_j)
     if "dpa" in raw:
         dpa = raw["dpa"]
         if not isinstance(dpa, dict) or set(dpa) != {"mu", "varpi"}:
             raise ConfigError("dpa must be an object with keys mu and varpi")
-        return PowerPolicy.dynamic(float(dpa["mu"]), float(dpa["varpi"]), alphaJ=alpha_j)
+        mu, varpi = (_require_number(dpa[key], key) for key in ("mu", "varpi"))
+        return PowerPolicy.dynamic(mu, varpi, alphaJ=alpha_j)
     raise ConfigError("missing config key: alpha1 or dpa")
 
 

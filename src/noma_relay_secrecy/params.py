@@ -4,7 +4,7 @@ Holds the relay-network parameters, the power-allocation policy (fixed split
 or the gain-driven dynamic rule), the scheme record every engine reads (how a
 decoding set transmits and how an outage is blamed on a user), the threshold
 constants, and the result record every engine returns. Values that several engines
-derive are defined here once: `jamming_split`, `combining_constants`, `clamp_probability`.
+derive are defined here once: `jamming_split`, `combining_constants`, `jamming_constants`, `clamp_probability`.
 All rates are in nats per channel use; capacities carry the 1/2 pre-log of
 the two-slot protocol, so a secrecy rate R maps to the threshold theta = exp(2R).
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .channels import NakagamiParams, _check_finite, _is_count
+from .channels import EavesdropperLaw, NakagamiParams, _check_finite, _is_count, combined_law, jammed_law
 
 
 class Transmission(Enum):
@@ -266,22 +266,22 @@ class SchemeConstants:
     """Per-scheme threshold constants at relay SNR rho.
 
     a is the eavesdropper-gain ceiling below which the weak user can be
-    secured; the strong user needs gain above b + theta1*x and the weak user
-    above c + alpha2/(d*(1 - (e/d)*x)) when the eavesdropper gain is x.
-    ell/w/u/v are the same quantities in the parameterization used by the
-    jamming-scheme integrals: ell = b, w = c, u = alpha2/(d*c), v = e/d,
-    and the ceiling a equals 1/v exactly.
+    secured. When the eavesdropper gain is x, the strong user needs gain
+    above b + theta1*x and the weak user above c*(1 + u/(1 - v*x)) =
+    c + alpha2/(d*(1 - v*x)), with c < 0 and u = alpha2/(d*c). The weak
+    user's pole sits on the ceiling: v = 1/a.
     """
 
     a: float
     b: float
     c: float
     d: float
-    e: float
-    ell: float
-    w: float
     u: float
     v: float
+
+    def screening(self, lambda2: float, alpha2: float) -> float:
+        """h = lambda2*alpha2/d of the weak user's e^{-h/(1 - v*x)}, which screens each securing integrand's pole."""
+        return lambda2 * alpha2 / self.d
 
 
 def scheme_constants(theta1: float, theta2: float, alpha1: float, alpha2: float, rho: float) -> SchemeConstants:
@@ -293,13 +293,24 @@ def scheme_constants(theta1: float, theta2: float, alpha1: float, alpha2: float,
     b = (theta1 - 1.0) / (alpha1 * rho)
     c = -1.0 / (alpha1 * rho)
     d = alpha1 * rho * margin
-    e = rho**2 * alpha1**2 * alpha2 * theta2
-    return SchemeConstants(a=a, b=b, c=c, d=d, e=e, ell=b, w=c, u=alpha2 / (d * c), v=e / d)
+    return SchemeConstants(a=a, b=b, c=c, d=d, u=alpha2 / (d * c), v=rho**2 * alpha1**2 * alpha2 * theta2 / d)
 
 
-def combining_constants(params: SystemParams, alpha1: float, alpha2: float, n: int) -> SchemeConstants:
-    """The threshold constants when n relays combine, each sending at P_R/n."""
-    return scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
+def combining_constants(
+    params: SystemParams, alpha1: float, alpha2: float, n: int
+) -> tuple[SchemeConstants, EavesdropperLaw]:
+    """The thresholds and the eavesdropper's law when n relays combine, each sending at P_R/n."""
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
+    return consts, combined_law(params.links.relay_eaves, n)
+
+
+def jamming_constants(
+    params: SystemParams, alpha_j: float, alpha1: float, alpha2: float, n: int
+) -> tuple[SchemeConstants, EavesdropperLaw]:
+    """The same when the best of n decoding relays sends at rho3 and the strongest idle relay jams at rho4."""
+    rho3, rho4 = jamming_split(alpha_j, params.rho2)
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
+    return consts, jammed_law(params.links.relay_eaves, params.K - n, rho4)
 
 
 def clamp_probability(p: float) -> float:

@@ -277,7 +277,7 @@ def test_kernel_quadrature_oracles():
         k, j = int(rng.integers(0, 3)), int(rng.integers(0, 3))
         c = params.theta1 / cst.b
         r = (1.0 - policy.alpha1) / (cst.c * cst.d)
-        q = cst.e / cst.d
+        q = cst.v
         f = links.relay_user1.rate * params.theta1 + links.relay_eaves.rate
         h = links.relay_user2.rate * (1.0 - policy.alpha1) / cst.d
         got = g_kernel(cst.a, tau_e, c, r, q, f, h, k, j, QUAD)
@@ -303,15 +303,15 @@ def test_kernel_quadrature_oracles():
         b_exp = int(rng.integers(0, links.m_u))
         c_exp = int(rng.integers(0, links.m_u))
         f = links.relay_user1.rate * params.theta1 + links.relay_eaves.rate
-        r = links.relay_user2.rate * cst.w * cst.u
+        r = links.relay_user2.rate * cst.c * cst.u
         lam_e = links.relay_eaves.rate
-        got = h_kernel(1.0 / cst.v, b_exp, c_exp, f, r, cst.u, cst.v, cst.ell,
+        got = h_kernel(1.0 / cst.v, b_exp, c_exp, f, r, cst.u, cst.v, cst.b,
                        params.theta1, term.k, term.varsigma, term.C, term.D, rho4, lam_e, QUAD)
 
         def h_ref(y):
             poly = (rho4 * lam_e * y**(term.k + 1) + term.D * y**term.k
                     - term.C * term.k * (y**(term.k - 1) if term.k >= 1 else 0.0))
-            return ((cst.ell + params.theta1 * y)**b_exp
+            return ((cst.b + params.theta1 * y)**b_exp
                     * (1.0 + cst.u / (1.0 - cst.v * y))**c_exp
                     * poly / (rho4 * y + term.C)**(term.varsigma + 1)
                     * math.exp(-f * y - r / (1.0 - cst.v * y)))

@@ -80,8 +80,9 @@ def test_two_step_is_the_same_analytic_path():
 
 def test_dual_selection_without_jamming_reduces():
     policy = fixed_policy(0.2, alphaJ=0.0)
-    for P_dB, K in itertools.product((0.0, 10.0, 20.0), (2, 3)):
-        params = grid_params(K=K, P_dB=P_dB)
+    # without jamming the jammed law is the single gain's: both laws give one integral
+    for P_dB, K, m in itertools.product((0.0, 10.0, 20.0), (2, 3, 6, 8), (2, 3)):
+        params = grid_params(K=K, P_dB=P_dB, m=m)
         odrs = sop_total(params, policy, SchemeKind.ODRS, QUAD).value
         osrs = sop_total(params, policy, SchemeKind.OSRS, QUAD).value
         assert odrs == pytest.approx(osrs, abs=1e-10)

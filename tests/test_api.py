@@ -76,14 +76,43 @@ def test_every_scheme_is_a_mixture_of_its_conditionals(scheme):
     assert sdo(scheme, SdoInputs(K=3, m_r=2, m_u=2, varpi=0.1)) > 0.0
 
 
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_traced_name_resolves():
     # the benchmark's traced run wraps each (module, attribute) of its FULL
     # tuple with getattr; a name dropped from the package (a re-export whose
     # last caller went away, say) would crash that run, not just skip a span
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_spans()
     assert spans.FULL
     for module_name, attr, _span in spans.FULL:
         module = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_traced_layers_see_the_engines_calls():
+    # the benchmark's per-layer spans wrap module globals, so they count a
+    # layer only while the engines call it through that global: a call routed
+    # around it would read 0 calls, not fail
+    spans = _bench_spans()
+    rec = spans.Recorder()
+    rec.install(spans.FULL)
+    try:
+        rec.active = True
+        params = grid_params(K=3, omegaR_dB=0.0)  # partial decoding: every n < K has weight
+        policy = fixed_policy(0.2, alphaJ=0.5)
+        for scheme in SchemeKind:
+            sop_total(params, policy, scheme, QUAD)
+        sop_asym_total(params, policy, SchemeKind.ODRS, AsymptoticScaling(1.5, 2.0, db(30.0)), QUAD)
+        estimate_many(params, policy, list(SchemeKind), TrialConfig(trials=2_000, seed=1))
+    finally:
+        rec.active = False
+        rec.uninstall()
+    layers = rec.layers()
+    for span in ("analytic.delta1", "analytic.delta4", "analytic.sop_tmrc_cond", "asymptotic.scaled_params",
+                 "channels.sample_gain"):
+        assert layers.get(span, {}).get("calls", 0) >= 1, span

@@ -30,7 +30,7 @@ from noma_relay_secrecy.asymptotic import (
     sop_asym_cond,
     sop_floor_cond,
 )
-from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival, mrc_sum_cdf, mrc_sum_survival
+from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival, mrc_sum_cdf
 from noma_relay_secrecy.params import scheme_constants
 
 QUAD = quadrature(300)
@@ -176,12 +176,14 @@ def test_floor_formulas():
         assert sop_floor_cond(params, policy, SchemeKind.OSRS, n) == pytest.approx(
             float(gain_survival(params.links.relay_eaves, consts_full.a)) ** n, rel=1e-12
         )
-        # combining: the summed eavesdropper gain clears the power-shared ceiling
+        # combining: the summed eavesdropper gain, Gamma(n*m_E) at the same
+        # rate, clears the power-shared ceiling
+        eaves_n = NakagamiParams(params.links.relay_eaves.m * n, params.links.relay_eaves.omega * n)
         consts_n = scheme_constants(
             params.theta1, params.theta2, alpha1, 0.8, params.rho2 / n
         )
         assert sop_floor_cond(params, policy, SchemeKind.TMRC, n) == pytest.approx(
-            float(mrc_sum_survival(params.links.relay_eaves, n, consts_n.a)), rel=1e-12
+            float(gain_survival(eaves_n, consts_n.a)), rel=1e-12
         )
     # dual selection at n < K: the jammed ratio clears the reduced-power ceiling
     rho3 = 0.5 * params.rho2

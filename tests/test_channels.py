@@ -11,6 +11,7 @@ from noma_relay_secrecy.channels import (
     NakagamiParams,
     _survival_prefixes,
     _survival_series,
+    combined_law,
     enumerate_multinomial_terms,
     gain_cdf,
     gain_pdf,
@@ -23,7 +24,6 @@ from noma_relay_secrecy.channels import (
     jammed_table,
     max_gain_pdf,
     mrc_sum_cdf,
-    mrc_sum_survival,
     sample_gain,
 )
 
@@ -102,7 +102,7 @@ def test_mrc_reduces_to_single():
     x = np.linspace(0.0, 15.0, 40)
     assert np.allclose(mrc_sum_cdf(p, 1, x), gain_cdf(p, x), atol=1e-15)
     with pytest.raises(ValueError):
-        mrc_sum_survival(p, 0, 1.0)
+        combined_law(p, 0)
 
 
 def test_sampling_matches_cdf():

@@ -75,6 +75,10 @@ def test_config_rejections(tmp_path):
         (bad_dpa, "dpa must be an object with keys mu and varpi"),
         (_dpa_config(mu=1.0, varpi=0.1), "mu must exceed 1, got 1.0"),
         (_dpa_config(mu=5.0, varpi=1.5), "varpi must lie in (0,1), got 1.5"),
+        # these once loaded as numbers: each config number must be a JSON number
+        (_base_config(alphaJ="0.5"), "alphaJ must be a number, got '0.5'"),
+        (_base_config(sigma2=True), "sigma2 must be a number, got True"),
+        (_dpa_config(mu="5", varpi=0.1), "mu must be a number, got '5'"),
         (_base_config(sweep={"var": "P_dB"}), "sweep must be an object with keys var and values"),
         (_base_config(scheme=["bogus"]), "unknown scheme: 'bogus'"),
         (_base_config(trials=0), "trials must be a positive integer, got 0"),
@@ -291,15 +295,15 @@ def test_exit_codes(tmp_path, capsys):
         (_base_config(R1_th=math.inf), "R1_th must be finite, got inf"),
         (_base_config(R1_s=math.inf), "R1_s must be finite, got inf"),
         (_base_config(R2_s=math.nan), "R2_s must be finite, got nan"),
-        (_base_config(omegaE_dB=math.inf), "omega must be finite, got inf"),
+        (_base_config(omegaE_dB=math.inf), "omegaE_dB must be finite, got inf"),
         (_base_config(sigma2=math.inf), "sigma2 must be finite, got inf"),
         (_base_config(trials=math.inf), "trials must be a positive integer, got inf"),
         (_dpa_config(mu=math.inf, varpi=0.1), "mu must be finite, got inf"),
         # 10^(4000/10) overflows: once an uncaught OverflowError
         (_base_config(P_dB=4000), "P_dB overflows a float in linear scale, got 4000.0"),
         # a JSON integer past float range: once an uncaught OverflowError too
-        (_base_config(P_dB=10**400), "int too large to convert to float"),
-        (_base_config(K=10**400), "int too large to convert to float"),
+        (_base_config(P_dB=10**400), "P_dB overflows a float"),
+        (_base_config(K=10**400), "K overflows a float"),
         # sweep points are built at load, so a bad value fails before any row
         (_base_config(sweep={"var": "P_dB", "values": [10, 4000]}),
          "P_dB overflows a float in linear scale, got 4000.0"),
@@ -310,6 +314,11 @@ def test_exit_codes(tmp_path, capsys):
         (_base_config(sweep={"var": "m", "values": [2.5]}), "shape m must be a positive integer, got 2.5"),
         (_base_config(sweep={"var": "K", "values": [math.inf]}), "K must be a positive integer, got inf"),
         (_base_config(sweep={"var": "K", "values": [10**400]}), "int too large to convert to float"),
+        # every scalar number goes through one check that names its key
+        (_base_config(omegaE_dB=-math.inf), "omegaE_dB must be finite, got -inf"),
+        (_base_config(alphaJ=math.nan), "alphaJ must be finite, got nan"),
+        (_dpa_config(mu=5.0, varpi=math.inf), "varpi must be finite, got inf"),
+        (_base_config(sigma2=10**400), "sigma2 overflows a float"),
     ],
 )
 def test_non_finite_and_overflowing_numbers_are_config_errors(tmp_path, capsys, raw, message):

@@ -112,9 +112,7 @@ def test_scheme_constants_identities():
     params = grid_params()
     alpha1 = 0.2
     consts = scheme_constants(params.theta1, params.theta2, alpha1, 1.0 - alpha1, params.rho2)
-    assert consts.ell == consts.b
-    assert consts.w == consts.c
-    assert consts.d > 0 and consts.e > 0
+    assert consts.d > 0 and consts.v > 0
     assert consts.c < 0
     # the weak-user pole sits exactly on the ceiling: v * a = 1
     assert consts.v * consts.a == pytest.approx(1.0, rel=1e-12)

@@ -18,7 +18,7 @@ from conftest import db, fixed_policy, grid_params
 from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, scaled_params
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
 from noma_relay_secrecy.asymptotic import _jammed_complement, _leading_coeff
-from noma_relay_secrecy.channels import jammed_ratio_survival, jammed_ratio_terms
+from noma_relay_secrecy.channels import combined_law, jammed_ratio_survival, jammed_ratio_terms
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
 from noma_relay_secrecy.quadrature import (
     _effective_upper,
@@ -38,32 +38,28 @@ def assert_close(got: float, ref: float) -> None:
 
 
 def joint_args(params, policy, n):
-    """The constants and shapes sop_tmrc_cond hands _joint_secrecy_prob."""
+    """The arguments sop_tmrc_cond hands _joint_secrecy_prob."""
     alpha1, alpha2 = policy.resolve(params.links)
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
     links = params.links
     return dict(
-        consts=consts,
-        tau_u=n * links.m_u,
-        tau_e=n * links.relay_eaves.m,
-        lambda1=links.relay_user1.rate,
-        lambda2=links.relay_user2.rate,
-        lambda_e=links.relay_eaves.rate,
-        theta1=params.theta1,
-        alpha2=alpha2,
+        params=params, consts=consts, alpha2=alpha2, tau_u=n * links.m_u, law=combined_law(links.relay_eaves, n),
     )
 
 
-def joint_per_term(consts, tau_u, tau_e, lambda1, lambda2, lambda_e, theta1, alpha2, quad):
-    a, b, c, d, e = consts.a, consts.b, consts.c, consts.d, consts.e
+def joint_per_term(params, consts, alpha2, tau_u, law, quad):
+    links, theta1 = params.links, params.theta1
+    lambda1, lambda2, lambda_e = links.relay_user1.rate, links.relay_user2.rate, links.relay_eaves.rate
+    tau_e = law.degree  # the combined law's shape n*m_E
+    a, b, c, d, v = consts.a, consts.b, consts.c, consts.d, consts.v
     log_front = tau_e * math.log(lambda_e) - math.lgamma(tau_e) - lambda1 * b - lambda2 * c
-    q, r, h, f = e / d, alpha2 / (d * c), lambda2 * alpha2 / d, lambda1 * theta1 + lambda_e
+    r, h, f = alpha2 / (d * c), lambda2 * alpha2 / d, lambda1 * theta1 + lambda_e
     total = 0.0
     for k in range(tau_u):
         log_k = k * math.log(lambda1 * b) - math.lgamma(k + 1)
         for j in range(tau_u):
             log_j = j * math.log(lambda2 * abs(c)) - math.lgamma(j + 1)
-            gval = g_kernel(a, tau_e, theta1 / b, r, q, f, h, k, j, quad)
+            gval = g_kernel(a, tau_e, theta1 / b, r, v, f, h, k, j, quad)
             total += (-1.0) ** j * math.exp(log_front + log_k + log_j) * gval
     return total
 
@@ -76,21 +72,21 @@ def delta4_per_term(params, policy, n, quad):
     links = params.links
     lambda1, lambda2, p_e = links.relay_user1.rate, links.relay_user2.rate, links.relay_eaves
     lambda_e = p_e.rate
-    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
+    b, c, u, v = consts.b, consts.c, consts.u, consts.v
     phi0 = (params.K - n) * lambda_e**p_e.m / math.factorial(p_e.m - 1)
     f = lambda1 * params.theta1 + lambda_e
     total = 0.0
     for p in range(links.m_u):
         for q in range(links.m_u):
             log_pq = (
-                -lambda1 * ell - lambda2 * w
+                -lambda1 * b - lambda2 * c
                 + p * math.log(lambda1) - math.lgamma(p + 1)
-                + q * math.log(lambda2 * abs(w)) - math.lgamma(q + 1)
+                + q * math.log(lambda2 * abs(c)) - math.lgamma(q + 1)
             )
             coef = (-1.0) ** q * math.exp(log_pq)
             for t in jammed_ratio_terms(p_e, params.K - n, rho4):
                 hval = h_kernel(
-                    1.0 / v, p, q, f, lambda2 * w * u, u, v, ell, params.theta1,
+                    1.0 / v, p, q, f, lambda2 * c * u, u, v, b, params.theta1,
                     t.k, t.varsigma, t.C, t.D, rho4, lambda_e, quad,
                 )
                 total += coef * t.delta * hval
@@ -105,18 +101,18 @@ def odrs_complement_per_term(params, policy, alpha1, alpha2, n, quad, include_fl
     lam_e = p_e.rate
     phi3 = _leading_coeff(links.relay_user1.rate, m_u)
     phi4 = _leading_coeff(links.relay_user2.rate, m_u)
-    ell, w, u, v = consts.ell, consts.w, consts.u, consts.v
+    b, c, u, v = consts.b, consts.c, consts.u, consts.v
     count = params.K - n
     phi0 = count * lam_e**p_e.m / math.factorial(p_e.m - 1)
     floor = float(jammed_ratio_survival(p_e, count, rho4, 1.0 / v)) if include_floor else 0.0
-    r_screen = links.relay_user2.rate * w * u
+    r_screen = links.relay_user2.rate * c * u
     s_b = s_c = s_bc = 0.0
     for t in jammed_ratio_terms(p_e, count, rho4):
         args = (t.k, t.varsigma, t.C, t.D, rho4, lam_e, quad)
-        s_b += t.delta * h_kernel(1.0 / v, m_u, 0, lam_e, r_screen, u, v, ell, params.theta1, *args)
-        s_c += t.delta * h_kernel(1.0 / v, 0, m_u, lam_e, r_screen, u, v, ell, params.theta1, *args)
-        s_bc += t.delta * h_kernel(1.0 / v, m_u, m_u, lam_e, r_screen, u, v, ell, params.theta1, *args)
-    return floor + phi3 * phi0 * s_b + phi4 * w**m_u * phi0 * s_c - phi3 * phi4 * w**m_u * phi0 * s_bc
+        s_b += t.delta * h_kernel(1.0 / v, m_u, 0, lam_e, r_screen, u, v, b, params.theta1, *args)
+        s_c += t.delta * h_kernel(1.0 / v, 0, m_u, lam_e, r_screen, u, v, b, params.theta1, *args)
+        s_bc += t.delta * h_kernel(1.0 / v, m_u, m_u, lam_e, r_screen, u, v, b, params.theta1, *args)
+    return floor + phi3 * phi0 * s_b + phi4 * c**m_u * phi0 * s_c - phi3 * phi4 * c**m_u * phi0 * s_bc
 
 
 def random_scenarios(seed: int, count: int):
@@ -175,9 +171,9 @@ def test_series_keep_each_degrees_domain_cut(m):
     policy = fixed_policy(0.2, alphaJ=0.5)
     for n in (1, 2, 3):
         kwargs = joint_args(params, policy, n)
-        a = kwargs["consts"].a
-        f = kwargs["lambda1"] * kwargs["theta1"] + kwargs["lambda_e"]
-        cuts = {_effective_upper(a, f, kwargs["tau_e"] + s) for s in range(2 * kwargs["tau_u"] - 1)}
+        a, law = kwargs["consts"].a, kwargs["law"]
+        f = params.links.relay_user1.rate * params.theta1 + law.rate
+        cuts = {_effective_upper(a, f, law.degree + s) for s in range(2 * kwargs["tau_u"] - 1)}
         assert len(cuts) == 2 * kwargs["tau_u"] - 1 and max(cuts) < a
         assert_close(_joint_secrecy_prob(quad=QUAD, **kwargs), joint_per_term(quad=QUAD, **kwargs))
         assert_close(delta4(params, policy, n, QUAD), delta4_per_term(params, policy, n, QUAD))
@@ -206,9 +202,9 @@ def test_series_integral_gives_each_degree_its_own_cut():
     # with the degree; degree s must be integrated on the nodes of its own cut
     params = grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=2)
     kwargs = joint_args(params, fixed_policy(0.2), 2)
-    a, pole = kwargs["consts"].a, kwargs["consts"].v
-    f = kwargs["lambda1"] * kwargs["theta1"] + kwargs["lambda_e"]
-    degree0, n_degrees = kwargs["tau_e"], 2 * kwargs["tau_u"] - 1
+    a, pole, law = kwargs["consts"].a, kwargs["consts"].v, kwargs["law"]
+    f = params.links.relay_user1.rate * params.theta1 + law.rate
+    degree0, n_degrees = law.degree, 2 * kwargs["tau_u"] - 1
     cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
     own_nodes = [QUAD.map_to(cut)[0] for cut in cuts]
     assert len(set(cuts)) >= 2
@@ -233,7 +229,7 @@ def combined_pair_args(scaled, policy, n):
     links = scaled.links
     return (
         consts.a, n * links.relay_eaves.m, scaled.theta1 / consts.b, alpha2 / (consts.c * consts.d),
-        consts.e / consts.d, links.relay_eaves.rate, links.relay_user2.rate * alpha2 / consts.d, n * links.m_u,
+        consts.v, links.relay_eaves.rate, links.relay_user2.rate * alpha2 / consts.d, n * links.m_u,
     )
 
 
