@@ -10,8 +10,8 @@ Layout. A chunk's gains are drawn trial-major, shape (trials, K), so the
 uniform stream is read in trial order, and stored relay-major, shape
 (K, trials): every reduction over relays then combines whole contiguous rows
 instead of striding across K-element rows, and a combining sum adds the
-relays' rows in relay order. The verdict kernel walks a chunk
-in blocks of `_BLOCK_ELEMENTS // K` trials, so the temporaries of one block
+relays' rows in relay order. The verdict kernel walks a chunk in blocks of
+`_BLOCK_ELEMENTS // (_WORKERS * K)` trials, so the temporaries of one block
 stay in cache.
 
 Shared draws. The gains depend only on K, the four links, the seed and the
@@ -20,8 +20,23 @@ therefore draws each chunk once for every scenario and scheme it is given
 (common random numbers), which makes differences between schemes, powers
 and splits paired. Inside a block, the decoding set is formed once per
 scenario, `osrs` and `tsrs` share one set of threshold checks, and scenarios
-with the same constants share one verdict. The jamming split of the relay
-SNR is `params.jamming_split`, the one the closed forms use.
+with the same constants share one verdict. Each transmission is decided
+once: where every relay decodes there is no idle relay to jam, so `odrs`
+sends as `osrs` does (`SchemeKind.transmission`) and takes its codes, and
+its jammed selection runs only on the trials with an idle relay. The
+jamming split of the relay SNR is `params.jamming_split`, the one the
+closed forms use.
+
+Threads. Draws stay on the calling thread, one chunk at a time, and a
+chunk's draws are let go before the next is drawn. The chunk's (block, rule)
+jobs are shared between the calling thread and, given a second usable core,
+one helper thread; the counts are summed on the calling thread in job order,
+so no estimate depends on scheduling. A job's block is 1/_WORKERS of
+`_BLOCK_ELEMENTS` gains per link, so the blocks in flight hold what one block
+held on one thread. The kernel keeps only pass/fail flags per relay and forms
+each check in place, so a 2**17-gain block of all four schemes peaks at 3-5 MB
+above the draws (K = 8), the upper figure when nearly every trial has an idle
+relay.
 
 All threshold checks are done in cross-multiplied form, 1 + leg SNR against
 theta * (1 + tap SNR), e.g. the user-2 check reads
@@ -34,6 +49,8 @@ formed only on the trials whose outage they attribute.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,11 +62,26 @@ from .params import PowerPolicy, SchemeKind, SystemParams, Transmission, jamming
 OUTCOME_LABELS = ("secure", "u1", "u2", "both", "no_relay")
 _SECURE, _U1, _U2, _BOTH, _NO_RELAY = range(5)
 _BREAKDOWN_KEYS = ("outage_u1_only", "outage_u2_only", "outage_both", "no_relay")
-# Gains per link in one kernel block (1 MiB of float64). On a 2-core Xeon with
-# a 2 MiB L2, the reference sweep's verdicts ran 1.4x faster in blocks of
-# 2**16-2**17 gains than on whole 250k-trial chunks, and slower again at 2**15.
-# Blocks only slice a drawn chunk; they never change which uniforms a trial reads.
+# Gains per link in the blocks in flight at once (1 MiB of float64), split
+# evenly between the workers. On a 2-core Xeon with a 2 MiB L2, the reference
+# sweep's verdicts ran 1.4x faster on one thread in blocks of 2**16-2**17
+# gains than on whole 250k-trial chunks, and slower again at 2**15. Blocks
+# only slice a drawn chunk; they never change which uniforms a trial reads.
 _BLOCK_ELEMENTS = 2**17
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Threads that decide a chunk's blocks: the calling thread and, given a second
+# usable core, one helper; numpy's array loops release the GIL, so the two
+# overlap. More than two were never measured, so more are not used.
+_WORKERS = min(2, _usable_cores())
+_POOL = None  # the helper thread's executor, made by the first call that needs it
 
 
 @dataclass(frozen=True)
@@ -112,23 +144,35 @@ def _first_argmax(key: np.ndarray) -> np.ndarray:
     return sel
 
 
-def _pair_checks(rule: _Rule, rho, g1, g2, ge):
-    """Both sides of the two secrecy checks, (lhs1, rhs1, lhs2, rhs2).
+def _sides1(rule: _Rule, rho, g1, ge):
+    """Both sides of user 1's secrecy check, (1 + alpha1*rho*g1, theta1 * (1 + alpha1*rho*ge)).
 
-    User v passes iff lhs_v >= rhs_v; lhs_v / rhs_v is its margin (>= 1 iff
-    the check passes), monotone in the user's secrecy capacity.
+    The user passes iff lhs >= rhs, and lhs / rhs is its margin (>= 1 iff the
+    check passes), monotone in its secrecy capacity. Each side is formed in
+    its own buffer with the operations in the written order, the operands of
+    a sum or product at most swapped, which leaves every rounding as written.
     """
-    alpha1, alpha2 = rule.alpha1, rule.alpha2
-    lhs1 = 1.0 + alpha1 * rho * g1
-    rhs1 = rule.theta1 * (1.0 + alpha1 * rho * ge)
-    lhs2 = 1.0 + rho * g2
-    rhs2 = rule.theta2 * (1.0 + alpha2 * rho * ge) * (1.0 + alpha1 * rho * g2)
-    return lhs1, rhs1, lhs2, rhs2
+    a1_rho = rule.alpha1 * rho
+    lhs = np.multiply(a1_rho, g1)
+    lhs += 1.0
+    rhs = np.multiply(a1_rho, ge)
+    rhs += 1.0
+    rhs *= rule.theta1
+    return lhs, rhs
 
 
-def _margin(lhs, rhs, trials) -> np.ndarray:
-    """One user's margin lhs / rhs at every relay, for the given trials only."""
-    return np.take(lhs, trials, axis=1) / np.take(rhs, trials, axis=1)
+def _sides2(rule: _Rule, rho, g2, ge):
+    """Both sides of user 2's check, (1 + rho*g2, theta2 * (1 + alpha2*rho*ge) * (1 + alpha1*rho*g2)),
+    formed as `_sides1` forms user 1's; the last factor is formed in lhs's buffer."""
+    rhs = np.multiply(rule.alpha2 * rho, ge)
+    rhs += 1.0
+    rhs *= rule.theta2
+    lhs = np.multiply(rule.alpha1 * rho, g2)
+    lhs += 1.0
+    rhs *= lhs
+    np.multiply(rho, g2, out=lhs)
+    lhs += 1.0
+    return lhs, rhs
 
 
 class _Selection:
@@ -136,32 +180,59 @@ class _Selection:
 
     One instance serves every scheme that sends singly (osrs and tsrs): each
     transmits from one relay at the full relay SNR against the plain
-    eavesdropper gain.
+    eavesdropper gain. Only the pass/fail of each check is kept; the margins
+    that rank relays are formed again on the trials whose outage they blame.
     """
 
-    def __init__(self, rule: _Rule, rho, dec, live, g_1, g_2, ge) -> None:
+    def __init__(self, rule: _Rule, rho: float, dec, live, g_1, g_2, ge, cols=None) -> None:
+        """`dec`, `live` and `ge` are the selection's trials' own; `g_1` and
+        `g_2` are the block's, and the trials are its columns `cols` (None:
+        every column), so a subset's user gains are never copied whole."""
+        self.rule, self.rho, self.cols = rule, rho, cols
+        self.g_1, self.g_2, self.ge = g_1, g_2, ge
         self.dec = dec
         self.live = live
-        self.lhs1, self.rhs1, self.lhs2, self.rhs2 = _pair_checks(rule, rho, g_1, g_2, ge)
-        self.ok1 = self.lhs1 >= self.rhs1
-        self.ok2 = self.lhs2 >= self.rhs2
+        self.ok1 = np.greater_equal(*_sides1(rule, rho, self._user(g_1), ge))
+        self.ok2 = np.greater_equal(*_sides2(rule, rho, self._user(g_2), ge))
         # Secure iff some decoding relay passes both checks. For tsrs this is
         # the same event: a relay passing both has margin r2 >= 1, so the best
         # r2 among the relays passing user 1's check passes user 2's too.
         self.secure = live & (dec & self.ok1 & self.ok2).any(axis=0)
+
+    def _user(self, g, trials=None) -> np.ndarray:
+        """A user link's gains at the given trials of the selection (None: all)."""
+        if self.cols is not None:
+            trials = self.cols if trials is None else self.cols[trials]
+        return g if trials is None else np.take(g, trials, axis=1)
+
+    def _margin1(self, trials) -> np.ndarray:
+        """User 1's margin at every relay of the given trials."""
+        lhs, rhs = _sides1(self.rule, self.rho, self._user(self.g_1, trials), np.take(self.ge, trials, axis=1))
+        lhs /= rhs
+        return lhs
+
+    def _margin2(self, trials) -> np.ndarray:
+        """User 2's margin at every relay of the given trials."""
+        lhs, rhs = _sides2(self.rule, self.rho, self._user(self.g_2, trials), np.take(self.ge, trials, axis=1))
+        lhs /= rhs
+        return lhs
 
     def _best(self, trials, margin) -> np.ndarray:
         """Flat index of the decoding relay of best margin in each of `trials`."""
         sel = _first_argmax(np.where(np.take(self.dec, trials, axis=1), margin, -np.inf))
         return sel * self.dec.shape[1] + trials
 
+    def decide(self, two_step: bool, codes) -> None:
+        """Write the outcome of every decoding trial into `codes`, blaming an
+        outage by the two-step ranking or by the best worst-user margin."""
+        (self.two_step if two_step else self.pick_one)(codes)
+
     def pick_one(self, codes) -> None:
         """Outages go to the users failed by the relay of best worst-user margin."""
         codes[self.secure] = _SECURE
         out = np.flatnonzero(self.live & ~self.secure)
         if out.size:
-            best = self._best(out, np.minimum(_margin(self.lhs1, self.rhs1, out),
-                                              _margin(self.lhs2, self.rhs2, out)))
+            best = self._best(out, np.minimum(self._margin1(out), self._margin2(out)))
             codes[out] = (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
 
     def two_step(self, codes) -> None:
@@ -172,13 +243,45 @@ class _Selection:
         codes[self.live & has & ~self.secure] = _U2
         none = np.flatnonzero(self.live & ~has)
         if none.size:
-            best = self._best(none, _margin(self.lhs1, self.rhs1, none))
+            best = self._best(none, self._margin1(none))
             codes[none] = _U1 + 2 * (~np.take(self.ok2, best))
+
+
+def _combined_codes(rule: _Rule, dec, n, g_1, g_2, g_e) -> np.ndarray:
+    """Outcome code per trial when the n decoding relays all send at P_R/n
+    and every receiver sums their gains (undefined where n = 0)."""
+    rho1 = rule.rho2 / np.maximum(n, 1)
+
+    def summed(g):
+        return np.where(dec, g, 0.0).sum(axis=0)
+
+    s_e = summed(g_e)
+    codes = (~np.greater_equal(*_sides2(rule, rho1, summed(g_2), s_e))).view(np.int8)
+    codes *= 2
+    codes += ~np.greater_equal(*_sides1(rule, rho1, summed(g_1), s_e))
+    return codes
+
+
+def _jammed_codes(rule: _Rule, alpha_j: float, two_step: bool, trials, dec, g_1, g_2, g_e) -> np.ndarray:
+    """Outcome codes of the given trials, each with a decoding and an idle
+    relay, when the strongest idle relay's eavesdropper link is jammed."""
+    dec, g_e = np.take(dec, trials, axis=1), np.take(g_e, trials, axis=1)
+    rho3, rho4 = jamming_split(alpha_j, rule.rho2)
+    g_e /= 1.0 + rho4 * np.where(dec, -np.inf, g_e).max(axis=0)
+    codes = np.empty(trials.size, dtype=np.int8)
+    _Selection(rule, rho3, dec, True, g_1, g_2, g_e, cols=trials).decide(two_step, codes)
+    return codes
 
 
 def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
     """Outcome code per trial of one block of relay-major (K, trials) gains,
-    for each wanted (transmission, two_step, alphaJ) verdict under one rule."""
+    for each wanted (transmission, two_step, alphaJ) verdict under one rule.
+
+    Each transmission is decided once: a jammed verdict starts from the codes
+    of the single-relay verdict with its blame rule, which is how it sends
+    where every relay decodes (`SchemeKind.transmission`), and runs its own
+    selection only on the trials with an idle relay.
+    """
     k = g_sr.shape[0]
     dec = g_sr >= rule.eta
     n = dec.sum(axis=0)
@@ -186,26 +289,28 @@ def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
     out = {v: np.full(n.shape, _NO_RELAY, dtype=np.int8) for v in verdicts}
     if not live.any():
         return out
-    single = None  # every verdict that sends singly shares it
-    for (sends, two_step, alpha_j), codes in out.items():
-        if sends is Transmission.COMBINED:
-            rho1 = rule.rho2 / np.maximum(n, 1)
-            sums = (np.where(dec, g, 0.0).sum(axis=0) for g in (g_1, g_2, g_e))
-            lhs1, rhs1, lhs2, rhs2 = _pair_checks(rule, rho1, *sums)
-            codes[live] = ((~(lhs1 >= rhs1)) + 2 * (~(lhs2 >= rhs2)))[live]
-            continue
+    # The single-relay verdicts the jammed ones start from, wanted or not;
+    # sorted, every single-relay verdict comes before every jammed one.
+    codes_of = dict(out)
+    for sends, two_step, _ in verdicts:
         if sends is Transmission.JAMMED:
-            # The strongest idle relay's eavesdropper link jams; with every
-            # relay decoding there is none, and the full power goes to data.
-            rho3, rho4 = jamming_split(alpha_j, rule.rho2)
-            h_e = np.where(n < k, np.where(dec, -np.inf, g_e).max(axis=0), 0.0)
-            rho = np.where(n == k, rule.rho2, rho3)
-            selection = _Selection(rule, rho, dec, live, g_1, g_2, g_e / (1.0 + rho4 * h_e))
-        else:
+            codes_of.setdefault((Transmission.SINGLE, two_step, None), np.full(n.shape, _NO_RELAY, dtype=np.int8))
+    single = None  # the checks every single-relay verdict reads
+    for verdict in sorted(codes_of, key=lambda v: v[0] is Transmission.JAMMED):
+        sends, two_step, alpha_j = verdict
+        codes = codes_of[verdict]
+        if sends is Transmission.COMBINED:
+            codes[live] = _combined_codes(rule, dec, n, g_1, g_2, g_e)[live]
+        elif sends is Transmission.SINGLE:
             if single is None:
                 single = _Selection(rule, rule.rho2, dec, live, g_1, g_2, g_e)
-            selection = single
-        (selection.two_step if two_step else selection.pick_one)(codes)
+            single.decide(two_step, codes)
+        else:
+            single = None  # every single-relay verdict is decided
+            codes[:] = codes_of[Transmission.SINGLE, two_step, None]
+            idle = np.flatnonzero(live & (n < k))  # the trials with an idle relay to jam
+            if idle.size:
+                codes[idle] = _jammed_codes(rule, alpha_j, two_step, idle, dec, g_1, g_2, g_e)
     return out
 
 
@@ -247,14 +352,72 @@ def _draw_chunk(params: SystemParams, stream: np.random.Generator, size: int):
     )
 
 
-def _blocks(config: TrialConfig, params: SystemParams):
-    """Every block of every chunk, as relay-major views of the chunk's draws;
-    one chunk's draws are held at a time."""
-    step = max(1, _BLOCK_ELEMENTS // params.K)
-    for index, size in _chunk_sizes(config):
-        draws = _draw_chunk(params, _chunk_stream(config, index), size)
-        for start in range(0, size, step):
-            yield tuple(g[:, start:start + step] for g in draws)
+def _chunk_blocks(config: TrialConfig, params: SystemParams, index: int, size: int, step: int) -> list:
+    """The draws of chunk `index`, as relay-major views of `step` trials each."""
+    draws = _draw_chunk(params, _chunk_stream(config, index), size)
+    return [tuple(g[:, start:start + step] for g in draws) for start in range(0, size, step)]
+
+
+def _run_shared(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs], the jobs shared between the calling thread
+    and, with two workers, the helper thread: each thread takes the next job
+    whenever it is free. Results keep the jobs' order, so nothing the caller
+    makes of them depends on which thread ran which job. The first error of
+    either thread is raised once both have stopped."""
+    if _WORKERS < 2 or len(jobs) < 2:
+        return [fn(job) for job in jobs]
+    results = [None] * len(jobs)
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        try:
+            while True:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                results[i] = fn(jobs[i])
+        except BaseException:
+            with lock:
+                for _ in pending:  # the other thread stops after its current job
+                    pass
+            raise
+
+    helper = _helper_pool().submit(drain)
+    try:
+        drain()
+    except BaseException:
+        if not helper.cancel():
+            helper.exception()  # wait for its current job: none of this call's work outlives it
+        raise
+    if not helper.cancel():  # a helper that never started has taken no job
+        helper.result()
+    return results
+
+
+def _helper_pool():
+    global _POOL
+    if _POOL is None:
+        # imported here: concurrent.futures adds about 12 ms to every start-up
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="montecarlo")
+    return _POOL
+
+
+def _block_counts(job) -> dict:
+    """Outcome counts per verdict of one (rule, verdicts, block) job."""
+    rule, verdicts, block = job
+    return {v: np.bincount(codes, minlength=5) for v, codes in _block_codes(rule, verdicts, *block).items()}
+
+
+def _tally_chunk(tallies: dict, blocks: list) -> None:
+    """Add one chunk's outcome counts to every rule's per-verdict tallies."""
+    jobs = [(rule, tuple(per_rule), block) for block in blocks for rule, per_rule in tallies.items()]
+    for (rule, _, _), counts in zip(jobs, _run_shared(_block_counts, jobs)):
+        for verdict, c in counts.items():
+            tallies[rule][verdict] += c
 
 
 def _estimate_from_counts(counts: np.ndarray, trials: int) -> SopEstimate:
@@ -300,10 +463,11 @@ def estimate_many(params, policy, schemes, config: TrialConfig) -> dict:
         per_rule = tallies.setdefault(_rule(p, pol), {})
         for s in kinds:
             slots[i, s] = per_rule.setdefault(_verdict(s, pol), np.zeros(5, dtype=np.int64))
-    for block in _blocks(config, scenarios[0][0]):
-        for rule, per_rule in tallies.items():
-            for verdict, codes in _block_codes(rule, per_rule, *block).items():
-                per_rule[verdict] += np.bincount(codes, minlength=5)
+    # A chunk's draws live only inside its `_tally_chunk` call, so two chunks
+    # are never held at once.
+    step = max(1, _BLOCK_ELEMENTS // _WORKERS // scenarios[0][0].K)
+    for index, size in _chunk_sizes(config):
+        _tally_chunk(tallies, _chunk_blocks(config, scenarios[0][0], index, size, step))
     estimates = {key: _estimate_from_counts(c, config.trials) for key, c in slots.items()}
     if isinstance(params, SystemParams):
         return {s: estimates[0, s] for s in kinds}
@@ -335,8 +499,15 @@ def paired_verdicts(
     rule = _rule(params, policy)
     a = _verdict(SchemeKind(scheme_a), policy)
     b = _verdict(SchemeKind(scheme_b), policy)
-    matches = 0
-    for block in _blocks(config, params):
-        codes = _block_codes(rule, dict.fromkeys((a, b)), *block)
-        matches += int(((codes[a] == _SECURE) == (codes[b] == _SECURE)).sum())
+
+    def chunk_matches(blocks: list) -> int:
+        same = 0
+        for block in blocks:
+            codes = _block_codes(rule, dict.fromkeys((a, b)), *block)
+            same += int(((codes[a] == _SECURE) == (codes[b] == _SECURE)).sum())
+        return same
+
+    step = max(1, _BLOCK_ELEMENTS // params.K)
+    matches = sum(chunk_matches(_chunk_blocks(config, params, index, size, step))
+                  for index, size in _chunk_sizes(config))
     return matches, config.trials

@@ -25,6 +25,7 @@ from noma_relay_secrecy import (
     sop_floor_total,
     sop_total,
 )
+from noma_relay_secrecy import montecarlo
 from noma_relay_secrecy.analytic import decoding_set_pmf, sop_cond
 from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
 from noma_relay_secrecy.params import Transmission
@@ -94,10 +95,11 @@ def test_every_traced_name_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
-def test_traced_layers_see_the_engines_calls():
+def test_traced_layers_see_the_engines_calls(monkeypatch):
     # the benchmark's per-layer spans wrap module globals, so they count a
     # layer only while the engines call it through that global: a call routed
     # around it would read 0 calls, not fail
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
     spans = _bench_spans()
     rec = spans.Recorder()
     rec.install(spans.FULL)
@@ -108,7 +110,8 @@ def test_traced_layers_see_the_engines_calls():
         for scheme in SchemeKind:
             sop_total(params, policy, scheme, QUAD)
         sop_asym_total(params, policy, SchemeKind.ODRS, AsymptoticScaling(1.5, 2.0, db(30.0)), QUAD)
-        estimate_many(params, policy, list(SchemeKind), TrialConfig(trials=2_000, seed=1))
+        # through the module attribute, which the recorder wraps; several chunks, both threads
+        montecarlo.estimate_many(params, policy, list(SchemeKind), TrialConfig(trials=120_000, seed=1, chunk=50_000))
     finally:
         rec.active = False
         rec.uninstall()
@@ -116,3 +119,9 @@ def test_traced_layers_see_the_engines_calls():
     for span in ("analytic.delta1", "analytic.delta4", "analytic.sop_tmrc_cond", "asymptotic.scaled_params",
                  "channels.sample_gain"):
         assert layers.get(span, {}).get("calls", 0) >= 1, span
+    # the recorder keeps one call stack, so a wrapped call made off the
+    # calling thread would get whatever span is open there as its parent
+    records = list(rec.span_records())
+    draws = [parent for name, _, _, parent in records if name == "channels.sample_gain"]
+    assert len(draws) == 3 * 4  # three chunks, four links
+    assert all(parent >= 0 and records[parent][0] == "montecarlo.estimate_many" for parent in draws)

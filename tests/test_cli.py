@@ -80,9 +80,12 @@ def test_config_rejections(tmp_path):
         (_base_config(sigma2=True), "sigma2 must be a number, got True"),
         (_dpa_config(mu="5", varpi=0.1), "mu must be a number, got '5'"),
         (_base_config(sweep={"var": "P_dB"}), "sweep must be an object with keys var and values"),
+        (_base_config(sweep={"var": "P_dB", "values": [10, "15"]}), "sweep.values must be a number, got '15'"),
         (_base_config(scheme=["bogus"]), "unknown scheme: 'bogus'"),
         (_base_config(trials=0), "trials must be a positive integer, got 0"),
         (_base_config(quad_n=True), "quad_n must be an integer >= 2, got True"),
+        (_base_config(quad_n=5_001), "quad_n must be at most 5000, got 5001"),
+        (_base_config(quad_n=10**400), f"quad_n must be at most 5000, got {10**400}"),
         # a sweep value is checked by building its point's PowerPolicy, with PowerPolicy's message
         (_base_config(sweep={"var": "alpha1", "values": [0.2, 1.5]}), "alpha1 must lie in (0,1), got 1.5"),
         (_base_config(sweep={"var": "alpha1", "values": [0]}), "alpha1 must lie in (0,1), got 0.0"),
@@ -307,13 +310,15 @@ def test_exit_codes(tmp_path, capsys):
         # sweep points are built at load, so a bad value fails before any row
         (_base_config(sweep={"var": "P_dB", "values": [10, 4000]}),
          "P_dB overflows a float in linear scale, got 4000.0"),
-        (_base_config(sweep={"var": "P_dB", "values": [10, math.inf]}), "P_S must be finite, got inf"),
+        (_base_config(sweep={"var": "P_dB", "values": [10, math.inf]}), "sweep.values must be finite, got inf"),
         (_base_config(sweep={"var": "omega2_dB", "values": [4000]}),
          "omega2_dB overflows a float in linear scale, got 4000.0"),
         (_base_config(sweep={"var": "K", "values": [2, 2.5]}), "K must be a positive integer, got 2.5"),
         (_base_config(sweep={"var": "m", "values": [2.5]}), "shape m must be a positive integer, got 2.5"),
-        (_base_config(sweep={"var": "K", "values": [math.inf]}), "K must be a positive integer, got inf"),
-        (_base_config(sweep={"var": "K", "values": [10**400]}), "int too large to convert to float"),
+        (_base_config(sweep={"var": "K", "values": [math.inf]}), "sweep.values must be finite, got inf"),
+        (_base_config(sweep={"var": "K", "values": [10**400]}), "sweep.values overflows a float"),
+        (_base_config(trials=10**400), "trials overflows a float"),
+        (_base_config(seed=10**400), "seed overflows a float"),
         # every scalar number goes through one check that names its key
         (_base_config(omegaE_dB=-math.inf), "omegaE_dB must be finite, got -inf"),
         (_base_config(alphaJ=math.nan), "alphaJ must be finite, got nan"),

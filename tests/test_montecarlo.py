@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,11 +20,15 @@ from noma_relay_secrecy import (
     quadrature,
 )
 from noma_relay_secrecy.analytic import sop_cond
+from noma_relay_secrecy import montecarlo
 from noma_relay_secrecy.montecarlo import (
     OUTCOME_LABELS,
+    _block_codes,
     _chunk_stream,
     _draw_chunk,
+    _rule,
     _scheme_codes,
+    _verdict,
     paired_verdicts,
 )
 from noma_relay_secrecy.params import scheme_constants
@@ -248,6 +254,79 @@ def test_kernel_matches_per_trial_rules():
                 assert codes.tolist() == want, (K, alpha_j, scheme)
                 seen.update(want)
     assert seen == set(range(len(OUTCOME_LABELS)))
+
+
+def test_kernel_reuses_the_single_relay_verdict():
+    # at omegaR_dB=10 and P_dB=0 most trials have every relay decoding, where
+    # odrs sends as osrs does and takes its codes, and some have an idle relay
+    # to jam; the kernel must get both right when odrs comes alone, with tsrs
+    # only (so the pick-one codes odrs starts from are not otherwise wanted)
+    # and with every scheme
+    for K in range(1, 10):
+        params = grid_params(K=K, P_dB=0.0, omegaR_dB=10.0)
+        draws = _draw_chunk(params, np.random.default_rng(200 + K), 1_500)
+        n = (draws[0] >= params.eta).sum(axis=0)
+        assert (n == K).any() and (K == 1 or ((0 < n) & (n < K)).any()), K
+        for alpha_j in (0.0, 0.5):
+            policy = fixed_policy(0.2, alphaJ=alpha_j)
+            want = {s: [_outcome_by_hand(params, policy, s, *(g[:, t] for g in draws)) for t in range(n.size)]
+                    for s in SchemeKind}
+            for schemes in ([SchemeKind.ODRS], [SchemeKind.ODRS, SchemeKind.TSRS],
+                            [SchemeKind.TSRS, SchemeKind.ODRS], list(SchemeKind)):
+                verdicts = {_verdict(s, policy): s for s in schemes}
+                codes = _block_codes(_rule(params, policy), tuple(verdicts), *draws)
+                for verdict, scheme in verdicts.items():
+                    assert codes[verdict].tolist() == want[scheme], (K, alpha_j, schemes, scheme)
+
+
+def test_worker_count_does_not_change_estimates(monkeypatch):
+    config = TrialConfig(trials=120_000, seed=5, chunk=50_000)
+    params = [grid_params(K=3, P_dB=p, omegaR_dB=0.0) for p in (0.0, 10.0, 20.0)]
+    policies = [fixed_policy(0.2, alphaJ=0.5)] * len(params)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        runs.append(estimate_many(params, policies, list(SchemeKind), config))
+    assert runs[0].keys() == runs[1].keys()
+    for key, one in runs[0].items():
+        two = runs[1][key]
+        assert (one.p_hat, one.stderr, one.breakdown) == (two.p_hat, two.stderr, two.breakdown), key
+
+
+def test_shared_jobs_each_run_once_and_keep_their_order(monkeypatch):
+    # the two threads take jobs from one queue; with thread switches forced
+    # as often as the interpreter allows, a job taken twice or lost shows
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            jobs = list(range(300))
+            taken = []
+            results = montecarlo._run_shared(lambda job: taken.append(job) or -job, jobs)
+            assert results == [-job for job in jobs]
+            assert sorted(taken) == jobs
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_error_in_a_helper_block_surfaces(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    real = montecarlo._block_codes
+    helper_failed = threading.Event()
+
+    def fail_off_the_calling_thread(*args):
+        if threading.current_thread() is threading.main_thread():
+            helper_failed.wait(timeout=30)  # hold the calling thread until the helper has a block
+            return real(*args)
+        helper_failed.set()
+        raise RuntimeError("helper block failed")
+
+    monkeypatch.setattr(montecarlo, "_block_codes", fail_off_the_calling_thread)
+    with pytest.raises(RuntimeError, match="helper block failed"):
+        estimate_many(grid_params(K=2), fixed_policy(0.2, alphaJ=0.5), list(SchemeKind),
+                      TrialConfig(trials=300_000, seed=1))
+    assert helper_failed.is_set()
 
 
 def test_margin_ties_go_to_the_first_relay():
