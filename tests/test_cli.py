@@ -317,13 +317,14 @@ def test_exit_codes(tmp_path, capsys):
         (_base_config(sweep={"var": "m", "values": [2.5]}), "shape m must be a positive integer, got 2.5"),
         (_base_config(sweep={"var": "K", "values": [math.inf]}), "sweep.values must be finite, got inf"),
         (_base_config(sweep={"var": "K", "values": [10**400]}), "sweep.values overflows a float"),
-        (_base_config(trials=10**400), "trials overflows a float"),
-        (_base_config(seed=10**400), "seed overflows a float"),
         # every scalar number goes through one check that names its key
         (_base_config(omegaE_dB=-math.inf), "omegaE_dB must be finite, got -inf"),
         (_base_config(alphaJ=math.nan), "alphaJ must be finite, got nan"),
         (_dpa_config(mu=5.0, varpi=math.inf), "varpi must be finite, got inf"),
         (_base_config(sigma2=10**400), "sigma2 overflows a float"),
+        # a count past float range names its key
+        (_base_config(trials=10**400), "trials overflows a float"),
+        (_base_config(seed=10**400), "seed overflows a float"),
     ],
 )
 def test_non_finite_and_overflowing_numbers_are_config_errors(tmp_path, capsys, raw, message):
