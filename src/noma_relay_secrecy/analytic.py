@@ -15,6 +15,13 @@ stay secure iff x < a, the strong user's gain exceeds b + theta1*x, and the
 weak user's exceeds c*(1 + u/(1-v*x)), v = 1/a; only below the ceiling a can
 that hold, which creates the high-SNR outage floor. The constants, the laws,
 the jamming split and the clip to [0, 1] come from `params`, as in every engine.
+
+`sop_total` and `sop_cond` open a sharing scope (`quadrature._sharing_scope`),
+and `_joint_secrecy_prob` reads only its arguments, so within one call, or one
+sweep that opens the scope around its calls, each distinct integral is
+evaluated once: the single-relay term serves every scheme and n that sends
+singly, and a combined term at n or a jammed term with K - n idle relays
+serves every K that needs it.
 """
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ import numpy as np
 
 from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of delta4)
     EavesdropperLaw,
+    NakagamiParams,
     gain_survival,
     jammed_ratio_terms,
 )
@@ -41,6 +49,8 @@ from .params import (
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
     QuadratureSpec,
+    _shared,
+    _sharing_scope,
     _signed_log_pow,
     convolve_series,
     g_kernel,
@@ -88,20 +98,29 @@ def _user_series(base: np.ndarray, tau_u: int, log_rate: float, alternate: bool)
     return series_rows(range(tau_u), log_coef + logmag, sign, tau_u)
 
 
+@_shared
 def _joint_secrecy_prob(
-    params: SystemParams, consts: SchemeConstants, alpha2: float, tau_u: int, law: EavesdropperLaw, quad: QuadratureSpec
+    user1: NakagamiParams,
+    user2: NakagamiParams,
+    theta1: float,
+    consts: SchemeConstants,
+    alpha2: float,
+    tau_u: int,
+    law: EavesdropperLaw,
+    quad: QuadratureSpec,
 ) -> float:
     """P(both users secured) for one transmission with Gamma(tau_u) user links
-    when the eavesdropper's gain follows `law`.
+    at the rates of user1 and user2 when the eavesdropper's gain follows `law`.
 
     Expands the two user survival series under the eavesdropper-gain integral;
     the (k, j) term is (lambda1*b)^k/k! * (lambda2*c)^j/j! times a g-kernel
     integrand with powers k, j (times the law's density rows, if it has any),
     whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
     summed at each node and the integral is taken once (`series_integral`).
+    It reads nothing but its arguments, so a sharing scope evaluates it once
+    per argument tuple.
     """
-    links = params.links
-    lambda1, lambda2, theta1 = links.relay_user1.rate, links.relay_user2.rate, params.theta1
+    lambda1, lambda2 = user1.rate, user2.rate
     a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
     log_front = law.log_front - lambda1 * b - lambda2 * c
     h = consts.screening(lambda2, alpha2)
@@ -130,7 +149,10 @@ def _combined_secure(params: SystemParams, policy: PowerPolicy, n: int, quad: Qu
         return 0.0
     alpha1, alpha2 = policy.resolve(params.links)
     consts, law = combining_constants(params, alpha1, alpha2, n)
-    return _joint_secrecy_prob(params, consts, alpha2, n * params.links.m_u, law, quad)
+    links = params.links
+    return _joint_secrecy_prob(
+        links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, n * links.m_u, law, quad
+    )
 
 
 def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -161,13 +183,17 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
         return 0.0
     alpha1, alpha2 = policy.resolve(params.links)
     consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
-    return clamp_probability(_joint_secrecy_prob(params, consts, alpha2, params.links.m_u, law, quad))
+    links = params.links
+    return clamp_probability(
+        _joint_secrecy_prob(links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, links.m_u, law, quad)
+    )
 
 
 def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec):
     """The scheme's conditional SOP as a function of n: combining is
-    `sop_tmrc_cond`, a single candidate fails with 1 - delta1 (computed at
-    most once) and a jammed one with 1 - delta4."""
+    `sop_tmrc_cond`, a single candidate fails with 1 - delta1 and a jammed
+    one with 1 - delta4. Call it inside a sharing scope, which evaluates
+    delta1's integral once for every n."""
     return SchemeKind(scheme).conditional(
         params.K,
         combined=lambda n: sop_tmrc_cond(params, policy, n, quad),
@@ -176,18 +202,24 @@ def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, 
     )
 
 
+@_sharing_scope()
 def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec) -> float:
     """Outage probability given n decoding relays under the scheme."""
     return _conditional(params, policy, scheme, quad)(n)
 
 
+@_sharing_scope()
 def sop_total(
     params: SystemParams,
     policy: PowerPolicy,
     scheme: SchemeKind,
     quad: QuadratureSpec,
 ) -> SopResult:
-    """Total SOP: mixture of the conditional SOPs over the decoding-set law."""
+    """Total SOP: mixture of the conditional SOPs over the decoding-set law.
+
+    Runs in a sharing scope: each distinct integral of the mixture is
+    evaluated once, and once per enclosing sweep when the caller has opened
+    the scope around several calls."""
     pmf = decoding_set_pmf(params)
     cond = _conditional(params, policy, scheme, quad)
     total = sum(pmf[n] * cond(n) for n in range(params.K + 1))

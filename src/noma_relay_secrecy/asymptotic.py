@@ -28,6 +28,13 @@ they come from one running pass of the survival series, and its two
 kernel integrals share all but one factor, so they take one node pass
 (`g_kernel_pair`). No engine calls `g_kernel` or `h_kernel`; both remain
 the per-term references of the complements.
+
+Both complements read only their arguments: the user links, theta1, the
+constants and law in force, alpha2 and the nodes. `sop_asym_total`,
+`sop_asym_cond` and `sop_floor_cond` open a sharing scope
+(`quadrature._sharing_scope`), so each distinct complement is evaluated once
+per call, or once per sweep that opens the scope around its calls: the
+single-relay complement serves every scheme and n that sends singly.
 """
 from __future__ import annotations
 
@@ -38,12 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _jammed_complement)
+    EavesdropperLaw,
+    NakagamiParams,
     _is_count,
     _survival_prefixes,
     jammed_ratio_terms,
 )
 from .params import (
     PowerPolicy,
+    SchemeConstants,
     SchemeKind,
     SystemParams,
     Transmission,
@@ -54,6 +64,8 @@ from .params import (
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of the complements)
     QuadratureSpec,
+    _shared,
+    _sharing_scope,
     _signed_log_pow,
     convolve_series,
     g_kernel,
@@ -100,27 +112,28 @@ def _leading_coeff(rate: float, tau: int) -> float:
     return math.exp(tau * math.log(rate) - math.lgamma(tau + 1))
 
 
+@_shared
 def _combined_complement(
-    params: SystemParams,
-    alpha1: float,
+    user1: NakagamiParams,
+    user2: NakagamiParams,
+    theta1: float,
+    consts: SchemeConstants,
     alpha2: float,
-    n: int,
+    tau_u: int,
+    law: EavesdropperLaw,
     quad: QuadratureSpec | None,
     include_floor: bool,
 ) -> float:
-    """Leading-order P(outage | n) when n relays combine, floor term first;
+    """Leading-order P(outage | n) when n relays combine (user shapes tau_u =
+    n*m_U, constants and law of `combining_constants`), floor term first;
     with quad None, the floor term alone."""
-    links = params.links
-    consts, law = combining_constants(params, alpha1, alpha2, n)
     a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
     floor = float(law.survival(a)) if include_floor else 0.0
     if quad is None:
         return floor
-    tau_u = n * links.m_u
     tau_e, lam_e, beta_e = law.degree, law.rate, law.front
-    phi1 = _leading_coeff(links.relay_user1.rate, tau_u)
-    phi2 = _leading_coeff(links.relay_user2.rate, tau_u)
-    theta1 = params.theta1
+    phi1 = _leading_coeff(user1.rate, tau_u)
+    phi2 = _leading_coeff(user2.rate, tau_u)
     gammas = _lower_incomplete_gammas(tau_e, tau_e + tau_u, lam_e * a)
     t1 = sum(
         math.comb(tau_u, k) * theta1**k * b ** (tau_u - k) * gammas[k] / lam_e ** (k + tau_e)
@@ -130,7 +143,7 @@ def _combined_complement(
     # 1 pointwise as omega2 grows, so the leading order is untouched, but
     # without it the integrand's (1-qx)^{-tau_u} endpoint pole makes the
     # quadrature blow up with the node count.
-    h_screen = consts.screening(links.relay_user2.rate, alpha2)
+    h_screen = consts.screening(user2.rate, alpha2)
     g2, g3 = g_kernel_pair(a, tau_e, theta1 / b, r, q, lam_e, h_screen, tau_u, tau_u, quad)
     return (
         floor
@@ -140,30 +153,31 @@ def _combined_complement(
     )
 
 
+@_shared
 def _jammed_complement(
-    params: SystemParams,
-    policy: PowerPolicy,
-    alpha1: float,
+    user1: NakagamiParams,
+    user2: NakagamiParams,
+    theta1: float,
+    consts: SchemeConstants,
     alpha2: float,
-    n: int,
+    law: EavesdropperLaw,
     quad: QuadratureSpec | None,
     include_floor: bool,
 ) -> float:
-    """Leading-order per-relay outage probability 1 - delta4, floor term
-    first; with quad None, the floor term alone."""
-    links = params.links
-    consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
+    """Leading-order per-relay outage probability 1 - delta4 (constants and
+    law of `jamming_constants`), floor term first; with quad None, the floor
+    term alone."""
     a, b, c, u, v = consts.a, consts.b, consts.c, consts.u, consts.v
     floor = float(law.survival(a)) if include_floor else 0.0
     if quad is None:
         return floor
-    m_u = links.m_u
+    m_u = user1.m
     lam_e = law.rate
-    phi3 = _leading_coeff(links.relay_user1.rate, m_u)
-    phi4 = _leading_coeff(links.relay_user2.rate, m_u)
+    phi3 = _leading_coeff(user1.rate, m_u)
+    phi4 = _leading_coeff(user2.rate, m_u)
     # The same screening factor as in the combining complement keeps the
     # y -> a endpoint integrable.
-    h_screen = consts.screening(links.relay_user2.rate, alpha2)
+    h_screen = consts.screening(user2.rate, alpha2)
     # The three user terms phi3*B^m, phi4*c^m*C^m and -phi3*phi4*c^m*B^m*C^m
     # (B = b + theta1*y, C = 1 + u/(1-vy), m = m_u) are h-kernels with
     # powers (p, q) = (m, 0), (0, m), (m, m); the domain cut counts degree
@@ -173,7 +187,7 @@ def _jammed_complement(
 
     def integrand(y):
         one_minus_vy = 1.0 - v * y
-        log_b, sign_b = _signed_log_pow(b + params.theta1 * y, m_u)
+        log_b, sign_b = _signed_log_pow(b + theta1 * y, m_u)
         log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vy, m_u)
         shift, user = series_rows(
             (0, 0, m_u),
@@ -196,22 +210,31 @@ def _conditional(
 ):
     """The scheme's leading-order conditional SOP on an already scaled
     scenario, as a function of n. Feasibility and the split are worked out
-    once per call, and the single-relay complement at most once, not once
-    per n. With quad None only the floor terms are kept."""
+    once per call, not once per n. With quad None only the floor terms are
+    kept. Call it inside a sharing scope, which evaluates the single-relay
+    complement once for every n."""
     scheme = SchemeKind(scheme)
     if feasibility_check(params, policy) is not None:
         return lambda n: 1.0
     alpha1, alpha2 = policy.resolve(params.links)
-    return scheme.conditional(
-        params.K,
-        combined=lambda n: clamp_probability(_combined_complement(params, alpha1, alpha2, n, quad, include_floor)),
-        single=lambda: clamp_probability(_combined_complement(params, alpha1, alpha2, 1, quad, include_floor)),
-        jammed=lambda n: clamp_probability(
-            _jammed_complement(params, policy, alpha1, alpha2, n, quad, include_floor)
-        ),
-    )
+    links, theta1 = params.links, params.theta1
+
+    def combined(n: int) -> float:
+        consts, law = combining_constants(params, alpha1, alpha2, n)
+        return clamp_probability(_combined_complement(
+            links.relay_user1, links.relay_user2, theta1, consts, alpha2, n * links.m_u, law, quad, include_floor
+        ))
+
+    def jammed(n: int) -> float:
+        consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
+        return clamp_probability(_jammed_complement(
+            links.relay_user1, links.relay_user2, theta1, consts, alpha2, law, quad, include_floor
+        ))
+
+    return scheme.conditional(params.K, combined=combined, single=lambda: combined(1), jammed=jammed)
 
 
+@_sharing_scope()
 def sop_asym_cond(
     params: SystemParams,
     policy: PowerPolicy,
@@ -224,6 +247,7 @@ def sop_asym_cond(
     return _conditional(scaled_params(params, scaling), policy, scheme, quad, not policy.is_dynamic)(n)
 
 
+@_sharing_scope()
 def sop_asym_total(
     params: SystemParams,
     policy: PowerPolicy,
@@ -245,6 +269,7 @@ def sop_asym_total(
     return clamp_probability(total)
 
 
+@_sharing_scope()
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
     """The conditional SOP's high-gain floor: the securing terms vanish with the
     user-link coefficients and only the eavesdropper-side mass above the

@@ -23,7 +23,7 @@ from .asymptotic import AsymptoticScaling, SdoInputs, sdo, sop_asym_total
 from .channels import NakagamiParams
 from .montecarlo import TrialConfig, estimate_many
 from .params import LinkSet, PowerPolicy, SchemeKind, SystemParams
-from .quadrature import quadrature
+from .quadrature import _sharing_scope, quadrature
 
 _ENGINES = ("analytic", "asymptotic", "montecarlo")
 _SWEEP_VARS = ("P_dB", "omega2_dB", "alpha1", "alphaJ", "K", "m")
@@ -249,7 +249,9 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     Monte Carlo draws depend on K and the links only, so the points of a
     `P_dB`, `alpha1` or `alphaJ` sweep are simulated on one shared draw,
     which makes their curves paired; `omega2_dB`, `K` and `m` sweeps draw
-    afresh at every point.
+    afresh at every point. The analytic and asymptotic rows run in one
+    sharing scope, so an integral that several points, schemes or decoding
+    set sizes need is evaluated once per sweep.
     """
     engines = tuple(engines) if engines is not None else cfg.engines
     if cfg.sweep_var is None:
@@ -258,22 +260,23 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
         values = list(cfg.sweep_values)
     points = [(value, *_point_scenario(cfg, None if cfg.sweep_var is None else value)) for value in values]
     rows: list[dict] = []
-    for value, params, policy in points:
-        for engine in (e for e in engines if e != "montecarlo"):
-            for scheme in cfg.schemes:
-                row = _blank_row(cfg, value, scheme, engine)
-                try:
-                    if engine == "analytic":
-                        res = sop_total(params, policy, scheme, quadrature(cfg.quad_n))
-                        row["sop"] = res.value
-                    else:
-                        scaling = AsymptoticScaling(*params.links.frame)
-                        row["sop"] = sop_asym_total(params, policy, scheme, scaling, quadrature(cfg.quad_n))
-                        if policy.is_dynamic:
-                            row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
-                except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
-                    row["error"] = str(exc)
-                rows.append(row)
+    with _sharing_scope():
+        for value, params, policy in points:
+            for engine in (e for e in engines if e != "montecarlo"):
+                for scheme in cfg.schemes:
+                    row = _blank_row(cfg, value, scheme, engine)
+                    try:
+                        if engine == "analytic":
+                            res = sop_total(params, policy, scheme, quadrature(cfg.quad_n))
+                            row["sop"] = res.value
+                        else:
+                            scaling = AsymptoticScaling(*params.links.frame)
+                            row["sop"] = sop_asym_total(params, policy, scheme, scaling, quadrature(cfg.quad_n))
+                            if policy.is_dynamic:
+                                row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
+                    except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
+                        row["error"] = str(exc)
+                    rows.append(row)
     if "montecarlo" in engines and points:
         groups = [points] if cfg.sweep_var in _SHARED_DRAW_VARS else [[point] for point in points]
         for group in groups:

@@ -68,9 +68,10 @@ class SchemeKind(str, Enum):
         combined(n) is the outage of n combining relays; single() and
         jammed(n) are one candidate's outage when it sends alone or under
         jamming. A selection fails iff all n candidates fail, taken as
-        independent, hence the n-th power. single() runs at most once.
+        independent, hence the n-th power. Nothing is kept between calls:
+        the engines evaluate each integral once per sharing scope
+        (`quadrature._sharing_scope`), which spans every n of a call.
         """
-        single_outage: list[float] = []
 
         def cond(n: int) -> float:
             if n < 0:
@@ -82,9 +83,7 @@ class SchemeKind(str, Enum):
                 return combined(n)
             if sends is Transmission.JAMMED:
                 return jammed(n) ** n
-            if not single_outage:
-                single_outage.append(single())
-            return single_outage[0] ** n
+            return single() ** n
 
         return cond
 

@@ -20,10 +20,20 @@ the asymptotic combining term, which share all but one factor, in one node
 pass. `g_kernel` and `h_kernel` evaluate one term of each shape on its own.
 No engine calls them: they are the per-term references the series and the
 pair are tested against.
+
+Each engine call opens a sharing scope (`_sharing_scope`), and `cli.run_sweep`
+opens one around all its points. Inside it, an integral computed by a
+`_shared` function is evaluated once per distinct argument tuple: the
+schemes of a point share the single-relay term, and the points of a sweep
+share every term the swept value does not reach. The stored values live as
+long as the outermost scope, so none outlives the call or the sweep that
+made it.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+import contextvars
+from contextlib import contextmanager
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -47,8 +57,55 @@ def _effective_upper(a: float, f: float, degree: float) -> float:
     return a if cut >= a else cut
 
 
+# The values `_shared` functions returned inside the open sharing scope, by
+# (function, arguments); None while no scope is open.
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared_integrals", default=None)
+_MISSING = object()
+
+
+@contextmanager
+def _sharing_scope():
+    """Share `_shared` evaluations until the outermost scope closes.
+
+    A scope entered while one is open joins it, so an engine call made
+    inside a sweep shares with the whole sweep; leaving the outermost scope
+    drops every stored value.
+    """
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(fn):
+    """fn, evaluated once per positional argument tuple inside a sharing scope.
+
+    fn must read nothing but its (hashable) arguments, so that the tuple is
+    the whole key. A call that raises stores nothing: each caller sees the
+    error. Outside a scope every call evaluates.
+    """
+
+    @wraps(fn)
+    def call(*args):
+        memo = _SHARED.get()
+        if memo is None:
+            return fn(*args)
+        key = (fn, args)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(*args)
+        return value
+
+    return call
+
+
 class QuadratureSpec:
-    """Cached Gauss-Legendre abscissae and weights on [-1, 1]."""
+    """Gauss-Legendre abscissae and weights on [-1, 1], read-only: every
+    caller of `quadrature` shares one spec per node count."""
 
     __slots__ = ("n", "nodes", "weights")
 
@@ -57,6 +114,8 @@ class QuadratureSpec:
             raise ValueError(f"node count must be a positive integer, got {n!r}")
         self.n = int(n)
         nodes, weights = np.polynomial.legendre.leggauss(self.n)
+        for arr in (nodes, weights):
+            arr.setflags(write=False)
         self.nodes = nodes
         self.weights = weights
 
@@ -68,7 +127,7 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=8)
 def quadrature(n: int = 300) -> QuadratureSpec:
-    """Shared immutable QuadratureSpec per node count."""
+    """The shared QuadratureSpec per node count; its arrays are read-only."""
     return QuadratureSpec(n)
 
 

@@ -440,6 +440,33 @@ def test_large_k_simulation_matches_golden(tmp_path):
     assert out.read_bytes() == (ROOT / "tests" / "golden" / "relay_k8_simulate.csv").read_bytes()
 
 
+# Sweeps whose points need the same integrals: a K sweep shares each
+# combined term at n and each jammed term with K - n idle relays across its
+# points, and an alphaJ sweep shares every term without jamming.
+_SHARED_SWEEPS = {
+    "relay_k_sweep.csv": dict(
+        _base_config(), omegaR_dB=-10.0, omega1_dB=32.0, omega2_dB=30.0, P_dB=20.0,
+        scheme=["tmrc", "osrs", "tsrs", "odrs"], engine=["analytic", "asymptotic"],
+        sweep={"var": "K", "values": [2, 4, 6, 8]},
+    ),
+    "alpha_j_sweep.csv": {
+        "K": 4, "mR": 2, "mU": 2, "mE": 2,
+        "omegaR_dB": 5.0, "omega1_dB": 31.8, "omega2_dB": 30.0, "omegaE_dB": -5.0,
+        "P_dB": 10.0, "R1_th": 0.2, "R2_th": 0.1, "R1_s": 0.1, "R2_s": 0.2,
+        "dpa": {"mu": 5.0, "varpi": 0.1}, "alphaJ": 0.5,
+        "scheme": ["tmrc", "osrs", "tsrs", "odrs"], "engine": ["analytic", "asymptotic"],
+        "sweep": {"var": "alphaJ", "values": [0.0, 0.2, 0.4, 0.6, 0.8]}, "quad_n": 300,
+    },
+}
+
+
+@pytest.mark.parametrize("golden", sorted(_SHARED_SWEEPS))
+def test_shared_integral_sweep_matches_golden(tmp_path, golden):
+    out = tmp_path / golden
+    assert main(["sweep", _write(tmp_path, _SHARED_SWEEPS[golden]), "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
+
+
 @pytest.mark.parametrize("demo", ["power_sweep", "jamming_split", "diversity_slopes"])
 def test_demo_stdout_matches_golden(demo):
     # the demo scripts are deterministic; their printed studies are pinned too

@@ -29,6 +29,18 @@ def test_quadrature_cache():
     assert quadrature(200) is not quadrature(300)
 
 
+def test_shared_nodes_and_weights_are_read_only():
+    # every caller of quadrature(n) holds the same spec: an in-place edit
+    # would move every later integral and every value a sharing scope keeps
+    spec = quadrature(300)
+    for arr in (spec.nodes, spec.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    assert QuadratureSpec(3).nodes.flags.writeable is False
+
+
 def test_g_kernel_frozen_example():
     val = g_kernel(1.0, 2, 1.0, 0.5, 0.5, 1.0, 0.2, 1, 1, quadrature(200))
     assert val == pytest.approx(0.550468201112061, rel=1e-12)

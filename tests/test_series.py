@@ -19,7 +19,7 @@ from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, scaled_params
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
 from noma_relay_secrecy.asymptotic import _jammed_complement, _leading_coeff
 from noma_relay_secrecy.channels import combined_law, jammed_ratio_survival, jammed_ratio_terms
-from noma_relay_secrecy.params import feasibility_check, scheme_constants
+from noma_relay_secrecy.params import feasibility_check, jamming_constants, scheme_constants
 from noma_relay_secrecy.quadrature import (
     _effective_upper,
     g_kernel,
@@ -38,18 +38,16 @@ def assert_close(got: float, ref: float) -> None:
 
 
 def joint_args(params, policy, n):
-    """The arguments sop_tmrc_cond hands _joint_secrecy_prob."""
+    """The arguments sop_tmrc_cond hands _joint_secrecy_prob, the nodes last."""
     alpha1, alpha2 = policy.resolve(params.links)
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
     links = params.links
-    return dict(
-        params=params, consts=consts, alpha2=alpha2, tau_u=n * links.m_u, law=combined_law(links.relay_eaves, n),
-    )
+    law = combined_law(links.relay_eaves, n)
+    return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, n * links.m_u, law, QUAD
 
 
-def joint_per_term(params, consts, alpha2, tau_u, law, quad):
-    links, theta1 = params.links, params.theta1
-    lambda1, lambda2, lambda_e = links.relay_user1.rate, links.relay_user2.rate, links.relay_eaves.rate
+def joint_per_term(user1, user2, theta1, consts, alpha2, tau_u, law, quad):
+    lambda1, lambda2, lambda_e = user1.rate, user2.rate, law.rate
     tau_e = law.degree  # the combined law's shape n*m_E
     a, b, c, d, v = consts.a, consts.b, consts.c, consts.d, consts.v
     log_front = tau_e * math.log(lambda_e) - math.lgamma(tau_e) - lambda1 * b - lambda2 * c
@@ -91,6 +89,13 @@ def delta4_per_term(params, policy, n, quad):
                 )
                 total += coef * t.delta * hval
     return min(max(phi0 * total, 0.0), 1.0)
+
+
+def jammed_complement_args(params, policy, alpha1, alpha2, n, quad, include_floor):
+    """The arguments the asymptotic engine hands _jammed_complement."""
+    consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
+    links = params.links
+    return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, law, quad, include_floor
 
 
 def odrs_complement_per_term(params, policy, alpha1, alpha2, n, quad, include_floor):
@@ -141,8 +146,8 @@ def asymptotic_frame(params, omega2_dB):
 
 def test_joint_secrecy_series_matches_per_term():
     for rng, params, policy in random_scenarios(20241017, 10):
-        kwargs = joint_args(params, policy, int(rng.integers(1, params.K + 1)))
-        assert_close(_joint_secrecy_prob(quad=QUAD, **kwargs), joint_per_term(quad=QUAD, **kwargs))
+        args = joint_args(params, policy, int(rng.integers(1, params.K + 1)))
+        assert_close(_joint_secrecy_prob(*args), joint_per_term(*args))
 
 
 def test_delta4_series_matches_per_term():
@@ -159,7 +164,7 @@ def test_odrs_complement_series_matches_per_term():
         n = int(rng.integers(1, params.K))
         include_floor = bool(rng.integers(0, 2))
         args = (scaled, policy, alpha1, alpha2, n, QUAD, include_floor)
-        assert_close(_jammed_complement(*args), odrs_complement_per_term(*args))
+        assert_close(_jammed_complement(*jammed_complement_args(*args)), odrs_complement_per_term(*args))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -170,17 +175,17 @@ def test_series_keep_each_degrees_domain_cut(m):
     params = grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=m)
     policy = fixed_policy(0.2, alphaJ=0.5)
     for n in (1, 2, 3):
-        kwargs = joint_args(params, policy, n)
-        a, law = kwargs["consts"].a, kwargs["law"]
+        args = joint_args(params, policy, n)
+        _, _, _, consts, _, tau_u, law, _ = args
         f = params.links.relay_user1.rate * params.theta1 + law.rate
-        cuts = {_effective_upper(a, f, law.degree + s) for s in range(2 * kwargs["tau_u"] - 1)}
-        assert len(cuts) == 2 * kwargs["tau_u"] - 1 and max(cuts) < a
-        assert_close(_joint_secrecy_prob(quad=QUAD, **kwargs), joint_per_term(quad=QUAD, **kwargs))
+        cuts = {_effective_upper(consts.a, f, law.degree + s) for s in range(2 * tau_u - 1)}
+        assert len(cuts) == 2 * tau_u - 1 and max(cuts) < consts.a
+        assert_close(_joint_secrecy_prob(*args), joint_per_term(*args))
         assert_close(delta4(params, policy, n, QUAD), delta4_per_term(params, policy, n, QUAD))
         scaled = asymptotic_frame(params, 30.0)
         alpha1, alpha2 = policy.resolve(scaled.links)
         args = (scaled, policy, alpha1, alpha2, n, QUAD, True)
-        assert_close(_jammed_complement(*args), odrs_complement_per_term(*args))
+        assert_close(_jammed_complement(*jammed_complement_args(*args)), odrs_complement_per_term(*args))
 
 
 def test_identity_series_rows_keep_each_entry_in_its_row():
@@ -201,10 +206,10 @@ def test_series_integral_gives_each_degree_its_own_cut():
     # omega_E = -40 dB cuts every degree's domain short at a point that grows
     # with the degree; degree s must be integrated on the nodes of its own cut
     params = grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=2)
-    kwargs = joint_args(params, fixed_policy(0.2), 2)
-    a, pole, law = kwargs["consts"].a, kwargs["consts"].v, kwargs["law"]
+    _, _, _, consts, _, tau_u, law, _ = joint_args(params, fixed_policy(0.2), 2)
+    a, pole = consts.a, consts.v
     f = params.links.relay_user1.rate * params.theta1 + law.rate
-    degree0, n_degrees = law.degree, 2 * kwargs["tau_u"] - 1
+    degree0, n_degrees = law.degree, 2 * tau_u - 1
     cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
     own_nodes = [QUAD.map_to(cut)[0] for cut in cuts]
     assert len(set(cuts)) >= 2

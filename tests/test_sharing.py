@@ -1,0 +1,180 @@
+"""Sharing scopes: an integral needed twice inside one engine call, or one
+sweep, is evaluated once, and every result stays what a fresh evaluation gives.
+
+`run_sweep` opens one scope around all its analytic and asymptotic rows; each
+`sop_total` or `sop_asym_total` call opens its own when none is open. So a row
+of a sweep must equal, bit for bit, the value (or the error text) of a direct
+call at that point, which shares nothing with the other points.
+"""
+from __future__ import annotations
+
+import json
+
+import pytest
+from conftest import fixed_policy, grid_params
+
+from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, sop_asym_total, sop_total
+from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
+from noma_relay_secrecy.quadrature import _SHARED, _shared, _sharing_scope, quadrature
+
+SCHEMES = ["tmrc", "osrs", "tsrs", "odrs"]
+FIXED = {"alpha1": 0.2}
+DYNAMIC = {"dpa": {"mu": 5.0, "varpi": 0.1}}
+
+
+def _config(split: dict, var: str, values: list, **over) -> dict:
+    # partial decoding (omegaR -10 dB) puts weight on every decoding-set
+    # size, and the users sit 20 dB above the source hop so that most
+    # asymptotic rows stay below the clip at 1
+    return {
+        "K": 3, "mR": 2, "mU": 2, "mE": 2,
+        "omegaR_dB": -10.0, "omega1_dB": 32.0, "omega2_dB": 30.0, "omegaE_dB": -5.0,
+        "P_dB": 20.0, "R1_th": 0.2, "R2_th": 0.1, "R1_s": 0.1, "R2_s": 0.2, "alphaJ": 0.5,
+        "scheme": SCHEMES, "engine": ["analytic", "asymptotic"],
+        "sweep": {"var": var, "values": values}, **split, **over,
+    }
+
+
+SWEEPS = {
+    "P_dB": [15.0, 20.0, 25.0],
+    "omega2_dB": [25.0, 30.0],
+    "alpha1": [0.1, 0.2],
+    "alphaJ": [0.0, 0.3, 0.6],
+    "K": [2, 3, 5],
+    "m": [1, 2, 3],
+}
+CASES = [
+    pytest.param(_config(split, var, values), id=f"{var}-{name}")
+    for var, values in SWEEPS.items()
+    for name, split in (("fixed", FIXED), ("dynamic", DYNAMIC))
+    if not (var == "alpha1" and split is DYNAMIC)
+]
+# At gains near the top of float range some rate products underflow to 0, and
+# a logarithm inside the securing integrals raises: at 200 dB the single-relay
+# integral every scheme needs, and at both powers the asymptotic jammed term.
+RAISING = _config(FIXED, "P_dB", [10.0, 200.0], omega1_dB=3072.0, omega2_dB=3070.0)
+
+
+def _direct(cfg, value, scheme, engine):
+    """(sop, error) of the row's engine called on its own at the row's point."""
+    params, policy = _point_scenario(cfg, value)
+    quad = quadrature(cfg.quad_n)
+    try:
+        if engine == "analytic":
+            return sop_total(params, policy, scheme, quad).value, ""
+        return sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad), ""
+    except Exception as exc:  # noqa: BLE001 - the row records the same text
+        return "", str(exc)
+
+
+def _check_rows_match_direct_calls(tmp_path, body) -> list[dict]:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    cfg = load_config(str(path))
+    rows = run_sweep(cfg)
+    assert len(rows) == len(cfg.sweep_values) * len(SCHEMES) * 2
+    for row in rows:
+        sop, error = _direct(cfg, row["sweep_value"], row["scheme"], row["engine"])
+        key = (row["sweep_value"], row["scheme"], row["engine"])
+        assert row["error"] == error, key
+        if not error:
+            assert row["sop"].hex() == sop.hex(), key  # bit for bit
+    return rows
+
+
+@pytest.mark.parametrize("body", CASES)
+def test_sweep_rows_equal_direct_calls_bit_for_bit(tmp_path, body):
+    rows = _check_rows_match_direct_calls(tmp_path, body)
+    assert any(row["engine"] == "asymptotic" and 0.0 < row["sop"] < 1.0 for row in rows)
+
+
+def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path):
+    rows = _check_rows_match_direct_calls(tmp_path, RAISING)
+    failed = {(row["sweep_value"], row["scheme"], row["engine"]) for row in rows if row["error"]}
+    assert failed == {(200.0, s, "analytic") for s in SCHEMES} | {(v, "odrs", "asymptotic") for v in (10.0, 200.0)}
+    assert all(row["error"] == "math domain error" for row in rows if row["error"])
+    assert _SHARED.get() is None
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_identical_calls_each_evaluate_their_integrals(monkeypatch):
+    # the scope closes with the call: nothing is kept for the next one
+    params, policy, quad = grid_params(K=4, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
+    exact = _count_calls(monkeypatch, analytic, "series_integral")
+    first = sop_total(params, policy, "odrs", quad)
+    per_call = len(exact)
+    assert per_call == 4  # delta4 at n = 1, 2, 3 and delta1 at n = K
+    assert sop_total(params, policy, "odrs", quad) == first
+    assert len(exact) == 2 * per_call
+
+    pair = _count_calls(monkeypatch, asymptotic, "g_kernel_pair")
+    scaling = AsymptoticScaling(*params.links.frame)
+    values = [sop_asym_total(params, policy, "tmrc", scaling, quad) for _ in range(2)]
+    assert values[0] == values[1] and len(pair) == 2 * 4
+    assert _SHARED.get() is None
+
+
+def test_one_call_shares_the_single_relay_term_over_n(monkeypatch):
+    params, policy, quad = grid_params(K=5, omegaR_dB=-10.0), fixed_policy(0.2), quadrature(300)
+    exact = _count_calls(monkeypatch, analytic, "series_integral")
+    sop_total(params, policy, "osrs", quad)
+    assert len(exact) == 1
+
+
+def test_a_sweep_evaluates_each_distinct_integral_once(tmp_path, monkeypatch):
+    body = _config(FIXED, "K", [2, 4], engine=["analytic"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    cfg = load_config(str(path))
+    exact = _count_calls(monkeypatch, analytic, "series_integral")
+    run_sweep(cfg)
+    # combined at n = 1..4 (delta1 is n = 1) and jammed with 1..3 idle relays;
+    # point by point it would be 2 + 1 + 1 + 2 at K = 2 and 4 + 1 + 1 + 4 at K = 4
+    assert len(exact) == 4 + 3
+    assert _SHARED.get() is None
+
+
+def test_scopes_nest_and_close_with_the_outermost():
+    calls = []
+
+    @_shared
+    def square(x):
+        calls.append(x)
+        return x * x
+
+    assert square(3) == 9 and square(3) == 9 and calls == [3, 3]  # no scope: no memo
+    with _sharing_scope():
+        assert square(3) == 9
+        with _sharing_scope():
+            assert square(3) == 9 and square(4) == 16
+        assert square(4) == 16
+    assert calls == [3, 3, 3, 4] and _SHARED.get() is None
+    with _sharing_scope():
+        square(3)
+    assert calls == [3, 3, 3, 4, 3]
+
+
+def test_a_raising_call_is_not_stored():
+    calls = []
+
+    @_shared
+    def fail(x):
+        calls.append(x)
+        raise ValueError(f"bad {x}")
+
+    with _sharing_scope():
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad 1"):
+                fail(1)
+    assert calls == [1, 1] and _SHARED.get() is None
