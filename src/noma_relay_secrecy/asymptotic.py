@@ -3,10 +3,10 @@
 The regime scales the weak user's mean gain omega2 upward while keeping
 omega1 = epsilon1*omega2 and omegaR = epsilon2*omega2 proportional. User-link
 CDFs collapse to their leading power phi*x^tau, which turns every secrecy
-integral into a handful of incomplete-gamma terms and endpoint-screened
-kernels. Complements (securing probabilities) are assembled directly, never
-as 1 minus a value close to 1, so the tiny gaps above the outage floor
-survive in double precision.
+integral into three user terms under the eavesdropper's gain law. Outage
+probabilities are assembled directly as floor plus leading terms, never as
+1 minus a value close to 1, so the tiny gaps above the outage floor survive
+in double precision.
 
 The eavesdropper-ceiling mass (the chance the eavesdropper gain already
 exceeds the weak user's SINR ceiling) is kept or dropped depending on the
@@ -19,17 +19,15 @@ describes, hence it is omitted on the dynamic branch.
 
 Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
 transmit off its `SchemeKind` record, as the exact engine does: combining,
-a single relay, or a jammed one each has a leading-order complement whose
-first term is that ceiling mass, and `sop_floor_cond` keeps that term alone.
-Mass and front come from the exact engine's eavesdropper laws (`channels`).
+a single relay, or a jammed one. Each is one leading-order complement
+(`_leading_complement`) under the exact engine's eavesdropper law for that
+transmission (`channels.combined_law`, `channels.jammed_law`). Its first
+term is the ceiling mass, and `sop_floor_cond` keeps that term alone. The
+three user terms are summed at each quadrature node and integrated once
+(`quadrature.series_integral`). No engine calls `g_kernel` or `h_kernel`;
+both remain the per-term references of the complement.
 
-The combining complement's incomplete gammas all share one argument, so
-they come from one running pass of the survival series, and its two
-kernel integrals share all but one factor, so they take one node pass
-(`g_kernel_pair`). No engine calls `g_kernel` or `h_kernel`; both remain
-the per-term references of the complements.
-
-Both complements read only their arguments: the user links, theta1, the
+The complement reads only its arguments: the user links, theta1, the
 constants and law in force, alpha2 and the nodes. `sop_asym_total`,
 `sop_asym_cond` and `sop_floor_cond` open a sharing scope
 (`quadrature._sharing_scope`), so each distinct complement is evaluated once
@@ -44,11 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _jammed_complement)
+from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of _leading_complement)
     EavesdropperLaw,
     NakagamiParams,
     _is_count,
-    _survival_prefixes,
     jammed_ratio_terms,
 )
 from .params import (
@@ -62,14 +59,13 @@ from .params import (
     feasibility_check,
     jamming_constants,
 )
-from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of the complements)
+from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of _leading_complement)
     QuadratureSpec,
     _shared,
     _sharing_scope,
     _signed_log_pow,
     convolve_series,
     g_kernel,
-    g_kernel_pair,
     h_kernel,
     series_integral,
     series_rows,
@@ -99,21 +95,18 @@ def scaled_params(params: SystemParams, scaling: AsymptoticScaling) -> SystemPar
     return dataclasses.replace(params, links=links)
 
 
-def _lower_incomplete_gammas(s0: int, s1: int, x: float) -> list[float]:
-    """Lower incomplete gammas (s-1)! * (1 - e^{-x} sum_{k<s} x^k/k!) at the
-    integer shapes s = s0..s1, from one running pass of the survival series;
-    each equals a pass that stops at s, bit for bit."""
-    survival = _survival_prefixes(s1, x)[:, 0]
-    return [math.factorial(s - 1) * (1.0 - survival[s - 1]).item() for s in range(s0, s1 + 1)]
+def _log_leading_coeff(rate: float, tau: int) -> float:
+    """log phi = tau*log(rate) - log tau!, formed without phi, which underflows for a strong link."""
+    return tau * math.log(rate) - math.lgamma(tau + 1)
 
 
 def _leading_coeff(rate: float, tau: int) -> float:
     """Leading CDF coefficient phi = rate^tau / tau! of a Gamma(tau, rate) gain."""
-    return math.exp(tau * math.log(rate) - math.lgamma(tau + 1))
+    return math.exp(_log_leading_coeff(rate, tau))
 
 
 @_shared
-def _combined_complement(
+def _leading_complement(
     user1: NakagamiParams,
     user2: NakagamiParams,
     theta1: float,
@@ -124,81 +117,47 @@ def _combined_complement(
     quad: QuadratureSpec | None,
     include_floor: bool,
 ) -> float:
-    """Leading-order P(outage | n) when n relays combine (user shapes tau_u =
-    n*m_U, constants and law of `combining_constants`), floor term first;
-    with quad None, the floor term alone."""
-    a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
-    floor = float(law.survival(a)) if include_floor else 0.0
-    if quad is None:
-        return floor
-    tau_e, lam_e, beta_e = law.degree, law.rate, law.front
-    phi1 = _leading_coeff(user1.rate, tau_u)
-    phi2 = _leading_coeff(user2.rate, tau_u)
-    gammas = _lower_incomplete_gammas(tau_e, tau_e + tau_u, lam_e * a)
-    t1 = sum(
-        math.comb(tau_u, k) * theta1**k * b ** (tau_u - k) * gammas[k] / lam_e ** (k + tau_e)
-        for k in range(tau_u + 1)
-    )
-    # The exact kernel's screening factor e^{-h/(1-qx)} is kept: it tends to
-    # 1 pointwise as omega2 grows, so the leading order is untouched, but
-    # without it the integrand's (1-qx)^{-tau_u} endpoint pole makes the
-    # quadrature blow up with the node count.
-    h_screen = consts.screening(user2.rate, alpha2)
-    g2, g3 = g_kernel_pair(a, tau_e, theta1 / b, r, q, lam_e, h_screen, tau_u, tau_u, quad)
-    return (
-        floor
-        + phi1 * beta_e * t1
-        + phi2 * beta_e * c**tau_u * g2
-        - phi1 * phi2 * beta_e * b**tau_u * c**tau_u * g3
-    )
+    """Leading-order P(outage) of one transmission with Gamma(tau_u) user links
+    at the rates of user1 and user2 when the eavesdropper's gain follows
+    `law`, floor term first; with quad None, the floor term alone.
 
-
-@_shared
-def _jammed_complement(
-    user1: NakagamiParams,
-    user2: NakagamiParams,
-    theta1: float,
-    consts: SchemeConstants,
-    alpha2: float,
-    law: EavesdropperLaw,
-    quad: QuadratureSpec | None,
-    include_floor: bool,
-) -> float:
-    """Leading-order per-relay outage probability 1 - delta4 (constants and
-    law of `jamming_constants`), floor term first; with quad None, the floor
-    term alone."""
+    The user CDFs collapse to phi*x^tau_u, so below the ceiling the outage
+    mass is the law's integral of three user terms phi1*B^tau_u,
+    phi2*c^tau_u*C^tau_u and -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with
+    B = b + theta1*x and C = 1 + u/(1-vx). They are summed at each node, as
+    `analytic._joint_secrecy_prob` sums its series, and integrated once.
+    """
     a, b, c, u, v = consts.a, consts.b, consts.c, consts.u, consts.v
     floor = float(law.survival(a)) if include_floor else 0.0
     if quad is None:
         return floor
-    m_u = user1.m
-    lam_e = law.rate
-    phi3 = _leading_coeff(user1.rate, m_u)
-    phi4 = _leading_coeff(user2.rate, m_u)
-    # The same screening factor as in the combining complement keeps the
-    # y -> a endpoint integrable.
-    h_screen = consts.screening(user2.rate, alpha2)
-    # The three user terms phi3*B^m, phi4*c^m*C^m and -phi3*phi4*c^m*B^m*C^m
-    # (B = b + theta1*y, C = 1 + u/(1-vy), m = m_u) are h-kernels with
-    # powers (p, q) = (m, 0), (0, m), (m, m); the domain cut counts degree
-    # p + q + k + 1, so their rows sit at p + q - m = 0, 0, m.
-    phi4c = phi4 * c**m_u
-    log_phi3, log_phi4c, sign_phi4c = math.log(phi3), math.log(abs(phi4c)), math.copysign(1.0, phi4c)
+    log_phi1 = _log_leading_coeff(user1.rate, tau_u)
+    log_phi2c = _log_leading_coeff(user2.rate, tau_u) + tau_u * math.log(abs(c))
+    sign_phi2c = math.copysign(1.0, c) ** tau_u
+    # The exact integrand's screening factor e^{-h/(1-vx)} is kept on the two
+    # terms that carry the weak user's (1-vx)^{-tau_u} endpoint pole: it tends
+    # to 1 pointwise as omega2 grows, so the leading order is untouched, but
+    # without it the quadrature blows up with the node count.
+    h = consts.screening(user2.rate, alpha2)
 
-    def integrand(y):
-        one_minus_vy = 1.0 - v * y
-        log_b, sign_b = _signed_log_pow(b + theta1 * y, m_u)
-        log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vy, m_u)
+    def integrand(x):
+        one_minus_vx = 1.0 - v * x
+        log_b, sign_b = _signed_log_pow(b + theta1 * x, tau_u)
+        log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vx, tau_u)
+        log_c = log_c - h / one_minus_vx
+        # the domain cut counts degree p + q + law.degree for powers (p, q) of
+        # (B, C), so the terms' rows sit at p + q - tau_u = 0, 0, tau_u
         shift, user = series_rows(
-            (0, 0, m_u),
-            np.stack([log_phi3 + log_b, log_phi4c + log_c, log_phi3 + log_phi4c + log_b + log_c]),
-            np.stack([sign_b, sign_phi4c * sign_c, -sign_phi4c * sign_b * sign_c]),
-            m_u + 1,
+            (0, 0, tau_u),
+            np.stack([log_phi1 + log_b, log_phi2c + log_c, log_phi1 + log_phi2c + log_b + log_c]),
+            np.stack([sign_b, sign_phi2c * sign_c, -sign_phi2c * sign_b * sign_c]),
+            tau_u + 1,
         )
-        log_scale = -lam_e * y - h_screen / one_minus_vy + shift
-        return log_scale, convolve_series(user, law.rows(y))
+        power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
+        log_scale = law.log_front + power - law.rate * x + shift
+        return log_scale, user if law.rows is None else convolve_series(user, law.rows(x))
 
-    return floor + law.front * series_integral(a, v, lam_e, m_u + 1, m_u + law.n_rows, integrand, quad)
+    return floor + series_integral(a, v, law.rate, law.degree + tau_u, tau_u + law.n_rows, integrand, quad)
 
 
 def _conditional(
@@ -217,19 +176,18 @@ def _conditional(
     if feasibility_check(params, policy) is not None:
         return lambda n: 1.0
     alpha1, alpha2 = policy.resolve(params.links)
-    links, theta1 = params.links, params.theta1
+    links = params.links
+
+    def complement(tau_u: int, consts: SchemeConstants, law: EavesdropperLaw) -> float:
+        return clamp_probability(_leading_complement(
+            links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, tau_u, law, quad, include_floor
+        ))
 
     def combined(n: int) -> float:
-        consts, law = combining_constants(params, alpha1, alpha2, n)
-        return clamp_probability(_combined_complement(
-            links.relay_user1, links.relay_user2, theta1, consts, alpha2, n * links.m_u, law, quad, include_floor
-        ))
+        return complement(n * links.m_u, *combining_constants(params, alpha1, alpha2, n))
 
     def jammed(n: int) -> float:
-        consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
-        return clamp_probability(_jammed_complement(
-            links.relay_user1, links.relay_user2, theta1, consts, alpha2, law, quad, include_floor
-        ))
+        return complement(links.m_u, *jamming_constants(params, policy.alphaJ, alpha1, alpha2, n))
 
     return scheme.conditional(params.K, combined=combined, single=lambda: combined(1), jammed=jammed)
 

@@ -15,11 +15,9 @@ caller builds, at each node, one row stack per factor of the integrand (a
 power series in one base, rows indexed by polynomial degree), the stacks are
 convolved along the degree axis, and the weights meet the node values in one
 dot product. Terms are grouped only by their `_effective_upper` cut, which
-depends on a term's degree. `g_kernel_pair` evaluates the two g-kernels of
-the asymptotic combining term, which share all but one factor, in one node
-pass. `g_kernel` and `h_kernel` evaluate one term of each shape on its own.
-No engine calls them: they are the per-term references the series and the
-pair are tested against.
+depends on a term's degree. `g_kernel` and `h_kernel` evaluate one term of
+each shape on its own. No engine calls them: they are the per-term
+references the exact and leading-order series are tested against.
 
 Each engine call opens a sharing scope (`_sharing_scope`), and `cli.run_sweep`
 opens one around all its points. Inside it, an integral computed by a
@@ -224,33 +222,6 @@ def g_kernel(a, b, c, r, q, f, h, k, j, quad: QuadratureSpec) -> float:
     with np.errstate(over="ignore"):
         vals = sign * np.exp(log_val)
     return float(np.dot(w, vals))
-
-
-def g_kernel_pair(a, b, c, r, q, f, h, k, j, quad: QuadratureSpec) -> tuple[float, float]:
-    """(g_kernel(a, b, 0, r, q, f, h, 0, j), g_kernel(a, b, c, r, q, f, h, k, j)), bit for bit.
-
-    The two integrands share x^{b-1} e^{-f x - h/(1-q x)} (1+r/(1-q x))^j
-    and differ by (1+c x)^k. When both keep one `_effective_upper` cut, the
-    shared factors are evaluated in one node pass; otherwise each integral
-    takes its own nodes.
-    """
-    _check_domain(a, q, "q")
-
-    def shared(cut):
-        x, w = quad.map_to(cut)
-        one_minus_qx = 1.0 - q * x
-        base = (b - 1.0) * np.log(x) - f * x - h / one_minus_qx
-        return (x, w, base) + _signed_log_pow(1.0 + r / one_minus_qx, int(j))
-
-    cut = _effective_upper(a, f, b + j)
-    x, w, base, log_j, sign_j = shared(cut)
-    with np.errstate(over="ignore"):
-        plain = float(np.dot(w, sign_j * np.exp(base + log_j)))
-        if _effective_upper(a, f, b + k + j) != cut:
-            x, w, base, log_j, sign_j = shared(_effective_upper(a, f, b + k + j))
-        log_k, sign_k = _signed_log_pow(1.0 + c * x, int(k))
-        weighted = float(np.dot(w, sign_k * sign_j * np.exp(base + log_k + log_j)))
-    return plain, weighted
 
 
 def h_kernel(

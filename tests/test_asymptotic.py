@@ -2,11 +2,9 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import pytest
 from conftest import db, fixed_policy, grid_params
-from scipy import special
 
 from noma_relay_secrecy import (
     AsymptoticScaling,
@@ -24,21 +22,11 @@ from noma_relay_secrecy import (
     sop_total,
 )
 from noma_relay_secrecy.analytic import sop_cond
-from noma_relay_secrecy.asymptotic import (
-    _leading_coeff,
-    _lower_incomplete_gammas,
-    sop_asym_cond,
-    sop_floor_cond,
-)
+from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
 from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival, mrc_sum_cdf
 from noma_relay_secrecy.params import scheme_constants
 
 QUAD = quadrature(300)
-
-
-def _gamma_at(s: int, x: float) -> float:
-    """The lower incomplete gamma at one shape, from a one-shape pass."""
-    return _lower_incomplete_gammas(s, s, x)[0]
 
 
 def _fig_params(K: int, P_dB: float, omegaE_dB: float):
@@ -74,26 +62,6 @@ def test_scaled_params_moves_gains():
     assert scaled.links.relay_eaves.omega == params.links.relay_eaves.omega
 
 
-def test_lower_incomplete_gamma_matches_scipy():
-    for s in (1, 2, 4, 7):
-        for x in (0.1, 1.0, 4.0, 20.0):
-            ref = float(special.gammainc(s, x)) * math.gamma(s)
-            assert _gamma_at(s, x) == pytest.approx(ref, rel=1e-12)
-            # every shape of a multi-shape pass, not only the last
-            assert _lower_incomplete_gammas(1, 7, x)[s - 1] == pytest.approx(ref, rel=1e-12)
-
-
-def test_one_pass_gammas_equal_per_shape_calls():
-    # the combined complement's t1 takes every shape tau_e..tau_e+tau_u from
-    # one running pass; each must equal a pass that stops at its shape,
-    # log-space branch (x > 700) included
-    for s0, s1 in ((1, 1), (2, 4), (3, 9), (6, 18)):
-        for x in (0.0, 1e-9, 0.3, 4.0, 25.0, 699.0, 700.0, 700.5, 1200.0):
-            got = _lower_incomplete_gammas(s0, s1, x)
-            assert got == [_gamma_at(s, x) for s in range(s0, s1 + 1)]
-            assert all(type(g) is float for g in got)
-
-
 def test_asym_gain_cdf_leading_order():
     # the engines' leading-order CDF phi * x^tau of a combined user gain
     params = grid_params()
@@ -115,18 +83,6 @@ def test_asym_gain_cdf_leading_order():
     tau = 2 * m_u
     ratio = leading_cdf(user1, 2) / leading_cdf(user2, 2)
     assert ratio == pytest.approx(1.5 ** (-tau), rel=1e-12)
-
-
-def test_strong_user_series_collapses_at_unit_threshold():
-    # with theta1 -> 1 the binomial-in-b series must collapse to its top term
-    tau, tau_e, lam, x = 4, 2, 0.8, 1.7
-    b = 1e-12
-    total = sum(
-        math.comb(tau, k) * b ** (tau - k) * _gamma_at(k + tau_e, x) / lam ** (k + tau_e)
-        for k in range(tau + 1)
-    )
-    top = _gamma_at(tau + tau_e, x) / lam ** (tau + tau_e)
-    assert total == pytest.approx(top, rel=1e-6)
 
 
 def test_conditional_asymptotics_close_at_40db():

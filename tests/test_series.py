@@ -1,29 +1,42 @@
-"""Node-series integrals against explicit per-term g/h-kernel sums, and the
-paired g-kernel of the combined complement against two g-kernel calls.
+"""Node-series integrals against explicit per-term g/h-kernel sums.
 
-`_joint_secrecy_prob`, `delta4` and `asymptotic._jammed_complement` sum their
+`_joint_secrecy_prob`, `delta4` and `asymptotic._leading_complement` sum their
 series at every quadrature node and integrate once. Quadrature is linear, so
 they must equal the per-term sums below (one kernel call per series term, the
 way the closed forms are written) up to rounding, including where the
 domain cut of `_effective_upper` differs between terms of different degree.
+The combined leading-order complement is checked against its closed form:
+incomplete gammas (scipy) for the strong user's term and g-kernels for the
+two terms with the weak user's pole.
 """
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 from conftest import db, fixed_policy, grid_params
+from scipy import special
 
-from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, scaled_params
+from noma_relay_secrecy import (
+    AsymptoticScaling,
+    PowerPolicy,
+    SchemeKind,
+    analytic,
+    asymptotic,
+    scaled_params,
+    sop_asym_total,
+    sop_floor_total,
+    sop_total,
+)
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
-from noma_relay_secrecy.asymptotic import _jammed_complement, _leading_coeff
+from noma_relay_secrecy.asymptotic import _leading_complement
 from noma_relay_secrecy.channels import combined_law, jammed_ratio_survival, jammed_ratio_terms
-from noma_relay_secrecy.params import feasibility_check, jamming_constants, scheme_constants
+from noma_relay_secrecy.params import combining_constants, feasibility_check, jamming_constants, scheme_constants
 from noma_relay_secrecy.quadrature import (
     _effective_upper,
     g_kernel,
-    g_kernel_pair,
     h_kernel,
     quadrature,
     series_integral,
@@ -91,11 +104,40 @@ def delta4_per_term(params, policy, n, quad):
     return min(max(phi0 * total, 0.0), 1.0)
 
 
+def combined_complement_args(params, alpha1, alpha2, n, quad, include_floor):
+    """The arguments the asymptotic engine hands _leading_complement when n relays combine."""
+    consts, law = combining_constants(params, alpha1, alpha2, n)
+    links = params.links
+    return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, n * links.m_u, law, quad, include_floor
+
+
+def combined_complement_closed_form(params, alpha1, alpha2, n, quad, include_floor):
+    """floor + phi1*beta_E*t1 + phi2*beta_E*c^tau*g2 - phi1*phi2*beta_E*b^tau*c^tau*g3: t1 from
+    incomplete gammas, g2 and g3 from g-kernels carrying the weak user's screened pole."""
+    links = params.links
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
+    a, b, c, d, v, theta1 = consts.a, consts.b, consts.c, consts.d, consts.v, params.theta1
+    tau, tau_e, lam_e = n * links.m_u, n * links.relay_eaves.m, links.relay_eaves.rate
+    lam1, lam2 = links.relay_user1.rate, links.relay_user2.rate
+    phi1, phi2 = lam1**tau / math.factorial(tau), lam2**tau / math.factorial(tau)
+    beta_e = lam_e**tau_e / math.factorial(tau_e - 1)
+    floor = float(special.gammaincc(tau_e, lam_e * a)) if include_floor else 0.0
+    t1 = sum(
+        math.comb(tau, k) * theta1**k * b ** (tau - k)
+        * math.gamma(k + tau_e) * float(special.gammainc(k + tau_e, lam_e * a)) / lam_e ** (k + tau_e)
+        for k in range(tau + 1)
+    )
+    r, h = alpha2 / (d * c), lam2 * alpha2 / d
+    g2 = g_kernel(a, tau_e, 0.0, r, v, lam_e, h, 0, tau, quad)
+    g3 = g_kernel(a, tau_e, theta1 / b, r, v, lam_e, h, tau, tau, quad)
+    return floor + phi1 * beta_e * t1 + phi2 * beta_e * c**tau * g2 - phi1 * phi2 * beta_e * b**tau * c**tau * g3
+
+
 def jammed_complement_args(params, policy, alpha1, alpha2, n, quad, include_floor):
-    """The arguments the asymptotic engine hands _jammed_complement."""
+    """The arguments the asymptotic engine hands _leading_complement when an idle relay jams."""
     consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
     links = params.links
-    return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, law, quad, include_floor
+    return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, links.m_u, law, quad, include_floor
 
 
 def odrs_complement_per_term(params, policy, alpha1, alpha2, n, quad, include_floor):
@@ -104,8 +146,8 @@ def odrs_complement_per_term(params, policy, alpha1, alpha2, n, quad, include_fl
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, (1.0 - policy.alphaJ) * params.rho2)
     m_u, p_e = links.m_u, links.relay_eaves
     lam_e = p_e.rate
-    phi3 = _leading_coeff(links.relay_user1.rate, m_u)
-    phi4 = _leading_coeff(links.relay_user2.rate, m_u)
+    phi3 = links.relay_user1.rate**m_u / math.factorial(m_u)
+    phi4 = links.relay_user2.rate**m_u / math.factorial(m_u)
     b, c, u, v = consts.b, consts.c, consts.u, consts.v
     count = params.K - n
     phi0 = count * lam_e**p_e.m / math.factorial(p_e.m - 1)
@@ -114,7 +156,8 @@ def odrs_complement_per_term(params, policy, alpha1, alpha2, n, quad, include_fl
     s_b = s_c = s_bc = 0.0
     for t in jammed_ratio_terms(p_e, count, rho4):
         args = (t.k, t.varsigma, t.C, t.D, rho4, lam_e, quad)
-        s_b += t.delta * h_kernel(1.0 / v, m_u, 0, lam_e, r_screen, u, v, b, params.theta1, *args)
+        # only the terms with the weak user's pole carry its screening factor
+        s_b += t.delta * h_kernel(1.0 / v, m_u, 0, lam_e, 0.0, u, v, b, params.theta1, *args)
         s_c += t.delta * h_kernel(1.0 / v, 0, m_u, lam_e, r_screen, u, v, b, params.theta1, *args)
         s_bc += t.delta * h_kernel(1.0 / v, m_u, m_u, lam_e, r_screen, u, v, b, params.theta1, *args)
     return floor + phi3 * phi0 * s_b + phi4 * c**m_u * phi0 * s_c - phi3 * phi4 * c**m_u * phi0 * s_bc
@@ -164,7 +207,31 @@ def test_odrs_complement_series_matches_per_term():
         n = int(rng.integers(1, params.K))
         include_floor = bool(rng.integers(0, 2))
         args = (scaled, policy, alpha1, alpha2, n, QUAD, include_floor)
-        assert_close(_jammed_complement(*jammed_complement_args(*args)), odrs_complement_per_term(*args))
+        assert_close(_leading_complement(*jammed_complement_args(*args)), odrs_complement_per_term(*args))
+
+
+def test_combined_complement_matches_closed_form():
+    for rng, params, policy in random_scenarios(37, 10):
+        scaled = asymptotic_frame(params, float(rng.uniform(20.0, 60.0)))
+        alpha1, alpha2 = policy.resolve(scaled.links)
+        n = int(rng.integers(1, params.K + 1))
+        args = (scaled, alpha1, alpha2, n, QUAD, bool(rng.integers(0, 2)))
+        assert_close(_leading_complement(*combined_complement_args(*args)), combined_complement_closed_form(*args))
+
+
+@pytest.mark.parametrize("omegaE_dB", [20.0, 40.0, 60.0, 80.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_combined_complement_under_a_strong_eavesdropper(omegaE_dB, n):
+    # lambda_E*a falls to 1e-8 here, where forming the strong user's
+    # incomplete gammas as (s-1)!*(1 - survival) would lose every digit
+    params = grid_params(K=2, omegaE_dB=omegaE_dB)
+    policy = PowerPolicy.dynamic(5.0, 0.1)
+    assert feasibility_check(params, policy) is None
+    alpha1, alpha2 = policy.resolve(params.links)
+    args = (params, alpha1, alpha2, n, QUAD, False)
+    ref = combined_complement_closed_form(*args)
+    assert ref > 0.0
+    assert abs(_leading_complement(*combined_complement_args(*args)) - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -185,7 +252,9 @@ def test_series_keep_each_degrees_domain_cut(m):
         scaled = asymptotic_frame(params, 30.0)
         alpha1, alpha2 = policy.resolve(scaled.links)
         args = (scaled, policy, alpha1, alpha2, n, QUAD, True)
-        assert_close(_jammed_complement(*jammed_complement_args(*args)), odrs_complement_per_term(*args))
+        assert_close(_leading_complement(*jammed_complement_args(*args)), odrs_complement_per_term(*args))
+        args = (scaled, alpha1, alpha2, n, QUAD, True)
+        assert_close(_leading_complement(*combined_complement_args(*args)), combined_complement_closed_form(*args))
 
 
 def test_identity_series_rows_keep_each_entry_in_its_row():
@@ -227,33 +296,19 @@ def test_series_integral_gives_each_degree_its_own_cut():
     assert total == pytest.approx(sum(cuts), rel=1e-12)  # each degree counted once, over its own cut
 
 
-def combined_pair_args(scaled, policy, n):
-    """(a, b, c, r, q, f, h, tau_u): the g2/g3 pair `_combined_complement` integrates."""
-    alpha1, alpha2 = policy.resolve(scaled.links)
-    consts = scheme_constants(scaled.theta1, scaled.theta2, alpha1, alpha2, scaled.P_R / (n * scaled.sigma2))
-    links = scaled.links
-    return (
-        consts.a, n * links.relay_eaves.m, scaled.theta1 / consts.b, alpha2 / (consts.c * consts.d),
-        consts.v, links.relay_eaves.rate, links.relay_user2.rate * alpha2 / consts.d, n * links.m_u,
-    )
+def test_engines_never_call_the_reference_kernels(monkeypatch):
+    # g_kernel and h_kernel are the per-term references the series are tested
+    # against; every engine path must run without them
+    def refuse(*args):
+        raise AssertionError("an engine called a per-term reference kernel")
 
-
-def test_paired_g_kernels_equal_two_calls():
-    # bit for bit, both where the two integrals share one domain cut (one
-    # node pass) and where omega_E = -40 dB cuts them at different points
-    cases = [(params, policy, float(rng.uniform(20.0, 60.0))) for rng, params, policy in random_scenarios(5, 6)]
-    cases += [(grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=m), fixed_policy(0.2, alphaJ=0.5), 30.0) for m in (2, 3)]
-    shared = split = 0
-    for params, policy, omega2_dB in cases:
-        scaled = asymptotic_frame(params, omega2_dB)
-        for n in range(1, params.K + 1):
-            a, b, c, r, q, f, h, tau = combined_pair_args(scaled, policy, n)
-            two = (g_kernel(a, b, 0.0, r, q, f, h, 0, tau, QUAD), g_kernel(a, b, c, r, q, f, h, tau, tau, QUAD))
-            assert g_kernel_pair(a, b, c, r, q, f, h, tau, tau, QUAD) == two
-            if _effective_upper(a, f, b + tau) == _effective_upper(a, f, b + 2 * tau):
-                shared += 1
-            else:
-                split += 1
-    assert shared and split
-    with pytest.raises(ValueError, match="pole inside domain"):
-        g_kernel_pair(2.0, 2, 0.5, 0.5, 1.0, 1.0, 0.1, 1, 1, QUAD)  # q*a = 2
+    for module in (importlib.import_module("noma_relay_secrecy.quadrature"), analytic, asymptotic):
+        monkeypatch.setattr(module, "g_kernel", refuse)
+        monkeypatch.setattr(module, "h_kernel", refuse)
+    params = grid_params(K=4, omegaR_dB=-10.0)
+    scaling = AsymptoticScaling(*params.links.frame)
+    for policy in (fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)):
+        for scheme in SchemeKind:
+            assert 0.0 < sop_total(params, policy, scheme, QUAD).value < 1.0
+            assert 0.0 <= sop_asym_total(params, policy, scheme, scaling, QUAD) <= 1.0
+            assert 0.0 <= sop_floor_total(params, policy, scheme) <= 1.0
