@@ -118,10 +118,17 @@ def _joint_secrecy_prob(
     whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
     summed at each node and the integral is taken once (`series_integral`).
     It reads nothing but its arguments, so a sharing scope evaluates it once
-    per argument tuple.
+    per argument tuple. A series base lambda1*b or lambda2*|c| that
+    underflows to 0.0 has no logarithm (ValueError).
     """
     lambda1, lambda2 = user1.rate, user2.rate
     a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
+    base1, base2 = lambda1 * b, lambda2 * abs(c)
+    if base1 == 0.0 or base2 == 0.0:
+        name = "lambda1*b" if base1 == 0.0 else "lambda2*|c|"
+        raise ValueError(f"user series base {name} underflows to 0.0 (lambda1={lambda1:.6g}, "
+                         f"lambda2={lambda2:.6g}, b={b:.6g}, c={c:.6g})")
+    log_base1, log_base2 = math.log(base1), math.log(base2)
     log_front = law.log_front - lambda1 * b - lambda2 * c
     h = consts.screening(lambda2, alpha2)
     f = lambda1 * theta1 + law.rate
@@ -129,8 +136,8 @@ def _joint_secrecy_prob(
 
     def integrand(x):
         one_minus_qx = 1.0 - q * x
-        shift1, user1 = _user_series(1.0 + c1 * x, tau_u, math.log(lambda1 * b), alternate=False)
-        shift2, user2 = _user_series(1.0 + r / one_minus_qx, tau_u, math.log(lambda2 * abs(c)), alternate=True)
+        shift1, user1 = _user_series(1.0 + c1 * x, tau_u, log_base1, alternate=False)
+        shift2, user2 = _user_series(1.0 + r / one_minus_qx, tau_u, log_base2, alternate=True)
         power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
         log_scale = log_front + power - f * x - h / one_minus_qx + shift1 + shift2
         series = convolve_series(user1, user2)

@@ -214,15 +214,20 @@ def sop_asym_total(
     quad: QuadratureSpec,
 ) -> float:
     """Asymptotic total SOP: decoding-set weights collapse to their leading
-    power, and each weighs the `sop_asym_cond` of its n."""
+    power, and each weighs the `sop_asym_cond` of its n. The leading power
+    phi_R*eta^mR of a relay's decoding miss must lie below 1, or the source
+    hop is not in the high-gain regime and the weights do not sum to a
+    probability (ValueError)."""
     scaled = scaled_params(params, scaling)
-    cond = _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)
     m_r = scaled.links.source_relay.m
-    phi_r = _leading_coeff(scaled.links.source_relay.rate, m_r)
-    eta = scaled.eta
+    miss = _leading_coeff(scaled.links.source_relay.rate, m_r) * scaled.eta**m_r
+    if not miss < 1.0:
+        raise ValueError(f"phi_R*eta^mR must lie below 1 for the high-gain decoding weights, got {miss:.6g}: "
+                         "the source hop is not in the high-gain regime")
+    cond = _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)
     total = 0.0
     for n in range(scaled.K + 1):
-        weight = math.comb(scaled.K, n) * (phi_r * eta**m_r) ** (scaled.K - n)
+        weight = math.comb(scaled.K, n) * miss ** (scaled.K - n)
         total += weight * cond(n)
     return clamp_probability(total)
 

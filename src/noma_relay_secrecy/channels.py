@@ -152,16 +152,24 @@ def mrc_sum_cdf(p: NakagamiParams, n: int, x):
     return gain_cdf(_mrc_params(p, n), x)
 
 
-def sample_gain(p: NakagamiParams, rng: np.random.Generator, size=None):
+def sample_gain(p: NakagamiParams, rng, size=None):
     """Draw gains as a sum of m inverse-CDF exponentials of mean omega/m.
 
     Exact for integer m and reproducible across platforms given the same
     uniform stream. `size` may be None (scalar), an int, or a shape tuple.
+    `rng` is one generator, from which the m passes (one shape of uniforms
+    each) are read in turn, or a sequence of m generators, pass j reading
+    the j-th; generators set where the one stream's passes start give the
+    same gains.
     """
     shape = () if size is None else ((size,) if np.isscalar(size) else tuple(size))
+    passes = (rng,) * p.m if isinstance(rng, np.random.Generator) else tuple(rng)
+    if len(passes) != p.m:
+        raise ValueError(f"need one generator per exponential pass ({p.m}), got {len(passes)}")
     g = np.zeros(shape)  # in place, one shape of uniforms at a time: two gain-sized arrays, not m + 1
-    for _ in range(p.m):
-        u = rng.random(shape)
+    u = np.empty(shape)
+    for gen in passes:
+        gen.random(out=u)
         g += np.log1p(np.negative(u, out=u), out=u)
     g *= -(p.omega / p.m)
     return float(g) if size is None else g

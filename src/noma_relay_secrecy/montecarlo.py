@@ -2,41 +2,46 @@
 
 Each trial draws every channel gain, forms the decoding set, runs the chosen
 relay-selection rule, and checks both users' secrecy-rate targets against the
-worst-case eavesdropper. Estimates aggregate per-chunk outcome counts, with
+worst-case eavesdropper. Estimates aggregate per-block outcome counts, with
 one independent substream per chunk so the result is reproducible no matter
 how chunks are scheduled.
 
-Layout. A chunk's gains are drawn trial-major, shape (trials, K), so the
-uniform stream is read in trial order, and stored relay-major, shape
-(K, trials): every reduction over relays then combines whole contiguous rows
+Layout. A chunk's gains are drawn in blocks of
+`_BLOCK_ELEMENTS // (_WORKERS * K)` trials, each block trial-major, shape
+(rows, K), then transposed relay-major, shape (K, rows), while it is still
+in cache: every reduction over relays then combines whole contiguous rows
 instead of striding across K-element rows, and a combining sum adds the
-relays' rows in relay order. The verdict kernel walks a chunk in blocks of
-`_BLOCK_ELEMENTS // (_WORKERS * K)` trials, so the temporaries of one block
-stay in cache.
+relays' rows in relay order. A block's draws and the temporaries of its
+verdicts stay in cache, and no chunk is ever held whole.
 
 Shared draws. The gains depend only on K, the four links, the seed and the
 chunk, never on the powers, the power split or the scheme. `estimate_many`
-therefore draws each chunk once for every scenario and scheme it is given
+therefore draws each block once for every scenario and scheme it is given
 (common random numbers), which makes differences between schemes, powers
-and splits paired. Inside a block, the decoding set is formed once per
-scenario, `osrs` and `tsrs` share one set of threshold checks, and scenarios
-with the same constants share one verdict. Each transmission is decided
-once: where every relay decodes there is no idle relay to jam, so `odrs`
-sends as `osrs` does (`SchemeKind.transmission`) and takes its codes, and
-its jammed selection runs only on the trials with an idle relay. The
-jamming split of the relay SNR is `params.jamming_split`, the one the
-closed forms use.
+and splits paired. Each block reads exactly the uniforms a whole-chunk
+(chunk, K) draw of each link gives its trials: pass j of a link (its j-th
+exponential term) starts at the link's offset in the chunk stream plus
+j*chunk*K, and at the start of a chunk one generator per (link, pass) is
+jumped there (`PCG64.advance`), from which each block reads its next rows.
+Inside a block, the decoding set is formed once per scenario, `osrs` and
+`tsrs` share one set of threshold checks, and scenarios with the same
+constants share one verdict. Each transmission is decided once: where
+every relay decodes there is no idle relay to jam, so `odrs` sends as
+`osrs` does (`SchemeKind.transmission`) and takes its codes, and its jammed
+selection runs only on the trials with an idle relay. The jamming split of
+the relay SNR is `params.jamming_split`, the one the closed forms use.
 
-Threads. Draws stay on the calling thread, one chunk at a time, and a
-chunk's draws are let go before the next is drawn. The chunk's (block, rule)
-jobs are shared between the calling thread and, given a second usable core,
-one helper thread; the counts are summed on the calling thread in job order,
-so no estimate depends on scheduling. A job's block is 1/_WORKERS of
-`_BLOCK_ELEMENTS` gains per link, so the blocks in flight hold what one block
-held on one thread. The kernel keeps only pass/fail flags per relay and forms
-each check in place, so a 2**17-gain block of all four schemes peaks at 3-5 MB
-above the draws (K = 8), the upper figure when nearly every trial has an idle
-relay.
+Threads. The calling thread draws every block, through this module's
+`sample_gain`, just before it is decided. Given a second usable core, one
+helper thread decides blocks as they become ready, overlapping the next
+draws; the calling thread decides a block itself whenever two or more
+drawn blocks are waiting, so at most three blocks are alive at once, and
+takes what is left once the last block is drawn. The jobs are every block
+of every chunk of one call, and the counts are summed on the calling thread
+in block order, so no estimate depends on scheduling. The kernel keeps only
+pass/fail flags per relay and forms each check in place, so deciding 100k
+trials at K = 8 for all four schemes peaks below 10 MB (tracemalloc), where
+one whole chunk of those draws would hold 25.6 MB.
 
 All threshold checks are done in cross-multiplied form, 1 + leg SNR against
 theta * (1 + tap SNR), e.g. the user-2 check reads
@@ -52,6 +57,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +72,7 @@ _BREAKDOWN_KEYS = ("outage_u1_only", "outage_u2_only", "outage_both", "no_relay"
 # evenly between the workers. On a 2-core Xeon with a 2 MiB L2, the reference
 # sweep's verdicts ran 1.4x faster on one thread in blocks of 2**16-2**17
 # gains than on whole 250k-trial chunks, and slower again at 2**15. Blocks
-# only slice a drawn chunk; they never change which uniforms a trial reads.
+# never change which uniforms a trial reads (`_draw_blocks`).
 _BLOCK_ELEMENTS = 2**17
 
 
@@ -77,7 +83,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that decide a chunk's blocks: the calling thread and, given a second
+# Threads that decide the blocks: the calling thread and, given a second
 # usable core, one helper; numpy's array loops release the GIL, so the two
 # overlap. More than two were never measured, so more are not used.
 _WORKERS = min(2, _usable_cores())
@@ -342,57 +348,124 @@ def _chunk_stream(config: TrialConfig, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(index,)))
 
 
-def _draw_chunk(params: SystemParams, stream: np.random.Generator, size: int):
-    """The chunk's gains per link, relay-major (K, size). Each is drawn
-    (size, K), so trial t reads the same uniforms in either layout."""
-    links = params.links
-    return tuple(
-        np.ascontiguousarray(sample_gain(link, stream, (size, params.K)).T)
-        for link in (links.source_relay, links.relay_user1, links.relay_user2, links.relay_eaves)
-    )
+def _block_step(k: int) -> int:
+    """Trials per block: 1/_WORKERS of `_BLOCK_ELEMENTS` gains per link."""
+    return max(1, _BLOCK_ELEMENTS // _WORKERS // k)
 
 
-def _chunk_blocks(config: TrialConfig, params: SystemParams, index: int, size: int, step: int) -> list:
-    """The draws of chunk `index`, as relay-major views of `step` trials each."""
-    draws = _draw_chunk(params, _chunk_stream(config, index), size)
-    return [tuple(g[:, start:start + step] for g in draws) for start in range(0, size, step)]
+def _pass_streams(links: tuple, stream: np.random.Generator, per_pass: int) -> list:
+    """Per link, one generator per exponential pass, each set where a whole
+    draw of the links in turn reads that pass from `stream`, every pass
+    taking `per_pass` uniforms (`sample_gain`). Each is a copy of the
+    stream's PCG64 state jumped ahead with `advance`, which costs O(log n);
+    a random float64 takes one 64-bit output."""
+    bitgen = stream.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"block draws need a PCG64 chunk stream, got {type(bitgen).__name__}")
+    state = bitgen.state
+    offset = 0
+    passes = []
+    for link in links:
+        gens = []
+        for _ in range(link.m):
+            copy = np.random.PCG64()
+            copy.state = state
+            copy.advance(offset)
+            gens.append(np.random.Generator(copy))
+            offset += per_pass
+        passes.append(gens)
+    return passes
 
 
-def _run_shared(fn, jobs: list) -> list:
-    """[fn(job) for job in jobs], the jobs shared between the calling thread
-    and, with two workers, the helper thread: each thread takes the next job
-    whenever it is free. Results keep the jobs' order, so nothing the caller
-    makes of them depends on which thread ran which job. The first error of
-    either thread is raised once both have stopped."""
-    if _WORKERS < 2 or len(jobs) < 2:
+def _draw_blocks(params: SystemParams, stream: np.random.Generator, size: int, step: int):
+    """A `size`-trial chunk's gains per link, relay-major (K, rows), drawn
+    `step` trials at a time as they are asked for. Each block reads the
+    next rows of every pass, so trial t reads the uniforms a whole-chunk
+    (size, K) draw of each link gives it; the block is transposed while it
+    is still in cache. `stream` itself is not advanced."""
+    ls = params.links
+    links = (ls.source_relay, ls.relay_user1, ls.relay_user2, ls.relay_eaves)
+    passes = _pass_streams(links, stream, size * params.K)
+    for start in range(0, size, step):
+        shape = (min(step, size - start), params.K)
+        yield tuple(np.ascontiguousarray(sample_gain(link, gens, shape).T) for link, gens in zip(links, passes))
+
+
+def _blocks(config: TrialConfig, params: SystemParams):
+    """Every block of every chunk, drawn on the thread that asks for it."""
+    step = _block_step(params.K)
+    for index, size in _chunk_sizes(config):
+        yield from _draw_blocks(params, _chunk_stream(config, index), size, step)
+
+
+def _run_shared(fn, jobs) -> list:
+    """[fn(job) for job in jobs], with `jobs` advanced on the calling thread
+    only and, with two workers, the jobs it yields shared with the helper
+    thread: the helper takes the oldest waiting job whenever it is free, and
+    the calling thread takes one whenever two or more are waiting, then
+    takes what is left once `jobs` is spent. Results keep the jobs' order,
+    so nothing the caller makes of them depends on which thread ran which
+    job. The first error of either thread is raised once both have stopped."""
+    if _WORKERS < 2:
         return [fn(job) for job in jobs]
-    results = [None] * len(jobs)
-    pending = iter(range(len(jobs)))
-    lock = threading.Lock()
+    results: list = []
+    waiting: list = []  # (index, job), oldest first
+    ready = threading.Condition()
+    spent = failed = False
 
-    def drain() -> None:
+    def run(item) -> None:
+        value = fn(item[1])
+        with ready:  # the calling thread may be appending to `results`
+            results[item[0]] = value
+
+    def helper() -> None:
+        nonlocal failed
         try:
             while True:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                results[i] = fn(jobs[i])
+                with ready:
+                    while not (waiting or spent or failed):
+                        ready.wait()
+                    if not waiting:
+                        return
+                    item = waiting.pop(0)
+                run(item)
         except BaseException:
-            with lock:
-                for _ in pending:  # the other thread stops after its current job
-                    pass
+            with ready:
+                failed = True
+                waiting.clear()
             raise
 
-    helper = _helper_pool().submit(drain)
+    future = _helper_pool().submit(helper)
     try:
-        drain()
+        for job in jobs:
+            with ready:
+                if failed:  # the helper's error is raised below
+                    break
+                waiting.append((len(results), job))
+                results.append(None)
+                ready.notify()
+                mine = waiting.pop(0) if len(waiting) >= 2 else None
+            if mine is not None:
+                run(mine)
+        with ready:
+            spent = True
+            ready.notify()
+        while True:
+            with ready:
+                if not waiting:
+                    break
+                mine = waiting.pop(0)
+            run(mine)
     except BaseException:
-        if not helper.cancel():
-            helper.exception()  # wait for its current job: none of this call's work outlives it
+        with ready:
+            failed = True
+            waiting.clear()
+            ready.notify()
+        if not future.cancel():
+            future.exception()  # wait for its current job: none of this call's work outlives it
         raise
-    if not helper.cancel():  # a helper that never started has taken no job
-        helper.result()
+    if not future.cancel():  # a helper that never started has taken no job
+        future.result()
     return results
 
 
@@ -406,18 +479,11 @@ def _helper_pool():
     return _POOL
 
 
-def _block_counts(job) -> dict:
-    """Outcome counts per verdict of one (rule, verdicts, block) job."""
-    rule, verdicts, block = job
-    return {v: np.bincount(codes, minlength=5) for v, codes in _block_codes(rule, verdicts, *block).items()}
-
-
-def _tally_chunk(tallies: dict, blocks: list) -> None:
-    """Add one chunk's outcome counts to every rule's per-verdict tallies."""
-    jobs = [(rule, tuple(per_rule), block) for block in blocks for rule, per_rule in tallies.items()]
-    for (rule, _, _), counts in zip(jobs, _run_shared(_block_counts, jobs)):
-        for verdict, c in counts.items():
-            tallies[rule][verdict] += c
+def _block_counts(rules: list, block) -> list:
+    """Outcome counts per verdict of one block, for each (rule, verdicts)."""
+    return [{v: np.array([np.count_nonzero(codes == k) for k in range(len(OUTCOME_LABELS))])
+             for v, codes in _block_codes(rule, verdicts, *block).items()}
+            for rule, verdicts in rules]
 
 
 def _estimate_from_counts(counts: np.ndarray, trials: int) -> SopEstimate:
@@ -463,11 +529,13 @@ def estimate_many(params, policy, schemes, config: TrialConfig) -> dict:
         per_rule = tallies.setdefault(_rule(p, pol), {})
         for s in kinds:
             slots[i, s] = per_rule.setdefault(_verdict(s, pol), np.zeros(5, dtype=np.int64))
-    # A chunk's draws live only inside its `_tally_chunk` call, so two chunks
-    # are never held at once.
-    step = max(1, _BLOCK_ELEMENTS // _WORKERS // scenarios[0][0].K)
-    for index, size in _chunk_sizes(config):
-        _tally_chunk(tallies, _chunk_blocks(config, scenarios[0][0], index, size, step))
+    # Each block is drawn just before it is decided and let go once decided;
+    # its counts are added in block order.
+    rules = [(rule, tuple(per_rule)) for rule, per_rule in tallies.items()]
+    for counts in _run_shared(partial(_block_counts, rules), _blocks(config, scenarios[0][0])):
+        for per_rule, per_verdict in zip(tallies.values(), counts):
+            for verdict, c in per_verdict.items():
+                per_rule[verdict] += c
     estimates = {key: _estimate_from_counts(c, config.trials) for key, c in slots.items()}
     if isinstance(params, SystemParams):
         return {s: estimates[0, s] for s in kinds}
@@ -500,14 +568,9 @@ def paired_verdicts(
     a = _verdict(SchemeKind(scheme_a), policy)
     b = _verdict(SchemeKind(scheme_b), policy)
 
-    def chunk_matches(blocks: list) -> int:
-        same = 0
-        for block in blocks:
-            codes = _block_codes(rule, dict.fromkeys((a, b)), *block)
-            same += int(((codes[a] == _SECURE) == (codes[b] == _SECURE)).sum())
-        return same
+    def same(block) -> int:
+        codes = _block_codes(rule, dict.fromkeys((a, b)), *block)
+        return int(((codes[a] == _SECURE) == (codes[b] == _SECURE)).sum())
 
-    step = max(1, _BLOCK_ELEMENTS // params.K)
-    matches = sum(chunk_matches(_chunk_blocks(config, params, index, size, step))
-                  for index, size in _chunk_sizes(config))
+    matches = sum(_run_shared(same, _blocks(config, params)))
     return matches, config.trials

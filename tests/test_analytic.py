@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import fixed_policy, grid_params
 from scipy import stats
 
 from noma_relay_secrecy import (
+    NakagamiParams,
     PowerPolicy,
     SchemeKind,
     TrialConfig,
@@ -16,7 +18,15 @@ from noma_relay_secrecy import (
     quadrature,
     sop_total,
 )
-from noma_relay_secrecy.analytic import decode_prob_chi, decoding_set_pmf, delta1, sop_cond, sop_tmrc_cond
+from noma_relay_secrecy.analytic import (
+    _joint_secrecy_prob,
+    decode_prob_chi,
+    decoding_set_pmf,
+    delta1,
+    sop_cond,
+    sop_tmrc_cond,
+)
+from noma_relay_secrecy.params import combining_constants
 
 QUAD = quadrature(300)
 
@@ -132,3 +142,15 @@ def test_dynamic_policy_runs_through_the_analytic_path():
     for scheme in SchemeKind:
         val = sop_total(params, policy, scheme, QUAD).value
         assert 0.0 < val < 1.0
+
+
+def test_an_underflowing_user_series_base_is_named():
+    # a series base that underflows to 0.0 has no logarithm; the error names
+    # which one, user 1's lambda1*b or user 2's lambda2*|c|
+    params = grid_params(K=2, P_dB=170.0)  # |c| = 1/(alpha1*rho) = 5e-17
+    consts, law = combining_constants(params, 0.2, 0.8, 1)
+    fine, tiny = NakagamiParams(2, 1.0), NakagamiParams(2, 1e308)  # rates 2 and 2e-308
+    for user1, user2, name in ((tiny, fine, "lambda1*b"), (fine, tiny, "lambda2*|c|")):
+        with pytest.raises(ValueError, match=rf"^user series base {re.escape(name)} underflows to 0\.0"):
+            _joint_secrecy_prob(user1, user2, params.theta1, consts, 0.8, 2, law, QUAD)
+    assert 0.0 <= _joint_secrecy_prob(fine, fine, params.theta1, consts, 0.8, 2, law, QUAD) <= 1.0

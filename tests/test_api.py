@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,11 +79,15 @@ def test_every_scheme_is_a_mixture_of_its_conditionals(scheme):
     assert sdo(scheme, SdoInputs(K=3, m_r=2, m_u=2, varpi=0.1)) > 0.0
 
 
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _bench_module("spans")
 
 
 def test_every_traced_name_resolves():
@@ -123,5 +129,20 @@ def test_traced_layers_see_the_engines_calls(monkeypatch):
     # calling thread would get whatever span is open there as its parent
     records = list(rec.span_records())
     draws = [parent for name, _, _, parent in records if name == "channels.sample_gain"]
-    assert len(draws) == 3 * 4  # three chunks, four links
+    # one call per link and block: 50k, 50k and 20k trials in blocks of at
+    # most 2**17 // 2 // K = 21,845 trials make 3 + 3 + 1 blocks
+    assert montecarlo._block_step(params.K) == 21_845
+    assert len(draws) == 7 * 4
     assert all(parent >= 0 and records[parent][0] == "montecarlo.estimate_many" for parent in draws)
+
+
+def test_every_micro_timing_is_finite_and_positive(monkeypatch):
+    # the benchmark's traced run rejects a micro figure that is not finite
+    # and positive; the Monte Carlo ones read the draw spans of the
+    # `sample_gain` global, so a draw routed around it would read 0 there
+    monkeypatch.setitem(sys.modules, "spans", _bench_spans())  # micro imports it by that name
+    figures = _bench_module("micro").run(noma_relay_secrecy, 1)
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert {name for name in declared if name.startswith("micro.")} <= figures.keys()
+    for name, value in figures.items():
+        assert math.isfinite(value) and value > 0.0, (name, value)

@@ -5,6 +5,8 @@ import dataclasses
 import math
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,16 +26,28 @@ from noma_relay_secrecy import montecarlo
 from noma_relay_secrecy.montecarlo import (
     OUTCOME_LABELS,
     _block_codes,
+    _block_step,
+    _blocks,
+    _chunk_sizes,
     _chunk_stream,
-    _draw_chunk,
+    _draw_blocks,
     _rule,
     _scheme_codes,
     _verdict,
     paired_verdicts,
 )
-from noma_relay_secrecy.params import scheme_constants
+from noma_relay_secrecy.channels import sample_gain
+from noma_relay_secrecy.params import LinkSet, scheme_constants
 
 QUAD = quadrature(300)
+LINKS = ("source_relay", "relay_user1", "relay_user2", "relay_eaves")
+
+
+def _draw_chunk(params, stream, size):
+    """A chunk's gains per link, relay-major (K, size), each link drawn whole
+    as (size, K) from `stream`: the uniforms every block of the chunk reads."""
+    return tuple(np.ascontiguousarray(sample_gain(getattr(params.links, name), stream, (size, params.K)).T)
+                 for name in LINKS)
 
 
 def test_config_validation():
@@ -295,19 +309,51 @@ def test_worker_count_does_not_change_estimates(monkeypatch):
 
 def test_shared_jobs_each_run_once_and_keep_their_order(monkeypatch):
     # the two threads take jobs from one queue; with thread switches forced
-    # as often as the interpreter allows, a job taken twice or lost shows
+    # as often as the interpreter allows, a job taken twice or lost shows,
+    # and so does a job drawn off the calling thread
     monkeypatch.setattr(montecarlo, "_WORKERS", 2)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            jobs = list(range(300))
+            drawn_on = set()
+
+            def jobs():
+                for job in range(300):
+                    drawn_on.add(threading.get_ident())
+                    yield job
+
             taken = []
-            results = montecarlo._run_shared(lambda job: taken.append(job) or -job, jobs)
-            assert results == [-job for job in jobs]
-            assert sorted(taken) == jobs
+            results = montecarlo._run_shared(lambda job: taken.append(job) or -job, jobs())
+            assert results == [-job for job in range(300)]
+            assert sorted(taken) == list(range(300))
+            assert drawn_on == {threading.get_ident()}
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_drawn_jobs_wait_in_a_short_queue(monkeypatch):
+    # with a slow helper the calling thread must decide jobs itself, so a
+    # job is drawn only while at most two others are drawn and undecided
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    alive = []
+    lock = threading.Lock()
+
+    def jobs():
+        for job in range(40):
+            with lock:
+                alive.append(job)
+                most = len(alive)
+            yield job, most
+
+    def fn(item):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.005)
+        with lock:
+            alive.remove(item[0])
+        return item[1]
+
+    assert max(montecarlo._run_shared(fn, jobs())) <= 3
 
 
 def test_error_in_a_helper_block_surfaces(monkeypatch):
@@ -327,6 +373,116 @@ def test_error_in_a_helper_block_surfaces(monkeypatch):
         estimate_many(grid_params(K=2), fixed_policy(0.2, alphaJ=0.5), list(SchemeKind),
                       TrialConfig(trials=300_000, seed=1))
     assert helper_failed.is_set()
+
+
+@pytest.mark.parametrize("where", ["draw", "decide"])
+def test_the_helper_never_outlives_the_call(monkeypatch, where):
+    # the calling thread fails while the helper is inside a job: the error
+    # must wait for that job to end, and no job may start after it
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    helper_busy = threading.Event()
+    events = []
+
+    def fn(job):
+        if threading.current_thread() is threading.main_thread():
+            helper_busy.wait(timeout=30)
+            if where == "decide":
+                raise RuntimeError("calling thread failed")
+            return job
+        events.append(("start", job))
+        helper_busy.set()
+        time.sleep(0.2)
+        events.append(("end", job))
+        return job
+
+    def jobs():
+        for job in range(50):
+            if job == 3 and where == "draw":
+                helper_busy.wait(timeout=30)
+                raise RuntimeError("calling thread failed")
+            yield job
+
+    with pytest.raises(RuntimeError, match="calling thread failed"):
+        montecarlo._run_shared(fn, jobs())
+    seen = list(events)
+    assert seen and seen[-1][0] == "end"
+    time.sleep(0.3)
+    assert events == seen  # nothing ran after the call returned
+
+
+def _mixed_shape_params(K: int):
+    """Every link with its own mean, and shapes 1/2/2/3 (the user links share theirs)."""
+    links = LinkSet(source_relay=NakagamiParams(1, 2.0), relay_user1=NakagamiParams(2, 5.0),
+                    relay_user2=NakagamiParams(2, 3.0), relay_eaves=NakagamiParams(3, 0.5))
+    return dataclasses.replace(grid_params(K=K), links=links)
+
+
+def _joined(blocks):
+    """The blocks of one chunk put back together, per link."""
+    return [np.concatenate([block[i] for block in blocks], axis=1) for i in range(len(LINKS))]
+
+
+@pytest.mark.parametrize("K", [1, 3, 8])
+def test_block_draws_equal_whole_chunk_draws(K):
+    # 1,000 trials in chunks of 400 leave a partial last chunk of 200; steps
+    # of 7 and 150 divide no chunk, 400 is one, 5,000 is more than every chunk
+    params = _mixed_shape_params(K)
+    config = TrialConfig(trials=1_000, seed=4, chunk=400)
+    for step in (7, 150, 400, 5_000):
+        for index, size in _chunk_sizes(config):
+            blocks = list(_draw_blocks(params, _chunk_stream(config, index), size, step))
+            assert len(blocks) == -(-size // step)
+            for block in blocks:
+                assert all(g.flags.c_contiguous and g.shape == block[0].shape for g in block)
+                assert block[0].shape[0] == K
+            want = _draw_chunk(params, _chunk_stream(config, index), size)
+            for got, whole in zip(_joined(blocks), want):
+                assert got.shape == (K, size)
+                assert got.tobytes() == whole.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("K, trials", [(3, 100), (3, 250_000 + 30_001), (8, 70_000)])
+def test_every_block_of_a_run_reads_its_chunks_uniforms(K, trials):
+    # the blocks one estimate decides, chunk after chunk: fewer trials than one
+    # block, and a full chunk followed by a partial one whose size the step
+    # does not divide
+    params = _mixed_shape_params(K)
+    config = TrialConfig(trials=trials, seed=6)
+    step = _block_step(K)
+    blocks = list(_blocks(config, params))
+    start = 0
+    for index, size in _chunk_sizes(config):
+        count = -(-size // step)
+        want = _draw_chunk(params, _chunk_stream(config, index), size)
+        for got, whole in zip(_joined(blocks[start:start + count]), want):
+            assert got.tobytes() == whole.tobytes()
+        start += count
+    assert start == len(blocks)
+
+
+def test_block_draws_need_a_pcg64_stream():
+    params = grid_params(K=2)
+    with pytest.raises(TypeError, match="PCG64"):
+        list(_draw_blocks(params, np.random.Generator(np.random.MT19937(1)), 10, 4))
+    with pytest.raises(ValueError, match="one generator per exponential pass"):
+        sample_gain(NakagamiParams(2, 1.0), [np.random.default_rng(1)], 5)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_memory_stays_near_one_block(monkeypatch, workers):
+    # K=8 and 100k trials hold 25.6 MB of gains as one chunk; drawn block by
+    # block, the draws and every scheme's verdicts stay far below that
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    params = grid_params(K=8, omegaR_dB=-10.0)
+    policy = fixed_policy(0.2, alphaJ=0.5)
+    estimate_many(params, policy, list(SchemeKind), TrialConfig(trials=1_000, seed=1))  # the helper's pool
+    tracemalloc.start()
+    try:
+        estimate_many(params, policy, list(SchemeKind), TrialConfig(trials=100_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
 
 
 def test_margin_ties_go_to_the_first_relay():

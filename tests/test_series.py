@@ -306,9 +306,10 @@ def test_engines_never_call_the_reference_kernels(monkeypatch):
         monkeypatch.setattr(module, "g_kernel", refuse)
         monkeypatch.setattr(module, "h_kernel", refuse)
     params = grid_params(K=4, omegaR_dB=-10.0)
-    scaling = AsymptoticScaling(*params.links.frame)
+    high_gain = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0)  # at 10 dB the source hop is not high-gain
+    scaling = AsymptoticScaling(*high_gain.links.frame)
     for policy in (fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)):
         for scheme in SchemeKind:
             assert 0.0 < sop_total(params, policy, scheme, QUAD).value < 1.0
-            assert 0.0 <= sop_asym_total(params, policy, scheme, scaling, QUAD) <= 1.0
+            assert 0.0 <= sop_asym_total(high_gain, policy, scheme, scaling, QUAD) <= 1.0
             assert 0.0 <= sop_floor_total(params, policy, scheme) <= 1.0

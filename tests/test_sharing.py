@@ -49,10 +49,12 @@ CASES = [
     for name, split in (("fixed", FIXED), ("dynamic", DYNAMIC))
     if not (var == "alpha1" and split is DYNAMIC)
 ]
-# At gains near the top of float range some rate products underflow to 0, and
-# a logarithm inside the exact securing integrals raises at 200 dB, in the
-# single-relay integral every scheme needs. The asymptotic engine forms its
-# leading coefficients in log space and fails no row.
+# At gains near the top of float range some rate products underflow to 0: at
+# 200 dB the exact securing integrals' user-1 series base lambda1*b does, in
+# the single-relay integral every scheme needs, and the exact engine refuses
+# it by name. The asymptotic engine forms its leading coefficients in log
+# space, but at 10 dB the source hop (40 dB below the users' frame) is not in
+# the high-gain regime, phi_R*eta^mR = 1.35, and it refuses those rows.
 RAISING = _config(FIXED, "P_dB", [10.0, 200.0], omega1_dB=3072.0, omega2_dB=3070.0)
 
 
@@ -92,8 +94,13 @@ def test_sweep_rows_equal_direct_calls_bit_for_bit(tmp_path, body):
 def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path):
     rows = _check_rows_match_direct_calls(tmp_path, RAISING)
     failed = {(row["sweep_value"], row["scheme"], row["engine"]) for row in rows if row["error"]}
-    assert failed == {(200.0, s, "analytic") for s in SCHEMES}
-    assert all(row["error"] == "math domain error" for row in rows if row["error"])
+    assert failed == {(200.0, s, "analytic") for s in SCHEMES} | {(10.0, s, "asymptotic") for s in SCHEMES}
+    for row in rows:
+        if row["engine"] == "analytic" and row["error"]:
+            assert row["error"].startswith("user series base lambda1*b underflows to 0.0 ("), row["error"]
+        elif row["error"]:
+            assert row["error"].startswith("phi_R*eta^mR must lie below 1 for the high-gain decoding weights, "
+                                           "got 1.35176:"), row["error"]
     assert _SHARED.get() is None
 
 
@@ -120,6 +127,7 @@ def test_identical_calls_each_evaluate_their_integrals(monkeypatch):
     assert len(exact) == 2 * per_call
 
     leading = _count_calls(monkeypatch, asymptotic, "series_integral")
+    params = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0)  # at 10 dB the source hop is not high-gain
     scaling = AsymptoticScaling(*params.links.frame)
     values = [sop_asym_total(params, policy, "tmrc", scaling, quad) for _ in range(2)]
     assert values[0] == values[1] and len(leading) == 2 * 4  # combined at n = 1..4
