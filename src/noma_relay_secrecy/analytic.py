@@ -26,7 +26,7 @@ serves every K that needs it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -60,9 +60,15 @@ from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the pe
 )
 
 
+@_shared
+def _decode_prob(source_relay: NakagamiParams, eta: float) -> float:
+    return float(gain_survival(source_relay, eta))
+
+
 def decode_prob_chi(params: SystemParams) -> float:
-    """Probability chi that one relay decodes both messages: P(G_sr >= eta)."""
-    return float(gain_survival(params.links.source_relay, params.eta))
+    """Probability chi that one relay decodes both messages: P(G_sr >= eta),
+    evaluated once per (source link, eta) inside a sharing scope."""
+    return _decode_prob(params.links.source_relay, params.eta)
 
 
 def decoding_set_pmf(params: SystemParams) -> np.ndarray:
@@ -200,11 +206,12 @@ def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, 
     """The scheme's conditional SOP as a function of n: combining is
     `sop_tmrc_cond`, a single candidate fails with 1 - delta1 and a jammed
     one with 1 - delta4. Call it inside a sharing scope, which evaluates
-    delta1's integral once for every n."""
+    each integral once for every n; delta1, constants and all, is formed
+    once per call, at its first use."""
     return SchemeKind(scheme).conditional(
         params.K,
         combined=lambda n: sop_tmrc_cond(params, policy, n, quad),
-        single=lambda: 1.0 - delta1(params, policy, quad),
+        single=cache(lambda: 1.0 - delta1(params, policy, quad)),
         jammed=lambda n: 1.0 - delta4(params, policy, n, quad),
     )
 

@@ -268,17 +268,13 @@ class JammedTable(NamedTuple):
     of `count` gains, and so of the law's density and survival, whose
     triple-sum terms `terms` lists. The arrays index the terms stably sorted
     by k, so the terms of each k form one slice (`bounds`) in their original
-    order: `up`, `at` and `down` pick y^{k+1}, y^k and y^{k-1} (clipped at 0)
-    from the powers of y, `ck`, `big_d` and `delta` are each term's C*k, D
-    and delta, and `which` is its row among the distinct (C, varsigma+1)
-    denominators `shared`.
+    order: `ck`, `big_d` and `delta` are each term's C*k, D and delta, and
+    `which` is its row among the distinct (C, varsigma+1) denominators
+    `shared`.
     """
 
     phi0: float
     terms: tuple[JammedTerm, ...]
-    up: np.ndarray
-    at: np.ndarray
-    down: np.ndarray
     ck: np.ndarray
     big_d: np.ndarray
     delta: np.ndarray
@@ -320,8 +316,8 @@ def jammed_table(p_e: NakagamiParams, count: int, rho4: float) -> JammedTable:
     k = np.array([t.k for t in by_k])
     shared, which = np.unique([(t.C, t.varsigma + 1) for t in by_k], axis=0, return_inverse=True)
     arrays = (
-        k + 1, k, np.maximum(k - 1, 0), np.array([t.C for t in by_k], dtype=float) * k,
-        np.array([t.D for t in by_k]), np.array([t.delta for t in by_k]), shared, which.ravel(),
+        np.array([t.C for t in by_k], dtype=float) * k, np.array([t.D for t in by_k]),
+        np.array([t.delta for t in by_k]), shared.astype(float), which.ravel(),
     )
     for arr in arrays:
         arr.setflags(write=False)
@@ -355,27 +351,58 @@ def jammed_ratio_cdf(p_e: NakagamiParams, count: int, rho4: float, y):
     return _as_given(y, 1.0 - np.asarray(jammed_ratio_survival(p_e, count, rho4, y)))
 
 
+# Terms per block of the jammed density rows: at 300 nodes a block is 77 kB.
+_TERM_BLOCK = 32
+
+
 def jammed_ratio_pdf_rows(p_e: NakagamiParams, count: int, rho4: float, y) -> np.ndarray:
     """The terms of the Y = G/(1 + rho4*H) density at y without its common
     factor phi0*exp(-lambda*y), summed by their power k of y.
 
     Term t of jammed_ratio_terms is
     delta*(rho4*lambda*y^{k+1} + D*y^k - C*k*y^{k-1}) / (rho4*y + C)^{varsigma+1};
-    the y^{k-1} piece carries a factor k and vanishes at k = 0. All terms are
-    evaluated at once, shape (T,) + y.shape, and row k of the result, shape
-    (m,) + y.shape, sums those with that k. The terms' y-free part is the
-    `jammed_table` of (p_e, count, rho4), built once, not once per call.
+    the y^{k-1} piece carries a factor k and vanishes at k = 0. Row k of the
+    result, shape (m,) + y.shape, sums the terms with that k in table order.
+    The terms' y-free part is the `jammed_table` of (p_e, count, rho4), built
+    once, not once per call.
+
+    Each k-slice is evaluated in blocks of at most `_TERM_BLOCK` terms, so no
+    (terms,) + y.shape array is formed: a block's values go below the running
+    row in one buffer, whose axis-0 sum adds them to it one term at a time,
+    the order of a single sum over the slice. A one-element y reduces
+    pairwise instead, so there each slice is one block.
     """
     y = np.asarray(y, dtype=float)
     tab = jammed_table(p_e, count, rho4)
     col = (-1,) + (1,) * y.ndim  # one entry per term, broadcasting against y
     # Powers of y only reach m, and many terms share one denominator.
     y_pow = np.power(y, np.arange(p_e.m + 1).reshape(col))
-    numer = (rho4 * p_e.rate * y_pow[tab.up] + tab.big_d.reshape(col) * y_pow[tab.at]
-             - tab.ck.reshape(col) * y_pow[tab.down])
-    denom = np.power(rho4 * y + tab.shared[:, 0].reshape(col), tab.shared[:, 1].reshape(col))
-    vals = tab.delta.reshape(col) * numer / denom[tab.which]
-    return np.stack([vals[lo:hi].sum(axis=0) for lo, hi in tab.bounds])
+    denom = np.add(rho4 * y, tab.shared[:, 0].reshape(col))
+    np.power(denom, tab.shared[:, 1].reshape(col), out=denom)
+    d_col, ck_col, delta_col = (arr.reshape(col) for arr in (tab.big_d, tab.ck, tab.delta))
+    longest = max(hi - lo for lo, hi in tab.bounds)
+    block = min(_TERM_BLOCK, longest) if y.size > 1 else longest
+    buf = np.empty((block + 1,) + y.shape)  # row 0: the running sum
+    scratch = np.empty((block,) + y.shape)
+    rows = np.empty((p_e.m,) + y.shape)
+    leads = rho4 * p_e.rate * y_pow[1:]
+    for k, (lo, hi) in enumerate(tab.bounds):
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            vals, tmp = buf[1 : 1 + stop - start], scratch[: stop - start]
+            if k == 0:  # y^0 is 1.0 and C*k*y^(k-1) is +0.0: dropping both changes no bit
+                np.add(leads[0], d_col[start:stop], out=vals)
+            else:
+                np.multiply(d_col[start:stop], y_pow[k], out=vals)
+                np.add(leads[k], vals, out=vals)
+                np.subtract(vals, np.multiply(ck_col[start:stop], y_pow[k - 1], out=tmp), out=vals)
+            np.multiply(delta_col[start:stop], vals, out=vals)
+            # mode "clip" writes straight into tmp ("raise" buffers a copy); every index is valid
+            np.divide(vals, np.take(denom, tab.which[start:stop], axis=0, out=tmp, mode="clip"), out=vals)
+            if start > lo:
+                buf[0] = rows[k]
+            np.add.reduce(buf[int(start == lo) : 1 + stop - start], axis=0, out=rows[k, ...])
+    return rows
 
 
 def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):

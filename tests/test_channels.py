@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,16 +277,30 @@ def _pdf_rows_from_terms(p_e, count, rho4, y):
 
 
 def test_cached_jammed_rows_equal_rows_from_terms():
+    # up to 720 terms (count 8, m 3): the k-slices span several term blocks
     y = np.concatenate([[0.0], np.linspace(1e-6, 25.0, 300)])
     for m_e in (1, 2, 3):
         p = NakagamiParams(m_e, 0.6)
-        for count in range(1, 7):
+        for count in range(1, 9):
             for rho4 in (0.0, 5.0):
                 for _ in range(2):  # the first call builds the table, the second reads it
-                    for at in (y, 1.3, y.reshape(1, -1)):
+                    for at in (y, 1.3, np.array([1.3]), y.reshape(1, -1), np.stack([y, 0.5 * y])):
                         got = jammed_ratio_pdf_rows(p, count, rho4, at)
                         assert np.array_equal(got, _pdf_rows_from_terms(p, count, rho4, at))
     with pytest.raises(ValueError):
         jammed_ratio_pdf_rows(NakagamiParams(2, 1.0), 0, 1.0, y)
     with pytest.raises(ValueError):
         jammed_table(NakagamiParams(2, 1.0), 2, 1.0).delta[0] = 0.0
+
+
+def test_jammed_rows_peak_memory_is_block_sized():
+    # 504 terms at 300 nodes: one (terms, nodes) temporary alone is 1.2 MB
+    p, y = NakagamiParams(3, 0.6), np.linspace(1e-6, 25.0, 300)
+    jammed_ratio_pdf_rows(p, 7, 3.0, y)  # builds the table outside the measurement
+    tracemalloc.start()
+    try:
+        jammed_ratio_pdf_rows(p, 7, 3.0, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6

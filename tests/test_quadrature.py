@@ -9,7 +9,7 @@ from conftest import fixed_policy, grid_params
 from scipy import integrate, special
 
 from noma_relay_secrecy import SchemeKind, sop_total
-from noma_relay_secrecy.quadrature import QuadratureSpec, g_kernel, h_kernel, quadrature
+from noma_relay_secrecy.quadrature import QuadratureSpec, _signed_log_pow, g_kernel, h_kernel, quadrature
 
 
 def test_spec_validation():
@@ -39,6 +39,23 @@ def test_shared_nodes_and_weights_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
     assert QuadratureSpec(3).nodes.flags.writeable is False
+
+
+def test_parity_sign_equals_float_power_bit_for_bit():
+    # the sign of base^k for a column of degrees k comes from k's parity
+    base = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -2.5, -1e-300, 3.0, 1e300])
+    k = np.arange(6)[:, None]
+    logmag, sign = _signed_log_pow(base, k)
+    ref = np.sign(base) ** k
+    assert sign.shape == ref.shape and sign.dtype == ref.dtype
+    assert sign.tobytes() == ref.tobytes()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(logmag, np.where(k == 0, 0.0, k * np.log(np.abs(base))), equal_nan=True)
+    positive = np.array([1e-300, 0.5, 2.0, np.inf])  # the all-positive shortcut
+    _, sign = _signed_log_pow(positive, k)
+    ref = np.sign(positive) ** k
+    assert sign.shape == ref.shape == (6, 4) and sign.dtype == ref.dtype
+    assert sign.tobytes() == ref.tobytes()
 
 
 def test_g_kernel_frozen_example():
