@@ -33,7 +33,7 @@ import numpy as np
 from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of delta4)
     EavesdropperLaw,
     NakagamiParams,
-    gain_survival,
+    gain_tails,
     jammed_ratio_terms,
 )
 from .params import (
@@ -61,23 +61,26 @@ from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the pe
 
 
 @_shared
-def _decode_prob(source_relay: NakagamiParams, eta: float) -> float:
-    return float(gain_survival(source_relay, eta))
+def _decode_probs(source_relay: NakagamiParams, eta: float) -> tuple[float, float]:
+    """P(G_sr >= eta) and P(G_sr < eta), each to its own relative precision."""
+    return gain_tails(source_relay, eta)
 
 
 def decode_prob_chi(params: SystemParams) -> float:
     """Probability chi that one relay decodes both messages: P(G_sr >= eta),
     evaluated once per (source link, eta) inside a sharing scope."""
-    return _decode_prob(params.links.source_relay, params.eta)
+    return _decode_probs(params.links.source_relay, params.eta)[0]
 
 
 def decoding_set_pmf(params: SystemParams) -> np.ndarray:
-    """Binomial law of the decoding-set size; entry n is C(K,n) chi^n (1-chi)^{K-n}."""
-    chi = decode_prob_chi(params)
+    """Binomial law of the decoding-set size; entry n is C(K,n) chi^n miss^{K-n}.
+
+    The miss probability 1 - chi is the gain CDF at eta, not 1 - chi
+    itself, which cancels to rounding noise (even below 0) once chi is
+    within an ulp of 1."""
+    chi, miss = _decode_probs(params.links.source_relay, params.eta)
     k = params.K
-    return np.array(
-        [math.comb(k, n) * chi**n * (1.0 - chi) ** (k - n) for n in range(k + 1)]
-    )
+    return np.array([math.comb(k, n) * chi**n * miss ** (k - n) for n in range(k + 1)])
 
 
 @lru_cache(maxsize=64)

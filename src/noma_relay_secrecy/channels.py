@@ -91,16 +91,22 @@ def _survival_series(m: int, z):
 def _cdf_series(m: int, z: np.ndarray) -> np.ndarray:
     """exp(-z) * sum_{k>=m} z^k/k!, the Gamma(m) CDF at rate-scaled z, summed
     directly so that a small CDF keeps its relative precision (1 - survival
-    cancels to 0 there). Meant for z < m, where the terms fall from the first."""
+    cancels to 0 there). Meant for z < m, where the terms fall from the first.
+
+    Each value's terms are summed on Python floats, the same IEEE steps as
+    array arithmetic: the engines pass one value, for which a numpy call per
+    term costs more than the term."""
     with np.errstate(divide="ignore"):
-        term = np.exp(m * np.log(z) - z - math.lgamma(m + 1))
-    total = term.copy()
-    k = m
-    while np.any(term > total * 1e-17):
-        k += 1
-        term = term * z / k
-        total = total + term
-    return total
+        first = np.exp(m * np.log(z) - z - math.lgamma(m + 1))
+    out = np.empty_like(first)
+    for i, (term, zi) in enumerate(zip(first.tolist(), z.tolist())):
+        total, k = term, m
+        while term > total * 1e-17:
+            k += 1
+            term = term * zi / k
+            total += term
+        out[i] = total
+    return out
 
 
 def _as_given(x_in, out):
@@ -118,16 +124,24 @@ def gain_survival(p: NakagamiParams, x):
     return _as_given(x, _survival_series(p.m, p.rate * x))
 
 
-def gain_cdf(p: NakagamiParams, x):
-    """CDF of the power gain, 1 - gain_survival, with relative precision at small x."""
+def gain_tails(p: NakagamiParams, x):
+    """(P(G > x), P(G <= x)), the survival and the CDF from one pass, each with
+    relative precision: below the mean m the CDF sums its own series, where
+    1 - survival would cancel."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
     z = np.atleast_1d(p.rate * x)
-    out = 1.0 - _survival_series(p.m, z)
+    survival = _survival_series(p.m, z)
+    cdf = 1.0 - survival
     low = z < p.m  # at or above the mean m the CDF exceeds 1/2 and 1 - survival keeps its digits
-    out[low] = _cdf_series(p.m, z[low])
-    return _as_given(x, out)
+    cdf[low] = _cdf_series(p.m, z[low])
+    return _as_given(x, survival), _as_given(x, cdf)
+
+
+def gain_cdf(p: NakagamiParams, x):
+    """CDF of the power gain, 1 - gain_survival, with relative precision at small x."""
+    return gain_tails(p, x)[1]
 
 
 def gain_pdf(p: NakagamiParams, x):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 
 import numpy as np
@@ -18,6 +19,8 @@ from noma_relay_secrecy import (
     quadrature,
     sop_total,
 )
+from noma_relay_secrecy.channels import gain_cdf
+from noma_relay_secrecy.cli import _point_scenario, load_config
 from noma_relay_secrecy.analytic import (
     _joint_secrecy_prob,
     decode_prob_chi,
@@ -49,6 +52,28 @@ def test_decoding_set_pmf_matches_binom():
         chi = decode_prob_chi(params)
         ref = stats.binom.pmf(np.arange(k + 1), k, chi)
         assert decoding_set_pmf(params) == pytest.approx(ref, rel=1e-12)
+
+
+def test_decoding_weights_keep_a_tiny_miss_probability(tmp_path):
+    # the high-gain sweep's fixed-split config (K=4, m=3, alpha1 0.2) at
+    # omega2 50 dB: chi is within an ulp of 1, and 1 - chi is -2.2e-16
+    raw = {
+        "K": 4, "mR": 3, "mU": 3, "mE": 3,
+        "omegaR_dB": 3.0, "omega1_dB": 1.8, "omega2_dB": 0.0, "omegaE_dB": -5.0,
+        "P_dB": 10.0, "R1_th": 0.2, "R2_th": 0.1, "R1_s": 0.1, "R2_s": 0.2,
+        "alphaJ": 0.5, "alpha1": 0.2, "scheme": ["tmrc"], "engine": ["analytic"],
+        "sweep": {"var": "omega2_dB", "values": [50.0]}, "quad_n": 300,
+    }
+    path = tmp_path / "high_gain.json"
+    path.write_text(json.dumps(raw))
+    params, _ = _point_scenario(load_config(str(path)), 50.0)
+    chi = decode_prob_chi(params)
+    miss = gain_cdf(params.links.source_relay, params.eta)
+    assert 0.0 < miss < 1e-18
+    pmf = decoding_set_pmf(params)
+    assert np.all(pmf >= 0.0)
+    assert abs(pmf.sum() - 1.0) <= 1e-15
+    assert pmf[params.K - 1] == params.K * chi ** (params.K - 1) * miss
 
 
 def test_conditionals_are_probabilities():

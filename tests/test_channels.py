@@ -17,6 +17,7 @@ from noma_relay_secrecy.channels import (
     gain_cdf,
     gain_pdf,
     gain_survival,
+    gain_tails,
     jammed_ratio_cdf,
     jammed_ratio_pdf,
     jammed_ratio_pdf_rows,
@@ -61,7 +62,7 @@ def test_cdf_survival_complementary():
 
 def test_negative_x_rejected():
     p = NakagamiParams(2, 1.0)
-    for fn in (gain_cdf, gain_survival, gain_pdf):
+    for fn in (gain_cdf, gain_survival, gain_tails, gain_pdf):
         with pytest.raises(ValueError):
             fn(p, -0.1)
 
@@ -226,6 +227,36 @@ def test_gain_cdf_relative_error_at_small_x():
             assert mrc_sum_cdf(NakagamiParams(m, omega), 2, 1e-9) == pytest.approx(
                 float(special.gammainc(2 * m, (m / omega) * 1e-9)), rel=1e-12)
     assert gain_cdf(NakagamiParams(2, 1.0), 0.0) == 0.0
+
+
+def _cdf_series_on_arrays(m, z):
+    """The CDF series summed with array arithmetic, every value until the last
+    converges: the reference the per-value float loop must equal bit for bit."""
+    with np.errstate(divide="ignore"):
+        term = np.exp(m * np.log(z) - z - math.lgamma(m + 1))
+    total = term.copy()
+    k = m
+    while np.any(term > total * 1e-17):
+        k += 1
+        term = term * z / k
+        total = total + term
+    return total
+
+
+def test_gain_tails_equal_array_series_bit_for_bit():
+    # the survival and the CDF at once, scalar and array, deep tail to the mean
+    for m in (1, 2, 3, 5):
+        p = NakagamiParams(m, 0.7)
+        x = np.concatenate([[0.0], np.logspace(-300, 1, 60) * p.omega])
+        z = p.rate * x
+        low = z < m
+        survival, cdf = gain_tails(p, x)
+        assert survival.tobytes() == gain_survival(p, x).tobytes()
+        assert cdf.tobytes() == gain_cdf(p, x).tobytes()
+        assert cdf[low].tobytes() == _cdf_series_on_arrays(m, z[low]).tobytes()
+        assert cdf[~low].tobytes() == (1.0 - survival[~low]).tobytes()
+        for xi, s_i, c_i in zip(x, survival, cdf):
+            assert gain_tails(p, float(xi)) == (s_i, c_i)
 
 
 def _survival_series_per_shape(m, z):
