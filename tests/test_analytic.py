@@ -19,8 +19,6 @@ from noma_relay_secrecy import (
     quadrature,
     sop_total,
 )
-from noma_relay_secrecy.channels import gain_cdf
-from noma_relay_secrecy.cli import _point_scenario, load_config
 from noma_relay_secrecy.analytic import (
     _joint_secrecy_prob,
     decode_prob_chi,
@@ -29,6 +27,8 @@ from noma_relay_secrecy.analytic import (
     sop_cond,
     sop_tmrc_cond,
 )
+from noma_relay_secrecy.channels import gain_cdf
+from noma_relay_secrecy.cli import _point_scenario, load_config
 from noma_relay_secrecy.params import combining_constants
 
 QUAD = quadrature(300)
