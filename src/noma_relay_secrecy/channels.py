@@ -404,12 +404,10 @@ def jammed_ratio_pdf_rows(p_e: NakagamiParams, count: int, rho4: float, y) -> np
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
             vals, tmp = buf[1 : 1 + stop - start], scratch[: stop - start]
-            if k == 0:  # y^0 is 1.0 and C*k*y^(k-1) is +0.0: dropping both changes no bit
-                np.add(leads[0], d_col[start:stop], out=vals)
-            else:
-                np.multiply(d_col[start:stop], y_pow[k], out=vals)
-                np.add(leads[k], vals, out=vals)
-                np.subtract(vals, np.multiply(ck_col[start:stop], y_pow[k - 1], out=tmp), out=vals)
+            np.multiply(d_col[start:stop], y_pow[k], out=vals)
+            np.add(leads[k], vals, out=vals)
+            # at k = 0, C*k is 0.0 and y^0 stands in for y^(k-1)
+            np.subtract(vals, np.multiply(ck_col[start:stop], y_pow[max(k - 1, 0)], out=tmp), out=vals)
             np.multiply(delta_col[start:stop], vals, out=vals)
             # mode "clip" writes straight into tmp ("raise" buffers a copy); every index is valid
             np.divide(vals, np.take(denom, tab.which[start:stop], axis=0, out=tmp, mode="clip"), out=vals)
