@@ -133,18 +133,15 @@ def _signed_log_pow(base: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """k*log|base| and sign(base)^k elementwise; k = 0 contributes nothing.
 
     k is a nonnegative integer or an integer array broadcasting against base.
-    For an array k the sign comes from k's parity, not a float power: ones
-    when every base is positive, else sign(base) at odd k, its square at even
-    k > 0 and 1 at k = 0, which is sign(base)^k for every base, ±0, NaN and
-    ±inf included.
+    For an array k the sign comes from k's parity, not a float power:
+    sign(base) at odd k, its square at even k > 0 and 1 at k = 0, which is
+    sign(base)^k for every base, ±0, NaN and ±inf included.
     """
     k = np.asarray(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         logmag = np.where(k == 0, 0.0, k * np.log(np.abs(base)))
     if k.ndim == 0:
         return logmag, np.sign(base) ** k  # 0^0 = 1: k = 0 keeps a zero base's sign at 1
-    if (base > 0).all():
-        return logmag, np.ones(logmag.shape)
     sign = np.sign(base)
     return logmag, np.where(k % 2 == 1, sign, np.where(k == 0, 1.0, sign * sign))
 
