@@ -91,22 +91,21 @@ def _survival_series(m: int, z):
 def _cdf_series(m: int, z: np.ndarray) -> np.ndarray:
     """exp(-z) * sum_{k>=m} z^k/k!, the Gamma(m) CDF at rate-scaled z, summed
     directly so that a small CDF keeps its relative precision (1 - survival
-    cancels to 0 there). Meant for z < m, where the terms fall from the first.
-
-    Each value's terms are summed on Python floats, the same IEEE steps as
-    array arithmetic: the engines pass one value, for which a numpy call per
-    term costs more than the term."""
+    cancels to 0 there). Meant for z < m, where the terms fall from the first."""
     with np.errstate(divide="ignore"):
         first = np.exp(m * np.log(z) - z - math.lgamma(m + 1))
-    out = np.empty_like(first)
-    for i, (term, zi) in enumerate(zip(first.tolist(), z.tolist())):
-        total, k = term, m
-        while term > total * 1e-17:
-            k += 1
-            term = term * zi / k
-            total += term
-        out[i] = total
-    return out
+    return np.array([_cdf_sum(m, zi, term) for zi, term in zip(z.tolist(), first.tolist())])
+
+
+def _cdf_sum(m: int, z: float, term: float) -> float:
+    """The CDF series at one z from its first term, on Python floats: the
+    IEEE steps of array arithmetic, without a numpy call per term."""
+    total, k = term, m
+    while term > total * 1e-17:
+        k += 1
+        term = term * z / k
+        total += term
+    return total
 
 
 def _as_given(x_in, out):
@@ -131,7 +130,18 @@ def gain_tails(p: NakagamiParams, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    z = np.atleast_1d(p.rate * x)
+    z = p.rate * x
+    if z.ndim == 0 and z < min(p.m, 700.0):
+        # One value, as the engines ask: both series on Python floats, the
+        # steps of the array path below without its one-element numpy calls.
+        total = term = 1.0
+        for k in range(1, p.m):
+            term = term * float(z) / k
+            total += term
+        with np.errstate(divide="ignore"):
+            first = float(np.exp(p.m * np.log(z) - z - math.lgamma(p.m + 1)))
+        return float(np.exp(-z)) * total, _cdf_sum(p.m, float(z), first)
+    z = np.atleast_1d(z)
     survival = _survival_series(p.m, z)
     cdf = 1.0 - survival
     low = z < p.m  # at or above the mean m the CDF exceeds 1/2 and 1 - survival keeps its digits

@@ -244,10 +244,12 @@ def _cdf_series_on_arrays(m, z):
 
 
 def test_gain_tails_equal_array_series_bit_for_bit():
-    # the survival and the CDF at once, scalar and array, deep tail to the mean
-    for m in (1, 2, 3, 5):
+    # the survival and the CDF at once, scalar and array, deep tail to past
+    # the mean; a scalar below the mean takes the one-value float path
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 5, 13):
         p = NakagamiParams(m, 0.7)
-        x = np.concatenate([[0.0], np.logspace(-300, 1, 60) * p.omega])
+        x = np.concatenate([[0.0], np.logspace(-300, 1, 60), rng.uniform(0.0, 1.0, 200)]) * p.omega
         z = p.rate * x
         low = z < m
         survival, cdf = gain_tails(p, x)
