@@ -21,7 +21,12 @@ and `_joint_secrecy_prob` reads only its arguments, so within one call, or one
 sweep that opens the scope around its calls, each distinct integral is
 evaluated once: the single-relay term serves every scheme and n that sends
 singly, and a combined term at n or a jammed term with K - n idle relays
-serves every K that needs it.
+serves every K that needs it. Each integrand is user rows times the law's
+density rows at the nodes of a cut, and each factor is built once too: the
+law's rows per (law, cut) for the whole scope, read-only and read by both
+engines (`quadrature.law_rows`), and the user rows per call
+(`_user_rows`), since the jamming constants, unlike the law, do not depend
+on the decoding-set size.
 """
 from __future__ import annotations
 
@@ -49,12 +54,14 @@ from .params import (
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
     QuadratureSpec,
+    _per_call,
     _shared,
     _sharing_scope,
     _signed_log_pow,
     convolve_series,
     g_kernel,
     h_kernel,
+    law_rows,
     series_integral,
     series_rows,
 )
@@ -107,6 +114,26 @@ def _user_series(base: np.ndarray, tau_u: int, log_rate: float, alternate: bool)
     return series_rows(range(tau_u), log_coef + logmag, sign, tau_u)
 
 
+@_per_call
+def _user_rows(
+    c1: float, r: float, q: float, f: float, h: float, tau_u: int, log_base1: float, log_base2: float,
+    cut: float, quad: QuadratureSpec,
+) -> tuple[np.ndarray, ...]:
+    """(f*x, h/(1-q*x), shift1, shift2, rows) at the nodes x of (0, cut): the
+    two user survival series, in bases 1 + c1*x and 1 + r/(1-q*x), their
+    product's rows, and the integrand's exponents beside them.
+
+    None depends on the eavesdropper law's front or rows, so inside an
+    engine call they are built once for every jammed decoding-set size,
+    whose integrals differ only in those.
+    """
+    x = quad.nodes_on(cut)
+    one_minus_qx = 1.0 - q * x
+    shift1, rows1 = _user_series(1.0 + c1 * x, tau_u, log_base1, alternate=False)
+    shift2, rows2 = _user_series(1.0 + r / one_minus_qx, tau_u, log_base2, alternate=True)
+    return f * x, h / one_minus_qx, shift1, shift2, convolve_series(rows1, rows2)
+
+
 @_shared
 def _joint_secrecy_prob(
     user1: NakagamiParams,
@@ -127,8 +154,10 @@ def _joint_secrecy_prob(
     whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
     summed at each node and the integral is taken once (`series_integral`).
     It reads nothing but its arguments, so a sharing scope evaluates it once
-    per argument tuple. A series base lambda1*b or lambda2*|c| that
-    underflows to 0.0 has no logarithm (ValueError).
+    per argument tuple; the user rows (`_user_rows`) and the law's rows
+    (`law_rows`) are each built once for every integral that needs them. A
+    series base lambda1*b or lambda2*|c| that underflows to 0.0 has no
+    logarithm (ValueError).
     """
     lambda1, lambda2 = user1.rate, user2.rate
     a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
@@ -143,15 +172,12 @@ def _joint_secrecy_prob(
     f = lambda1 * theta1 + law.rate
     c1 = theta1 / b
 
-    def integrand(x):
-        one_minus_qx = 1.0 - q * x
-        shift1, user1 = _user_series(1.0 + c1 * x, tau_u, log_base1, alternate=False)
-        shift2, user2 = _user_series(1.0 + r / one_minus_qx, tau_u, log_base2, alternate=True)
+    def integrand(x, cut):
+        fx, hq, shift1, shift2, series = _user_rows(c1, r, q, f, h, tau_u, log_base1, log_base2, cut, quad)
         power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
-        log_scale = log_front + power - f * x - h / one_minus_qx + shift1 + shift2
-        series = convolve_series(user1, user2)
+        log_scale = log_front + power - fx - hq + shift1 + shift2
         if law.rows is not None:
-            series = convolve_series(series, law.rows(x))
+            series = convolve_series(series, law_rows(law, cut, quad))
         return log_scale, series
 
     return series_integral(a, q, f, law.degree, 2 * tau_u - 1 + law.n_rows - 1, integrand, quad)

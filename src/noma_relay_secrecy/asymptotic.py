@@ -32,7 +32,11 @@ constants and law in force, alpha2 and the nodes. `sop_asym_total`,
 `sop_asym_cond` and `sop_floor_cond` open a sharing scope
 (`quadrature._sharing_scope`), so each distinct complement is evaluated once
 per call, or once per sweep that opens the scope around its calls: the
-single-relay complement serves every scheme and n that sends singly.
+single-relay complement serves every scheme and n that sends singly. As in
+the exact engine, the law's density rows are built once per (law, cut) in
+the scope and shared with that engine (`quadrature.law_rows`), and the user
+terms once per call for every jammed decoding-set size
+(`_leading_user_rows`).
 """
 from __future__ import annotations
 
@@ -61,12 +65,14 @@ from .params import (
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of _leading_complement)
     QuadratureSpec,
+    _per_call,
     _shared,
     _sharing_scope,
     _signed_log_pow,
     convolve_series,
     g_kernel,
     h_kernel,
+    law_rows,
     series_integral,
     series_rows,
 )
@@ -105,6 +111,48 @@ def _leading_coeff(rate: float, tau: int) -> float:
     return math.exp(_log_leading_coeff(rate, tau))
 
 
+@_per_call
+def _leading_user_rows(
+    user1: NakagamiParams,
+    user2: NakagamiParams,
+    theta1: float,
+    consts: SchemeConstants,
+    alpha2: float,
+    tau_u: int,
+    cut: float,
+    quad: QuadratureSpec,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The three leading user terms of `_leading_complement` at the nodes of
+    (0, cut), as series_rows (shift, rows).
+
+    They do not depend on the eavesdropper's law, so inside an engine call
+    they are built once for every jammed decoding-set size, whose
+    complements differ only in the law's front and rows.
+    """
+    b, c, u, v = consts.b, consts.c, consts.u, consts.v
+    log_phi1 = _log_leading_coeff(user1.rate, tau_u)
+    log_phi2c = _log_leading_coeff(user2.rate, tau_u) + tau_u * math.log(abs(c))
+    sign_phi2c = math.copysign(1.0, c) ** tau_u
+    # The exact integrand's screening factor e^{-h/(1-vx)} is kept on the two
+    # terms that carry the weak user's (1-vx)^{-tau_u} endpoint pole: it tends
+    # to 1 pointwise as omega2 grows, so the leading order is untouched, but
+    # without it the quadrature blows up with the node count.
+    h = consts.screening(user2.rate, alpha2)
+    x = quad.nodes_on(cut)
+    one_minus_vx = 1.0 - v * x
+    log_b, sign_b = _signed_log_pow(b + theta1 * x, tau_u)
+    log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vx, tau_u)
+    log_c = log_c - h / one_minus_vx
+    # the domain cut counts degree p + q + law.degree for powers (p, q) of
+    # (B, C), so the terms' rows sit at p + q - tau_u = 0, 0, tau_u
+    return series_rows(
+        (0, 0, tau_u),
+        np.stack([log_phi1 + log_b, log_phi2c + log_c, log_phi1 + log_phi2c + log_b + log_c]),
+        np.stack([sign_b, sign_phi2c * sign_c, -sign_phi2c * sign_b * sign_c]),
+        tau_u + 1,
+    )
+
+
 @_shared
 def _leading_complement(
     user1: NakagamiParams,
@@ -125,39 +173,22 @@ def _leading_complement(
     mass is the law's integral of three user terms phi1*B^tau_u,
     phi2*c^tau_u*C^tau_u and -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with
     B = b + theta1*x and C = 1 + u/(1-vx). They are summed at each node, as
-    `analytic._joint_secrecy_prob` sums its series, and integrated once.
+    `analytic._joint_secrecy_prob` sums its series, and integrated once; as
+    there, the user terms (`_leading_user_rows`) and the law's rows
+    (`law_rows`) are each built once for every integral that needs them.
     """
-    a, b, c, u, v = consts.a, consts.b, consts.c, consts.u, consts.v
-    floor = float(law.survival(a)) if include_floor else 0.0
+    floor = float(law.survival(consts.a)) if include_floor else 0.0
     if quad is None:
         return floor
-    log_phi1 = _log_leading_coeff(user1.rate, tau_u)
-    log_phi2c = _log_leading_coeff(user2.rate, tau_u) + tau_u * math.log(abs(c))
-    sign_phi2c = math.copysign(1.0, c) ** tau_u
-    # The exact integrand's screening factor e^{-h/(1-vx)} is kept on the two
-    # terms that carry the weak user's (1-vx)^{-tau_u} endpoint pole: it tends
-    # to 1 pointwise as omega2 grows, so the leading order is untouched, but
-    # without it the quadrature blows up with the node count.
-    h = consts.screening(user2.rate, alpha2)
 
-    def integrand(x):
-        one_minus_vx = 1.0 - v * x
-        log_b, sign_b = _signed_log_pow(b + theta1 * x, tau_u)
-        log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vx, tau_u)
-        log_c = log_c - h / one_minus_vx
-        # the domain cut counts degree p + q + law.degree for powers (p, q) of
-        # (B, C), so the terms' rows sit at p + q - tau_u = 0, 0, tau_u
-        shift, user = series_rows(
-            (0, 0, tau_u),
-            np.stack([log_phi1 + log_b, log_phi2c + log_c, log_phi1 + log_phi2c + log_b + log_c]),
-            np.stack([sign_b, sign_phi2c * sign_c, -sign_phi2c * sign_b * sign_c]),
-            tau_u + 1,
-        )
+    def integrand(x, cut):
+        shift, user = _leading_user_rows(user1, user2, theta1, consts, alpha2, tau_u, cut, quad)
         power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
         log_scale = law.log_front + power - law.rate * x + shift
-        return log_scale, user if law.rows is None else convolve_series(user, law.rows(x))
+        return log_scale, user if law.rows is None else convolve_series(user, law_rows(law, cut, quad))
 
-    return floor + series_integral(a, v, law.rate, law.degree + tau_u, tau_u + law.n_rows, integrand, quad)
+    degree0, n_degrees = law.degree + tau_u, tau_u + law.n_rows
+    return floor + series_integral(consts.a, consts.v, law.rate, degree0, n_degrees, integrand, quad)
 
 
 def _conditional(

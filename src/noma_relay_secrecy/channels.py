@@ -115,12 +115,25 @@ def _as_given(x_in, out):
     return out
 
 
+def _survival_float(m: int, z: float) -> float:
+    """The survival series at one z <= 700 on Python floats: the IEEE steps
+    of `_survival_prefixes`' running pass, without its one-element numpy calls."""
+    total = term = 1.0
+    for k in range(1, m):
+        term = term * z / k
+        total += term
+    return float(np.exp(-z)) * total
+
+
 def gain_survival(p: NakagamiParams, x):
     """P(G > x) = exp(-lambda*x) * sum_{k<m} (lambda*x)^k/k!; accurate deep in the tail."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    return _as_given(x, _survival_series(p.m, p.rate * x))
+    z = p.rate * x
+    if z.ndim == 0 and z <= 700.0:
+        return _survival_float(p.m, float(z))
+    return _as_given(x, _survival_series(p.m, z))
 
 
 def gain_tails(p: NakagamiParams, x):
@@ -134,13 +147,9 @@ def gain_tails(p: NakagamiParams, x):
     if z.ndim == 0 and z < min(p.m, 700.0):
         # One value, as the engines ask: both series on Python floats, the
         # steps of the array path below without its one-element numpy calls.
-        total = term = 1.0
-        for k in range(1, p.m):
-            term = term * float(z) / k
-            total += term
         with np.errstate(divide="ignore"):
             first = float(np.exp(p.m * np.log(z) - z - math.lgamma(p.m + 1)))
-        return float(np.exp(-z)) * total, _cdf_sum(p.m, float(z), first)
+        return _survival_float(p.m, float(z)), _cdf_sum(p.m, float(z), first)
     z = np.atleast_1d(z)
     survival = _survival_series(p.m, z)
     cdf = 1.0 - survival
@@ -292,18 +301,21 @@ class JammedTable(NamedTuple):
     of `count` gains, and so of the law's density and survival, whose
     triple-sum terms `terms` lists. The arrays index the terms stably sorted
     by k, so the terms of each k form one slice (`bounds`) in their original
-    order: `ck`, `big_d` and `delta` are each term's C*k, D and delta, and
-    `which` is its row among the distinct (C, varsigma+1) denominators
-    `shared`.
+    order: `k`, `ck`, `big_d` and `delta` are each term's k, C*k, D and
+    delta, `which` is its row among the distinct (C, varsigma+1)
+    denominators `shared`, and `rank[t]` is the position of `terms[t]` in
+    them.
     """
 
     phi0: float
     terms: tuple[JammedTerm, ...]
+    k: np.ndarray
     ck: np.ndarray
     big_d: np.ndarray
     delta: np.ndarray
     shared: np.ndarray
     which: np.ndarray
+    rank: np.ndarray
     bounds: tuple[tuple[int, int], ...]
 
 
@@ -336,12 +348,15 @@ def jammed_table(p_e: NakagamiParams, count: int, rho4: float) -> JammedTable:
                 )
                 d_coef = t.C * lam + rho4 * (varsigma - k)
                 terms.append(JammedTerm(k, varsigma, t.C, d_coef, delta))
-    by_k = sorted(terms, key=lambda t: t.k)
+    order = sorted(range(len(terms)), key=lambda i: terms[i].k)
+    by_k = [terms[i] for i in order]
     k = np.array([t.k for t in by_k])
     shared, which = np.unique([(t.C, t.varsigma + 1) for t in by_k], axis=0, return_inverse=True)
+    rank = np.empty(len(terms), dtype=int)
+    rank[order] = np.arange(len(terms))
     arrays = (
-        np.array([t.C for t in by_k], dtype=float) * k, np.array([t.D for t in by_k]),
-        np.array([t.delta for t in by_k]), shared.astype(float), which.ravel(),
+        k, np.array([t.C for t in by_k], dtype=float) * k, np.array([t.D for t in by_k]),
+        np.array([t.delta for t in by_k]), shared.astype(float), which.ravel(), rank,
     )
     for arr in arrays:
         arr.setflags(write=False)
@@ -357,26 +372,40 @@ def jammed_ratio_terms(p_e: NakagamiParams, count: int, rho4: float) -> tuple[Ja
     return jammed_table(p_e, count, rho4).terms
 
 
+# Terms per block of the jammed density rows and survival: at 300 nodes a block is 77 kB.
+_TERM_BLOCK = 32
+
+
 def jammed_ratio_survival(p_e: NakagamiParams, count: int, rho4: float, y):
-    """P(Y > y) = phi0 * sum delta * exp(-lambda*y) * y^k / (C + rho4*y)^varsigma."""
+    """P(Y > y) = phi0 * sum delta * exp(-lambda*y) * y^k / (C + rho4*y)^varsigma.
+
+    The terms are evaluated over the `jammed_table` arrays and added one at
+    a time in table order, from 0. Each distinct y^k and (C + rho4*y)^varsigma
+    is its own np.power on y as given: one power over several values can
+    round differently from the power of each value alone. An array y takes
+    the terms in blocks of `_TERM_BLOCK`, so no (terms,) + y.shape array is formed.
+    """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("y must be nonnegative")
     tab = jammed_table(p_e, count, rho4)
-    acc = np.zeros_like(y)
-    for t in tab.terms:
-        acc = acc + t.delta * np.power(y, t.k) / np.power(t.C + rho4 * y, t.varsigma)
-    return _as_given(y, tab.phi0 * np.exp(-p_e.rate * y) * acc)
+    y_pow = np.stack([np.power(y, k) for k in range(p_e.m)])
+    jam = rho4 * y
+    denom = np.stack([np.power(c + jam, s - 1.0) for c, s in tab.shared.tolist()])  # shared holds varsigma + 1
+    col = (-1,) + (1,) * y.ndim
+    block = len(tab.terms) if y.size <= 1 else _TERM_BLOCK
+    acc = np.zeros((1,) + y.shape)
+    for start in range(0, len(tab.terms), block):
+        at = tab.rank[start : start + block]
+        vals = tab.delta[at].reshape(col) * y_pow[tab.k[at]] / denom[tab.which[at]]
+        acc = np.add.accumulate(np.concatenate([acc, vals]), axis=0)[-1:]  # sequential, unlike add.reduce
+    return _as_given(y, tab.phi0 * np.exp(-p_e.rate * y) * acc[0])
 
 
 def jammed_ratio_cdf(p_e: NakagamiParams, count: int, rho4: float, y):
     """CDF of Y = G/(1 + rho4*H); 0 at the origin, 1 in the limit."""
     y = np.asarray(y, dtype=float)
     return _as_given(y, 1.0 - np.asarray(jammed_ratio_survival(p_e, count, rho4, y)))
-
-
-# Terms per block of the jammed density rows: at 300 nodes a block is 77 kB.
-_TERM_BLOCK = 32
 
 
 def jammed_ratio_pdf_rows(p_e: NakagamiParams, count: int, rho4: float, y) -> np.ndarray:

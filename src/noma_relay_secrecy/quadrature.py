@@ -20,12 +20,16 @@ each shape on its own. No engine calls them: they are the per-term
 references the exact and leading-order series are tested against.
 
 Each engine call opens a sharing scope (`_sharing_scope`), and `cli.run_sweep`
-opens one around all its points. Inside it, an integral computed by a
-`_shared` function is evaluated once per distinct argument tuple: the
-schemes of a point share the single-relay term, and the points of a sweep
-share every term the swept value does not reach. The stored values live as
-long as the outermost scope, so none outlives the call or the sweep that
-made it.
+opens one around all its points. Inside it, a `_shared` function is
+evaluated once per distinct argument tuple: the schemes of a point share the
+single-relay term, the points of a sweep share every term the swept value
+does not reach, and both engines read one read-only array of a law's density
+rows per cut (`law_rows`), which `series_integral` names to the integrand
+beside its nodes. Those values live as long as the outermost scope. A
+`_per_call` function is evaluated once per argument tuple of the innermost
+scope, the engine call: the user rows of one transmission serve every
+decoding-set size whose constants match, and go with the call, not the
+sweep. No stored value outlives the call or the sweep that made it.
 """
 from __future__ import annotations
 
@@ -55,28 +59,45 @@ def _effective_upper(a: float, f: float, degree: float) -> float:
     return a if cut >= a else cut
 
 
-# The values `_shared` functions returned inside the open sharing scope, by
-# (function, arguments); None while no scope is open.
-_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared_integrals", default=None)
+# The values `_shared` and `_per_call` functions returned inside the open
+# sharing scope, by (function, arguments): the outermost scope's memo and the
+# innermost one's. None while no scope is open.
+_SHARED: contextvars.ContextVar[tuple[dict, dict] | None] = contextvars.ContextVar("shared_integrals", default=None)
 _MISSING = object()
 
 
 @contextmanager
 def _sharing_scope():
-    """Share `_shared` evaluations until the outermost scope closes.
+    """Share `_shared` evaluations until the outermost scope closes, and
+    `_per_call` ones until this scope closes.
 
-    A scope entered while one is open joins it, so an engine call made
-    inside a sweep shares with the whole sweep; leaving the outermost scope
-    drops every stored value.
+    A scope entered while one is open joins its `_shared` memo, so an engine
+    call made inside a sweep shares with the whole sweep, but starts its own
+    `_per_call` memo; leaving a scope drops what it alone stored.
     """
-    if _SHARED.get() is not None:
-        yield
-        return
-    token = _SHARED.set({})
+    outer = _SHARED.get()
+    token = _SHARED.set(({} if outer is None else outer[0], {}))
     try:
         yield
     finally:
         _SHARED.reset(token)
+
+
+def _memoized(fn, which: int):
+    """fn, memoized in the open scope's memo `which`: 0 the outermost's, 1 the innermost's."""
+
+    @wraps(fn)
+    def call(*args):
+        memos = _SHARED.get()
+        if memos is None:
+            return fn(*args)
+        memo, key = memos[which], (fn, args)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(*args)
+        return value
+
+    return call
 
 
 def _shared(fn):
@@ -86,47 +107,59 @@ def _shared(fn):
     the whole key. A call that raises stores nothing: each caller sees the
     error. Outside a scope every call evaluates.
     """
+    return _memoized(fn, 0)
 
-    @wraps(fn)
-    def call(*args):
-        memo = _SHARED.get()
-        if memo is None:
-            return fn(*args)
-        key = (fn, args)
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = fn(*args)
-        return value
 
-    return call
+def _per_call(fn):
+    """As `_shared`, but the value is kept only until the innermost open
+    scope, one engine call, closes: for values too large to keep for a sweep."""
+    return _memoized(fn, 1)
 
 
 class QuadratureSpec:
     """Gauss-Legendre abscissae and weights on [-1, 1], read-only: every
     caller of `quadrature` shares one spec per node count."""
 
-    __slots__ = ("n", "nodes", "weights")
+    __slots__ = ("n", "nodes", "weights", "_shifted")
 
     def __init__(self, n: int = 300):
         if int(n) != n or n < 1:
             raise ValueError(f"node count must be a positive integer, got {n!r}")
         self.n = int(n)
         nodes, weights = np.polynomial.legendre.leggauss(self.n)
-        for arr in (nodes, weights):
+        shifted = nodes + 1.0  # each mapping of the nodes starts from it
+        for arr in (nodes, weights, shifted):
             arr.setflags(write=False)
         self.nodes = nodes
         self.weights = weights
+        self._shifted = shifted
 
     def map_to(self, a: float) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights for integration over (0, a)."""
-        half = 0.5 * a
-        return half * (self.nodes + 1.0), half * self.weights
+        return self.nodes_on(a), 0.5 * a * self.weights
+
+    def nodes_on(self, a: float) -> np.ndarray:
+        """The nodes of `map_to`, without the weights."""
+        return 0.5 * a * self._shifted
 
 
 @lru_cache(maxsize=8)
 def quadrature(n: int = 300) -> QuadratureSpec:
     """The shared QuadratureSpec per node count; its arrays are read-only."""
     return QuadratureSpec(n)
+
+
+@_shared
+def law_rows(law, cut: float, quad: QuadratureSpec) -> np.ndarray:
+    """An eavesdropper law's density rows `law.rows` at the nodes of (0, cut), read-only.
+
+    Inside a sharing scope they are built once per (law, cut, quad): every
+    transmission, scheme and sweep point of either engine that integrates
+    the law over that cut reads the one array, so none may write to it.
+    """
+    rows = law.rows(quad.nodes_on(cut))
+    rows.setflags(write=False)
+    return rows
 
 
 def _signed_log_pow(base: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +220,10 @@ def series_integral(
 ) -> float:
     """Integral over (0, a) of a series of terms of degrees degree0 .. degree0+n_degrees-1.
 
-    `integrand(x)` returns (log_scale, series) at the nodes x, with series of
-    shape (n_degrees, len(x)): the degree-(degree0+s) terms sum to
-    exp(log_scale)*series[s]. Each degree keeps the `_effective_upper` cut a
+    `integrand(x, cut)` returns (log_scale, series) at the nodes x of
+    (0, cut), with series of shape (n_degrees, len(x)): the degree-(degree0+s)
+    terms sum to exp(log_scale)*series[s]. The integrand may key what it
+    builds on the nodes by cut, never by the nodes' bytes. Each degree keeps the `_effective_upper` cut a
     separate g/h-kernel call would give it (e^{-f x} decay, `pole` as in
     q or v), and degrees that share a cut share one set of nodes, so when no
     cut applies the whole series is one evaluation and one dot product.
@@ -199,7 +233,7 @@ def series_integral(
     total = 0.0
     for cut in dict.fromkeys(cuts):
         x, w = quad.map_to(cut)
-        log_scale, series = integrand(x)
+        log_scale, series = integrand(x, cut)
         keep = [s for s, c in enumerate(cuts) if c == cut]
         with np.errstate(over="ignore"):
             vals = np.exp(log_scale) * series[keep].sum(axis=0)

@@ -259,6 +259,20 @@ def test_gain_tails_equal_array_series_bit_for_bit():
         assert cdf[~low].tobytes() == (1.0 - survival[~low]).tobytes()
         for xi, s_i, c_i in zip(x, survival, cdf):
             assert gain_tails(p, float(xi)) == (s_i, c_i)
+            assert gain_survival(p, float(xi)) == s_i
+
+
+def test_one_value_survival_equals_the_array_series_bit_for_bit():
+    # the one-value float path runs up to z = 700, past which the array
+    # path's log-space branch takes over
+    for m in (1, 2, 3, 5, 13):
+        p = NakagamiParams(m, 0.7)
+        z = np.concatenate([[0.0, 1e-300], np.linspace(0.01, 60.0, 97), [699.9, 700.0, 700.5, 1500.0]])
+        x = z / p.rate
+        survival = gain_survival(p, x)
+        for xi, s_i in zip(x.tolist(), survival):
+            got = gain_survival(p, xi)
+            assert type(got) is float and np.float64(got).tobytes() == s_i.tobytes()
 
 
 def _survival_series_per_shape(m, z):
@@ -324,6 +338,36 @@ def test_cached_jammed_rows_equal_rows_from_terms():
         jammed_ratio_pdf_rows(NakagamiParams(2, 1.0), 0, 1.0, y)
     with pytest.raises(ValueError):
         jammed_table(NakagamiParams(2, 1.0), 2, 1.0).delta[0] = 0.0
+
+
+def _survival_by_term_loop(p_e, count, rho4, y):
+    """P(Y > y) summed term by term in table order with numpy powers, as
+    before the table's arrays: the reference the array evaluation must equal."""
+    y = np.asarray(y, dtype=float)
+    tab = jammed_table(p_e, count, rho4)
+    acc = np.zeros_like(y)
+    for t in tab.terms:
+        acc = acc + t.delta * np.power(y, t.k) / np.power(t.C + rho4 * y, t.varsigma)
+    return tab.phi0 * np.exp(-p_e.rate * y) * acc
+
+
+def test_jammed_survival_equals_the_term_loop_bit_for_bit():
+    # up to 720 terms (count 8, m 3): an array y spans several term blocks
+    rng = np.random.default_rng(11)
+    y = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(1e-6, 30.0, 97), rng.uniform(0.0, 5.0, 40)])
+    for m_e in (1, 2, 3):
+        p = NakagamiParams(m_e, 0.6)
+        for count in range(1, 9):
+            for rho4 in (0.0, 0.37, 5.0):
+                for at in (y, y.reshape(2, -1), y[:1]):
+                    got = jammed_ratio_survival(p, count, rho4, at)
+                    assert got.tobytes() == _survival_by_term_loop(p, count, rho4, at).tobytes()
+                for yi in y[::9].tolist():
+                    got = jammed_ratio_survival(p, count, rho4, yi)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == _survival_by_term_loop(p, count, rho4, yi).tobytes()
+    with pytest.raises(ValueError):
+        jammed_table(NakagamiParams(2, 1.0), 2, 1.0).rank[0] = 0
 
 
 def test_jammed_rows_peak_memory_is_block_sized():

@@ -284,15 +284,16 @@ def test_series_integral_gives_each_degree_its_own_cut():
     assert len(set(cuts)) >= 2
     received = []
 
-    def integrand(x):
-        received.append(x)
+    def integrand(x, cut):
+        received.append((x, cut))
         # row s is 1 on degree s's own nodes and NaN on any others
         rows = [np.ones_like(x) if np.array_equal(x, own) else np.full_like(x, np.nan) for own in own_nodes]
         return np.zeros_like(x), np.array(rows)
 
     total = series_integral(a, pole, f, degree0, n_degrees, integrand, QUAD)
     assert len(received) == len(set(cuts))
-    assert all(any(np.array_equal(x, own) for own in own_nodes) for x in received)
+    assert all(any(np.array_equal(x, own) for own in own_nodes) for x, _ in received)
+    assert all(np.array_equal(x, QUAD.map_to(cut)[0]) for x, cut in received)  # the cut names the nodes
     assert total == pytest.approx(sum(cuts), rel=1e-12)  # each degree counted once, over its own cut
 
 

@@ -13,9 +13,9 @@ import json
 import pytest
 from conftest import fixed_policy, grid_params
 
-from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, sop_asym_total, sop_total
+from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, channels, sop_asym_total, sop_total
 from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
-from noma_relay_secrecy.quadrature import _SHARED, _shared, _sharing_scope, quadrature
+from noma_relay_secrecy.quadrature import _SHARED, _per_call, _shared, _sharing_scope, law_rows, quadrature
 
 SCHEMES = ["tmrc", "osrs", "tsrs", "odrs"]
 FIXED = {"alpha1": 0.2}
@@ -49,6 +49,11 @@ CASES = [
     for name, split in (("fixed", FIXED), ("dynamic", DYNAMIC))
     if not (var == "alpha1" and split is DYNAMIC)
 ]
+# A fixed split pins the ceiling a, so every point of an omega2 sweep reads
+# the same jammed-law rows in both engines, and the user rows of the three
+# jammed decoding-set sizes are shared within each engine call.
+WIDE_JAMMED = _config(FIXED, "omega2_dB", [25.0, 30.0, 35.0], K=4, mR=3, mU=3, mE=3)
+CASES.append(pytest.param(WIDE_JAMMED, id="omega2_dB-fixed-K4-m3"))
 # At gains near the top of float range some rate products underflow to 0: at
 # 200 dB the exact securing integrals' user-1 series base lambda1*b does, in
 # the single-relay integral every scheme needs, and the exact engine refuses
@@ -108,9 +113,9 @@ def _count_calls(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -154,6 +159,74 @@ def test_a_sweep_evaluates_each_distinct_integral_once(tmp_path, monkeypatch):
     assert _SHARED.get() is None
 
 
+@pytest.fixture
+def counted_jammed_rows(monkeypatch):
+    """Every jammed_ratio_pdf_rows evaluation as (count, node bytes); the law
+    cache is cleared on both sides so that no law binds the other function."""
+    calls = []
+    original = channels.jammed_ratio_pdf_rows
+
+    def counting(p_e, count, rho4, y):
+        calls.append((count, y.tobytes()))
+        return original(p_e, count, rho4, y)
+
+    monkeypatch.setattr(channels, "jammed_ratio_pdf_rows", counting)
+    channels.jammed_law.cache_clear()
+    yield calls
+    channels.jammed_law.cache_clear()
+
+
+def test_a_sweep_builds_each_jammed_table_once(tmp_path, counted_jammed_rows):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(WIDE_JAMMED))
+    rows = run_sweep(load_config(str(path)))
+    assert all(not row["error"] for row in rows)
+    # 3 points x 2 engines x 3 jammed sizes read the rows; under the pinned
+    # ceiling no cut applies, so the idle counts 1..3 give 3 distinct tables
+    assert len(counted_jammed_rows) == len(set(counted_jammed_rows)) == 3
+
+
+def test_one_call_builds_the_jammed_user_rows_once(monkeypatch):
+    params, policy, quad = grid_params(K=4, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
+    series = _count_calls(monkeypatch, analytic, "_user_series")
+    integrals = _count_calls(monkeypatch, analytic, "series_integral")
+    sop_total(params, policy, "odrs", quad)
+    assert len(integrals) == 4  # delta4 at n = 1, 2, 3 and delta1 at n = K
+    # two series per build: one build for the jammed constants of n = 1..3,
+    # one for delta1's; no cut applies in either
+    assert len(series) == 2 * 2
+
+
+def test_shared_law_rows_are_read_only(monkeypatch):
+    handed = []
+    for module in (analytic, asymptotic):
+        def recording(law, cut, quad, _original=module.law_rows, _name=module.__name__):
+            rows = _original(law, cut, quad)
+            handed.append((_name, law, cut, rows))
+            return rows
+
+        monkeypatch.setattr(module, "law_rows", recording)
+    params, policy, quad = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
+    with _sharing_scope():
+        sop_total(params, policy, "odrs", quad)
+        sop_asym_total(params, policy, "odrs", AsymptoticScaling(*params.links.frame), quad)
+    engines = {name for name, *_ in handed}
+    assert engines == {analytic.__name__, asymptotic.__name__}
+    for _, law, cut, rows in handed:
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+    # the engines integrate one law over one cut here, and read one array
+    by_key = {}
+    for _, law, cut, rows in handed:
+        assert by_key.setdefault((law, cut), rows) is rows
+    assert len(by_key) == 3 < len(handed)
+    # outside a scope each call builds its own, just as read-only
+    _, law, cut, rows = handed[0]
+    fresh = law_rows(law, cut, quad)
+    assert fresh is not rows and not fresh.flags.writeable and fresh.tobytes() == rows.tobytes()
+
+
 def test_scopes_nest_and_close_with_the_outermost():
     calls = []
 
@@ -172,6 +245,27 @@ def test_scopes_nest_and_close_with_the_outermost():
     with _sharing_scope():
         square(3)
     assert calls == [3, 3, 3, 4, 3]
+
+
+def test_per_call_values_close_with_the_innermost_scope():
+    calls = []
+
+    @_per_call
+    def square(x):
+        calls.append(x)
+        return x * x
+
+    @_shared
+    def cube(x):
+        calls.append(-x)
+        return x**3
+
+    with _sharing_scope():
+        assert square(2) == 4 and square(2) == 4 and cube(2) == 8
+        with _sharing_scope():  # an engine call inside a sweep
+            assert square(2) == 4 and square(2) == 4 and cube(2) == 8
+        assert square(2) == 4 and cube(2) == 8
+    assert calls == [2, -2, 2] and _SHARED.get() is None
 
 
 def test_a_raising_call_is_not_stored():
