@@ -9,24 +9,26 @@ Gamma survival series against the eavesdropper's gain law
 (`_joint_secrecy_prob`); only the law changes (`channels.combined_law`,
 `channels.jammed_law`). Written out, that is one g-kernel (h-kernel under
 jamming) integral per series term; here the series are summed at each
-quadrature node and integrated once (`quadrature.series_integral`), the same
-sum because quadrature is linear. Given the eavesdropper gain x, both users
-stay secure iff x < a, the strong user's gain exceeds b + theta1*x, and the
-weak user's exceeds c*(1 + u/(1-v*x)), v = 1/a; only below the ceiling a can
-that hold, which creates the high-SNR outage floor. The constants, the laws,
-the jamming split and the clip to [0, 1] come from `params`, as in every engine.
+quadrature node and integrated once, by the kernel both engines share
+(`quadrature.series_integrals`), the same sum because quadrature is linear.
+This engine supplies its user rows (`_user_rows`). Given the eavesdropper
+gain x, both users stay secure iff x < a, the strong user's gain exceeds
+b + theta1*x, and the weak user's exceeds c*(1 + u/(1-v*x)), v = 1/a; only
+below the ceiling a can that hold, which creates the high-SNR outage floor.
+The constants, the laws, the jamming split and the clip to [0, 1] come from
+`params`, as in every engine.
 
-`sop_total` and `sop_cond` open a sharing scope (`quadrature._sharing_scope`),
-and `_joint_secrecy_prob` reads only its arguments, so within one call, or one
-sweep that opens the scope around its calls, each distinct integral is
-evaluated once: the single-relay term serves every scheme and n that sends
-singly, and a combined term at n or a jammed term with K - n idle relays
-serves every K that needs it. Each integrand is user rows times the law's
-density rows at the nodes of a cut, and each factor is built once too: the
-law's rows per (law, cut) for the whole scope, read-only and read by both
-engines (`quadrature.law_rows`), and the user rows per call
-(`_user_rows`), since the jamming constants, unlike the law, do not depend
-on the decoding-set size.
+`sop_total` and `sop_cond` open a sharing scope (`quadrature._sharing_scope`)
+and gather their integrals first (`quadrature._gathered`): the mixture runs
+once listing the integrals it reads, those are evaluated in batches, one per
+integrand shape, and the mixture runs again on the stored values. Within
+one call, or one sweep that opens the scope around its calls and lists all
+its points at once, each distinct integral is evaluated once: the
+single-relay term serves every scheme and n that sends singly, and a
+combined term at n or a jammed term with K - n idle relays serves every K
+that needs it. A batch builds the user rows once per distinct set of user
+constants, so the jammed sizes of a call share theirs, and reads the law's
+density rows once per (law, cut) in the scope (`quadrature.law_rows`).
 """
 from __future__ import annotations
 
@@ -54,15 +56,17 @@ from .params import (
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
     QuadratureSpec,
-    _per_call,
+    SeriesItem,
+    _batched,
+    _check_domain,
+    _column,
+    _gathered,
     _shared,
     _sharing_scope,
     _signed_log_pow,
     convolve_series,
     g_kernel,
     h_kernel,
-    law_rows,
-    series_integral,
     series_rows,
 )
 
@@ -92,17 +96,20 @@ def decoding_set_pmf(params: SystemParams) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _degree_column(tau_u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The degrees k < tau_u as a column, with log k! and (-1)^k beside them (read-only)."""
-    k = np.arange(tau_u)[:, None]
-    columns = (k, np.array([math.lgamma(i + 1) for i in range(tau_u)])[:, None], 1.0 - 2.0 * (k % 2))
+    """The degrees k < tau_u as a column against (items, nodes) arrays, with
+    log k! and (-1)^k beside them (read-only)."""
+    k = np.arange(tau_u)[:, None, None]
+    log_fact = np.array([math.lgamma(i + 1) for i in range(tau_u)])[:, None, None]
+    columns = (k, log_fact, 1.0 - 2.0 * (k % 2))
     for col in columns:
         col.setflags(write=False)
     return columns
 
 
-def _user_series(base: np.ndarray, tau_u: int, log_rate: float, alternate: bool) -> tuple[np.ndarray, np.ndarray]:
+def _user_series(base: np.ndarray, tau_u: int, log_rate: np.ndarray, alternate: bool) -> tuple[np.ndarray, np.ndarray]:
     """Rows (rate*base)^k/k! for k < tau_u at the nodes, as series_rows (shift, rows).
 
+    base is (items, nodes) and log_rate a column of log rates per item.
     alternate multiplies row k by (-1)^k, the sign carried by powers of the
     negative weak-user constant.
     """
@@ -114,27 +121,25 @@ def _user_series(base: np.ndarray, tau_u: int, log_rate: float, alternate: bool)
     return series_rows(range(tau_u), log_coef + logmag, sign, tau_u)
 
 
-@_per_call
-def _user_rows(
-    c1: float, r: float, q: float, f: float, h: float, tau_u: int, log_base1: float, log_base2: float,
-    cut: float, quad: QuadratureSpec,
-) -> tuple[np.ndarray, ...]:
-    """(f*x, h/(1-q*x), shift1, shift2, rows) at the nodes x of (0, cut): the
-    two user survival series, in bases 1 + c1*x and 1 + r/(1-q*x), their
-    product's rows, and the integrand's exponents beside them.
+def _user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The user factor of `_joint_secrecy_prob` for each user constant tuple
+    (tau_u, c1, r, q, h, log lambda1*b, log lambda2*|c|) at its row of
+    nodes x: the two user survival series, in bases 1 + c1*x and
+    1 + r/(1-q*x), their product's rows, and the log terms -h/(1-q*x) and
+    the two series' shifts beside them (`quadrature.series_integrals`).
 
-    None depends on the eavesdropper law's front or rows, so inside an
-    engine call they are built once for every jammed decoding-set size,
-    whose integrals differ only in those.
+    None depends on the eavesdropper law, so a batch builds them once for
+    every jammed decoding-set size, whose integrals differ only in the law.
     """
-    x = quad.nodes_on(cut)
+    tau_u = users[0][0]
+    c1, r, q, h, log_base1, log_base2 = (_column(col) for col in list(zip(*users))[1:])
     one_minus_qx = 1.0 - q * x
     shift1, rows1 = _user_series(1.0 + c1 * x, tau_u, log_base1, alternate=False)
     shift2, rows2 = _user_series(1.0 + r / one_minus_qx, tau_u, log_base2, alternate=True)
-    return f * x, h / one_minus_qx, shift1, shift2, convolve_series(rows1, rows2)
+    return (-(h / one_minus_qx), shift1, shift2), convolve_series(rows1, rows2)
 
 
-@_shared
+@_batched(_user_rows)
 def _joint_secrecy_prob(
     user1: NakagamiParams,
     user2: NakagamiParams,
@@ -144,7 +149,7 @@ def _joint_secrecy_prob(
     tau_u: int,
     law: EavesdropperLaw,
     quad: QuadratureSpec,
-) -> float:
+) -> SeriesItem:
     """P(both users secured) for one transmission with Gamma(tau_u) user links
     at the rates of user1 and user2 when the eavesdropper's gain follows `law`.
 
@@ -152,12 +157,11 @@ def _joint_secrecy_prob(
     the (k, j) term is (lambda1*b)^k/k! * (lambda2*c)^j/j! times a g-kernel
     integrand with powers k, j (times the law's density rows, if it has any),
     whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
-    summed at each node and the integral is taken once (`series_integral`).
-    It reads nothing but its arguments, so a sharing scope evaluates it once
-    per argument tuple; the user rows (`_user_rows`) and the law's rows
-    (`law_rows`) are each built once for every integral that needs them. A
-    series base lambda1*b or lambda2*|c| that underflows to 0.0 has no
-    logarithm (ValueError).
+    summed at each node and the integral is taken once. The function
+    prepares the integral's `SeriesItem`; as a `_batched` integral it reads
+    nothing but its arguments and is evaluated once per argument tuple in a
+    sharing scope, in batches. A series base lambda1*b or lambda2*|c| that
+    underflows to 0.0 has no logarithm (ValueError).
     """
     lambda1, lambda2 = user1.rate, user2.rate
     a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
@@ -166,21 +170,11 @@ def _joint_secrecy_prob(
         name = "lambda1*b" if base1 == 0.0 else "lambda2*|c|"
         raise ValueError(f"user series base {name} underflows to 0.0 (lambda1={lambda1:.6g}, "
                          f"lambda2={lambda2:.6g}, b={b:.6g}, c={c:.6g})")
-    log_base1, log_base2 = math.log(base1), math.log(base2)
-    log_front = law.log_front - lambda1 * b - lambda2 * c
-    h = consts.screening(lambda2, alpha2)
+    _check_domain(a, q, "pole")
+    user = (tau_u, theta1 / b, r, q, consts.screening(lambda2, alpha2), math.log(base1), math.log(base2))
     f = lambda1 * theta1 + law.rate
-    c1 = theta1 / b
-
-    def integrand(x, cut):
-        fx, hq, shift1, shift2, series = _user_rows(c1, r, q, f, h, tau_u, log_base1, log_base2, cut, quad)
-        power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
-        log_scale = log_front + power - fx - hq + shift1 + shift2
-        if law.rows is not None:
-            series = convolve_series(series, law_rows(law, cut, quad))
-        return log_scale, series
-
-    return series_integral(a, q, f, law.degree, 2 * tau_u - 1 + law.n_rows - 1, integrand, quad)
+    log_front = law.log_front - lambda1 * b - lambda2 * c
+    return SeriesItem(a, f, log_front, law, law.degree, 2 * tau_u - 1 + law.n_rows - 1, user, quad)
 
 
 def _combined_secure(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -248,7 +242,15 @@ def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, 
 @_sharing_scope()
 def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec) -> float:
     """Outage probability given n decoding relays under the scheme."""
-    return _conditional(params, policy, scheme, quad)(n)
+    return _gathered(lambda: _conditional(params, policy, scheme, quad)(n))
+
+
+def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec) -> SopResult:
+    """The body of `sop_total`: the conditionals mixed over the decoding-set law."""
+    pmf = decoding_set_pmf(params)
+    cond = _conditional(params, policy, scheme, quad)
+    total = sum(pmf[n] * cond(n) for n in range(params.K + 1))
+    return SopResult(value=clamp_probability(float(total)), engine="analytic")
 
 
 @_sharing_scope()
@@ -260,10 +262,8 @@ def sop_total(
 ) -> SopResult:
     """Total SOP: mixture of the conditional SOPs over the decoding-set law.
 
-    Runs in a sharing scope: each distinct integral of the mixture is
-    evaluated once, and once per enclosing sweep when the caller has opened
-    the scope around several calls."""
-    pmf = decoding_set_pmf(params)
-    cond = _conditional(params, policy, scheme, quad)
-    total = sum(pmf[n] * cond(n) for n in range(params.K + 1))
-    return SopResult(value=clamp_probability(float(total)), engine="analytic")
+    Runs in a sharing scope and gathers its integrals first: each distinct
+    integral of the mixture is evaluated once, in batches of one integrand
+    shape, and once per enclosing sweep when the caller has opened the scope
+    around several calls."""
+    return _gathered(_mixture, params, policy, scheme, quad)

@@ -21,22 +21,25 @@ Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
 transmit off its `SchemeKind` record, as the exact engine does: combining,
 a single relay, or a jammed one. Each is one leading-order complement
 (`_leading_complement`) under the exact engine's eavesdropper law for that
-transmission (`channels.combined_law`, `channels.jammed_law`). Its first
-term is the ceiling mass, and `sop_floor_cond` keeps that term alone. The
-three user terms are summed at each quadrature node and integrated once
-(`quadrature.series_integral`). No engine calls `g_kernel` or `h_kernel`;
-both remain the per-term references of the complement.
+transmission (`channels.combined_law`, `channels.jammed_law`): the ceiling
+mass (`_ceiling_mass`), which `sop_floor_cond` keeps alone, plus the
+integral of three user terms (`_leading_integral`), summed at each
+quadrature node and integrated once by the kernel both engines share
+(`quadrature.series_integrals`). This engine supplies its user rows, the
+leading terms (`_leading_user_rows`). No engine calls `g_kernel` or
+`h_kernel`; both remain the per-term references of the complement.
 
 The complement reads only its arguments: the user links, theta1, the
 constants and law in force, alpha2 and the nodes. `sop_asym_total`,
 `sop_asym_cond` and `sop_floor_cond` open a sharing scope
-(`quadrature._sharing_scope`), so each distinct complement is evaluated once
-per call, or once per sweep that opens the scope around its calls: the
-single-relay complement serves every scheme and n that sends singly. As in
-the exact engine, the law's density rows are built once per (law, cut) in
-the scope and shared with that engine (`quadrature.law_rows`), and the user
-terms once per call for every jammed decoding-set size
-(`_leading_user_rows`).
+(`quadrature._sharing_scope`) and gather their integrals first, as the exact
+engine does (`quadrature._gathered`): each distinct integral is evaluated
+once per call, or once per sweep that opens the scope around its calls, in
+batches of one integrand shape. The single-relay complement serves every
+scheme and n that sends singly; a batch builds the user terms once per
+distinct set of user constants, for every jammed decoding-set size, and
+reads the law's density rows once per (law, cut) in the scope, shared with
+the exact engine (`quadrature.law_rows`).
 """
 from __future__ import annotations
 
@@ -65,15 +68,16 @@ from .params import (
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of _leading_complement)
     QuadratureSpec,
-    _per_call,
+    SeriesItem,
+    _batched,
+    _check_domain,
+    _column,
+    _gathered,
     _shared,
     _sharing_scope,
     _signed_log_pow,
-    convolve_series,
     g_kernel,
     h_kernel,
-    law_rows,
-    series_integral,
     series_rows,
 )
 
@@ -111,24 +115,53 @@ def _leading_coeff(rate: float, tau: int) -> float:
     return math.exp(_log_leading_coeff(rate, tau))
 
 
-@_per_call
-def _leading_user_rows(
+def _leading_user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndarray], np.ndarray]:
+    """The three leading user terms of `_leading_integral` for each user
+    constant tuple (tau_u, b, theta1, u, v, h, log phi1, log phi2*|c|^tau_u,
+    sign of c^tau_u) at its row of nodes x, as series_rows (shift, rows):
+    the shift is the one log term (`quadrature.series_integrals`).
+
+    They do not depend on the eavesdropper's law, so a batch builds them
+    once for every jammed decoding-set size, whose integrals differ only in
+    the law's front and rows.
+    """
+    tau_u = users[0][0]
+    b, theta1, u, v, h, log_phi1, log_phi2c, sign_phi2c = (_column(col) for col in list(zip(*users))[1:])
+    one_minus_vx = 1.0 - v * x
+    log_b, sign_b = _signed_log_pow(b + theta1 * x, tau_u)
+    log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vx, tau_u)
+    log_c = log_c - h / one_minus_vx
+    # the domain cut counts degree p + q + law.degree for powers (p, q) of
+    # (B, C), so the terms' rows sit at p + q - tau_u = 0, 0, tau_u
+    shift, rows = series_rows(
+        (0, 0, tau_u),
+        np.stack([log_phi1 + log_b, log_phi2c + log_c, log_phi1 + log_phi2c + log_b + log_c]),
+        np.stack([sign_b, sign_phi2c * sign_c, -sign_phi2c * sign_b * sign_c]),
+        tau_u + 1,
+    )
+    return (shift,), rows
+
+
+@_batched(_leading_user_rows)
+def _leading_integral(
     user1: NakagamiParams,
     user2: NakagamiParams,
     theta1: float,
     consts: SchemeConstants,
     alpha2: float,
     tau_u: int,
-    cut: float,
+    law: EavesdropperLaw,
     quad: QuadratureSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The three leading user terms of `_leading_complement` at the nodes of
-    (0, cut), as series_rows (shift, rows).
-
-    They do not depend on the eavesdropper's law, so inside an engine call
-    they are built once for every jammed decoding-set size, whose
-    complements differ only in the law's front and rows.
+) -> SeriesItem:
+    """The securing part of `_leading_complement`: the law's integral below
+    the ceiling of three user terms phi1*B^tau_u, phi2*c^tau_u*C^tau_u and
+    -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with B = b + theta1*x and
+    C = 1 + u/(1-vx). They are summed at each node, as
+    `analytic._joint_secrecy_prob` sums its series, and integrated once. The
+    function prepares the integral's `SeriesItem`; as a `_batched` integral
+    it is evaluated once per argument tuple in a sharing scope, in batches.
     """
+    _check_domain(consts.a, consts.v, "pole")
     b, c, u, v = consts.b, consts.c, consts.u, consts.v
     log_phi1 = _log_leading_coeff(user1.rate, tau_u)
     log_phi2c = _log_leading_coeff(user2.rate, tau_u) + tau_u * math.log(abs(c))
@@ -138,22 +171,16 @@ def _leading_user_rows(
     # to 1 pointwise as omega2 grows, so the leading order is untouched, but
     # without it the quadrature blows up with the node count.
     h = consts.screening(user2.rate, alpha2)
-    x = quad.nodes_on(cut)
-    one_minus_vx = 1.0 - v * x
-    log_b, sign_b = _signed_log_pow(b + theta1 * x, tau_u)
-    log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vx, tau_u)
-    log_c = log_c - h / one_minus_vx
-    # the domain cut counts degree p + q + law.degree for powers (p, q) of
-    # (B, C), so the terms' rows sit at p + q - tau_u = 0, 0, tau_u
-    return series_rows(
-        (0, 0, tau_u),
-        np.stack([log_phi1 + log_b, log_phi2c + log_c, log_phi1 + log_phi2c + log_b + log_c]),
-        np.stack([sign_b, sign_phi2c * sign_c, -sign_phi2c * sign_b * sign_c]),
-        tau_u + 1,
-    )
+    user = (tau_u, b, theta1, u, v, h, log_phi1, log_phi2c, sign_phi2c)
+    return SeriesItem(consts.a, law.rate, law.log_front, law, law.degree + tau_u, tau_u + law.n_rows, user, quad)
 
 
 @_shared
+def _ceiling_mass(law: EavesdropperLaw, a: float) -> float:
+    """P(X > a): the eavesdropper gain already beyond the ceiling."""
+    return float(law.survival(a))
+
+
 def _leading_complement(
     user1: NakagamiParams,
     user2: NakagamiParams,
@@ -170,25 +197,13 @@ def _leading_complement(
     `law`, floor term first; with quad None, the floor term alone.
 
     The user CDFs collapse to phi*x^tau_u, so below the ceiling the outage
-    mass is the law's integral of three user terms phi1*B^tau_u,
-    phi2*c^tau_u*C^tau_u and -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with
-    B = b + theta1*x and C = 1 + u/(1-vx). They are summed at each node, as
-    `analytic._joint_secrecy_prob` sums its series, and integrated once; as
-    there, the user terms (`_leading_user_rows`) and the law's rows
-    (`law_rows`) are each built once for every integral that needs them.
+    mass is the law's integral of three user terms (`_leading_integral`);
+    above it, the floor is the ceiling mass (`_ceiling_mass`).
     """
-    floor = float(law.survival(consts.a)) if include_floor else 0.0
+    floor = _ceiling_mass(law, consts.a) if include_floor else 0.0
     if quad is None:
         return floor
-
-    def integrand(x, cut):
-        shift, user = _leading_user_rows(user1, user2, theta1, consts, alpha2, tau_u, cut, quad)
-        power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
-        log_scale = law.log_front + power - law.rate * x + shift
-        return log_scale, user if law.rows is None else convolve_series(user, law_rows(law, cut, quad))
-
-    degree0, n_degrees = law.degree + tau_u, tau_u + law.n_rows
-    return floor + series_integral(consts.a, consts.v, law.rate, degree0, n_degrees, integrand, quad)
+    return floor + _leading_integral(user1, user2, theta1, consts, alpha2, tau_u, law, quad)
 
 
 def _conditional(
@@ -233,7 +248,30 @@ def sop_asym_cond(
     quad: QuadratureSpec,
 ) -> float:
     """Asymptotic SOP given n decoding relays under the scheme."""
-    return _conditional(scaled_params(params, scaling), policy, scheme, quad, not policy.is_dynamic)(n)
+    scaled = scaled_params(params, scaling)
+    return _gathered(lambda: _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)(n))
+
+
+def _mixture(
+    params: SystemParams,
+    policy: PowerPolicy,
+    scheme: SchemeKind,
+    scaling: AsymptoticScaling,
+    quad: QuadratureSpec,
+) -> float:
+    """The body of `sop_asym_total`: the conditionals mixed over the leading decoding-set weights."""
+    scaled = scaled_params(params, scaling)
+    m_r = scaled.links.source_relay.m
+    miss = _leading_coeff(scaled.links.source_relay.rate, m_r) * scaled.eta**m_r
+    if not miss < 1.0:
+        raise ValueError(f"phi_R*eta^mR must lie below 1 for the high-gain decoding weights, got {miss:.6g}: "
+                         "the source hop is not in the high-gain regime")
+    cond = _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)
+    total = 0.0
+    for n in range(scaled.K + 1):
+        weight = math.comb(scaled.K, n) * miss ** (scaled.K - n)
+        total += weight * cond(n)
+    return clamp_probability(total)
 
 
 @_sharing_scope()
@@ -248,19 +286,9 @@ def sop_asym_total(
     power, and each weighs the `sop_asym_cond` of its n. The leading power
     phi_R*eta^mR of a relay's decoding miss must lie below 1, or the source
     hop is not in the high-gain regime and the weights do not sum to a
-    probability (ValueError)."""
-    scaled = scaled_params(params, scaling)
-    m_r = scaled.links.source_relay.m
-    miss = _leading_coeff(scaled.links.source_relay.rate, m_r) * scaled.eta**m_r
-    if not miss < 1.0:
-        raise ValueError(f"phi_R*eta^mR must lie below 1 for the high-gain decoding weights, got {miss:.6g}: "
-                         "the source hop is not in the high-gain regime")
-    cond = _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)
-    total = 0.0
-    for n in range(scaled.K + 1):
-        weight = math.comb(scaled.K, n) * miss ** (scaled.K - n)
-        total += weight * cond(n)
-    return clamp_probability(total)
+    probability (ValueError). Gathers its integrals first, as `sop_total`
+    does."""
+    return _gathered(_mixture, params, policy, scheme, scaling, quad)
 
 
 @_sharing_scope()

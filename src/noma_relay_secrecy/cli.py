@@ -16,14 +16,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
+from . import analytic, asymptotic
 from .analytic import sop_total
 from .asymptotic import AsymptoticScaling, SdoInputs, sdo, sop_asym_total
 from .channels import NakagamiParams
 from .montecarlo import TrialConfig, estimate_many
 from .params import LinkSet, PowerPolicy, SchemeKind, SystemParams
-from .quadrature import _sharing_scope, quadrature
+from .quadrature import _evaluate, _listing, _sharing_scope, quadrature
 
 _ENGINES = ("analytic", "asymptotic", "montecarlo")
 _SWEEP_VARS = ("P_dB", "omega2_dB", "alpha1", "alphaJ", "K", "m")
@@ -243,6 +245,19 @@ def _blank_row(cfg: ExperimentConfig, value: float, scheme: SchemeKind, engine: 
     }
 
 
+def _engine_sop(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad,
+                listing: bool = False) -> float:
+    """The engine's SOP at one point through its entry point (`sop_total`,
+    `sop_asym_total`), or, when listing, through the mixture that entry
+    point runs: with `quadrature._listing` that lists the integrals the
+    point reads, and it is no engine call of its own."""
+    if engine == "analytic":
+        total = analytic._mixture if listing else sop_total
+        return total(params, policy, scheme, quad).value
+    total = asymptotic._mixture if listing else sop_asym_total
+    return total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)
+
+
 def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> list[dict]:
     """One row per (sweep value, scheme, engine); failures land in the error column.
 
@@ -250,8 +265,13 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     `P_dB`, `alpha1` or `alphaJ` sweep are simulated on one shared draw,
     which makes their curves paired; `omega2_dB`, `K` and `m` sweeps draw
     afresh at every point. The analytic and asymptotic rows run in one
-    sharing scope, so an integral that several points, schemes or decoding
-    set sizes need is evaluated once per sweep.
+    sharing scope. Before the first row, every row's mixture runs once to
+    list the integrals it reads (`quadrature._listing`), and those are
+    evaluated in batches over all points and both engines
+    (`quadrature._evaluate`), so each distinct integral is evaluated once
+    per sweep and the row calls read stored values. A row whose listing
+    raises lists what it read before the error, and its row call raises
+    the error again into its error column.
     """
     engines = tuple(engines) if engines is not None else cfg.engines
     if cfg.sweep_var is None:
@@ -259,24 +279,25 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     else:
         values = list(cfg.sweep_values)
     points = [(value, *_point_scenario(cfg, None if cfg.sweep_var is None else value)) for value in values]
+    calls = [(value, params, policy, engine, scheme)
+             for value, params, policy in points
+             for engine in engines if engine != "montecarlo"
+             for scheme in cfg.schemes]
+    quad = quadrature(cfg.quad_n) if calls else None
     rows: list[dict] = []
     with _sharing_scope():
-        for value, params, policy in points:
-            for engine in (e for e in engines if e != "montecarlo"):
-                for scheme in cfg.schemes:
-                    row = _blank_row(cfg, value, scheme, engine)
-                    try:
-                        if engine == "analytic":
-                            res = sop_total(params, policy, scheme, quadrature(cfg.quad_n))
-                            row["sop"] = res.value
-                        else:
-                            scaling = AsymptoticScaling(*params.links.frame)
-                            row["sop"] = sop_asym_total(params, policy, scheme, scaling, quadrature(cfg.quad_n))
-                            if policy.is_dynamic:
-                                row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
-                    except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
-                        row["error"] = str(exc)
-                    rows.append(row)
+        listed, _ = _listing([partial(_engine_sop, engine, params, policy, scheme, quad, True)
+                              for _, params, policy, engine, scheme in calls])
+        _evaluate(listed)
+        for value, params, policy, engine, scheme in calls:
+            row = _blank_row(cfg, value, scheme, engine)
+            try:
+                row["sop"] = _engine_sop(engine, params, policy, scheme, quad)
+                if engine == "asymptotic" and policy.is_dynamic:
+                    row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
+            except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
+                row["error"] = str(exc)
+            rows.append(row)
     if "montecarlo" in engines and points:
         groups = [points] if cfg.sweep_var in _SHARED_DRAW_VARS else [[point] for point in points]
         for group in groups:

@@ -10,37 +10,49 @@ sign tracking so the huge-but-cancelling endpoint factors never produce
 0 * inf.
 
 The closed-form SOPs are finite series of such integrals that share one
-integrand shape. `series_integral` evaluates a whole series at once: the
-caller builds, at each node, one row stack per factor of the integrand (a
-power series in one base, rows indexed by polynomial degree), the stacks are
-convolved along the degree axis, and the weights meet the node values in one
-dot product. Terms are grouped only by their `_effective_upper` cut, which
-depends on a term's degree. `g_kernel` and `h_kernel` evaluate one term of
-each shape on its own. No engine calls them: they are the per-term
-references the exact and leading-order series are tested against.
+integrand shape, and both engines integrate one kind of series: user rows
+times an eavesdropper law's density rows, rows indexed by polynomial degree,
+convolved along the degree axis and summed at each node (`SeriesItem`).
+`series_integrals` is the one kernel that evaluates them, a batch at a time:
+the items of a batch share their shape (degrees, law degree and row count,
+node count) and differ in their constants, so their nodes stack as one
+(items, nodes) array and every step is one array operation for all of them,
+each item at its own cut(s). An engine supplies only its user-row builder.
+Degrees are grouped by their `_effective_upper` cut, which depends on a
+term's degree. `g_kernel` and `h_kernel` evaluate one term of each shape on
+its own. No engine calls them: they are the per-term references the exact
+and leading-order series are tested against.
 
 Each engine call opens a sharing scope (`_sharing_scope`), and `cli.run_sweep`
 opens one around all its points. Inside it, a `_shared` function is
-evaluated once per distinct argument tuple: the schemes of a point share the
-single-relay term, the points of a sweep share every term the swept value
-does not reach, and both engines read one read-only array of a law's density
-rows per cut (`law_rows`), which `series_integral` names to the integrand
-beside its nodes. Those values live as long as the outermost scope. A
-`_per_call` function is evaluated once per argument tuple of the innermost
-scope, the engine call: the user rows of one transmission serve every
-decoding-set size whose constants match, and go with the call, not the
-sweep. No stored value outlives the call or the sweep that made it.
+evaluated once per distinct argument tuple, and so is a `_batched` integral,
+but in batches: an engine call first runs its mixture with every integral it
+reads and the scope lacks listed instead of evaluated (`_listing`), then
+evaluates those in batches (`_evaluate`), then runs the mixture again on the
+stored values (`_gathered`); `cli.run_sweep` lists the integrals of all its
+points and engines before the first row, so its rows read stored values. A
+law's density rows are kept once per cut (`law_rows`), read-only, and read
+by both engines. No stored value outlives the call or the sweep that made
+it.
 """
 from __future__ import annotations
 
 import contextvars
+import math
 from contextlib import contextmanager
-from functools import lru_cache, wraps
+from functools import lru_cache, update_wrapper, wraps
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .channels import EavesdropperLaw
+
 _POLE_TOL = 1e-9
 _TAIL_LOG = 60.0
+# Series elements (rows x nodes) per item block of a batch, 128 kB of floats:
+# the block's other arrays are about as large, and some five are alive at once.
+_BATCH_ELEMENTS = 2**14
 
 
 def _effective_upper(a: float, f: float, degree: float) -> float:
@@ -59,45 +71,31 @@ def _effective_upper(a: float, f: float, degree: float) -> float:
     return a if cut >= a else cut
 
 
-# The values `_shared` and `_per_call` functions returned inside the open
-# sharing scope, by (function, arguments): the outermost scope's memo and the
-# innermost one's. None while no scope is open.
-_SHARED: contextvars.ContextVar[tuple[dict, dict] | None] = contextvars.ContextVar("shared_integrals", default=None)
+# The values `_shared` and `_batched` functions returned inside the open
+# sharing scope, by (function, arguments); None while no scope is open.
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared_integrals", default=None)
+# The (integral, arguments) pairs listed instead of evaluated while a mixture
+# runs to list what it reads (`_listing`); None otherwise.
+_LISTED: contextvars.ContextVar[list | None] = contextvars.ContextVar("listed_integrals", default=None)
 _MISSING = object()
 
 
 @contextmanager
 def _sharing_scope():
-    """Share `_shared` evaluations until the outermost scope closes, and
-    `_per_call` ones until this scope closes.
+    """Share `_shared` and `_batched` evaluations until the outermost scope closes.
 
-    A scope entered while one is open joins its `_shared` memo, so an engine
-    call made inside a sweep shares with the whole sweep, but starts its own
-    `_per_call` memo; leaving a scope drops what it alone stored.
+    A scope entered while one is open joins it, so an engine call made
+    inside a sweep shares with the whole sweep; leaving the outermost scope
+    drops every stored value.
     """
-    outer = _SHARED.get()
-    token = _SHARED.set(({} if outer is None else outer[0], {}))
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
     try:
         yield
     finally:
         _SHARED.reset(token)
-
-
-def _memoized(fn, which: int):
-    """fn, memoized in the open scope's memo `which`: 0 the outermost's, 1 the innermost's."""
-
-    @wraps(fn)
-    def call(*args):
-        memos = _SHARED.get()
-        if memos is None:
-            return fn(*args)
-        memo, key = memos[which], (fn, args)
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = fn(*args)
-        return value
-
-    return call
 
 
 def _shared(fn):
@@ -107,13 +105,128 @@ def _shared(fn):
     the whole key. A call that raises stores nothing: each caller sees the
     error. Outside a scope every call evaluates.
     """
-    return _memoized(fn, 0)
+
+    @wraps(fn)
+    def call(*args):
+        memo = _SHARED.get()
+        if memo is None:
+            return fn(*args)
+        key = (call, args)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(*args)
+        return value
+
+    return call
 
 
-def _per_call(fn):
-    """As `_shared`, but the value is kept only until the innermost open
-    scope, one engine call, closes: for values too large to keep for a sweep."""
-    return _memoized(fn, 1)
+class BatchedIntegral:
+    """A securing integral that is evaluated in batches (`_batched`).
+
+    Called with its arguments it returns the integral's value: the value
+    stored in the open scope; NaN, with the arguments listed, while a
+    mixture runs to list what it reads (`_listing`); else the value of a
+    batch of one, stored in the scope if one is open. `prepare(*args)`
+    turns the arguments into a `SeriesItem`, raising for arguments the
+    integral refuses, and `user_rows` is the engine's row builder.
+    """
+
+    def __init__(self, prepare: Callable[..., SeriesItem], user_rows):
+        update_wrapper(self, prepare)
+        self.prepare = prepare
+        self.user_rows = user_rows
+
+    def __call__(self, *args) -> float:
+        memo = _SHARED.get()
+        key = (self, args)
+        if memo is not None:
+            value = memo.get(key, _MISSING)
+            if value is not _MISSING:
+                return value
+        listed = _LISTED.get()
+        if listed is not None:
+            listed.append(key)
+            return math.nan
+        value = self.evaluate([self.prepare(*args)])[0]
+        if memo is not None:
+            memo[key] = value
+        return value
+
+    def evaluate(self, items: list[SeriesItem]) -> list[float]:
+        """The values of prepared items of one shape (`SeriesItem.shape`)."""
+        return series_integrals(items, self.user_rows)
+
+
+def _batched(user_rows):
+    """Decorator: a function that prepares one `SeriesItem` from its arguments
+    becomes the `BatchedIntegral` of those arguments, whose user rows
+    `user_rows` builds. The arguments must be hashable and the item must
+    depend on nothing else."""
+    return lambda prepare: BatchedIntegral(prepare, user_rows)
+
+
+def _listing(calls) -> tuple[list, list]:
+    """Run each call with every `_batched` integral it reads that the open
+    scope lacks listed instead of evaluated (each reads NaN).
+
+    Returns the listed (integral, arguments) pairs, in order of first
+    reading, and each call's result, `_MISSING` for a call that raised: it
+    lists only what it read before the error, and its own later call raises
+    the error again. `_shared` functions evaluate as usual.
+    """
+    listed: list = []
+    results = []
+    token = _LISTED.set(listed)
+    try:
+        for call in calls:
+            try:
+                results.append(call())
+            except Exception:  # noqa: BLE001 - raised again by the call that reads the value
+                results.append(_MISSING)
+    finally:
+        _LISTED.reset(token)
+    return listed, results
+
+
+def _evaluate(listed) -> None:
+    """Evaluate the listed integrals the open scope lacks, in batches of one
+    integral and shape, into the scope.
+
+    An item whose preparation raises (an underflowing series base, say) is
+    left out of its batch: the call that reads it evaluates it alone and
+    raises the error itself.
+    """
+    memo = _SHARED.get()
+    batches: dict = {}
+    for key in dict.fromkeys(listed):
+        if key in memo:
+            continue
+        integral, args = key
+        try:
+            item = integral.prepare(*args)
+        except Exception:  # noqa: BLE001 - its reader raises it, whatever it is
+            continue
+        batches.setdefault((integral, item.shape), []).append((key, item))
+    for (integral, _), entries in batches.items():
+        memo.update(zip((key for key, _ in entries), integral.evaluate([item for _, item in entries])))
+
+
+def _gathered(body, *args):
+    """body(*args) in the open scope, with the `_batched` integrals it reads
+    evaluated in batches first.
+
+    body runs once listing what it reads (`_listing`); when the scope held
+    every value, that run was the real one. Otherwise the listed integrals
+    are evaluated (`_evaluate`) and body runs again. Inside an enclosing
+    listing body only adds to it.
+    """
+    if _LISTED.get() is not None:
+        return body(*args)
+    listed, (result,) = _listing([lambda: body(*args)])
+    if not listed and result is not _MISSING:
+        return result
+    _evaluate(listed)
+    return body(*args)
 
 
 class QuadratureSpec:
@@ -134,11 +247,12 @@ class QuadratureSpec:
         self.weights = weights
         self._shifted = shifted
 
-    def map_to(self, a: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights for integration over (0, a)."""
+    def map_to(self, a) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights for integration over (0, a); for a column of
+        upper limits, one row per limit, each the row of that limit alone."""
         return self.nodes_on(a), 0.5 * a * self.weights
 
-    def nodes_on(self, a: float) -> np.ndarray:
+    def nodes_on(self, a) -> np.ndarray:
         """The nodes of `map_to`, without the weights."""
         return 0.5 * a * self._shifted
 
@@ -149,17 +263,29 @@ def quadrature(n: int = 300) -> QuadratureSpec:
     return QuadratureSpec(n)
 
 
-@_shared
-def law_rows(law, cut: float, quad: QuadratureSpec) -> np.ndarray:
-    """An eavesdropper law's density rows `law.rows` at the nodes of (0, cut), read-only.
+def law_rows(law, cuts: list[float], quad: QuadratureSpec) -> list[np.ndarray]:
+    """An eavesdropper law's density rows `law.rows` at the nodes of (0, cut)
+    for each cut, each a read-only array of shape (law.n_rows, nodes).
 
-    Inside a sharing scope they are built once per (law, cut, quad): every
-    transmission, scheme and sweep point of either engine that integrates
-    the law over that cut reads the one array, so none may write to it.
+    Inside a sharing scope each is built once per (law, cut, quad) and kept:
+    the rows of every cut the scope lacks come from one `law.rows` call over
+    all their nodes, stacked, and each cut's slice is stored on its own.
+    Every transmission, scheme and sweep point of either engine that
+    integrates the law over that cut reads the one array, so none may write
+    to it.
     """
-    rows = law.rows(quad.nodes_on(cut))
-    rows.setflags(write=False)
-    return rows
+    memo = _SHARED.get()
+    keys = [("law_rows", law, cut, quad) for cut in cuts]
+    found = {} if memo is None else {key: memo[key] for key in keys if key in memo}
+    missing = [key for key in dict.fromkeys(keys) if key not in found]
+    if missing:
+        built = law.rows(quad.nodes_on(_column([cut for _, _, cut, _ in missing])))
+        for j, key in enumerate(missing):
+            rows = found[key] = built[:, j]
+            rows.setflags(write=False)
+        if memo is not None:
+            memo.update((key, found[key]) for key in missing)
+    return [found[key] for key in keys]
 
 
 def _signed_log_pow(base: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
@@ -215,30 +341,106 @@ def convolve_series(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def series_integral(
-    a: float, pole: float, f: float, degree0: int, n_degrees: int, integrand, quad: QuadratureSpec
-) -> float:
-    """Integral over (0, a) of a series of terms of degrees degree0 .. degree0+n_degrees-1.
+class SeriesItem(NamedTuple):
+    """One securing integral of a batch: the integral over (0, a) of
 
-    `integrand(x, cut)` returns (log_scale, series) at the nodes x of
-    (0, cut), with series of shape (n_degrees, len(x)): the degree-(degree0+s)
-    terms sum to exp(log_scale)*series[s]. The integrand may key what it
-    builds on the nodes by cut, never by the nodes' bytes. Each degree keeps the `_effective_upper` cut a
-    separate g/h-kernel call would give it (e^{-f x} decay, `pole` as in
-    q or v), and degrees that share a cut share one set of nodes, so when no
-    cut applies the whole series is one evaluation and one dot product.
+        exp(log_front) * x^(law.degree - 1) * e^(-decay*x) * sum_s series[s](x)
+
+    where the series is the engine's user rows convolved with the law's
+    density rows (if it has any), row s of degree degree0 + s. The engine's
+    row builder (`series_integrals`) reads `user`, the item's user
+    constants, and adds its own log terms to the log scale. The domain must
+    hold no interior pole (`_check_domain`); each degree keeps the
+    `_effective_upper` cut a separate g/h-kernel call would give it (decay
+    f = `decay`).
     """
-    _check_domain(a, pole, "pole")
-    cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
-    total = 0.0
-    for cut in dict.fromkeys(cuts):
-        x, w = quad.map_to(cut)
-        log_scale, series = integrand(x, cut)
-        keep = [s for s, c in enumerate(cuts) if c == cut]
-        with np.errstate(over="ignore"):
-            vals = np.exp(log_scale) * series[keep].sum(axis=0)
-        total += float(np.dot(w, vals))
-    return total
+
+    a: float
+    decay: float
+    log_front: float
+    law: EavesdropperLaw
+    degree0: int
+    n_degrees: int
+    user: tuple
+    quad: QuadratureSpec
+
+    @property
+    def shape(self) -> tuple:
+        """What the items of one batch share: degrees, law degree and rows, and nodes."""
+        law = self.law
+        return self.degree0, self.n_degrees, law.degree, law.n_rows, law.rows is None, self.quad
+
+
+def series_integrals(items: list[SeriesItem], user_rows) -> list[float]:
+    """The integrals of a batch of items of one `SeriesItem.shape`.
+
+    `user_rows(users, x)` builds the user factor of distinct user constant
+    tuples `users` at their nodes x, shape (len(users), nodes): it returns
+    (terms, rows), log-scale terms of x's shape, added to the log scale in
+    order, and rows of shape (user degrees,) + x.shape. Items of equal user
+    constants and cut share one build. Items are grouped by how their
+    degrees fall on cuts; each group is evaluated in item blocks of about
+    `_BATCH_ELEMENTS` series elements, each cut once for the whole block.
+    An item's value is what a batch of it alone gives, bit for bit: every
+    step is elementwise or an axis-0 reduction, and each item meets its
+    weights in its own dot product.
+    """
+    quad = items[0].quad
+    cuts = [[_effective_upper(it.a, it.decay, it.degree0 + s) for s in range(it.n_degrees)] for it in items]
+    partitions: dict[tuple, list[int]] = {}
+    for i, item_cuts in enumerate(cuts):
+        distinct = list(dict.fromkeys(item_cuts))
+        partitions.setdefault(tuple(distinct.index(cut) for cut in item_cuts), []).append(i)
+    # with one node the axis-0 sums reduce pairwise, not row by row, unless
+    # several items stand beside it, so there every item is its own block
+    step = 1 if quad.n == 1 else max(1, _BATCH_ELEMENTS // (items[0].n_degrees * quad.n))
+    totals = [0.0] * len(items)
+    for partition, members in partitions.items():
+        groups = [[s for s, g in enumerate(partition) if g == group] for group in range(max(partition) + 1)]
+        for start in range(0, len(members), step):
+            block = members[start : start + step]
+            for keep in groups:
+                block_cuts = [cuts[i][keep[0]] for i in block]
+                values = _block_integrals([items[i] for i in block], block_cuts, keep, user_rows)
+                for i, value in zip(block, values):
+                    totals[i] += value
+    return totals
+
+
+def _column(values) -> np.ndarray:
+    """Per-item scalars as a column against (items, nodes) arrays."""
+    return np.array(values)[:, None]
+
+
+def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int], user_rows) -> list[float]:
+    """The integrals over each item's cut of the series degrees `keep`, which share that cut."""
+    quad, law = items[0].quad, items[0].law
+    x, w = quad.map_to(_column(cuts))  # row i: map_to(cuts[i])
+    power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
+    log_scale = _column([it.log_front for it in items]) + power - _column([it.decay for it in items]) * x
+    builds: dict = {}  # one user-row build per distinct (user constants, cut)
+    pick = [builds.setdefault(key, len(builds)) for key in zip((it.user for it in items), cuts)]
+    if len(builds) == len(items):
+        terms, series = user_rows([it.user for it in items], x)
+    else:
+        first = [pick.index(j) for j in range(len(builds))]
+        terms, series = user_rows([items[i].user for i in first], x[first])
+        terms, series = [term[pick] for term in terms], series[:, pick]
+    for term in terms:
+        log_scale = log_scale + term
+    if law.rows is not None:
+        by_law: dict = {}
+        for i, item in enumerate(items):
+            by_law.setdefault(item.law, []).append(i)
+        stacked = [None] * len(items)
+        for item_law, at in by_law.items():
+            for i, rows in zip(at, law_rows(item_law, [cuts[i] for i in at], quad)):
+                stacked[i] = rows
+        series = convolve_series(series, np.stack(stacked, axis=1))
+    kept = series if len(keep) == len(series) else series[keep]  # the same rows, without a copy
+    with np.errstate(over="ignore"):
+        vals = np.exp(log_scale) * kept.sum(axis=0)
+    return [float(np.dot(w[i], vals[i])) for i in range(len(items))]
 
 
 def g_kernel(a, b, c, r, q, f, h, k, j, quad: QuadratureSpec) -> float:

@@ -32,14 +32,15 @@ from noma_relay_secrecy import (
 )
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
 from noma_relay_secrecy.asymptotic import _leading_complement
-from noma_relay_secrecy.channels import combined_law, jammed_ratio_survival, jammed_ratio_terms
+from noma_relay_secrecy.channels import EavesdropperLaw, combined_law, jammed_ratio_survival, jammed_ratio_terms
 from noma_relay_secrecy.params import combining_constants, feasibility_check, jamming_constants, scheme_constants
 from noma_relay_secrecy.quadrature import (
     _effective_upper,
     g_kernel,
     h_kernel,
+    SeriesItem,
     quadrature,
-    series_integral,
+    series_integrals,
     series_rows,
 )
 
@@ -271,30 +272,52 @@ def test_identity_series_rows_keep_each_entry_in_its_row():
     assert np.array_equal(series_rows(order.tolist(), log_mag[order], sign[order], n)[1], rows)
 
 
+def _cut_probe(item_cuts: list[list[float]], received: list):
+    """A user-row builder for items whose user constants are (index, f): row s
+    of item i is 1 on the nodes of its own cut item_cuts[i][s] and NaN on any
+    others, and its log term +f*x cancels the e^{-f x} of the kernel's scale."""
+
+    def user_rows(users, x):
+        received.append((users, x))
+        rows = np.empty((len(item_cuts[0]),) + x.shape)
+        for u, (i, _) in enumerate(users):
+            for s, cut in enumerate(item_cuts[i]):
+                rows[s, u] = 1.0 if np.array_equal(x[u], QUAD.map_to(cut)[0]) else np.nan
+        return (np.array([f for _, f in users])[:, None] * x,), rows
+
+    return user_rows
+
+
 def test_series_integral_gives_each_degree_its_own_cut():
     # omega_E = -40 dB cuts every degree's domain short at a point that grows
     # with the degree; degree s must be integrated on the nodes of its own cut
     params = grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=2)
     _, _, _, consts, _, tau_u, law, _ = joint_args(params, fixed_policy(0.2), 2)
-    a, pole = consts.a, consts.v
+    a = consts.a
     f = params.links.relay_user1.rate * params.theta1 + law.rate
     degree0, n_degrees = law.degree, 2 * tau_u - 1
+    flat = EavesdropperLaw(0.0, law.rate, 1, 1, None, law.survival)  # no x^(degree-1): the scale is 0
     cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
     own_nodes = [QUAD.map_to(cut)[0] for cut in cuts]
     assert len(set(cuts)) >= 2
     received = []
-
-    def integrand(x, cut):
-        received.append((x, cut))
-        # row s is 1 on degree s's own nodes and NaN on any others
-        rows = [np.ones_like(x) if np.array_equal(x, own) else np.full_like(x, np.nan) for own in own_nodes]
-        return np.zeros_like(x), np.array(rows)
-
-    total = series_integral(a, pole, f, degree0, n_degrees, integrand, QUAD)
+    item = SeriesItem(a, f, 0.0, flat, degree0, n_degrees, (0, f), QUAD)
+    (total,) = series_integrals([item], _cut_probe([cuts], received))
     assert len(received) == len(set(cuts))
-    assert all(any(np.array_equal(x, own) for own in own_nodes) for x, _ in received)
-    assert all(np.array_equal(x, QUAD.map_to(cut)[0]) for x, cut in received)  # the cut names the nodes
+    assert all(any(np.array_equal(x[0], own) for own in own_nodes) for _, x in received)
+    assert all(x.shape == (1, QUAD.n) for _, x in received)  # one item, one row of nodes per cut
     assert total == pytest.approx(sum(cuts), rel=1e-12)  # each degree counted once, over its own cut
+
+    # a second item whose degrees fall on cuts differently (none cut, here)
+    # is evaluated beside it, each on its own cuts, and neither value moves
+    wide = SeriesItem(a, f * 1e-6, 0.0, flat, degree0, n_degrees, (1, f * 1e-6), QUAD)
+    wide_cuts = [_effective_upper(a, f * 1e-6, degree0 + s) for s in range(n_degrees)]
+    assert set(wide_cuts) == {a}
+    received.clear()
+    totals = series_integrals([item, wide], _cut_probe([cuts, wide_cuts], received))
+    assert totals[0] == total
+    assert totals[1] == pytest.approx(n_degrees * a, rel=1e-12)
+    assert len(received) == len(set(cuts)) + 1
 
 
 def test_engines_never_call_the_reference_kernels(monkeypatch):

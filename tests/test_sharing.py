@@ -1,10 +1,12 @@
 """Sharing scopes: an integral needed twice inside one engine call, or one
 sweep, is evaluated once, and every result stays what a fresh evaluation gives.
 
-`run_sweep` opens one scope around all its analytic and asymptotic rows; each
-`sop_total` or `sop_asym_total` call opens its own when none is open. So a row
-of a sweep must equal, bit for bit, the value (or the error text) of a direct
-call at that point, which shares nothing with the other points.
+`run_sweep` opens one scope around all its analytic and asymptotic rows and
+evaluates every integral they read in batches before the first row; each
+`sop_total` or `sop_asym_total` call opens its own scope when none is open and
+batches its own integrals. So a row of a sweep must equal, bit for bit, the
+value (or the error text) of a direct call at that point, which shares
+nothing with the other points.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import json
 import pytest
 from conftest import fixed_policy, grid_params
 
-from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, channels, sop_asym_total, sop_total
+from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, channels, cli, sop_asym_total, sop_total
 from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
-from noma_relay_secrecy.quadrature import _SHARED, _per_call, _shared, _sharing_scope, law_rows, quadrature
+from noma_relay_secrecy.quadrature import _LISTED, _SHARED, _shared, _sharing_scope, law_rows, quadrature
 
 SCHEMES = ["tmrc", "osrs", "tsrs", "odrs"]
 FIXED = {"alpha1": 0.2}
@@ -96,8 +98,22 @@ def test_sweep_rows_equal_direct_calls_bit_for_bit(tmp_path, body):
     assert any(row["engine"] == "asymptotic" and 0.0 < row["sop"] < 1.0 for row in rows)
 
 
-def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path):
+def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path, monkeypatch):
+    listed, batches = _record_batch_step(monkeypatch)
     rows = _check_rows_match_direct_calls(tmp_path, RAISING)
+    # the 200 dB single-relay and combined items were listed beside the 10 dB
+    # ones of their shapes, and left out of the batches: each row that reads
+    # one evaluates it alone and records its error
+    exact = analytic._joint_secrecy_prob
+    raising = [args for integral, args in dict.fromkeys(listed) if integral is exact and _raises(exact, args)]
+    fine = [args for integral, args in dict.fromkeys(listed) if integral is exact and not _raises(exact, args)]
+    assert raising and fine
+    def form(args):  # what sets an item's shape: tau_u, the law's degree and rows, the nodes
+        law = args[-2]
+        return args[5], law.degree, law.n_rows, law.rows is None, args[-1]
+
+    assert {form(args) for args in raising} <= {form(args) for args in fine}
+    assert sum(len(items) for integral, items in batches if integral is exact) == len(fine)
     failed = {(row["sweep_value"], row["scheme"], row["engine"]) for row in rows if row["error"]}
     assert failed == {(200.0, s, "analytic") for s in SCHEMES} | {(10.0, s, "asymptotic") for s in SCHEMES}
     for row in rows:
@@ -107,6 +123,53 @@ def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path):
             assert row["error"].startswith("phi_R*eta^mR must lie below 1 for the high-gain decoding weights, "
                                            "got 1.35176:"), row["error"]
     assert _SHARED.get() is None
+
+
+INTEGRALS = {analytic: analytic._joint_secrecy_prob, asymptotic: asymptotic._leading_integral}
+
+
+def _raises(integral, args) -> bool:
+    try:
+        integral.prepare(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def _count_items(monkeypatch) -> dict:
+    """Every item each engine's integral evaluates, by engine module."""
+    counts = {module: [] for module in INTEGRALS}
+    for module, integral in INTEGRALS.items():
+        def counting(items, _seen=counts[module], _original=integral.evaluate):
+            _seen.extend(items)
+            return _original(items)
+
+        monkeypatch.setattr(integral, "evaluate", counting)
+    return counts
+
+
+def _record_batch_step(monkeypatch) -> tuple[list, list]:
+    """The (integral, arguments) pairs `run_sweep` lists, and the batches its
+    batch step evaluates, as (integral, items)."""
+    listed, batches, step = [], [], []
+
+    def evaluate(keys, _original=cli._evaluate):
+        listed.extend(keys)
+        step.append(True)
+        try:
+            return _original(keys)
+        finally:
+            step.pop()
+
+    monkeypatch.setattr(cli, "_evaluate", evaluate)
+    for integral in INTEGRALS.values():
+        def recording(items, _integral=integral, _original=integral.evaluate):
+            if step:
+                batches.append((_integral, items))
+            return _original(items)
+
+        monkeypatch.setattr(integral, "evaluate", recording)
+    return listed, batches
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -124,26 +187,25 @@ def _count_calls(monkeypatch, module, name) -> list:
 def test_identical_calls_each_evaluate_their_integrals(monkeypatch):
     # the scope closes with the call: nothing is kept for the next one
     params, policy, quad = grid_params(K=4, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
-    exact = _count_calls(monkeypatch, analytic, "series_integral")
+    items = _count_items(monkeypatch)
     first = sop_total(params, policy, "odrs", quad)
-    per_call = len(exact)
+    per_call = len(items[analytic])
     assert per_call == 4  # delta4 at n = 1, 2, 3 and delta1 at n = K
     assert sop_total(params, policy, "odrs", quad) == first
-    assert len(exact) == 2 * per_call
+    assert len(items[analytic]) == 2 * per_call
 
-    leading = _count_calls(monkeypatch, asymptotic, "series_integral")
     params = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0)  # at 10 dB the source hop is not high-gain
     scaling = AsymptoticScaling(*params.links.frame)
     values = [sop_asym_total(params, policy, "tmrc", scaling, quad) for _ in range(2)]
-    assert values[0] == values[1] and len(leading) == 2 * 4  # combined at n = 1..4
-    assert _SHARED.get() is None
+    assert values[0] == values[1] and len(items[asymptotic]) == 2 * 4  # combined at n = 1..4
+    assert _SHARED.get() is None and _LISTED.get() is None
 
 
 def test_one_call_shares_the_single_relay_term_over_n(monkeypatch):
     params, policy, quad = grid_params(K=5, omegaR_dB=-10.0), fixed_policy(0.2), quadrature(300)
-    exact = _count_calls(monkeypatch, analytic, "series_integral")
+    items = _count_items(monkeypatch)
     sop_total(params, policy, "osrs", quad)
-    assert len(exact) == 1
+    assert len(items[analytic]) == 1
 
 
 def test_a_sweep_evaluates_each_distinct_integral_once(tmp_path, monkeypatch):
@@ -151,12 +213,32 @@ def test_a_sweep_evaluates_each_distinct_integral_once(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(body))
     cfg = load_config(str(path))
-    exact = _count_calls(monkeypatch, analytic, "series_integral")
+    items = _count_items(monkeypatch)
+    series = _count_calls(monkeypatch, analytic, "_user_series")
     run_sweep(cfg)
     # combined at n = 1..4 (delta1 is n = 1) and jammed with 1..3 idle relays;
     # point by point it would be 2 + 1 + 1 + 2 at K = 2 and 4 + 1 + 1 + 4 at K = 4
-    assert len(exact) == 4 + 3
+    assert len(items[analytic]) == len(set(items[analytic])) == 4 + 3
+    # two series per user-row build: one per combined size, and one for all
+    # three jammed sizes, whose user constants do not depend on the idle count
+    assert len(series) == 2 * (4 + 1)
     assert _SHARED.get() is None
+
+
+@pytest.mark.parametrize("body", [WIDE_JAMMED, _config(DYNAMIC, "omega2_dB", [25.0, 30.0])])
+def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    cfg = load_config(str(path))
+    listed, batches = _record_batch_step(monkeypatch)
+    items = _count_items(monkeypatch)
+    rows = run_sweep(cfg)
+    assert all(not row["error"] for row in rows)
+    in_step = [item for _, batch in batches for item in batch]
+    # every listed integral is evaluated in the batch step, once, and the
+    # row calls that follow evaluate none
+    assert len(in_step) == len(set(listed)) == len(items[analytic]) + len(items[asymptotic])
+    assert len(batches) < len(in_step)
 
 
 @pytest.fixture
@@ -189,41 +271,35 @@ def test_a_sweep_builds_each_jammed_table_once(tmp_path, counted_jammed_rows):
 def test_one_call_builds_the_jammed_user_rows_once(monkeypatch):
     params, policy, quad = grid_params(K=4, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
     series = _count_calls(monkeypatch, analytic, "_user_series")
-    integrals = _count_calls(monkeypatch, analytic, "series_integral")
+    items = _count_items(monkeypatch)
     sop_total(params, policy, "odrs", quad)
-    assert len(integrals) == 4  # delta4 at n = 1, 2, 3 and delta1 at n = K
+    assert len(items[analytic]) == 4  # delta4 at n = 1, 2, 3 and delta1 at n = K
     # two series per build: one build for the jammed constants of n = 1..3,
-    # one for delta1's; no cut applies in either
+    # which make one batch, one for delta1's; no cut applies in either
     assert len(series) == 2 * 2
 
 
-def test_shared_law_rows_are_read_only(monkeypatch):
-    handed = []
-    for module in (analytic, asymptotic):
-        def recording(law, cut, quad, _original=module.law_rows, _name=module.__name__):
-            rows = _original(law, cut, quad)
-            handed.append((_name, law, cut, rows))
-            return rows
-
-        monkeypatch.setattr(module, "law_rows", recording)
+def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
     params, policy, quad = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
+    items = _count_items(monkeypatch)
     with _sharing_scope():
         sop_total(params, policy, "odrs", quad)
         sop_asym_total(params, policy, "odrs", AsymptoticScaling(*params.links.frame), quad)
-    engines = {name for name, *_ in handed}
-    assert engines == {analytic.__name__, asymptotic.__name__}
-    for _, law, cut, rows in handed:
+        kept = {key: rows for key, rows in _SHARED.get().items() if key[0] == "law_rows"}
+        # the engines integrate the three jammed laws over one cut each here,
+        # and both read the one array of each (law, cut), built once
+        assert [key[1:] for key in kept] == [(item.law, item.a, quad) for item in items[analytic][:3]]
+        assert sum(item.law.rows is not None for item in items[asymptotic]) == 3
+        assert len(counted_jammed_rows) == len(kept) == 3
+        for (_, law, cut, _), rows in kept.items():
+            assert law_rows(law, [cut], quad)[0] is rows
+    for rows in kept.values():
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
-    # the engines integrate one law over one cut here, and read one array
-    by_key = {}
-    for _, law, cut, rows in handed:
-        assert by_key.setdefault((law, cut), rows) is rows
-    assert len(by_key) == 3 < len(handed)
     # outside a scope each call builds its own, just as read-only
-    _, law, cut, rows = handed[0]
-    fresh = law_rows(law, cut, quad)
+    (_, law, cut, _), rows = next(iter(kept.items()))
+    fresh = law_rows(law, [cut], quad)[0]
     assert fresh is not rows and not fresh.flags.writeable and fresh.tobytes() == rows.tobytes()
 
 
@@ -245,27 +321,6 @@ def test_scopes_nest_and_close_with_the_outermost():
     with _sharing_scope():
         square(3)
     assert calls == [3, 3, 3, 4, 3]
-
-
-def test_per_call_values_close_with_the_innermost_scope():
-    calls = []
-
-    @_per_call
-    def square(x):
-        calls.append(x)
-        return x * x
-
-    @_shared
-    def cube(x):
-        calls.append(-x)
-        return x**3
-
-    with _sharing_scope():
-        assert square(2) == 4 and square(2) == 4 and cube(2) == 8
-        with _sharing_scope():  # an engine call inside a sweep
-            assert square(2) == 4 and square(2) == 4 and cube(2) == 8
-        assert square(2) == 4 and cube(2) == 8
-    assert calls == [2, -2, 2] and _SHARED.get() is None
 
 
 def test_a_raising_call_is_not_stored():
