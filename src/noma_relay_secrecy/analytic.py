@@ -18,17 +18,13 @@ below the ceiling a can that hold, which creates the high-SNR outage floor.
 The constants, the laws, the jamming split and the clip to [0, 1] come from
 `params`, as in every engine.
 
-`sop_total` and `sop_cond` open a sharing scope (`quadrature._sharing_scope`)
-and gather their integrals first (`quadrature._gathered`): the mixture runs
-once listing the integrals it reads, those are evaluated in batches, one per
-integrand shape, and the mixture runs again on the stored values. Within
-one call, or one sweep that opens the scope around its calls and lists all
-its points at once, each distinct integral is evaluated once: the
-single-relay term serves every scheme and n that sends singly, and a
-combined term at n or a jammed term with K - n idle relays serves every K
-that needs it. A batch builds the user rows once per distinct set of user
-constants, so the jammed sizes of a call share theirs, and reads the law's
-density rows once per (law, cut) in the scope (`quadrature.law_rows`).
+`sop_total` runs the one flow of `quadrature`: plan, batch, one mixture.
+`_plan` lists the decoding probabilities and each n's securing integral,
+whose arguments come from the builder the conditionals read through
+(`params.transmission_args`). Within one call, or one sweep, each distinct
+integral is evaluated once: the single-relay term serves every scheme and n
+that sends singly, and a combined term at n or a jammed term with K - n
+idle relays serves every K that needs it.
 """
 from __future__ import annotations
 
@@ -49,10 +45,10 @@ from .params import (
     SchemeKind,
     SopResult,
     SystemParams,
+    Transmission,
     clamp_probability,
-    combining_constants,
-    feasibility_check,
-    jamming_constants,
+    transmission_args,
+    transmission_plan,
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
     QuadratureSpec,
@@ -60,7 +56,7 @@ from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the pe
     _batched,
     _check_domain,
     _column,
-    _gathered,
+    _evaluate,
     _shared,
     _sharing_scope,
     _signed_log_pow,
@@ -177,31 +173,26 @@ def _joint_secrecy_prob(
     return SeriesItem(a, f, log_front, law, law.degree, 2 * tau_u - 1 + law.n_rows - 1, user, quad)
 
 
-def _combined_secure(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
-    """P(both users secured) when n relays each send at P_R/n and every
-    receiver, the eavesdropper included, sums their n gains; the user and
-    eavesdropper shapes scale to n*m_U and n*m_E. 0 for an infeasible split."""
-    if feasibility_check(params, policy) is not None:
-        return 0.0
-    alpha1, alpha2 = policy.resolve(params.links)
-    consts, law = combining_constants(params, alpha1, alpha2, n)
-    links = params.links
-    return _joint_secrecy_prob(
-        links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, n * links.m_u, law, quad
-    )
+def _secured(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int, quad: QuadratureSpec) -> float:
+    """P(both users secured) when n decoding relays transmit as `sends`
+    (`params.transmission_args`); 0 for an infeasible split."""
+    args = transmission_args(params, policy, sends, n)
+    return 0.0 if args is None else _joint_secrecy_prob(*args, quad)
 
 
 def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
-    """Outage probability given n decoding relays that all transmit and combine."""
+    """Outage probability given n decoding relays that all transmit and combine:
+    each sends at P_R/n and every receiver, the eavesdropper included, sums
+    their n gains, so the user and eavesdropper shapes scale to n*m_U and n*m_E."""
     if n < 1:
         raise ValueError("n must be >= 1; the empty decoding set is certain outage")
-    return clamp_probability(1.0 - _combined_secure(params, policy, n, quad))
+    return clamp_probability(1.0 - _secured(params, policy, Transmission.COMBINED, n, quad))
 
 
 def delta1(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec) -> float:
     """Per-relay probability that a single relay at full power secures both
     users: the combined transmission at n = 1."""
-    return clamp_probability(_combined_secure(params, policy, 1, quad))
+    return clamp_probability(_secured(params, policy, Transmission.SINGLE, 1, quad))
 
 
 def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
@@ -215,22 +206,14 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
         raise ValueError("n must be below K: the jamming relay comes from the idle set")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    if feasibility_check(params, policy) is not None:
-        return 0.0
-    alpha1, alpha2 = policy.resolve(params.links)
-    consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
-    links = params.links
-    return clamp_probability(
-        _joint_secrecy_prob(links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, links.m_u, law, quad)
-    )
+    return clamp_probability(_secured(params, policy, Transmission.JAMMED, n, quad))
 
 
 def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec):
     """The scheme's conditional SOP as a function of n: combining is
     `sop_tmrc_cond`, a single candidate fails with 1 - delta1 and a jammed
-    one with 1 - delta4. Call it inside a sharing scope, which evaluates
-    each integral once for every n; delta1, constants and all, is formed
-    once per call, at its first use."""
+    one with 1 - delta4. delta1, constants and all, is formed once per
+    call, at its first use."""
     return SchemeKind(scheme).conditional(
         params.K,
         combined=lambda n: sop_tmrc_cond(params, policy, n, quad),
@@ -239,10 +222,18 @@ def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, 
     )
 
 
-@_sharing_scope()
+def _plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec) -> list:
+    """What `sop_total` reads at one point (`quadrature._evaluate`): the
+    decoding probabilities and each transmission's securing integral
+    (`params.transmission_plan`)."""
+    decoding = (_decode_probs, (params.links.source_relay, params.eta))
+    return [decoding] + [(_joint_secrecy_prob, (*args, quad)) for args in transmission_plan(params, policy, scheme)]
+
+
 def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec) -> float:
-    """Outage probability given n decoding relays under the scheme."""
-    return _gathered(lambda: _conditional(params, policy, scheme, quad)(n))
+    """Outage probability given n decoding relays under the scheme: one
+    securing integral, evaluated alone (a batch of one)."""
+    return _conditional(params, policy, scheme, quad)(n)
 
 
 def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec) -> SopResult:
@@ -253,7 +244,6 @@ def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad
     return SopResult(value=clamp_probability(float(total)), engine="analytic")
 
 
-@_sharing_scope()
 def sop_total(
     params: SystemParams,
     policy: PowerPolicy,
@@ -262,8 +252,10 @@ def sop_total(
 ) -> SopResult:
     """Total SOP: mixture of the conditional SOPs over the decoding-set law.
 
-    Runs in a sharing scope and gathers its integrals first: each distinct
-    integral of the mixture is evaluated once, in batches of one integrand
-    shape, and once per enclosing sweep when the caller has opened the scope
-    around several calls."""
-    return _gathered(_mixture, params, policy, scheme, quad)
+    Outside a sharing scope it opens one, evaluates its `_plan` in batches
+    and runs the mixture once on the stored values; inside a caller's scope
+    (a sweep's, planned already) it runs the mixture alone."""
+    with _sharing_scope() as opened:
+        if opened:
+            _evaluate(_plan(params, policy, scheme, quad))
+        return _mixture(params, policy, scheme, quad)

@@ -29,17 +29,12 @@ quadrature node and integrated once by the kernel both engines share
 leading terms (`_leading_user_rows`). No engine calls `g_kernel` or
 `h_kernel`; both remain the per-term references of the complement.
 
-The complement reads only its arguments: the user links, theta1, the
-constants and law in force, alpha2 and the nodes. `sop_asym_total`,
-`sop_asym_cond` and `sop_floor_cond` open a sharing scope
-(`quadrature._sharing_scope`) and gather their integrals first, as the exact
-engine does (`quadrature._gathered`): each distinct integral is evaluated
-once per call, or once per sweep that opens the scope around its calls, in
-batches of one integrand shape. The single-relay complement serves every
-scheme and n that sends singly; a batch builds the user terms once per
-distinct set of user constants, for every jammed decoding-set size, and
-reads the law's density rows once per (law, cut) in the scope, shared with
-the exact engine (`quadrature.law_rows`).
+The complement reads only its arguments, which the builder both engines
+share forms (`params.transmission_args`). `sop_asym_total` runs the exact
+engine's flow, plan, batch, one mixture: `_plan` lists each n's leading
+integral and, under a fixed split, its ceiling mass, and each distinct one
+is evaluated once per call or sweep, in batches that share the law's
+density rows with the exact engine (`quadrature.law_rows`).
 """
 from __future__ import annotations
 
@@ -62,9 +57,9 @@ from .params import (
     SystemParams,
     Transmission,
     clamp_probability,
-    combining_constants,
     feasibility_check,
-    jamming_constants,
+    transmission_args,
+    transmission_plan,
 )
 from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term references of _leading_complement)
     QuadratureSpec,
@@ -72,7 +67,7 @@ from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the pe
     _batched,
     _check_domain,
     _column,
-    _gathered,
+    _evaluate,
     _shared,
     _sharing_scope,
     _signed_log_pow,
@@ -214,31 +209,50 @@ def _conditional(
     include_floor: bool,
 ):
     """The scheme's leading-order conditional SOP on an already scaled
-    scenario, as a function of n. Feasibility and the split are worked out
-    once per call, not once per n. With quad None only the floor terms are
-    kept. Call it inside a sharing scope, which evaluates the single-relay
-    complement once for every n."""
-    scheme = SchemeKind(scheme)
+    scenario, as a function of n: each transmission's complement, certain
+    outage under an infeasible split. With quad None only the floor terms
+    are kept."""
     if feasibility_check(params, policy) is not None:
         return lambda n: 1.0
-    alpha1, alpha2 = policy.resolve(params.links)
-    links = params.links
 
-    def complement(tau_u: int, consts: SchemeConstants, law: EavesdropperLaw) -> float:
-        return clamp_probability(_leading_complement(
-            links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, tau_u, law, quad, include_floor
-        ))
+    def complement(sends: Transmission, n: int) -> float:
+        args = transmission_args(params, policy, sends, n)
+        return clamp_probability(_leading_complement(*args, quad, include_floor))
 
-    def combined(n: int) -> float:
-        return complement(n * links.m_u, *combining_constants(params, alpha1, alpha2, n))
-
-    def jammed(n: int) -> float:
-        return complement(links.m_u, *jamming_constants(params, policy.alphaJ, alpha1, alpha2, n))
-
-    return scheme.conditional(params.K, combined=combined, single=lambda: combined(1), jammed=jammed)
+    return SchemeKind(scheme).conditional(
+        params.K,
+        combined=lambda n: complement(Transmission.COMBINED, n),
+        single=lambda: complement(Transmission.SINGLE, 1),
+        jammed=lambda n: complement(Transmission.JAMMED, n),
+    )
 
 
-@_sharing_scope()
+def _decoding_miss(scaled: SystemParams) -> float:
+    """The leading power phi_R*eta^mR of a relay's decoding miss, which must
+    lie below 1 for the high-gain decoding weights (ValueError)."""
+    m_r = scaled.links.source_relay.m
+    miss = _leading_coeff(scaled.links.source_relay.rate, m_r) * scaled.eta**m_r
+    if not miss < 1.0:
+        raise ValueError(f"phi_R*eta^mR must lie below 1 for the high-gain decoding weights, got {miss:.6g}: "
+                         "the source hop is not in the high-gain regime")
+    return miss
+
+
+def _plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
+          quad: QuadratureSpec) -> list:
+    """What `sop_asym_total` reads at one point (`quadrature._evaluate`): each
+    transmission's leading integral (`params.transmission_plan`) and, when
+    the floor is kept, its ceiling mass. Raises where `_mixture` does."""
+    scaled = scaled_params(params, scaling)
+    _decoding_miss(scaled)
+    plan = []
+    for args in transmission_plan(scaled, policy, scheme):
+        plan.append((_leading_integral, (*args, quad)))
+        if not policy.is_dynamic:
+            plan.append((_ceiling_mass, (args[-1], args[3].a)))  # the law and its ceiling
+    return plan
+
+
 def sop_asym_cond(
     params: SystemParams,
     policy: PowerPolicy,
@@ -247,9 +261,9 @@ def sop_asym_cond(
     scaling: AsymptoticScaling,
     quad: QuadratureSpec,
 ) -> float:
-    """Asymptotic SOP given n decoding relays under the scheme."""
-    scaled = scaled_params(params, scaling)
-    return _gathered(lambda: _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)(n))
+    """Asymptotic SOP given n decoding relays under the scheme: one
+    complement, evaluated alone."""
+    return _conditional(scaled_params(params, scaling), policy, scheme, quad, not policy.is_dynamic)(n)
 
 
 def _mixture(
@@ -261,11 +275,7 @@ def _mixture(
 ) -> float:
     """The body of `sop_asym_total`: the conditionals mixed over the leading decoding-set weights."""
     scaled = scaled_params(params, scaling)
-    m_r = scaled.links.source_relay.m
-    miss = _leading_coeff(scaled.links.source_relay.rate, m_r) * scaled.eta**m_r
-    if not miss < 1.0:
-        raise ValueError(f"phi_R*eta^mR must lie below 1 for the high-gain decoding weights, got {miss:.6g}: "
-                         "the source hop is not in the high-gain regime")
+    miss = _decoding_miss(scaled)
     cond = _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)
     total = 0.0
     for n in range(scaled.K + 1):
@@ -274,7 +284,6 @@ def _mixture(
     return clamp_probability(total)
 
 
-@_sharing_scope()
 def sop_asym_total(
     params: SystemParams,
     policy: PowerPolicy,
@@ -286,12 +295,14 @@ def sop_asym_total(
     power, and each weighs the `sop_asym_cond` of its n. The leading power
     phi_R*eta^mR of a relay's decoding miss must lie below 1, or the source
     hop is not in the high-gain regime and the weights do not sum to a
-    probability (ValueError). Gathers its integrals first, as `sop_total`
+    probability (ValueError). Plans, batches and mixes once, as `sop_total`
     does."""
-    return _gathered(_mixture, params, policy, scheme, scaling, quad)
+    with _sharing_scope() as opened:
+        if opened:
+            _evaluate(_plan(params, policy, scheme, scaling, quad))
+        return _mixture(params, policy, scheme, scaling, quad)
 
 
-@_sharing_scope()
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
     """The conditional SOP's high-gain floor: the securing terms vanish with the
     user-link coefficients and only the eavesdropper-side mass above the

@@ -9,13 +9,14 @@ closed-form PDF/CDF of the ratio itself. The ratio law's front phi0, terms
 and arrays (`jammed_table`) are built once per (link, count, rho4), since
 they do not depend on where the law is evaluated; every density and survival
 call, and both engines, read them. Each eavesdropper law the securing integrals
-run against (a sum of n gains, the jammed ratio) is one `EavesdropperLaw`, built
-once per argument set. Every scenario record's numbers must be finite and its
-counts whole (`_check_finite`, `_is_count`).
+run against (a sum of n gains, the jammed ratio) is one `EavesdropperLaw`,
+equal to every law built from the same arguments. Every scenario record's
+numbers must be finite and its counts whole (`_check_finite`, `_is_count`).
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple
@@ -465,9 +466,24 @@ def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
     return _as_given(y, jammed_table(p_e, count, rho4).phi0 * np.exp(-p_e.rate * y) * acc)
 
 
+# A law's functions with its arguments bound, one object per (function,
+# arguments) while any law holds it: laws built alike are then equal, one
+# store key, even once the law cache has dropped one of them.
+_BOUND: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _bound(func, *args) -> partial:
+    """func with args bound, the one such object alive (`_BOUND`)."""
+    bound = _BOUND.get((func, args))
+    if bound is None:
+        bound = _BOUND[func, args] = partial(func, *args)
+    return bound
+
+
 class EavesdropperLaw(NamedTuple):
     """An eavesdropper gain law: density exp(log_front) * x^(degree-1) * e^(-rate*x) * sum(rows(x)),
-    row k of degree degree + k (rows None: one row of ones), and survival P(X > x)."""
+    row k of degree degree + k (rows None: one row of ones), and survival P(X > x).
+    Two laws built from the same arguments compare and hash equal."""
 
     log_front: float
     rate: float
@@ -476,15 +492,11 @@ class EavesdropperLaw(NamedTuple):
     rows: Callable[[np.ndarray], np.ndarray] | None
     survival: Callable[[float], float]
 
-    @property
-    def front(self) -> float:
-        return math.exp(self.log_front)
-
 
 @lru_cache(maxsize=64)
 def combined_law(p_e: NakagamiParams, n: int) -> EavesdropperLaw:
     """The sum of n gains of link p_e: Gamma(tau = n*m) at the same rate, front lambda^tau/(tau-1)!."""
-    survival = partial(gain_survival, _mrc_params(p_e, n))
+    survival = _bound(gain_survival, _mrc_params(p_e, n))
     tau = n * p_e.m
     return EavesdropperLaw(tau * math.log(p_e.rate) - math.lgamma(tau), p_e.rate, tau, 1, None, survival)
 
@@ -493,5 +505,5 @@ def combined_law(p_e: NakagamiParams, n: int) -> EavesdropperLaw:
 def jammed_law(p_e: NakagamiParams, count: int, rho4: float) -> EavesdropperLaw:
     """Y = G/(1 + rho4*H), H the max of `count` gains: front `jammed_table(...).phi0`, a row per power of y < m."""
     args = (p_e, count, rho4)
-    rows, survival = partial(jammed_ratio_pdf_rows, *args), partial(jammed_ratio_survival, *args)
+    rows, survival = _bound(jammed_ratio_pdf_rows, *args), _bound(jammed_ratio_survival, *args)
     return EavesdropperLaw(math.log(jammed_table(*args).phi0), p_e.rate, 1, p_e.m, rows, survival)

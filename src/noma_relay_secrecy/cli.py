@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 from . import analytic, asymptotic
@@ -25,7 +24,7 @@ from .asymptotic import AsymptoticScaling, SdoInputs, sdo, sop_asym_total
 from .channels import NakagamiParams
 from .montecarlo import TrialConfig, estimate_many
 from .params import LinkSet, PowerPolicy, SchemeKind, SystemParams
-from .quadrature import _evaluate, _listing, _sharing_scope, quadrature
+from .quadrature import _evaluate, _sharing_scope, quadrature
 
 _ENGINES = ("analytic", "asymptotic", "montecarlo")
 _SWEEP_VARS = ("P_dB", "omega2_dB", "alpha1", "alphaJ", "K", "m")
@@ -245,17 +244,18 @@ def _blank_row(cfg: ExperimentConfig, value: float, scheme: SchemeKind, engine: 
     }
 
 
-def _engine_sop(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad,
-                listing: bool = False) -> float:
-    """The engine's SOP at one point through its entry point (`sop_total`,
-    `sop_asym_total`), or, when listing, through the mixture that entry
-    point runs: with `quadrature._listing` that lists the integrals the
-    point reads, and it is no engine call of its own."""
+def _engine_sop(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad) -> float:
+    """The engine's SOP at one point through its entry point (`sop_total`, `sop_asym_total`)."""
     if engine == "analytic":
-        total = analytic._mixture if listing else sop_total
-        return total(params, policy, scheme, quad).value
-    total = asymptotic._mixture if listing else sop_asym_total
-    return total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)
+        return sop_total(params, policy, scheme, quad).value
+    return sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)
+
+
+def _engine_plan(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad) -> list:
+    """What `_engine_sop` reads at the point: its engine's `_plan`."""
+    if engine == "analytic":
+        return analytic._plan(params, policy, scheme, quad)
+    return asymptotic._plan(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)
 
 
 def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> list[dict]:
@@ -265,13 +265,12 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     `P_dB`, `alpha1` or `alphaJ` sweep are simulated on one shared draw,
     which makes their curves paired; `omega2_dB`, `K` and `m` sweeps draw
     afresh at every point. The analytic and asymptotic rows run in one
-    sharing scope. Before the first row, every row's mixture runs once to
-    list the integrals it reads (`quadrature._listing`), and those are
-    evaluated in batches over all points and both engines
+    sharing scope, in one flow: plan, batch, one mixture. The plans of all
+    rows are evaluated in batches before the first row
     (`quadrature._evaluate`), so each distinct integral is evaluated once
-    per sweep and the row calls read stored values. A row whose listing
-    raises lists what it read before the error, and its row call raises
-    the error again into its error column.
+    per sweep, and each row's engine call runs its mixture once, on the
+    stored values. A row whose plan raises has its engine call raise the
+    error into its error column.
     """
     engines = tuple(engines) if engines is not None else cfg.engines
     if cfg.sweep_var is None:
@@ -286,9 +285,13 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     quad = quadrature(cfg.quad_n) if calls else None
     rows: list[dict] = []
     with _sharing_scope():
-        listed, _ = _listing([partial(_engine_sop, engine, params, policy, scheme, quad, True)
-                              for _, params, policy, engine, scheme in calls])
-        _evaluate(listed)
+        plan: list = []
+        for _, params, policy, engine, scheme in calls:
+            try:
+                plan += _engine_plan(engine, params, policy, scheme, quad)
+            except Exception:  # noqa: BLE001 - the row's engine call raises it again
+                continue
+        _evaluate(plan)
         for value, params, policy, engine, scheme in calls:
             row = _blank_row(cfg, value, scheme, engine)
             try:

@@ -4,7 +4,7 @@ Holds the relay-network parameters, the power-allocation policy (fixed split
 or the gain-driven dynamic rule), the scheme record every engine reads (how a
 decoding set transmits and how an outage is blamed on a user), the threshold
 constants, and the result record every engine returns. Values that several engines
-derive are defined here once: `jamming_split`, `combining_constants`, `jamming_constants`, `clamp_probability`.
+derive are defined here once: `jamming_split`, `transmission_args`, `clamp_probability`.
 All rates are in nats per channel use; capacities carry the 1/2 pre-log of
 the two-slot protocol, so a secrecy rate R maps to the threshold theta = exp(2R).
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .channels import EavesdropperLaw, NakagamiParams, _check_finite, _is_count, combined_law, jammed_law
+from .channels import NakagamiParams, _check_finite, _is_count, combined_law, jammed_law
 
 
 class Transmission(Enum):
@@ -69,8 +69,8 @@ class SchemeKind(str, Enum):
         jammed(n) are one candidate's outage when it sends alone or under
         jamming. A selection fails iff all n candidates fail, taken as
         independent, hence the n-th power. Nothing is kept between calls:
-        the engines evaluate each integral once per sharing scope
-        (`quadrature._sharing_scope`), which spans every n of a call.
+        the engines evaluate every n's integral beforehand, in batches
+        (`transmission_plan`).
         """
 
         def cond(n: int) -> float:
@@ -295,21 +295,41 @@ def scheme_constants(theta1: float, theta2: float, alpha1: float, alpha2: float,
     return SchemeConstants(a=a, b=b, c=c, d=d, u=alpha2 / (d * c), v=rho**2 * alpha1**2 * alpha2 * theta2 / d)
 
 
-def combining_constants(
-    params: SystemParams, alpha1: float, alpha2: float, n: int
-) -> tuple[SchemeConstants, EavesdropperLaw]:
-    """The thresholds and the eavesdropper's law when n relays combine, each sending at P_R/n."""
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
-    return consts, combined_law(params.links.relay_eaves, n)
+def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int) -> tuple | None:
+    """What the securing integral of n decoding relays that transmit as
+    `sends` reads, in either engine: (user1, user2, theta1, constants,
+    alpha2, tau_u, law); None under an infeasible split, which secures no one.
+
+    When n relays combine, each sends at P_R/n and every receiver sums their
+    n gains; a single relay is that at n = 1. A jammed one sends at rho3
+    while the strongest of the K - n idle relays jams the eavesdropper at rho4.
+    """
+    if feasibility_check(params, policy) is not None:
+        return None
+    alpha1, alpha2 = policy.resolve(params.links)
+    links = params.links
+    if sends is Transmission.JAMMED:
+        rho3, rho4 = jamming_split(policy.alphaJ, params.rho2)
+        consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
+        law, tau_u = jammed_law(links.relay_eaves, params.K - n, rho4), links.m_u
+    else:
+        n = 1 if sends is Transmission.SINGLE else n
+        consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
+        law, tau_u = combined_law(links.relay_eaves, n), n * links.m_u
+    return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, tau_u, law
 
 
-def jamming_constants(
-    params: SystemParams, alpha_j: float, alpha1: float, alpha2: float, n: int
-) -> tuple[SchemeConstants, EavesdropperLaw]:
-    """The same when the best of n decoding relays sends at rho3 and the strongest idle relay jams at rho4."""
-    rho3, rho4 = jamming_split(alpha_j, params.rho2)
-    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
-    return consts, jammed_law(params.links.relay_eaves, params.K - n, rho4)
+def transmission_plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> list[tuple]:
+    """The `transmission_args` of each distinct transmission of the scheme at
+    n = 1..K, in order of first use; none under an infeasible split."""
+    if feasibility_check(params, policy) is not None:
+        return []
+    scheme = SchemeKind(scheme)
+    sends = {}
+    for n in range(1, params.K + 1):
+        kind = scheme.transmission(n, params.K)
+        sends[kind, 1 if kind is Transmission.SINGLE else n] = None
+    return [transmission_args(params, policy, kind, n) for kind, n in sends]
 
 
 def clamp_probability(p: float) -> float:

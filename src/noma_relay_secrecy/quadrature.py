@@ -24,23 +24,19 @@ its own. No engine calls them: they are the per-term references the exact
 and leading-order series are tested against.
 
 Each engine call opens a sharing scope (`_sharing_scope`), and `cli.run_sweep`
-opens one around all its points. Inside it, a `_shared` function is
-evaluated once per distinct argument tuple, and so is a `_batched` integral,
-but in batches: an engine call first runs its mixture with every integral it
-reads and the scope lacks listed instead of evaluated (`_listing`), then
-evaluates those in batches (`_evaluate`), then runs the mixture again on the
-stored values (`_gathered`); `cli.run_sweep` lists the integrals of all its
-points and engines before the first row, so its rows read stored values. A
-law's density rows are kept once per cut (`law_rows`), read-only, and read
-by both engines. No stored value outlives the call or the sweep that made
-it.
+opens one around all its points. Inside it a `_shared` function or a
+`_batched` integral is evaluated once per distinct argument tuple. The flow
+is plan, batch, one mixture: the caller that opens the scope lists what its
+points read (each engine's `_plan`), evaluates the list in batches of one
+integrand shape (`_evaluate`), and then runs each mixture once on the stored
+values. A law's density rows are kept once per cut (`law_rows`), read-only,
+and read by both engines. No stored value outlives the call or the sweep.
 """
 from __future__ import annotations
 
 import contextvars
-import math
 from contextlib import contextmanager
-from functools import lru_cache, update_wrapper, wraps
+from functools import lru_cache, update_wrapper
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -71,12 +67,9 @@ def _effective_upper(a: float, f: float, degree: float) -> float:
     return a if cut >= a else cut
 
 
-# The values `_shared` and `_batched` functions returned inside the open
-# sharing scope, by (function, arguments); None while no scope is open.
+# The values `_shared` functions and `_batched` integrals returned inside the
+# open sharing scope, by (function, arguments); None while no scope is open.
 _SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared_integrals", default=None)
-# The (integral, arguments) pairs listed instead of evaluated while a mixture
-# runs to list what it reads (`_listing`); None otherwise.
-_LISTED: contextvars.ContextVar[list | None] = contextvars.ContextVar("listed_integrals", default=None)
 _MISSING = object()
 
 
@@ -84,21 +77,21 @@ _MISSING = object()
 def _sharing_scope():
     """Share `_shared` and `_batched` evaluations until the outermost scope closes.
 
-    A scope entered while one is open joins it, so an engine call made
-    inside a sweep shares with the whole sweep; leaving the outermost scope
-    drops every stored value.
+    Yields whether this scope opened the store. A scope entered while one is
+    open joins it, so an engine call made inside a sweep shares with the
+    whole sweep; leaving the outermost scope drops every stored value.
     """
     if _SHARED.get() is not None:
-        yield
+        yield False
         return
     token = _SHARED.set({})
     try:
-        yield
+        yield True
     finally:
         _SHARED.reset(token)
 
 
-def _shared(fn):
+class _shared:
     """fn, evaluated once per positional argument tuple inside a sharing scope.
 
     fn must read nothing but its (hashable) arguments, so that the tuple is
@@ -106,29 +99,28 @@ def _shared(fn):
     error. Outside a scope every call evaluates.
     """
 
-    @wraps(fn)
-    def call(*args):
+    def __init__(self, fn):
+        update_wrapper(self, fn)
+        self.fn = fn
+
+    def __call__(self, *args):
         memo = _SHARED.get()
         if memo is None:
-            return fn(*args)
-        key = (call, args)
+            return self.fn(*args)
+        key = (self, args)
         value = memo.get(key, _MISSING)
         if value is _MISSING:
-            value = memo[key] = fn(*args)
+            value = memo[key] = self.fn(*args)
         return value
 
-    return call
 
+class BatchedIntegral(_shared):
+    """A securing integral that `_evaluate` stores in batches (`_batched`).
 
-class BatchedIntegral:
-    """A securing integral that is evaluated in batches (`_batched`).
-
-    Called with its arguments it returns the integral's value: the value
-    stored in the open scope; NaN, with the arguments listed, while a
-    mixture runs to list what it reads (`_listing`); else the value of a
-    batch of one, stored in the scope if one is open. `prepare(*args)`
-    turns the arguments into a `SeriesItem`, raising for arguments the
-    integral refuses, and `user_rows` is the engine's row builder.
+    Called with its arguments it is a `_shared` function whose value is that
+    of a batch of one. `prepare(*args)` turns the arguments into a
+    `SeriesItem`, raising for arguments the integral refuses, and
+    `user_rows` is the engine's row builder.
     """
 
     def __init__(self, prepare: Callable[..., SeriesItem], user_rows):
@@ -136,21 +128,8 @@ class BatchedIntegral:
         self.prepare = prepare
         self.user_rows = user_rows
 
-    def __call__(self, *args) -> float:
-        memo = _SHARED.get()
-        key = (self, args)
-        if memo is not None:
-            value = memo.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
-        listed = _LISTED.get()
-        if listed is not None:
-            listed.append(key)
-            return math.nan
-        value = self.evaluate([self.prepare(*args)])[0]
-        if memo is not None:
-            memo[key] = value
-        return value
+    def fn(self, *args) -> float:
+        return self.evaluate([self.prepare(*args)])[0]
 
     def evaluate(self, items: list[SeriesItem]) -> list[float]:
         """The values of prepared items of one shape (`SeriesItem.shape`)."""
@@ -165,68 +144,27 @@ def _batched(user_rows):
     return lambda prepare: BatchedIntegral(prepare, user_rows)
 
 
-def _listing(calls) -> tuple[list, list]:
-    """Run each call with every `_batched` integral it reads that the open
-    scope lacks listed instead of evaluated (each reads NaN).
-
-    Returns the listed (integral, arguments) pairs, in order of first
-    reading, and each call's result, `_MISSING` for a call that raised: it
-    lists only what it read before the error, and its own later call raises
-    the error again. `_shared` functions evaluate as usual.
-    """
-    listed: list = []
-    results = []
-    token = _LISTED.set(listed)
-    try:
-        for call in calls:
-            try:
-                results.append(call())
-            except Exception:  # noqa: BLE001 - raised again by the call that reads the value
-                results.append(_MISSING)
-    finally:
-        _LISTED.reset(token)
-    return listed, results
-
-
-def _evaluate(listed) -> None:
-    """Evaluate the listed integrals the open scope lacks, in batches of one
-    integral and shape, into the scope.
-
-    An item whose preparation raises (an underflowing series base, say) is
-    left out of its batch: the call that reads it evaluates it alone and
-    raises the error itself.
-    """
+def _evaluate(plan) -> None:
+    """Store in the open scope each (function, arguments) entry of the plan
+    that it lacks: `_shared` values one by one, `_batched` integrals in
+    batches of one integral and shape. An entry that raises (a series base
+    that underflows, say) stores nothing: its reader raises the error."""
     memo = _SHARED.get()
     batches: dict = {}
-    for key in dict.fromkeys(listed):
+    for key in dict.fromkeys(plan):
         if key in memo:
             continue
-        integral, args = key
+        fn, args = key
         try:
-            item = integral.prepare(*args)
+            if isinstance(fn, BatchedIntegral):
+                item = fn.prepare(*args)
+                batches.setdefault((fn, item.shape), []).append((key, item))
+            else:
+                fn(*args)  # stores its own value
         except Exception:  # noqa: BLE001 - its reader raises it, whatever it is
             continue
-        batches.setdefault((integral, item.shape), []).append((key, item))
     for (integral, _), entries in batches.items():
         memo.update(zip((key for key, _ in entries), integral.evaluate([item for _, item in entries])))
-
-
-def _gathered(body, *args):
-    """body(*args) in the open scope, with the `_batched` integrals it reads
-    evaluated in batches first.
-
-    body runs once listing what it reads (`_listing`); when the scope held
-    every value, that run was the real one. Otherwise the listed integrals
-    are evaluated (`_evaluate`) and body runs again. Inside an enclosing
-    listing body only adds to it.
-    """
-    if _LISTED.get() is not None:
-        return body(*args)
-    listed, (result,) = _listing([lambda: body(*args)])
-    if not listed and result is not _MISSING:
-        return result
-    _evaluate(listed)
-    return body(*args)
 
 
 class QuadratureSpec:

@@ -29,7 +29,7 @@ from noma_relay_secrecy.analytic import (
 )
 from noma_relay_secrecy.channels import gain_cdf
 from noma_relay_secrecy.cli import _point_scenario, load_config
-from noma_relay_secrecy.params import combining_constants
+from noma_relay_secrecy.params import Transmission, transmission_args
 
 QUAD = quadrature(300)
 
@@ -173,7 +173,7 @@ def test_an_underflowing_user_series_base_is_named():
     # a series base that underflows to 0.0 has no logarithm; the error names
     # which one, user 1's lambda1*b or user 2's lambda2*|c|
     params = grid_params(K=2, P_dB=170.0)  # |c| = 1/(alpha1*rho) = 5e-17
-    consts, law = combining_constants(params, 0.2, 0.8, 1)
+    *_, consts, _, _, law = transmission_args(params, fixed_policy(0.2), Transmission.SINGLE, 1)
     fine, tiny = NakagamiParams(2, 1.0), NakagamiParams(2, 1e308)  # rates 2 and 2e-308
     for user1, user2, name in ((tiny, fine, "lambda1*b"), (fine, tiny, "lambda2*|c|")):
         with pytest.raises(ValueError, match=rf"^user series base {re.escape(name)} underflows to 0\.0"):

@@ -20,7 +20,7 @@ from conftest import db, fixed_policy, grid_params
 
 from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, analytic, asymptotic, scaled_params
 from noma_relay_secrecy.channels import NakagamiParams, jammed_ratio_pdf_rows
-from noma_relay_secrecy.params import combining_constants, jamming_constants
+from noma_relay_secrecy.params import Transmission, transmission_args
 from noma_relay_secrecy.quadrature import (
     _SHARED,
     _check_domain,
@@ -115,16 +115,8 @@ REFERENCES = {analytic._joint_secrecy_prob: reference_joint, asymptotic._leading
 def integral_args(params, policy, quad=QUAD) -> list[tuple]:
     """The arguments of every securing integral a mixture on params can read:
     n = 1..K relays combining, and one relay jammed by K - n = 1..K-1 idle ones."""
-    alpha1, alpha2 = policy.resolve(params.links)
-    links = params.links
-    out = []
-    for n in range(1, params.K + 1):
-        consts, law = combining_constants(params, alpha1, alpha2, n)
-        out.append((links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, n * links.m_u, law, quad))
-    for n in range(1, params.K):
-        consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
-        out.append((links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, links.m_u, law, quad))
-    return out
+    sends = [(Transmission.COMBINED, n) for n in range(1, params.K + 1)] + [(Transmission.JAMMED, n) for n in range(1, params.K)]
+    return [(*transmission_args(params, policy, kind, n), quad) for kind, n in sends]
 
 
 def high_gain(params, omega2_dB):

@@ -22,6 +22,7 @@ from noma_relay_secrecy.channels import (
     jammed_ratio_pdf,
     jammed_ratio_pdf_rows,
     jammed_ratio_survival,
+    jammed_law,
     jammed_ratio_terms,
     jammed_table,
     max_gain_pdf,
@@ -381,3 +382,16 @@ def test_jammed_rows_peak_memory_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 0.5e6
+
+
+def test_laws_built_from_the_same_arguments_are_equal():
+    # a law rebuilt after its cache dropped it is the same store key as the first
+    p = NakagamiParams(2, 0.5)
+    for build, args in ((combined_law, (p, 3)), (jammed_law, (p, 2, 4.0))):
+        first = build(*args)
+        build.cache_clear()
+        again = build(*args)
+        assert again is not first and again == first and hash(again) == hash(first)
+    # the jammed front does not depend on rho4: the bound functions tell the laws apart
+    assert jammed_law(p, 2, 4.0) != jammed_law(p, 2, 5.0)
+    assert combined_law(p, 3) != combined_law(NakagamiParams(2, 0.25), 3)

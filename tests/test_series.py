@@ -32,8 +32,14 @@ from noma_relay_secrecy import (
 )
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
 from noma_relay_secrecy.asymptotic import _leading_complement
-from noma_relay_secrecy.channels import EavesdropperLaw, combined_law, jammed_ratio_survival, jammed_ratio_terms
-from noma_relay_secrecy.params import combining_constants, feasibility_check, jamming_constants, scheme_constants
+from noma_relay_secrecy.channels import (
+    EavesdropperLaw,
+    combined_law,
+    jammed_law,
+    jammed_ratio_survival,
+    jammed_ratio_terms,
+)
+from noma_relay_secrecy.params import feasibility_check, jamming_split, scheme_constants
 from noma_relay_secrecy.quadrature import (
     _effective_upper,
     g_kernel,
@@ -107,8 +113,9 @@ def delta4_per_term(params, policy, n, quad):
 
 def combined_complement_args(params, alpha1, alpha2, n, quad, include_floor):
     """The arguments the asymptotic engine hands _leading_complement when n relays combine."""
-    consts, law = combining_constants(params, alpha1, alpha2, n)
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
     links = params.links
+    law = combined_law(links.relay_eaves, n)
     return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, n * links.m_u, law, quad, include_floor
 
 
@@ -136,8 +143,10 @@ def combined_complement_closed_form(params, alpha1, alpha2, n, quad, include_flo
 
 def jammed_complement_args(params, policy, alpha1, alpha2, n, quad, include_floor):
     """The arguments the asymptotic engine hands _leading_complement when an idle relay jams."""
-    consts, law = jamming_constants(params, policy.alphaJ, alpha1, alpha2, n)
+    rho3, rho4 = jamming_split(policy.alphaJ, params.rho2)
+    consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
     links = params.links
+    law = jammed_law(links.relay_eaves, params.K - n, rho4)
     return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, links.m_u, law, quad, include_floor
 
 

@@ -10,15 +10,18 @@ nothing with the other points.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from conftest import fixed_policy, grid_params
 
 from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, channels, cli, sop_asym_total, sop_total
 from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
-from noma_relay_secrecy.quadrature import _LISTED, _SHARED, _shared, _sharing_scope, law_rows, quadrature
+from noma_relay_secrecy.quadrature import _SHARED, _shared, _sharing_scope, law_rows, quadrature
 
+ROOT = Path(__file__).resolve().parent.parent
 SCHEMES = ["tmrc", "osrs", "tsrs", "odrs"]
 FIXED = {"alpha1": 0.2}
 DYNAMIC = {"dpa": {"mu": 5.0, "varpi": 0.1}}
@@ -198,7 +201,7 @@ def test_identical_calls_each_evaluate_their_integrals(monkeypatch):
     scaling = AsymptoticScaling(*params.links.frame)
     values = [sop_asym_total(params, policy, "tmrc", scaling, quad) for _ in range(2)]
     assert values[0] == values[1] and len(items[asymptotic]) == 2 * 4  # combined at n = 1..4
-    assert _SHARED.get() is None and _LISTED.get() is None
+    assert _SHARED.get() is None
 
 
 def test_one_call_shares_the_single_relay_term_over_n(monkeypatch):
@@ -225,6 +228,18 @@ def test_a_sweep_evaluates_each_distinct_integral_once(tmp_path, monkeypatch):
     assert _SHARED.get() is None
 
 
+def _count_shared(monkeypatch) -> list:
+    """Every value the engines' `_shared` functions compute, as (function, arguments)."""
+    computed = []
+    for shared in (analytic._decode_probs, asymptotic._ceiling_mass):
+        def counting(*args, _shared=shared, _original=shared.fn):
+            computed.append((_shared, args))
+            return _original(*args)
+
+        monkeypatch.setattr(shared, "fn", counting)
+    return computed
+
+
 @pytest.mark.parametrize("body", [WIDE_JAMMED, _config(DYNAMIC, "omega2_dB", [25.0, 30.0])])
 def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     path = tmp_path / "cfg.json"
@@ -232,13 +247,82 @@ def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     cfg = load_config(str(path))
     listed, batches = _record_batch_step(monkeypatch)
     items = _count_items(monkeypatch)
+    computed = _count_shared(monkeypatch)
+    computed_in_step = []
+
+    def evaluate(keys, _inner=cli._evaluate):
+        _inner(keys)
+        computed_in_step.append(len(computed))
+
+    monkeypatch.setattr(cli, "_evaluate", evaluate)
     rows = run_sweep(cfg)
     assert all(not row["error"] for row in rows)
     in_step = [item for _, batch in batches for item in batch]
+    integrals = {key for key in listed if key[0] in INTEGRALS.values()}
+    shared = set(listed) - integrals
     # every listed integral is evaluated in the batch step, once, and the
     # row calls that follow evaluate none
-    assert len(in_step) == len(set(listed)) == len(items[analytic]) + len(items[asymptotic])
+    assert len(in_step) == len(integrals) == len(items[analytic]) + len(items[asymptotic])
     assert len(batches) < len(in_step)
+    # so is every decoding probability and, under a fixed split, ceiling
+    # mass: the row calls compute no shared value, they only read them
+    assert computed_in_step == [len(computed)]
+    assert len(computed) == len(set(computed)) and set(computed) == shared
+    assert {fn for fn, _ in shared} == ({analytic._decode_probs} if cfg.policy.is_dynamic
+                                        else {analytic._decode_probs, asymptotic._ceiling_mass})
+
+
+def test_a_sweep_makes_one_engine_call_per_row(tmp_path):
+    # the benchmark's latency samples are the engine calls `run_sweep` makes
+    # through the cli globals its light spans wrap: one per analytic or
+    # asymptotic row, error rows included, and none for the batch step
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(RAISING))
+    cfg = load_config(str(path))
+    rec = spans.Recorder()
+    rec.install(spans.LIGHT)
+    try:
+        rec.active = True
+        rows = cli.run_sweep(cfg)
+    finally:
+        rec.active = False
+        rec.uninstall()
+    layers = rec.layers()
+    assert rec.captured_rows == rows and any(row["error"] for row in rows)
+    for engine, span in (("analytic", "analytic.sop_total"), ("asymptotic", "asymptotic.sop_asym_total")):
+        assert layers[span]["calls"] == sum(row["engine"] == engine for row in rows) == 2 * len(SCHEMES)
+
+
+def test_each_mixture_runs_once_per_row_and_per_call(tmp_path, monkeypatch):
+    bodies = {module: _count_calls(monkeypatch, module, "_mixture") for module in INTEGRALS}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config(FIXED, "P_dB", [20.0, 25.0])))
+    rows = run_sweep(load_config(str(path)))
+    assert all(not row["error"] for row in rows)
+    for module in INTEGRALS:
+        assert len(bodies[module]) == sum(row["engine"] == module.__name__.rsplit(".", 1)[1] for row in rows) == 8
+        bodies[module].clear()
+    params, policy, quad = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
+    sop_total(params, policy, "odrs", quad)
+    sop_asym_total(params, policy, "odrs", AsymptoticScaling(*params.links.frame), quad)
+    assert [len(bodies[module]) for module in INTEGRALS] == [1, 1]
+
+
+def test_a_rebuilt_law_is_the_same_store_key(tmp_path, monkeypatch):
+    # K = 70 reads 70 combined and 69 jammed laws, more than the law caches
+    # keep (64 each), so the row calls rebuild laws the batch step used; a
+    # rebuilt law must find the values stored under the first
+    body = _config(FIXED, "K", [2, 70], mR=1, mU=1, mE=1, scheme=["tmrc", "osrs", "odrs"], engine=["analytic"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(body))
+    items = _count_items(monkeypatch)
+    rows = run_sweep(load_config(str(path)))
+    assert all(not row["error"] for row in rows)
+    # combined at n = 1..70 (delta1 is n = 1) and jammed with 1..69 idle relays
+    assert len(items[analytic]) == len(set(items[analytic])) == 70 + 69
 
 
 @pytest.fixture
