@@ -33,11 +33,11 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .channels import (  # noqa: F401  (jammed_ratio_terms re-exported: the per-term reference of delta4)
+from .channels import (
     EavesdropperLaw,
     NakagamiParams,
     gain_tails,
-    jammed_ratio_terms,
+    jammed_ratio_terms,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
 )
 from .params import (
     PowerPolicy,
@@ -50,7 +50,7 @@ from .params import (
     transmission_args,
     transmission_plan,
 )
-from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the per-term reference of the series below)
+from .quadrature import (
     QuadratureSpec,
     SeriesItem,
     _batched,
@@ -61,8 +61,8 @@ from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the pe
     _sharing_scope,
     _signed_log_pow,
     convolve_series,
-    g_kernel,
-    h_kernel,
+    g_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
+    h_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
     series_rows,
 )
 
@@ -71,12 +71,6 @@ from .quadrature import (  # noqa: F401  (g_kernel, h_kernel re-exported: the pe
 def _decode_probs(source_relay: NakagamiParams, eta: float) -> tuple[float, float]:
     """P(G_sr >= eta) and P(G_sr < eta), each to its own relative precision."""
     return gain_tails(source_relay, eta)
-
-
-def decode_prob_chi(params: SystemParams) -> float:
-    """Probability chi that one relay decodes both messages: P(G_sr >= eta),
-    evaluated once per (source link, eta) inside a sharing scope."""
-    return _decode_probs(params.links.source_relay, params.eta)[0]
 
 
 def decoding_set_pmf(params: SystemParams) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Nakagami-m channel power-gain statistics.
 
 Power gains follow a Gamma(m, omega/m) law with integer shape m, so the
-CDF/PDF have finite-series forms. This module provides the single-link and
-MRC-sum distributions, inverse-CDF sampling, and the distributions that
-arise when the strongest of several gains feeds an interference ratio
-G/(1 + rho*H): the max-gain PDF via a multinomial expansion and the
-closed-form PDF/CDF of the ratio itself. The ratio law's front phi0, terms
+survival and CDF have finite-series forms. This module provides both tails
+of one gain (`gain_tails`, one scalar evaluator under it), inverse-CDF
+sampling, and the law of the interference ratio G/(1 + rho*H) when the
+strongest of several gains is H: its multinomial-expansion terms, its
+density rows and its survival. The ratio law's front phi0, terms
 and arrays (`jammed_table`) are built once per (link, count, rho4), since
 they do not depend on where the law is evaluated; every density and survival
 call, and both engines, read them. Each eavesdropper law the securing integrals
@@ -58,57 +58,6 @@ class NakagamiParams:
         return self.m / self.omega
 
 
-def _survival_prefixes(m: int, z) -> np.ndarray:
-    """Row s-1 is exp(-z) * sum_{k<s} z^k/k! for s = 1..m, z >= 0.
-
-    One running pass of the series gives every shape's prefix, with the
-    operations of a pass that stops at s; z > 700 switches to log space.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    totals = np.empty((m,) + z.shape)
-    total = totals[0] = np.ones_like(z)
-    term = np.ones_like(z)
-    for k in range(1, m):
-        term = term * z / k
-        total = totals[k] = total + term
-    with np.errstate(over="ignore"):
-        out = np.exp(-z) * totals
-    big = z > 700.0
-    if np.any(big):
-        zb = z[big]
-        logtot = np.zeros_like(zb)
-        out[0, big] = np.exp(-zb + logtot)
-        for k in range(1, m):
-            logtot = np.logaddexp(logtot, k * np.log(zb) - math.lgamma(k + 1))
-            out[k, big] = np.exp(-zb + logtot)
-    return out
-
-
-def _survival_series(m: int, z):
-    """exp(-z) * sum_{k<m} z^k/k! for z >= 0, switching to log space for large z."""
-    return _survival_prefixes(m, z)[m - 1]
-
-
-def _cdf_series(m: int, z: np.ndarray) -> np.ndarray:
-    """exp(-z) * sum_{k>=m} z^k/k!, the Gamma(m) CDF at rate-scaled z, summed
-    directly so that a small CDF keeps its relative precision (1 - survival
-    cancels to 0 there). Meant for z < m, where the terms fall from the first."""
-    with np.errstate(divide="ignore"):
-        first = np.exp(m * np.log(z) - z - math.lgamma(m + 1))
-    return np.array([_cdf_sum(m, zi, term) for zi, term in zip(z.tolist(), first.tolist())])
-
-
-def _cdf_sum(m: int, z: float, term: float) -> float:
-    """The CDF series at one z from its first term, on Python floats: the
-    IEEE steps of array arithmetic, without a numpy call per term."""
-    total, k = term, m
-    while term > total * 1e-17:
-        k += 1
-        term = term * z / k
-        total += term
-    return total
-
-
 def _as_given(x_in, out):
     """Return a float for scalar input, an ndarray otherwise."""
     if np.isscalar(x_in) or getattr(x_in, "ndim", 1) == 0:
@@ -116,62 +65,53 @@ def _as_given(x_in, out):
     return out
 
 
-def _survival_float(m: int, z: float) -> float:
-    """The survival series at one z <= 700 on Python floats: the IEEE steps
-    of `_survival_prefixes`' running pass, without its one-element numpy calls."""
-    total = term = 1.0
-    for k in range(1, m):
+def _gamma_tails(m: int, z: float) -> tuple[float, float]:
+    """The Gamma(m) survival exp(-z) * sum_{k<m} z^k/k! and CDF at one rate-scaled
+    z >= 0, each to relative precision: the survival sums in log space past z = 700,
+    and below the mean m, where 1 - survival cancels, the CDF sums its own series."""
+    if z <= 700.0:
+        total = term = 1.0
+        for k in range(1, m):
+            term = term * z / k
+            total += term
+        survival = float(np.exp(-z)) * total
+    elif z == math.inf:
+        return 0.0, 1.0
+    else:
+        log_z, log_total = np.log(z), 0.0
+        for k in range(1, m):
+            log_total = np.logaddexp(log_total, k * log_z - math.lgamma(k + 1))
+        survival = float(np.exp(-z + log_total))
+    if not z < m:
+        return survival, 1.0 - survival
+    with np.errstate(divide="ignore"):
+        term = float(np.exp(m * np.log(z) - z - math.lgamma(m + 1)))
+    total, k = term, m
+    while term > total * 1e-17:
+        k += 1
         term = term * z / k
         total += term
-    return float(np.exp(-z)) * total
+    return survival, total
+
+
+def gain_tails(p: NakagamiParams, x):
+    """(P(G > x), P(G <= x)), each with relative precision (`_gamma_tails`):
+    floats for one value, arrays of x's shape for an array."""
+    if np.ndim(x) == 0:
+        x = float(x)
+        if x < 0:
+            raise ValueError("x must be nonnegative")
+        return _gamma_tails(p.m, p.rate * x)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("x must be nonnegative")
+    survival, cdf = np.frompyfunc(partial(_gamma_tails, p.m), 1, 2)(p.rate * x)
+    return survival.astype(float), cdf.astype(float)
 
 
 def gain_survival(p: NakagamiParams, x):
     """P(G > x) = exp(-lambda*x) * sum_{k<m} (lambda*x)^k/k!; accurate deep in the tail."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    z = p.rate * x
-    if z.ndim == 0 and z <= 700.0:
-        return _survival_float(p.m, float(z))
-    return _as_given(x, _survival_series(p.m, z))
-
-
-def gain_tails(p: NakagamiParams, x):
-    """(P(G > x), P(G <= x)), the survival and the CDF from one pass, each with
-    relative precision: below the mean m the CDF sums its own series, where
-    1 - survival would cancel."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    z = p.rate * x
-    if z.ndim == 0 and z < min(p.m, 700.0):
-        # One value, as the engines ask: both series on Python floats, the
-        # steps of the array path below without its one-element numpy calls.
-        with np.errstate(divide="ignore"):
-            first = float(np.exp(p.m * np.log(z) - z - math.lgamma(p.m + 1)))
-        return _survival_float(p.m, float(z)), _cdf_sum(p.m, float(z), first)
-    z = np.atleast_1d(z)
-    survival = _survival_series(p.m, z)
-    cdf = 1.0 - survival
-    low = z < p.m  # at or above the mean m the CDF exceeds 1/2 and 1 - survival keeps its digits
-    cdf[low] = _cdf_series(p.m, z[low])
-    return _as_given(x, survival), _as_given(x, cdf)
-
-
-def gain_cdf(p: NakagamiParams, x):
-    """CDF of the power gain, 1 - gain_survival, with relative precision at small x."""
-    return gain_tails(p, x)[1]
-
-
-def gain_pdf(p: NakagamiParams, x):
-    """PDF x^{m-1} lambda^m exp(-lambda*x) / (m-1)!."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
-    lam = p.rate
-    out = np.power(x, p.m - 1) * lam**p.m * np.exp(-lam * x) / math.factorial(p.m - 1)
-    return _as_given(x, out)
+    return gain_tails(p, x)[0]
 
 
 def _mrc_params(p: NakagamiParams, n: int) -> NakagamiParams:
@@ -179,11 +119,6 @@ def _mrc_params(p: NakagamiParams, n: int) -> NakagamiParams:
     if int(n) != n or n < 1:
         raise ValueError(f"combiner size n must be a positive integer, got {n!r}")
     return NakagamiParams(m=p.m * int(n), omega=p.omega * int(n))
-
-
-def mrc_sum_cdf(p: NakagamiParams, n: int, x):
-    """CDF of the sum of n i.i.d. gains (maximal-ratio combining): shape n*m, same rate."""
-    return gain_cdf(_mrc_params(p, n), x)
 
 
 def sample_gain(p: NakagamiParams, rng, size=None):
@@ -265,18 +200,6 @@ def enumerate_multinomial_terms(m_e: int, count: int) -> tuple[MultinomialTerm, 
         sign = -1.0 if used % 2 else 1.0
         terms.append(MultinomialTerm(exps, sign * math.exp(log_coeff), big_b, 1 + used))
     return tuple(terms)
-
-
-def max_gain_pdf(p: NakagamiParams, count: int, z):
-    """PDF of the maximum of `count` i.i.d. gains via the multinomial expansion."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("z must be nonnegative")
-    lam = p.rate
-    acc = np.zeros_like(z)
-    for t in enumerate_multinomial_terms(p.m, count):
-        acc = acc + t.a_value(lam) * np.power(z, t.B + p.m - 1) * np.exp(-t.C * lam * z)
-    return _as_given(z, jammed_table(p, count, 0.0).phi0 * acc)
 
 
 @dataclass(frozen=True)
@@ -367,9 +290,9 @@ def jammed_table(p_e: NakagamiParams, count: int, rho4: float) -> JammedTable:
 
 
 def jammed_ratio_terms(p_e: NakagamiParams, count: int, rho4: float) -> tuple[JammedTerm, ...]:
-    """The triple-sum terms of the Y = G/(1+rho4*H) law (see `jammed_table`),
-    one per (composition, k, j): the per-term reference of the engines'
-    node-summed jammed integrals."""
+    """The triple-sum terms of the Y = G/(1+rho4*H) law (see `jammed_table`), one per
+    (composition, k, j): the tests' per-term reference of the engines' jammed
+    integrals, kept in the package for bench/spans.py, which traces it."""
     return jammed_table(p_e, count, rho4).terms
 
 
@@ -401,12 +324,6 @@ def jammed_ratio_survival(p_e: NakagamiParams, count: int, rho4: float, y):
         vals = tab.delta[at].reshape(col) * y_pow[tab.k[at]] / denom[tab.which[at]]
         acc = np.add.accumulate(np.concatenate([acc, vals]), axis=0)[-1:]  # sequential, unlike add.reduce
     return _as_given(y, tab.phi0 * np.exp(-p_e.rate * y) * acc[0])
-
-
-def jammed_ratio_cdf(p_e: NakagamiParams, count: int, rho4: float, y):
-    """CDF of Y = G/(1 + rho4*H); 0 at the origin, 1 in the limit."""
-    y = np.asarray(y, dtype=float)
-    return _as_given(y, 1.0 - np.asarray(jammed_ratio_survival(p_e, count, rho4, y)))
 
 
 def jammed_ratio_pdf_rows(p_e: NakagamiParams, count: int, rho4: float, y) -> np.ndarray:
@@ -455,15 +372,6 @@ def jammed_ratio_pdf_rows(p_e: NakagamiParams, count: int, rho4: float, y) -> np
                 buf[0] = rows[k]
             np.add.reduce(buf[int(start == lo) : 1 + stop - start], axis=0, out=rows[k, ...])
     return rows
-
-
-def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
-    """PDF of Y = G/(1 + rho4*H); derivative of jammed_ratio_cdf."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("y must be nonnegative")
-    acc = jammed_ratio_pdf_rows(p_e, count, rho4, y).sum(axis=0)
-    return _as_given(y, jammed_table(p_e, count, rho4).phi0 * np.exp(-p_e.rate * y) * acc)
 
 
 # A law's functions with its arguments bound, one object per (function,

@@ -211,15 +211,10 @@ class _Selection:
             trials = self.cols if trials is None else self.cols[trials]
         return g if trials is None else np.take(g, trials, axis=1)
 
-    def _margin1(self, trials) -> np.ndarray:
-        """User 1's margin at every relay of the given trials."""
-        lhs, rhs = _sides1(self.rule, self.rho, self._user(self.g_1, trials), np.take(self.ge, trials, axis=1))
-        lhs /= rhs
-        return lhs
-
-    def _margin2(self, trials) -> np.ndarray:
-        """User 2's margin at every relay of the given trials."""
-        lhs, rhs = _sides2(self.rule, self.rho, self._user(self.g_2, trials), np.take(self.ge, trials, axis=1))
+    def _margin(self, sides, g, trials) -> np.ndarray:
+        """The margin of one user's check (`_sides1` with g_1, `_sides2` with
+        g_2) at every relay of the given trials."""
+        lhs, rhs = sides(self.rule, self.rho, self._user(g, trials), np.take(self.ge, trials, axis=1))
         lhs /= rhs
         return lhs
 
@@ -238,7 +233,8 @@ class _Selection:
         codes[self.secure] = _SECURE
         out = np.flatnonzero(self.live & ~self.secure)
         if out.size:
-            best = self._best(out, np.minimum(self._margin1(out), self._margin2(out)))
+            margin = np.minimum(self._margin(_sides1, self.g_1, out), self._margin(_sides2, self.g_2, out))
+            best = self._best(out, margin)
             codes[out] = (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
 
     def two_step(self, codes) -> None:
@@ -249,7 +245,7 @@ class _Selection:
         codes[self.live & has & ~self.secure] = _U2
         none = np.flatnonzero(self.live & ~has)
         if none.size:
-            best = self._best(none, self._margin1(none))
+            best = self._best(none, self._margin(_sides1, self.g_1, none))
             codes[none] = _U1 + 2 * (~np.take(self.ok2, best))
 
 
@@ -318,20 +314,6 @@ def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
             if idle.size:
                 codes[idle] = _jammed_codes(rule, alpha_j, two_step, idle, dec, g_1, g_2, g_e)
     return out
-
-
-def _scheme_codes(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scheme: SchemeKind,
-    g_sr: np.ndarray,
-    g_1: np.ndarray,
-    g_2: np.ndarray,
-    g_e: np.ndarray,
-) -> np.ndarray:
-    """Outcome code per trial for relay-major (K x trials) draws of one scenario."""
-    verdict = _verdict(SchemeKind(scheme), policy)
-    return _block_codes(_rule(params, policy), (verdict,), g_sr, g_1, g_2, g_e)[verdict]
 
 
 def _chunk_sizes(config: TrialConfig):
@@ -551,26 +533,3 @@ def estimate_sop(
     """Monte Carlo SOP estimate for one scheme."""
     return estimate_many(params, policy, [scheme], config)[SchemeKind(scheme)]
 
-
-def paired_verdicts(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scheme_a: SchemeKind,
-    scheme_b: SchemeKind,
-    config: TrialConfig,
-) -> tuple[int, int]:
-    """Count draws where two schemes reach the same secure/outage verdict.
-
-    Returns (matches, trials). Outage attribution may differ between schemes;
-    only the binary verdict is compared.
-    """
-    rule = _rule(params, policy)
-    a = _verdict(SchemeKind(scheme_a), policy)
-    b = _verdict(SchemeKind(scheme_b), policy)
-
-    def same(block) -> int:
-        codes = _block_codes(rule, dict.fromkeys((a, b)), *block)
-        return int(((codes[a] == _SECURE) == (codes[b] == _SECURE)).sum())
-
-    matches = sum(_run_shared(same, _blocks(config, params)))
-    return matches, config.trials

@@ -333,7 +333,10 @@ def transmission_plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeK
 
 
 def clamp_probability(p: float) -> float:
-    """p clipped to [0, 1]: the one place an engine's rounding past either end is cut."""
+    """p clipped to [0, 1]: the one place an engine's rounding past either end
+    is cut. A NaN is no rounding and raises, so its row fails loudly."""
+    if math.isnan(p):
+        raise ValueError("probability is NaN")
     return min(max(p, 0.0), 1.0)
 
 

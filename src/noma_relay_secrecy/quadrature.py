@@ -20,8 +20,8 @@ node count) and differ in their constants, so their nodes stack as one
 each item at its own cut(s). An engine supplies only its user-row builder.
 Degrees are grouped by their `_effective_upper` cut, which depends on a
 term's degree. `g_kernel` and `h_kernel` evaluate one term of each shape on
-its own. No engine calls them: they are the per-term references the exact
-and leading-order series are tested against.
+its own. No engine calls them: they are the tests' per-term references,
+kept in the package for `bench/spans.py` and `bench/micro.py`.
 
 Each engine call opens a sharing scope (`_sharing_scope`), and `cli.run_sweep`
 opens one around all its points. Inside it a `_shared` function or a
@@ -230,15 +230,13 @@ def _signed_log_pow(base: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """k*log|base| and sign(base)^k elementwise; k = 0 contributes nothing.
 
     k is a nonnegative integer or an integer array broadcasting against base.
-    For an array k the sign comes from k's parity, not a float power:
-    sign(base) at odd k, its square at even k > 0 and 1 at k = 0, which is
-    sign(base)^k for every base, ±0, NaN and ±inf included.
+    The sign comes from k's parity, not a float power: sign(base) at odd k,
+    its square at even k > 0 and 1 at k = 0, which is sign(base)^k for every
+    base, ±0, NaN and ±inf included.
     """
     k = np.asarray(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         logmag = np.where(k == 0, 0.0, k * np.log(np.abs(base)))
-    if k.ndim == 0:
-        return logmag, np.sign(base) ** k  # 0^0 = 1: k = 0 keeps a zero base's sign at 1
     sign = np.sign(base)
     return logmag, np.where(k % 2 == 1, sign, np.where(k == 0, 1.0, sign * sign))
 

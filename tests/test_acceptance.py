@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 from conftest import db, grid_params
+from oracles import jammed_ratio_cdf, jammed_ratio_pdf, max_gain_pdf, paired_verdicts
 from scipy import integrate, special, stats
 
 from noma_relay_secrecy import (
@@ -36,8 +37,7 @@ from noma_relay_secrecy import (
     sop_total,
 )
 from noma_relay_secrecy.analytic import sop_cond
-from noma_relay_secrecy.channels import jammed_ratio_cdf, jammed_ratio_pdf, jammed_ratio_terms, max_gain_pdf
-from noma_relay_secrecy.montecarlo import paired_verdicts
+from noma_relay_secrecy.channels import jammed_ratio_terms
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
 
 QUAD = quadrature(300)

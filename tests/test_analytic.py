@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 from conftest import fixed_policy, grid_params
+from oracles import decode_prob_chi, gain_cdf
 from scipy import stats
 
 from noma_relay_secrecy import (
@@ -21,13 +22,11 @@ from noma_relay_secrecy import (
 )
 from noma_relay_secrecy.analytic import (
     _joint_secrecy_prob,
-    decode_prob_chi,
     decoding_set_pmf,
     delta1,
     sop_cond,
     sop_tmrc_cond,
 )
-from noma_relay_secrecy.channels import gain_cdf
 from noma_relay_secrecy.cli import _point_scenario, load_config
 from noma_relay_secrecy.params import Transmission, transmission_args
 

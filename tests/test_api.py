@@ -27,7 +27,7 @@ from noma_relay_secrecy import (
     sop_floor_total,
     sop_total,
 )
-from noma_relay_secrecy import montecarlo
+from noma_relay_secrecy import analytic, channels, montecarlo
 from noma_relay_secrecy.analytic import decoding_set_pmf, sop_cond
 from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
 from noma_relay_secrecy.params import Transmission
@@ -45,6 +45,14 @@ def test_every_export_is_importable_and_documented():
     for name in names:
         assert name in star
         assert re.search(rf"\b{name}\b", README), f"{name} is exported but not in README.md"
+
+
+def test_test_only_references_live_in_the_oracles():
+    # the references only tests call are in tests/oracles.py, not the package
+    moved = ("gain_cdf", "gain_pdf", "mrc_sum_cdf", "max_gain_pdf", "jammed_ratio_cdf", "jammed_ratio_pdf",
+             "decode_prob_chi", "_scheme_codes", "paired_verdicts")
+    for module in (channels, analytic, montecarlo):
+        assert not [name for name in moved if hasattr(module, name)], module.__name__
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 from conftest import db, fixed_policy, grid_params
+from oracles import mrc_sum_cdf
 
 from noma_relay_secrecy import (
     AsymptoticScaling,
@@ -23,7 +24,7 @@ from noma_relay_secrecy import (
 )
 from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
-from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival, mrc_sum_cdf
+from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival
 from noma_relay_secrecy.params import scheme_constants
 
 QUAD = quadrature(300)

@@ -6,27 +6,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import gain_cdf, gain_pdf, jammed_ratio_cdf, jammed_ratio_pdf, max_gain_pdf, mrc_sum_cdf
 from scipy import integrate, special, stats
 
 from noma_relay_secrecy.channels import (
     NakagamiParams,
-    _survival_prefixes,
-    _survival_series,
     combined_law,
     enumerate_multinomial_terms,
-    gain_cdf,
-    gain_pdf,
     gain_survival,
     gain_tails,
-    jammed_ratio_cdf,
-    jammed_ratio_pdf,
     jammed_ratio_pdf_rows,
     jammed_ratio_survival,
     jammed_law,
     jammed_ratio_terms,
     jammed_table,
-    max_gain_pdf,
-    mrc_sum_cdf,
     sample_gain,
 )
 
@@ -263,22 +256,9 @@ def test_gain_tails_equal_array_series_bit_for_bit():
             assert gain_survival(p, float(xi)) == s_i
 
 
-def test_one_value_survival_equals_the_array_series_bit_for_bit():
-    # the one-value float path runs up to z = 700, past which the array
-    # path's log-space branch takes over
-    for m in (1, 2, 3, 5, 13):
-        p = NakagamiParams(m, 0.7)
-        z = np.concatenate([[0.0, 1e-300], np.linspace(0.01, 60.0, 97), [699.9, 700.0, 700.5, 1500.0]])
-        x = z / p.rate
-        survival = gain_survival(p, x)
-        for xi, s_i in zip(x.tolist(), survival):
-            got = gain_survival(p, xi)
-            assert type(got) is float and np.float64(got).tobytes() == s_i.tobytes()
-
-
 def _survival_series_per_shape(m, z):
-    """The survival series as one pass that stops at shape m: the reference
-    the running pass over every shape must equal bit for bit."""
+    """The survival series as one array pass that stops at shape m: the
+    reference `gain_survival` must equal bit for bit, one value or an array."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     total = np.ones_like(z)
     term = np.ones_like(z)
@@ -297,13 +277,38 @@ def _survival_series_per_shape(m, z):
     return out
 
 
+# z over [0, 1500]: the running sum up to 700, the log-space sum past it
+SURVIVAL_Z = np.concatenate([np.linspace(0.0, 60.0, 121), np.linspace(60.0, 1500.0, 49), [699.9, 700.0, 700.5]])
+
+
 def test_survival_prefixes_equal_per_shape_passes():
-    z = np.concatenate([np.linspace(0.0, 60.0, 121), [699.9, 700.0, 700.5, 1500.0]])
+    # every shape s up to m, on arrays: rate 1 puts x on the reference's z exactly
     for m in (1, 2, 5, 13):
-        prefixes = _survival_prefixes(m, z)
         for s in range(1, m + 1):
-            assert np.array_equal(prefixes[s - 1], _survival_series_per_shape(s, z))
-        assert np.array_equal(_survival_series(m, z), _survival_series_per_shape(m, z))
+            survival = gain_survival(NakagamiParams(s, float(s)), SURVIVAL_Z)
+            assert survival.tobytes() == _survival_series_per_shape(s, SURVIVAL_Z).tobytes()
+
+
+def test_one_value_survival_equals_the_array_series_bit_for_bit():
+    # one value goes straight to the scalar evaluator, on either side of z = 700
+    for m in (1, 2, 3, 5, 13):
+        p = NakagamiParams(m, 0.7)
+        x = np.concatenate([[1e-300 / p.rate], SURVIVAL_Z / p.rate])
+        ref = _survival_series_per_shape(m, p.rate * x)
+        for xi, s_i in zip(x.tolist(), ref):
+            got = gain_survival(p, xi)
+            assert type(got) is float and np.float64(got).tobytes() == s_i.tobytes()
+
+
+def test_tails_at_infinity():
+    # past the log-space branch's reach, where -inf + inf would give NaN
+    for m in (1, 2, 3, 5, 13):
+        p = NakagamiParams(m, 0.7)
+        assert gain_survival(p, math.inf) == 0.0
+        assert gain_tails(p, math.inf) == (0.0, 1.0)
+        survival, cdf = gain_tails(p, np.array([1.0, math.inf]))
+        assert survival[1] == 0.0 and cdf[1] == 1.0
+        assert gain_survival(p, np.array([math.inf, 2.0]))[0] == 0.0
 
 
 def _pdf_rows_from_terms(p_e, count, rho4, y):

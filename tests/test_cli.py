@@ -399,6 +399,20 @@ def test_demo_csv_matches_golden(tmp_path, command, config, golden):
     assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
 
 
+def test_nan_sop_fails_its_row(tmp_path, capsys):
+    # at -3200 dB the exact mixture is NaN: its rows carry the error and the
+    # command exits 3, where they once printed sop = nan and exited 0
+    cfg = json.loads((ROOT / "demos" / "configs" / "reference.json").read_text())
+    cfg["sweep"] = {"var": "P_dB", "values": [-3200, -320, 10]}
+    assert main(["analytic", _write(tmp_path, cfg)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    rows = list(csv.DictReader(lines))
+    assert [(r["sop"], r["error"]) for r in rows[:4]] == [("", "probability is NaN")] * 4
+    assert [(r["sop"], r["error"]) for r in rows[4:8]] == [("1.0000000000e+00", "")] * 4
+    golden = (ROOT / "tests" / "golden" / "reference_analytic.csv").read_text().splitlines()
+    assert lines[9:] == [line for line in golden if line.startswith("P_dB,1.0000000000e+01,")]
+
+
 def test_validate_report_matches_golden(capsys):
     # the validate report prints every z-score, so it pins both engines
     assert main(["validate", str(ROOT / "demos" / "configs" / "reference.json")]) == 0

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import fixed_policy, grid_params
+from oracles import _scheme_codes, paired_verdicts
 
 from noma_relay_secrecy import (
     NakagamiParams,
@@ -32,9 +33,7 @@ from noma_relay_secrecy.montecarlo import (
     _chunk_stream,
     _draw_blocks,
     _rule,
-    _scheme_codes,
     _verdict,
-    paired_verdicts,
 )
 from noma_relay_secrecy.channels import sample_gain
 from noma_relay_secrecy.params import LinkSet, scheme_constants
