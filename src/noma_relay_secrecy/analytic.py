@@ -1,17 +1,18 @@
 """Closed-form secrecy outage probability for the four relay-selection schemes.
 
 The outage mixture runs over the size n of the decoding set (binomial with
-per-relay success chi). Conditioned on n (`sop_cond`), a scheme's relays
-transmit in one of three ways (`SchemeKind.transmission`): all n combine
-(`sop_tmrc_cond`), the best single relay sends (`delta1`), or it sends while
-an idle relay jams (`delta4`). Each is one securing integral of the users'
-Gamma survival series against the eavesdropper's gain law
-(`_joint_secrecy_prob`); only the law changes (`channels.combined_law`,
-`channels.jammed_law`). Written out, that is one g-kernel (h-kernel under
-jamming) integral per series term; here the series are summed at each
-quadrature node and integrated once, by the kernel both engines share
-(`quadrature.series_integrals`), the same sum because quadrature is linear.
-This engine supplies its user rows (`_user_rows`). Given the eavesdropper
+per-relay success chi), and `params.mixture` writes it for both closed-form
+engines. Conditioned on n (`sop_cond`), a scheme's relays transmit in one of
+three ways (`SchemeKind.transmission`), and this engine supplies each one's
+outage (`_outage`): all n combine (`sop_tmrc_cond`), the best single relay
+sends (`delta1`), or it sends while an idle relay jams (`delta4`). Each is
+one securing integral of the users' Gamma survival series against the
+eavesdropper's gain law (`_joint_secrecy_prob`); only the law changes
+(`channels.combined_law`, `channels.jammed_law`). Written out, that is one
+g-kernel (h-kernel under jamming) integral per series term; here the series
+are summed at each quadrature node and integrated once, by the kernel both
+engines share (`quadrature.series_integrals`), the same sum because
+quadrature is linear. This engine supplies its user rows (`_user_rows`). Given the eavesdropper
 gain x, both users stay secure iff x < a, the strong user's gain exceeds
 b + theta1*x, and the weak user's exceeds c*(1 + u/(1-v*x)), v = 1/a; only
 below the ceiling a can that hold, which creates the high-SNR outage floor.
@@ -21,15 +22,16 @@ The constants, the laws, the jamming split and the clip to [0, 1] come from
 `sop_total` runs the one flow of `quadrature`: plan, batch, one mixture.
 `_plan` lists the decoding probabilities and each n's securing integral,
 whose arguments come from the builder the conditionals read through
-(`params.transmission_args`). Within one call, or one sweep, each distinct
-integral is evaluated once: the single-relay term serves every scheme and n
-that sends singly, and a combined term at n or a jammed term with K - n
-idle relays serves every K that needs it.
+(`params.transmission_args`), and `quadrature._evaluate` returns their
+values in a dict, which the readers take as `values`. Within one call, or
+one sweep, each distinct integral is evaluated once: the single-relay term
+serves every scheme and n that sends singly, and a combined term at n or a
+jammed term with K - n idle relays serves every K that needs it.
 """
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -47,6 +49,8 @@ from .params import (
     SystemParams,
     Transmission,
     clamp_probability,
+    conditional,
+    mixture,
     transmission_args,
     transmission_plan,
 )
@@ -57,8 +61,7 @@ from .quadrature import (
     _check_domain,
     _column,
     _evaluate,
-    _shared,
-    _sharing_scope,
+    _read,
     _signed_log_pow,
     convolve_series,
     g_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
@@ -67,19 +70,18 @@ from .quadrature import (
 )
 
 
-@_shared
 def _decode_probs(source_relay: NakagamiParams, eta: float) -> tuple[float, float]:
     """P(G_sr >= eta) and P(G_sr < eta), each to its own relative precision."""
     return gain_tails(source_relay, eta)
 
 
-def decoding_set_pmf(params: SystemParams) -> np.ndarray:
+def decoding_set_pmf(params: SystemParams, *, values: dict | None = None) -> np.ndarray:
     """Binomial law of the decoding-set size; entry n is C(K,n) chi^n miss^{K-n}.
 
     The miss probability 1 - chi is the gain CDF at eta, not 1 - chi
     itself, which cancels to rounding noise (even below 0) once chi is
     within an ulp of 1."""
-    chi, miss = _decode_probs(params.links.source_relay, params.eta)
+    chi, miss = _read(values, _decode_probs, params.links.source_relay, params.eta)
     k = params.K
     return np.array([math.comb(k, n) * chi**n * miss ** (k - n) for n in range(k + 1)])
 
@@ -149,9 +151,9 @@ def _joint_secrecy_prob(
     whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
     summed at each node and the integral is taken once. The function
     prepares the integral's `SeriesItem`; as a `_batched` integral it reads
-    nothing but its arguments and is evaluated once per argument tuple in a
-    sharing scope, in batches. A series base lambda1*b or lambda2*|c| that
-    underflows to 0.0 has no logarithm (ValueError).
+    nothing but its arguments and is evaluated once per argument tuple of
+    an `_evaluate` call, in batches. A series base lambda1*b or
+    lambda2*|c| that underflows to 0.0 has no logarithm (ValueError).
     """
     lambda1, lambda2 = user1.rate, user2.rate
     a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
@@ -167,29 +169,33 @@ def _joint_secrecy_prob(
     return SeriesItem(a, f, log_front, law, law.degree, 2 * tau_u - 1 + law.n_rows - 1, user, quad)
 
 
-def _secured(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int, quad: QuadratureSpec) -> float:
+def _secured(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int, quad: QuadratureSpec,
+             values: dict | None) -> float:
     """P(both users secured) when n decoding relays transmit as `sends`
-    (`params.transmission_args`); 0 for an infeasible split."""
+    (`params.transmission_args`), read from values (`quadrature._read`); 0
+    for an infeasible split."""
     args = transmission_args(params, policy, sends, n)
-    return 0.0 if args is None else _joint_secrecy_prob(*args, quad)
+    return 0.0 if args is None else _read(values, _joint_secrecy_prob, *args, quad)
 
 
-def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
+def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec, *,
+                  values: dict | None = None) -> float:
     """Outage probability given n decoding relays that all transmit and combine:
     each sends at P_R/n and every receiver, the eavesdropper included, sums
     their n gains, so the user and eavesdropper shapes scale to n*m_U and n*m_E."""
     if n < 1:
         raise ValueError("n must be >= 1; the empty decoding set is certain outage")
-    return clamp_probability(1.0 - _secured(params, policy, Transmission.COMBINED, n, quad))
+    return clamp_probability(1.0 - _secured(params, policy, Transmission.COMBINED, n, quad, values))
 
 
-def delta1(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec) -> float:
+def delta1(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, *, values: dict | None = None) -> float:
     """Per-relay probability that a single relay at full power secures both
     users: the combined transmission at n = 1."""
-    return clamp_probability(_secured(params, policy, Transmission.SINGLE, 1, quad))
+    return clamp_probability(_secured(params, policy, Transmission.SINGLE, 1, quad, values))
 
 
-def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec) -> float:
+def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec, *,
+           values: dict | None = None) -> float:
     """Per-relay securing probability when a non-decoding relay jams the eavesdropper.
 
     Valid for n < K: the strongest of the K-n idle relays' eavesdropper links
@@ -200,20 +206,18 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
         raise ValueError("n must be below K: the jamming relay comes from the idle set")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    return clamp_probability(_secured(params, policy, Transmission.JAMMED, n, quad))
+    return clamp_probability(_secured(params, policy, Transmission.JAMMED, n, quad, values))
 
 
-def _conditional(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec):
-    """The scheme's conditional SOP as a function of n: combining is
-    `sop_tmrc_cond`, a single candidate fails with 1 - delta1 and a jammed
-    one with 1 - delta4. delta1, constants and all, is formed once per
-    call, at its first use."""
-    return SchemeKind(scheme).conditional(
-        params.K,
-        combined=lambda n: sop_tmrc_cond(params, policy, n, quad),
-        single=cache(lambda: 1.0 - delta1(params, policy, quad)),
-        jammed=lambda n: 1.0 - delta4(params, policy, n, quad),
-    )
+def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, values: dict | None,
+            sends: Transmission, n: int) -> float:
+    """The outage of `params.conditional`: combining is `sop_tmrc_cond`, a
+    single candidate fails with 1 - delta1 and a jammed one with 1 - delta4."""
+    if sends is Transmission.COMBINED:
+        return sop_tmrc_cond(params, policy, n, quad, values=values)
+    if sends is Transmission.SINGLE:
+        return 1.0 - delta1(params, policy, quad, values=values)
+    return 1.0 - delta4(params, policy, n, quad, values=values)
 
 
 def _plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec) -> list:
@@ -227,29 +231,24 @@ def _plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: Q
 def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec) -> float:
     """Outage probability given n decoding relays under the scheme: one
     securing integral, evaluated alone (a batch of one)."""
-    return _conditional(params, policy, scheme, quad)(n)
+    return conditional(SchemeKind(scheme), n, params.K, partial(_outage, params, policy, quad, None))
 
 
-def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec) -> SopResult:
+def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec,
+             values: dict) -> SopResult:
     """The body of `sop_total`: the conditionals mixed over the decoding-set law."""
-    pmf = decoding_set_pmf(params)
-    cond = _conditional(params, policy, scheme, quad)
-    total = sum(pmf[n] * cond(n) for n in range(params.K + 1))
+    outage = partial(_outage, params, policy, quad, values)
+    total = mixture(decoding_set_pmf(params, values=values), SchemeKind(scheme), outage)
     return SopResult(value=clamp_probability(float(total)), engine="analytic")
 
 
-def sop_total(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scheme: SchemeKind,
-    quad: QuadratureSpec,
-) -> SopResult:
+def sop_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec, *,
+              values: dict | None = None) -> SopResult:
     """Total SOP: mixture of the conditional SOPs over the decoding-set law.
 
-    Outside a sharing scope it opens one, evaluates its `_plan` in batches
-    and runs the mixture once on the stored values; inside a caller's scope
-    (a sweep's, planned already) it runs the mixture alone."""
-    with _sharing_scope() as opened:
-        if opened:
-            _evaluate(_plan(params, policy, scheme, quad))
-        return _mixture(params, policy, scheme, quad)
+    With values None it evaluates its `_plan` in batches (`quadrature._evaluate`)
+    and runs the mixture once on the values; a sweep passes the values of
+    all its points, planned already, and the call runs the mixture alone."""
+    if values is None:
+        values = _evaluate(_plan(params, policy, scheme, quad))
+    return _mixture(params, policy, scheme, quad, values)

@@ -18,29 +18,33 @@ mass at finite omega2 would bury the power-law decay the diversity order
 describes, hence it is omitted on the dynamic branch.
 
 Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
-transmit off its `SchemeKind` record, as the exact engine does: combining,
-a single relay, or a jammed one. Each is one leading-order complement
-(`_leading_complement`) under the exact engine's eavesdropper law for that
-transmission (`channels.combined_law`, `channels.jammed_law`): the ceiling
-mass (`_ceiling_mass`), which `sop_floor_cond` keeps alone, plus the
-integral of three user terms (`_leading_integral`), summed at each
-quadrature node and integrated once by the kernel both engines share
-(`quadrature.series_integrals`). This engine supplies its user rows, the
-leading terms (`_leading_user_rows`). No engine calls `g_kernel` or
-`h_kernel`; both remain the per-term references of the complement.
+transmit off its `SchemeKind` record through the mixture the exact engine
+runs too (`params.conditional`, `params.mixture`): combining, a single
+relay, or a jammed one. This engine supplies each one's outage (`_outage`),
+one leading-order complement (`_leading_complement`) under the exact
+engine's eavesdropper law for that transmission (`channels.combined_law`,
+`channels.jammed_law`): the ceiling mass (`_ceiling_mass`), which
+`sop_floor_cond` keeps alone, plus the integral of three user terms
+(`_leading_integral`), summed at each quadrature node and integrated once
+by the kernel both engines share (`quadrature.series_integrals`). This
+engine supplies its user rows, the leading terms (`_leading_user_rows`). No
+engine calls `g_kernel` or `h_kernel`; both remain the per-term references
+of the complement.
 
 The complement reads only its arguments, which the builder both engines
 share forms (`params.transmission_args`). `sop_asym_total` runs the exact
 engine's flow, plan, batch, one mixture: `_plan` lists each n's leading
-integral and, under a fixed split, its ceiling mass, and each distinct one
-is evaluated once per call or sweep, in batches that share the law's
-density rows with the exact engine (`quadrature.law_rows`).
+integral and, under a fixed split, its ceiling mass, `quadrature._evaluate`
+returns their values in a dict (`values`), and each distinct one is
+evaluated once per call or sweep, in batches that share the law's density
+rows with the exact engine (`quadrature.law_rows`).
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,7 +61,8 @@ from .params import (
     SystemParams,
     Transmission,
     clamp_probability,
-    feasibility_check,
+    conditional,
+    mixture,
     transmission_args,
     transmission_plan,
 )
@@ -68,8 +73,7 @@ from .quadrature import (
     _check_domain,
     _column,
     _evaluate,
-    _shared,
-    _sharing_scope,
+    _read,
     _signed_log_pow,
     g_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
     h_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
@@ -154,7 +158,7 @@ def _leading_integral(
     C = 1 + u/(1-vx). They are summed at each node, as
     `analytic._joint_secrecy_prob` sums its series, and integrated once. The
     function prepares the integral's `SeriesItem`; as a `_batched` integral
-    it is evaluated once per argument tuple in a sharing scope, in batches.
+    it is evaluated once per argument tuple of an `_evaluate` call, in batches.
     """
     _check_domain(consts.a, consts.v, "pole")
     b, c, u, v = consts.b, consts.c, consts.u, consts.v
@@ -170,7 +174,6 @@ def _leading_integral(
     return SeriesItem(consts.a, law.rate, law.log_front, law, law.degree + tau_u, tau_u + law.n_rows, user, quad)
 
 
-@_shared
 def _ceiling_mass(law: EavesdropperLaw, a: float) -> float:
     """P(X > a): the eavesdropper gain already beyond the ceiling."""
     return float(law.survival(a))
@@ -186,6 +189,8 @@ def _leading_complement(
     law: EavesdropperLaw,
     quad: QuadratureSpec | None,
     include_floor: bool,
+    *,
+    values: dict | None = None,
 ) -> float:
     """Leading-order P(outage) of one transmission with Gamma(tau_u) user links
     at the rates of user1 and user2 when the eavesdropper's gain follows
@@ -193,38 +198,22 @@ def _leading_complement(
 
     The user CDFs collapse to phi*x^tau_u, so below the ceiling the outage
     mass is the law's integral of three user terms (`_leading_integral`);
-    above it, the floor is the ceiling mass (`_ceiling_mass`).
+    above it, the floor is the ceiling mass (`_ceiling_mass`). Both are read
+    from values (`quadrature._read`).
     """
-    floor = _ceiling_mass(law, consts.a) if include_floor else 0.0
+    floor = _read(values, _ceiling_mass, law, consts.a) if include_floor else 0.0
     if quad is None:
         return floor
-    return floor + _leading_integral(user1, user2, theta1, consts, alpha2, tau_u, law, quad)
+    return floor + _read(values, _leading_integral, user1, user2, theta1, consts, alpha2, tau_u, law, quad)
 
 
-def _conditional(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scheme: SchemeKind,
-    quad: QuadratureSpec | None,
-    include_floor: bool,
-):
-    """The scheme's leading-order conditional SOP on an already scaled
-    scenario, as a function of n: each transmission's complement, certain
-    outage under an infeasible split. With quad None only the floor terms
-    are kept."""
-    if feasibility_check(params, policy) is not None:
-        return lambda n: 1.0
-
-    def complement(sends: Transmission, n: int) -> float:
-        args = transmission_args(params, policy, sends, n)
-        return clamp_probability(_leading_complement(*args, quad, include_floor))
-
-    return SchemeKind(scheme).conditional(
-        params.K,
-        combined=lambda n: complement(Transmission.COMBINED, n),
-        single=lambda: complement(Transmission.SINGLE, 1),
-        jammed=lambda n: complement(Transmission.JAMMED, n),
-    )
+def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec | None, include_floor: bool,
+            values: dict | None, sends: Transmission, n: int) -> float:
+    """The outage of `params.conditional` on an already scaled scenario: the
+    transmission's complement, certain outage under an infeasible split.
+    With quad None only the floor terms are kept."""
+    args = transmission_args(params, policy, sends, n)
+    return 1.0 if args is None else clamp_probability(_leading_complement(*args, quad, include_floor, values=values))
 
 
 def _decoding_miss(scaled: SystemParams) -> float:
@@ -263,53 +252,38 @@ def sop_asym_cond(
 ) -> float:
     """Asymptotic SOP given n decoding relays under the scheme: one
     complement, evaluated alone."""
-    return _conditional(scaled_params(params, scaling), policy, scheme, quad, not policy.is_dynamic)(n)
+    outage = partial(_outage, scaled_params(params, scaling), policy, quad, not policy.is_dynamic, None)
+    return conditional(SchemeKind(scheme), n, params.K, outage)
 
 
-def _mixture(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scheme: SchemeKind,
-    scaling: AsymptoticScaling,
-    quad: QuadratureSpec,
-) -> float:
+def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
+             quad: QuadratureSpec, values: dict) -> float:
     """The body of `sop_asym_total`: the conditionals mixed over the leading decoding-set weights."""
     scaled = scaled_params(params, scaling)
     miss = _decoding_miss(scaled)
-    cond = _conditional(scaled, policy, scheme, quad, not policy.is_dynamic)
-    total = 0.0
-    for n in range(scaled.K + 1):
-        weight = math.comb(scaled.K, n) * miss ** (scaled.K - n)
-        total += weight * cond(n)
-    return clamp_probability(total)
+    weights = [math.comb(scaled.K, n) * miss ** (scaled.K - n) for n in range(scaled.K + 1)]
+    outage = partial(_outage, scaled, policy, quad, not policy.is_dynamic, values)
+    return clamp_probability(mixture(weights, SchemeKind(scheme), outage))
 
 
-def sop_asym_total(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scheme: SchemeKind,
-    scaling: AsymptoticScaling,
-    quad: QuadratureSpec,
-) -> float:
+def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
+                   quad: QuadratureSpec, *, values: dict | None = None) -> float:
     """Asymptotic total SOP: decoding-set weights collapse to their leading
     power, and each weighs the `sop_asym_cond` of its n. The leading power
     phi_R*eta^mR of a relay's decoding miss must lie below 1, or the source
     hop is not in the high-gain regime and the weights do not sum to a
-    probability (ValueError). Plans, batches and mixes once, as `sop_total`
-    does."""
-    with _sharing_scope() as opened:
-        if opened:
-            _evaluate(_plan(params, policy, scheme, scaling, quad))
-        return _mixture(params, policy, scheme, scaling, quad)
+    probability (ValueError). Plans, batches and mixes once, or mixes the
+    values a sweep passes, as `sop_total` does."""
+    if values is None:
+        values = _evaluate(_plan(params, policy, scheme, scaling, quad))
+    return _mixture(params, policy, scheme, scaling, quad, values)
 
 
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
     """The conditional SOP's high-gain floor: the securing terms vanish with the
     user-link coefficients and only the eavesdropper-side mass above the
     ceiling a survives, i.e. each complement's floor term."""
-    return _conditional(params, policy, scheme, None, True)(n)
-
-
+    return conditional(SchemeKind(scheme), n, params.K, partial(_outage, params, policy, None, True, None))
 def sop_floor_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> float:
     """High-gain floor of the total SOP: all relays decode, so n = K."""
     return sop_floor_cond(params, policy, scheme, params.K)

@@ -24,7 +24,7 @@ from .asymptotic import AsymptoticScaling, SdoInputs, sdo, sop_asym_total
 from .channels import NakagamiParams
 from .montecarlo import TrialConfig, estimate_many
 from .params import LinkSet, PowerPolicy, SchemeKind, SystemParams
-from .quadrature import _evaluate, _sharing_scope, quadrature
+from .quadrature import _evaluate, quadrature
 
 _ENGINES = ("analytic", "asymptotic", "montecarlo")
 _SWEEP_VARS = ("P_dB", "omega2_dB", "alpha1", "alphaJ", "K", "m")
@@ -244,11 +244,13 @@ def _blank_row(cfg: ExperimentConfig, value: float, scheme: SchemeKind, engine: 
     }
 
 
-def _engine_sop(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad) -> float:
-    """The engine's SOP at one point through its entry point (`sop_total`, `sop_asym_total`)."""
+def _engine_sop(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad,
+                values: dict) -> float:
+    """The engine's SOP at one point through its entry point (`sop_total`,
+    `sop_asym_total`), reading the sweep's values."""
     if engine == "analytic":
-        return sop_total(params, policy, scheme, quad).value
-    return sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)
+        return sop_total(params, policy, scheme, quad, values=values).value
+    return sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad, values=values)
 
 
 def _engine_plan(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad) -> list:
@@ -265,12 +267,11 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     `P_dB`, `alpha1` or `alphaJ` sweep are simulated on one shared draw,
     which makes their curves paired; `omega2_dB`, `K` and `m` sweeps draw
     afresh at every point. The analytic and asymptotic rows run in one
-    sharing scope, in one flow: plan, batch, one mixture. The plans of all
-    rows are evaluated in batches before the first row
-    (`quadrature._evaluate`), so each distinct integral is evaluated once
-    per sweep, and each row's engine call runs its mixture once, on the
-    stored values. A row whose plan raises has its engine call raise the
-    error into its error column.
+    flow: plan, batch, one mixture. The plans of all rows are evaluated in
+    batches before the first row (`quadrature._evaluate`), so each distinct
+    integral is evaluated once per sweep, and each row's engine call runs
+    its mixture once, on those values (`values=`). A row whose plan raises
+    has its engine call raise the error into its error column.
     """
     engines = tuple(engines) if engines is not None else cfg.engines
     if cfg.sweep_var is None:
@@ -284,23 +285,22 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
              for scheme in cfg.schemes]
     quad = quadrature(cfg.quad_n) if calls else None
     rows: list[dict] = []
-    with _sharing_scope():
-        plan: list = []
-        for _, params, policy, engine, scheme in calls:
-            try:
-                plan += _engine_plan(engine, params, policy, scheme, quad)
-            except Exception:  # noqa: BLE001 - the row's engine call raises it again
-                continue
-        _evaluate(plan)
-        for value, params, policy, engine, scheme in calls:
-            row = _blank_row(cfg, value, scheme, engine)
-            try:
-                row["sop"] = _engine_sop(engine, params, policy, scheme, quad)
-                if engine == "asymptotic" and policy.is_dynamic:
-                    row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
-            except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
-                row["error"] = str(exc)
-            rows.append(row)
+    plan: list = []
+    for _, params, policy, engine, scheme in calls:
+        try:
+            plan += _engine_plan(engine, params, policy, scheme, quad)
+        except Exception:  # noqa: BLE001 - the row's engine call raises it again
+            continue
+    values = _evaluate(plan)
+    for value, params, policy, engine, scheme in calls:
+        row = _blank_row(cfg, value, scheme, engine)
+        try:
+            row["sop"] = _engine_sop(engine, params, policy, scheme, quad, values)
+            if engine == "asymptotic" and policy.is_dynamic:
+                row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
+        except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
+            row["error"] = str(exc)
+        rows.append(row)
     if "montecarlo" in engines and points:
         groups = [points] if cfg.sweep_var in _SHARED_DRAW_VARS else [[point] for point in points]
         for group in groups:

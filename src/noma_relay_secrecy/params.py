@@ -4,7 +4,10 @@ Holds the relay-network parameters, the power-allocation policy (fixed split
 or the gain-driven dynamic rule), the scheme record every engine reads (how a
 decoding set transmits and how an outage is blamed on a user), the threshold
 constants, and the result record every engine returns. Values that several engines
-derive are defined here once: `jamming_split`, `transmission_args`, `clamp_probability`.
+derive are defined here once: `jamming_split`, `transmission_args`, `clamp_probability`,
+and the SOP itself, one mixture over the decoding-set size of the three
+per-transmission outages (`conditional`, `mixture`); an engine supplies only
+those outages.
 All rates are in nats per channel use; capacities carry the 1/2 pre-log of
 the two-slot protocol, so a secrecy rate R maps to the threshold theta = exp(2R).
 """
@@ -14,6 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Callable
 
 from .channels import NakagamiParams, _check_finite, _is_count, combined_law, jammed_law
@@ -56,36 +60,11 @@ class SchemeKind(str, Enum):
             return Transmission.SINGLE
         return self.sends
 
-    def conditional(
-        self,
-        K: int,
-        combined: Callable[[int], float],
-        single: Callable[[], float],
-        jammed: Callable[[int], float],
-    ) -> Callable[[int], float]:
-        """The outage probability given n decoding relays, as a function of n.
-
-        combined(n) is the outage of n combining relays; single() and
-        jammed(n) are one candidate's outage when it sends alone or under
-        jamming. A selection fails iff all n candidates fail, taken as
-        independent, hence the n-th power. Nothing is kept between calls:
-        the engines evaluate every n's integral beforehand, in batches
-        (`transmission_plan`).
-        """
-
-        def cond(n: int) -> float:
-            if n < 0:
-                raise ValueError(f"n must be nonnegative, got {n!r}")
-            if n == 0:
-                return 1.0  # empty decoding set: outage is certain
-            sends = self.transmission(n, K)
-            if sends is Transmission.COMBINED:
-                return combined(n)
-            if sends is Transmission.JAMMED:
-                return jammed(n) ** n
-            return single() ** n
-
-        return cond
+    def reads(self, n: int, K: int) -> tuple[Transmission, int]:
+        """`transmission` and the set size whose securing integral it reads:
+        n, but 1 for a single relay, which sends at full power."""
+        sends = self.transmission(n, K)
+        return sends, 1 if sends is Transmission.SINGLE else n
 
 
 @dataclass(frozen=True)
@@ -301,8 +280,9 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
     alpha2, tau_u, law); None under an infeasible split, which secures no one.
 
     When n relays combine, each sends at P_R/n and every receiver sums their
-    n gains; a single relay is that at n = 1. A jammed one sends at rho3
-    while the strongest of the K - n idle relays jams the eavesdropper at rho4.
+    n gains; a single relay is that at n = 1 (`SchemeKind.reads`). A jammed
+    one sends at rho3 while the strongest of the K - n idle relays jams the
+    eavesdropper at rho4.
     """
     if feasibility_check(params, policy) is not None:
         return None
@@ -313,7 +293,6 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
         consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
         law, tau_u = jammed_law(links.relay_eaves, params.K - n, rho4), links.m_u
     else:
-        n = 1 if sends is Transmission.SINGLE else n
         consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
         law, tau_u = combined_law(links.relay_eaves, n), n * links.m_u
     return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, tau_u, law
@@ -321,15 +300,40 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
 
 def transmission_plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> list[tuple]:
     """The `transmission_args` of each distinct transmission of the scheme at
-    n = 1..K, in order of first use; none under an infeasible split."""
+    n = 1..K (`SchemeKind.reads`), in order of first use; none under an
+    infeasible split."""
     if feasibility_check(params, policy) is not None:
         return []
-    scheme = SchemeKind(scheme)
-    sends = {}
-    for n in range(1, params.K + 1):
-        kind = scheme.transmission(n, params.K)
-        sends[kind, 1 if kind is Transmission.SINGLE else n] = None
+    sends = dict.fromkeys(SchemeKind(scheme).reads(n, params.K) for n in range(1, params.K + 1))
     return [transmission_args(params, policy, kind, n) for kind, n in sends]
+
+
+def conditional(scheme: SchemeKind, n: int, K: int, outage: Callable[[Transmission, int], float]) -> float:
+    """The outage probability given n of K relays decode. outage(sends, n) is
+    one transmission's outage at the set size it reads (`SchemeKind.reads`).
+    A selection fails iff all n candidates fail, taken as independent, hence
+    the n-th power; n combining relays are one transmission."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n!r}")
+    if n == 0:
+        return 1.0  # empty decoding set: outage is certain
+    sends, size = scheme.reads(n, K)
+    p = outage(sends, size)
+    return p if sends is Transmission.COMBINED else p**n
+
+
+def mixture(weights, scheme: SchemeKind, outage: Callable[[Transmission, int], float]) -> float:
+    """Every engine's SOP: weights[n] * `conditional`(n) summed left to right
+    from 0 over n = 0..K, K = len(weights) - 1, each outage formed once. A
+    weight of exactly 0.0 is a null event: its conditional, which may be NaN
+    there (no relay can decode), is not formed."""
+    outage = cache(outage)
+    K = len(weights) - 1
+    total = 0.0
+    for n, weight in enumerate(weights):
+        if weight != 0.0:
+            total += weight * conditional(scheme, n, K, outage)
+    return total
 
 
 def clamp_probability(p: float) -> float:

@@ -23,19 +23,17 @@ term's degree. `g_kernel` and `h_kernel` evaluate one term of each shape on
 its own. No engine calls them: they are the tests' per-term references,
 kept in the package for `bench/spans.py` and `bench/micro.py`.
 
-Each engine call opens a sharing scope (`_sharing_scope`), and `cli.run_sweep`
-opens one around all its points. Inside it a `_shared` function or a
-`_batched` integral is evaluated once per distinct argument tuple. The flow
-is plan, batch, one mixture: the caller that opens the scope lists what its
-points read (each engine's `_plan`), evaluates the list in batches of one
-integrand shape (`_evaluate`), and then runs each mixture once on the stored
-values. A law's density rows are kept once per cut (`law_rows`), read-only,
-and read by both engines. No stored value outlives the call or the sweep.
+The flow is plan, batch, one mixture. An engine call, or `cli.run_sweep`
+for all its points, lists what it reads as (function, arguments) entries
+(each engine's `_plan`). `_evaluate` returns their values in a dict the
+caller owns, each distinct entry evaluated once and the `_batched` integrals
+in batches of one integrand shape; a law's density rows are built once per
+cut in that call (`law_rows`), read-only, and read by both engines. The
+mixture then reads each value from the dict (`_read`). Nothing is kept past
+the caller's dict.
 """
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
 from functools import lru_cache, update_wrapper
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -67,60 +65,12 @@ def _effective_upper(a: float, f: float, degree: float) -> float:
     return a if cut >= a else cut
 
 
-# The values `_shared` functions and `_batched` integrals returned inside the
-# open sharing scope, by (function, arguments); None while no scope is open.
-_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared_integrals", default=None)
-_MISSING = object()
+class BatchedIntegral:
+    """A securing integral that `_evaluate` evaluates in batches (`_batched`).
 
-
-@contextmanager
-def _sharing_scope():
-    """Share `_shared` and `_batched` evaluations until the outermost scope closes.
-
-    Yields whether this scope opened the store. A scope entered while one is
-    open joins it, so an engine call made inside a sweep shares with the
-    whole sweep; leaving the outermost scope drops every stored value.
-    """
-    if _SHARED.get() is not None:
-        yield False
-        return
-    token = _SHARED.set({})
-    try:
-        yield True
-    finally:
-        _SHARED.reset(token)
-
-
-class _shared:
-    """fn, evaluated once per positional argument tuple inside a sharing scope.
-
-    fn must read nothing but its (hashable) arguments, so that the tuple is
-    the whole key. A call that raises stores nothing: each caller sees the
-    error. Outside a scope every call evaluates.
-    """
-
-    def __init__(self, fn):
-        update_wrapper(self, fn)
-        self.fn = fn
-
-    def __call__(self, *args):
-        memo = _SHARED.get()
-        if memo is None:
-            return self.fn(*args)
-        key = (self, args)
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = self.fn(*args)
-        return value
-
-
-class BatchedIntegral(_shared):
-    """A securing integral that `_evaluate` stores in batches (`_batched`).
-
-    Called with its arguments it is a `_shared` function whose value is that
-    of a batch of one. `prepare(*args)` turns the arguments into a
-    `SeriesItem`, raising for arguments the integral refuses, and
-    `user_rows` is the engine's row builder.
+    `prepare(*args)` turns the arguments into a `SeriesItem`, raising for
+    arguments the integral refuses, and `user_rows` is the engine's row
+    builder. Called with its arguments it is a batch of one.
     """
 
     def __init__(self, prepare: Callable[..., SeriesItem], user_rows):
@@ -128,12 +78,13 @@ class BatchedIntegral(_shared):
         self.prepare = prepare
         self.user_rows = user_rows
 
-    def fn(self, *args) -> float:
+    def __call__(self, *args) -> float:
         return self.evaluate([self.prepare(*args)])[0]
 
-    def evaluate(self, items: list[SeriesItem]) -> list[float]:
-        """The values of prepared items of one shape (`SeriesItem.shape`)."""
-        return series_integrals(items, self.user_rows)
+    def evaluate(self, items: list[SeriesItem], rows: dict | None = None) -> list[float]:
+        """The values of prepared items of one shape (`SeriesItem.shape`);
+        `rows` keeps the law rows they build (`law_rows`)."""
+        return series_integrals(items, self.user_rows, {} if rows is None else rows)
 
 
 def _batched(user_rows):
@@ -144,27 +95,36 @@ def _batched(user_rows):
     return lambda prepare: BatchedIntegral(prepare, user_rows)
 
 
-def _evaluate(plan) -> None:
-    """Store in the open scope each (function, arguments) entry of the plan
-    that it lacks: `_shared` values one by one, `_batched` integrals in
-    batches of one integral and shape. An entry that raises (a series base
-    that underflows, say) stores nothing: its reader raises the error."""
-    memo = _SHARED.get()
+def _evaluate(plan) -> dict:
+    """The values of the plan's distinct (function, arguments) entries, by
+    entry: `_batched` integrals in batches of one integral and shape, every
+    other function one by one. The law rows the batches build are kept for
+    the call's length, so every batch that reads a (law, cut) reads one
+    array. An entry that raises (a series base that underflows, say) is
+    left out: its reader raises the error (`_read`)."""
+    values: dict = {}
+    rows: dict = {}
     batches: dict = {}
     for key in dict.fromkeys(plan):
-        if key in memo:
-            continue
         fn, args = key
         try:
             if isinstance(fn, BatchedIntegral):
                 item = fn.prepare(*args)
                 batches.setdefault((fn, item.shape), []).append((key, item))
             else:
-                fn(*args)  # stores its own value
+                values[key] = fn(*args)
         except Exception:  # noqa: BLE001 - its reader raises it, whatever it is
             continue
     for (integral, _), entries in batches.items():
-        memo.update(zip((key for key, _ in entries), integral.evaluate([item for _, item in entries])))
+        values.update(zip((key for key, _ in entries), integral.evaluate([item for _, item in entries], rows)))
+    return values
+
+
+def _read(values: dict | None, fn, *args):
+    """fn(*args) from values, or, where values lacks it (None, or an entry
+    that raised in `_evaluate`), evaluated alone, raising what it raises."""
+    value = None if values is None else values.get((fn, args))
+    return fn(*args) if value is None else value
 
 
 class QuadratureSpec:
@@ -201,29 +161,24 @@ def quadrature(n: int = 300) -> QuadratureSpec:
     return QuadratureSpec(n)
 
 
-def law_rows(law, cuts: list[float], quad: QuadratureSpec) -> list[np.ndarray]:
+def law_rows(law, cuts: list[float], quad: QuadratureSpec, rows: dict) -> list[np.ndarray]:
     """An eavesdropper law's density rows `law.rows` at the nodes of (0, cut)
     for each cut, each a read-only array of shape (law.n_rows, nodes).
 
-    Inside a sharing scope each is built once per (law, cut, quad) and kept:
-    the rows of every cut the scope lacks come from one `law.rows` call over
-    all their nodes, stacked, and each cut's slice is stored on its own.
-    Every transmission, scheme and sweep point of either engine that
-    integrates the law over that cut reads the one array, so none may write
-    to it.
+    Each is built once per (law, cut, quad) and kept in rows: the rows of
+    every cut rows lacks come from one `law.rows` call over all their nodes,
+    stacked, and each cut's slice is kept on its own. Every transmission,
+    scheme and sweep point of either engine that integrates the law over
+    that cut in one `_evaluate` reads the one array, so none may write to it.
     """
-    memo = _SHARED.get()
-    keys = [("law_rows", law, cut, quad) for cut in cuts]
-    found = {} if memo is None else {key: memo[key] for key in keys if key in memo}
-    missing = [key for key in dict.fromkeys(keys) if key not in found]
+    keys = [(law, cut, quad) for cut in cuts]
+    missing = [key for key in dict.fromkeys(keys) if key not in rows]
     if missing:
-        built = law.rows(quad.nodes_on(_column([cut for _, _, cut, _ in missing])))
+        built = law.rows(quad.nodes_on(_column([cut for _, cut, _ in missing])))
         for j, key in enumerate(missing):
-            rows = found[key] = built[:, j]
-            rows.setflags(write=False)
-        if memo is not None:
-            memo.update((key, found[key]) for key in missing)
-    return [found[key] for key in keys]
+            block = rows[key] = built[:, j]
+            block.setflags(write=False)
+    return [rows[key] for key in keys]
 
 
 def _signed_log_pow(base: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
@@ -307,14 +262,15 @@ class SeriesItem(NamedTuple):
         return self.degree0, self.n_degrees, law.degree, law.n_rows, law.rows is None, self.quad
 
 
-def series_integrals(items: list[SeriesItem], user_rows) -> list[float]:
+def series_integrals(items: list[SeriesItem], user_rows, rows: dict) -> list[float]:
     """The integrals of a batch of items of one `SeriesItem.shape`.
 
     `user_rows(users, x)` builds the user factor of distinct user constant
     tuples `users` at their nodes x, shape (len(users), nodes): it returns
     (terms, rows), log-scale terms of x's shape, added to the log scale in
     order, and rows of shape (user degrees,) + x.shape. Items of equal user
-    constants and cut share one build. Items are grouped by how their
+    constants and cut share one build, and the law rows are read from and
+    kept in rows (`law_rows`). Items are grouped by how their
     degrees fall on cuts; each group is evaluated in item blocks of about
     `_BATCH_ELEMENTS` series elements, each cut once for the whole block.
     An item's value is what a batch of it alone gives, bit for bit: every
@@ -337,7 +293,7 @@ def series_integrals(items: list[SeriesItem], user_rows) -> list[float]:
             block = members[start : start + step]
             for keep in groups:
                 block_cuts = [cuts[i][keep[0]] for i in block]
-                values = _block_integrals([items[i] for i in block], block_cuts, keep, user_rows)
+                values = _block_integrals([items[i] for i in block], block_cuts, keep, user_rows, rows)
                 for i, value in zip(block, values):
                     totals[i] += value
     return totals
@@ -348,7 +304,7 @@ def _column(values) -> np.ndarray:
     return np.array(values)[:, None]
 
 
-def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int], user_rows) -> list[float]:
+def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int], user_rows, rows: dict) -> list[float]:
     """The integrals over each item's cut of the series degrees `keep`, which share that cut."""
     quad, law = items[0].quad, items[0].law
     x, w = quad.map_to(_column(cuts))  # row i: map_to(cuts[i])
@@ -370,8 +326,8 @@ def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int]
             by_law.setdefault(item.law, []).append(i)
         stacked = [None] * len(items)
         for item_law, at in by_law.items():
-            for i, rows in zip(at, law_rows(item_law, [cuts[i] for i in at], quad)):
-                stacked[i] = rows
+            for i, law_block in zip(at, law_rows(item_law, [cuts[i] for i in at], quad, rows)):
+                stacked[i] = law_block
         series = convolve_series(series, np.stack(stacked, axis=1))
     kept = series if len(keep) == len(series) else series[keep]  # the same rows, without a copy
     with np.errstate(over="ignore"):

@@ -1,20 +1,7 @@
 """Shared scenario builders for the test suite."""
 from __future__ import annotations
 
-import pytest
-
 from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SystemParams
-from noma_relay_secrecy.quadrature import _SHARED
-
-
-@pytest.fixture(autouse=True)
-def no_sharing_scope_left_open():
-    """Fail a test that leaves a sharing scope open: every later engine call
-    would join it and be handed the values it keeps."""
-    yield
-    left_open = _SHARED.get() is not None
-    _SHARED.set(None)  # later tests start without it either way
-    assert not left_open, "the test left a sharing scope open"
 
 
 def db(x: float) -> float:

@@ -1,12 +1,15 @@
 """The public surface: the exported names, and the scheme record every engine reads."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,10 +30,10 @@ from noma_relay_secrecy import (
     sop_floor_total,
     sop_total,
 )
-from noma_relay_secrecy import analytic, channels, montecarlo
+from noma_relay_secrecy import analytic, asymptotic, channels, montecarlo
 from noma_relay_secrecy.analytic import decoding_set_pmf, sop_cond
 from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
-from noma_relay_secrecy.params import Transmission
+from noma_relay_secrecy.params import Transmission, mixture
 
 QUAD = quadrature(300)
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +88,53 @@ def test_every_scheme_is_a_mixture_of_its_conditionals(scheme):
     est = estimate_many(params, policy, [scheme], TrialConfig(trials=20_000, seed=3))[scheme]
     assert 0.0 < est.p_hat < 1.0
     assert sdo(scheme, SdoInputs(K=3, m_r=2, m_u=2, varpi=0.1)) > 0.0
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_the_one_mixture_sums_as_each_engine_loop_did(scheme):
+    # the analytic loop summed pmf[n] * cond(n) from the integer 0, the
+    # asymptotic one added weight * cond(n) to 0.0; both left to right
+    params = grid_params(K=3, omegaR_dB=0.0)
+    scaling = AsymptoticScaling(1.5, 2.0, db(30.0))
+    scaled = scaled_params(params, scaling)
+    for policy in (fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)):
+        pmf = decoding_set_pmf(params)
+        loop = sum(pmf[n] * sop_cond(params, policy, scheme, n, QUAD) for n in range(params.K + 1))
+        one = mixture(pmf, scheme, partial(analytic._outage, params, policy, QUAD, None))
+        assert float(one).hex() == float(loop).hex()
+
+        miss = asymptotic._decoding_miss(scaled)
+        weights = [math.comb(params.K, n) * miss ** (params.K - n) for n in range(params.K + 1)]
+        loop = 0.0
+        for n, weight in enumerate(weights):
+            loop += weight * sop_asym_cond(params, policy, scheme, n, scaling, QUAD)
+        one = mixture(weights, scheme, partial(asymptotic._outage, scaled, policy, QUAD, not policy.is_dynamic, None))
+        assert one.hex() == loop.hex()
+
+
+def test_no_module_keeps_ambient_state():
+    # integral values travel in a dict the caller owns, not in context variables
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "contextvars" not in {name.split(".")[0] for name in names}, path.name
+
+
+@pytest.mark.parametrize("reader", [sop_total, sop_asym_total, analytic.delta1, analytic.delta4,
+                                    analytic.sop_tmrc_cond, decoding_set_pmf])
+def test_values_is_keyword_only_on_the_readers(reader):
+    # the benchmark's spans find quad as a reader's last positional argument
+    # (bench/spans._quad_arg), so values must not take that place
+    *positional, last = inspect.signature(reader).parameters.values()
+    assert last.name == "values" and last.kind is inspect.Parameter.KEYWORD_ONLY and last.default is None
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in positional)
+    if reader is not decoding_set_pmf:
+        assert positional[-1].name == "quad"
 
 
 def _bench_module(name: str):

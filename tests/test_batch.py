@@ -22,11 +22,10 @@ from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, analytic, asympto
 from noma_relay_secrecy.channels import NakagamiParams, jammed_ratio_pdf_rows
 from noma_relay_secrecy.params import Transmission, transmission_args
 from noma_relay_secrecy.quadrature import (
-    _SHARED,
     _check_domain,
     _effective_upper,
+    _evaluate,
     _signed_log_pow,
-    _sharing_scope,
     convolve_series,
     law_rows,
     quadrature,
@@ -179,19 +178,26 @@ def test_batches_equal_one_integral_evaluations_bit_for_bit(integral, monkeypatc
             assert integral(*args).hex() == value
 
 
-def test_a_scope_keeps_one_read_only_array_per_law_and_cut():
-    # the exact and leading integrals of one jammed scenario read the same
-    # rows, built in one call per law, and each equals the rows of its cut alone
+def test_one_evaluate_keeps_one_read_only_array_per_law_and_cut(monkeypatch):
+    # the exact and leading integrals of one jammed scenario, planned
+    # together, read the same rows, built in one call per law and kept in one
+    # dict of the `_evaluate` call; each equals the rows of its cut alone
     params = high_gain(grid_params(K=5, m=3), 40.0)
-    with _sharing_scope():
-        for integral in REFERENCES:
-            integral.evaluate([integral.prepare(*args) for args in integral_args(params, DYNAMIC)])
-        kept = {key: rows for key, rows in _SHARED.get().items() if key[0] == "law_rows"}
-    assert len({key[1] for key in kept}) == 4  # idle counts 1..4
-    for (_, law, cut, quad), rows in kept.items():
-        assert not rows.flags.writeable
-        assert rows.tobytes() == law.rows(quad.nodes_on(cut)).tobytes()
-        assert law_rows(law, [cut], quad)[0].tobytes() == rows.tobytes()
+    kept = []
+
+    def keeping(law, cuts, quad, rows, _original=quadrature_module.law_rows):
+        kept.append(rows)
+        return _original(law, cuts, quad, rows)
+
+    monkeypatch.setattr(quadrature_module, "law_rows", keeping)
+    _evaluate([(integral, args) for integral in REFERENCES for args in integral_args(params, DYNAMIC)])
+    rows = kept[0]
+    assert all(other is rows for other in kept)
+    assert len({law for law, _, _ in rows}) == 4  # idle counts 1..4
+    for (law, cut, quad), block in rows.items():
+        assert not block.flags.writeable
+        assert block.tobytes() == law.rows(quad.nodes_on(cut)).tobytes()
+        assert law_rows(law, [cut], quad, {})[0].tobytes() == block.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -399,15 +399,16 @@ def test_demo_csv_matches_golden(tmp_path, command, config, golden):
     assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
 
 
-def test_nan_sop_fails_its_row(tmp_path, capsys):
-    # at -3200 dB the exact mixture is NaN: its rows carry the error and the
-    # command exits 3, where they once printed sop = nan and exited 0
+def test_a_null_decoding_set_size_adds_nothing(tmp_path, capsys):
+    # at -3200 dB no relay decodes (chi = 0): the empty set has weight 1 and
+    # every other size weight 0.0, so their conditionals, NaN there, are not
+    # formed and the rows read certain outage
     cfg = json.loads((ROOT / "demos" / "configs" / "reference.json").read_text())
     cfg["sweep"] = {"var": "P_dB", "values": [-3200, -320, 10]}
-    assert main(["analytic", _write(tmp_path, cfg)]) == 3
+    assert main(["analytic", _write(tmp_path, cfg)]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = list(csv.DictReader(lines))
-    assert [(r["sop"], r["error"]) for r in rows[:4]] == [("", "probability is NaN")] * 4
+    assert [(r["sop"], r["error"]) for r in rows[:4]] == [("1.0000000000e+00", "")] * 4
     assert [(r["sop"], r["error"]) for r in rows[4:8]] == [("1.0000000000e+00", "")] * 4
     golden = (ROOT / "tests" / "golden" / "reference_analytic.csv").read_text().splitlines()
     assert lines[9:] == [line for line in golden if line.startswith("P_dB,1.0000000000e+01,")]

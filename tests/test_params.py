@@ -6,8 +6,8 @@ import math
 import pytest
 from conftest import grid_params
 
-from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SystemParams
-from noma_relay_secrecy.params import feasibility_check, scheme_constants
+from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SchemeKind, SystemParams
+from noma_relay_secrecy.params import Transmission, clamp_probability, conditional, feasibility_check, scheme_constants
 
 
 def test_thresholds_and_eta():
@@ -125,3 +125,45 @@ def test_scheme_constants_infeasible():
     params = grid_params()
     with pytest.raises(ValueError):
         scheme_constants(params.theta1, params.theta2, 0.7, 0.3, params.rho2)
+
+
+def test_a_nan_probability_is_not_clamped_away():
+    # rounding past either end is cut, a NaN is no rounding and stays loud
+    assert clamp_probability(-1e-17) == 0.0 and clamp_probability(1.0 + 1e-15) == 1.0
+    with pytest.raises(ValueError, match="probability is NaN"):
+        clamp_probability(math.nan)
+
+
+def test_the_conditional_of_an_empty_or_negative_set():
+    def outage(sends, n):
+        raise AssertionError("no transmission is formed for n <= 0")
+
+    for scheme in SchemeKind:
+        assert conditional(scheme, 0, 3, outage) == 1.0
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            conditional(scheme, -1, 3, outage)
+
+
+def test_only_candidates_are_raised_to_the_nth_power():
+    read = []
+
+    def outage(sends, n):
+        read.append((sends, n))
+        return 0.5
+
+    assert conditional(SchemeKind.TMRC, 3, 4, outage) == 0.5  # combining: one outage, not 0.5**3
+    assert conditional(SchemeKind.OSRS, 3, 4, outage) == 0.5**3
+    assert conditional(SchemeKind.TSRS, 3, 4, outage) == 0.5**3
+    assert conditional(SchemeKind.ODRS, 3, 4, outage) == 0.5**3
+    assert conditional(SchemeKind.ODRS, 4, 4, outage) == 0.5**4  # no idle relay left to jam
+    S, J, C = Transmission.SINGLE, Transmission.JAMMED, Transmission.COMBINED
+    assert read == [(C, 3), (S, 1), (S, 1), (J, 3), (S, 1)]
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_reads_is_the_transmission_and_its_set_size(scheme):
+    for K in range(1, 7):
+        for n in range(1, K + 1):
+            sends, size = scheme.reads(n, K)
+            assert sends is scheme.transmission(n, K)
+            assert size == (1 if sends is Transmission.SINGLE else n)

@@ -311,7 +311,7 @@ def test_series_integral_gives_each_degree_its_own_cut():
     assert len(set(cuts)) >= 2
     received = []
     item = SeriesItem(a, f, 0.0, flat, degree0, n_degrees, (0, f), QUAD)
-    (total,) = series_integrals([item], _cut_probe([cuts], received))
+    (total,) = series_integrals([item], _cut_probe([cuts], received), {})
     assert len(received) == len(set(cuts))
     assert all(any(np.array_equal(x[0], own) for own in own_nodes) for _, x in received)
     assert all(x.shape == (1, QUAD.n) for _, x in received)  # one item, one row of nodes per cut
@@ -323,7 +323,7 @@ def test_series_integral_gives_each_degree_its_own_cut():
     wide_cuts = [_effective_upper(a, f * 1e-6, degree0 + s) for s in range(n_degrees)]
     assert set(wide_cuts) == {a}
     received.clear()
-    totals = series_integrals([item, wide], _cut_probe([cuts, wide_cuts], received))
+    totals = series_integrals([item, wide], _cut_probe([cuts, wide_cuts], received), {})
     assert totals[0] == total
     assert totals[1] == pytest.approx(n_degrees * a, rel=1e-12)
     assert len(received) == len(set(cuts)) + 1

@@ -1,15 +1,16 @@
-"""Sharing scopes: an integral needed twice inside one engine call, or one
-sweep, is evaluated once, and every result stays what a fresh evaluation gives.
+"""Sharing: an integral needed twice inside one engine call, or one sweep, is
+evaluated once, and every result stays what a fresh evaluation gives.
 
-`run_sweep` opens one scope around all its analytic and asymptotic rows and
-evaluates every integral they read in batches before the first row; each
-`sop_total` or `sop_asym_total` call opens its own scope when none is open and
-batches its own integrals. So a row of a sweep must equal, bit for bit, the
-value (or the error text) of a direct call at that point, which shares
-nothing with the other points.
+`run_sweep` evaluates every integral its analytic and asymptotic rows read in
+batches before the first row, into one dict of values that each row's engine
+call reads (`values=`); a `sop_total` or `sop_asym_total` call given no
+values batches its own integrals. So a row of a sweep must equal, bit for
+bit, the value (or the error text) of a direct call at that point, which
+shares nothing with the other points.
 """
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -19,8 +20,9 @@ from conftest import fixed_policy, grid_params
 
 from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, channels, cli, sop_asym_total, sop_total
 from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
-from noma_relay_secrecy.quadrature import _SHARED, _shared, _sharing_scope, law_rows, quadrature
+from noma_relay_secrecy.quadrature import _evaluate, _read, law_rows, quadrature
 
+quadrature_module = importlib.import_module("noma_relay_secrecy.quadrature")
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMES = ["tmrc", "osrs", "tsrs", "odrs"]
 FIXED = {"alpha1": 0.2}
@@ -125,7 +127,6 @@ def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path, monkeypatch)
         elif row["error"]:
             assert row["error"].startswith("phi_R*eta^mR must lie below 1 for the high-gain decoding weights, "
                                            "got 1.35176:"), row["error"]
-    assert _SHARED.get() is None
 
 
 INTEGRALS = {analytic: analytic._joint_secrecy_prob, asymptotic: asymptotic._leading_integral}
@@ -143,9 +144,9 @@ def _count_items(monkeypatch) -> dict:
     """Every item each engine's integral evaluates, by engine module."""
     counts = {module: [] for module in INTEGRALS}
     for module, integral in INTEGRALS.items():
-        def counting(items, _seen=counts[module], _original=integral.evaluate):
+        def counting(items, *rows, _seen=counts[module], _original=integral.evaluate):
             _seen.extend(items)
-            return _original(items)
+            return _original(items, *rows)
 
         monkeypatch.setattr(integral, "evaluate", counting)
     return counts
@@ -166,10 +167,10 @@ def _record_batch_step(monkeypatch) -> tuple[list, list]:
 
     monkeypatch.setattr(cli, "_evaluate", evaluate)
     for integral in INTEGRALS.values():
-        def recording(items, _integral=integral, _original=integral.evaluate):
+        def recording(items, *rows, _integral=integral, _original=integral.evaluate):
             if step:
                 batches.append((_integral, items))
-            return _original(items)
+            return _original(items, *rows)
 
         monkeypatch.setattr(integral, "evaluate", recording)
     return listed, batches
@@ -201,7 +202,6 @@ def test_identical_calls_each_evaluate_their_integrals(monkeypatch):
     scaling = AsymptoticScaling(*params.links.frame)
     values = [sop_asym_total(params, policy, "tmrc", scaling, quad) for _ in range(2)]
     assert values[0] == values[1] and len(items[asymptotic]) == 2 * 4  # combined at n = 1..4
-    assert _SHARED.get() is None
 
 
 def test_one_call_shares_the_single_relay_term_over_n(monkeypatch):
@@ -225,18 +225,18 @@ def test_a_sweep_evaluates_each_distinct_integral_once(tmp_path, monkeypatch):
     # two series per user-row build: one per combined size, and one for all
     # three jammed sizes, whose user constants do not depend on the idle count
     assert len(series) == 2 * (4 + 1)
-    assert _SHARED.get() is None
 
 
 def _count_shared(monkeypatch) -> list:
-    """Every value the engines' `_shared` functions compute, as (function, arguments)."""
+    """Every value the engines' planned functions other than the batched
+    integrals compute, as (function, arguments)."""
     computed = []
-    for shared in (analytic._decode_probs, asymptotic._ceiling_mass):
-        def counting(*args, _shared=shared, _original=shared.fn):
-            computed.append((_shared, args))
+    for module, name in ((analytic, "_decode_probs"), (asymptotic, "_ceiling_mass")):
+        def counting(*args, _module=module, _name=name, _original=getattr(module, name)):
+            computed.append((getattr(_module, _name), args))
             return _original(*args)
 
-        monkeypatch.setattr(shared, "fn", counting)
+        monkeypatch.setattr(module, name, counting)
     return computed
 
 
@@ -251,8 +251,9 @@ def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     computed_in_step = []
 
     def evaluate(keys, _inner=cli._evaluate):
-        _inner(keys)
+        values = _inner(keys)
         computed_in_step.append(len(computed))
+        return values
 
     monkeypatch.setattr(cli, "_evaluate", evaluate)
     rows = run_sweep(cfg)
@@ -366,57 +367,52 @@ def test_one_call_builds_the_jammed_user_rows_once(monkeypatch):
 def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
     params, policy, quad = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
     items = _count_items(monkeypatch)
-    with _sharing_scope():
-        sop_total(params, policy, "odrs", quad)
-        sop_asym_total(params, policy, "odrs", AsymptoticScaling(*params.links.frame), quad)
-        kept = {key: rows for key, rows in _SHARED.get().items() if key[0] == "law_rows"}
-        # the engines integrate the three jammed laws over one cut each here,
-        # and both read the one array of each (law, cut), built once
-        assert [key[1:] for key in kept] == [(item.law, item.a, quad) for item in items[analytic][:3]]
-        assert sum(item.law.rows is not None for item in items[asymptotic]) == 3
-        assert len(counted_jammed_rows) == len(kept) == 3
-        for (_, law, cut, _), rows in kept.items():
-            assert law_rows(law, [cut], quad)[0] is rows
-    for rows in kept.values():
-        assert not rows.flags.writeable
+    kept = []
+
+    def keeping(law, cuts, quad, rows, _original=quadrature_module.law_rows):
+        kept.append(rows)
+        return _original(law, cuts, quad, rows)
+
+    monkeypatch.setattr(quadrature_module, "law_rows", keeping)
+    scaling = AsymptoticScaling(*params.links.frame)
+    plan = analytic._plan(params, policy, "odrs", quad) + asymptotic._plan(params, policy, "odrs", scaling, quad)
+    values = _evaluate(plan)
+    # every batch of the one `_evaluate` keeps its law rows in one dict; the
+    # engines integrate the three jammed laws over one cut each here, and
+    # both read the one array of each (law, cut), built once
+    rows = kept[0]
+    assert all(other is rows for other in kept)
+    assert list(rows) == [(item.law, item.a, quad) for item in items[analytic][:3]]
+    assert sum(item.law.rows is not None for item in items[asymptotic]) == 3
+    assert len(counted_jammed_rows) == len(rows) == 3
+    for (law, cut, _), block in rows.items():
+        assert law_rows(law, [cut], quad, rows)[0] is block
+        assert not block.flags.writeable
         with pytest.raises(ValueError):
-            rows[0, 0] = 0.0
-    # outside a scope each call builds its own, just as read-only
-    (_, law, cut, _), rows = next(iter(kept.items()))
-    fresh = law_rows(law, [cut], quad)[0]
-    assert fresh is not rows and not fresh.flags.writeable and fresh.tobytes() == rows.tobytes()
-
-
-def test_scopes_nest_and_close_with_the_outermost():
-    calls = []
-
-    @_shared
-    def square(x):
-        calls.append(x)
-        return x * x
-
-    assert square(3) == 9 and square(3) == 9 and calls == [3, 3]  # no scope: no memo
-    with _sharing_scope():
-        assert square(3) == 9
-        with _sharing_scope():
-            assert square(3) == 9 and square(4) == 16
-        assert square(4) == 16
-    assert calls == [3, 3, 3, 4] and _SHARED.get() is None
-    with _sharing_scope():
-        square(3)
-    assert calls == [3, 3, 3, 4, 3]
+            block[0, 0] = 0.0
+    # the rows are not among the values, and a fresh dict builds its own, just as read-only
+    assert {fn for fn, _ in values} == {analytic._decode_probs, analytic._joint_secrecy_prob,
+                                        asymptotic._leading_integral, asymptotic._ceiling_mass}
+    (law, cut, _), block = next(iter(rows.items()))
+    fresh = law_rows(law, [cut], quad, {})[0]
+    assert fresh is not block and not fresh.flags.writeable and fresh.tobytes() == block.tobytes()
 
 
 def test_a_raising_call_is_not_stored():
     calls = []
 
-    @_shared
     def fail(x):
         calls.append(x)
         raise ValueError(f"bad {x}")
 
-    with _sharing_scope():
-        for _ in range(2):
-            with pytest.raises(ValueError, match="bad 1"):
-                fail(1)
-    assert calls == [1, 1] and _SHARED.get() is None
+    def square(x):
+        return x * x
+
+    # an entry listed twice is tried once, and the one that raises is left out
+    values = _evaluate([(fail, (1,)), (square, (3,)), (fail, (1,))])
+    assert values == {(square, (3,)): 9} and calls == [1]
+    # its reader evaluates it alone, each time, and raises what it raised
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad 1"):
+            _read(values, fail, 1)
+    assert calls == [1, 1, 1] and _read(values, square, 3) == 9
