@@ -15,7 +15,7 @@ from .asymptotic import AsymptoticScaling, SdoInputs, scaled_params, sdo, sop_as
 from .channels import NakagamiParams
 from .montecarlo import SopEstimate, TrialConfig, estimate_many, estimate_sop
 from .params import LinkSet, PowerPolicy, SchemeKind, SystemParams
-from .quadrature import g_kernel, h_kernel, quadrature  # g_kernel: bench/micro.py times api.g_kernel
+from .quadrature import g_kernel, quadrature  # g_kernel: bench/micro.py times api.g_kernel
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "estimate_many",
     "estimate_sop",
     "g_kernel",
-    "h_kernel",
     "quadrature",
     "scaled_params",
     "sdo",

@@ -32,11 +32,12 @@ selection runs only on the trials with an idle relay. The jamming split of
 the relay SNR is `params.jamming_split`, the one the closed forms use.
 
 Threads. The calling thread draws every block, through this module's
-`sample_gain`, just before it is decided. Given a second usable core, one
-helper thread decides blocks as they become ready, overlapping the next
-draws; the calling thread decides a block itself whenever two or more
-drawn blocks are waiting, so at most three blocks are alive at once, and
-takes what is left once the last block is drawn. The jobs are every block
+`sample_gain`, just before it is decided. Given a second usable core, each
+drawn block joins the queue of the one helper thread's executor, which
+decides blocks in turn, overlapping the next draws; the calling thread
+takes the oldest waiting block back and decides it itself whenever two or
+more are waiting, so at most three blocks are alive at once, and takes
+back what still waits once the last block is drawn. The jobs are every block
 of every chunk of one call, and the counts are summed on the calling thread
 in block order, so no estimate depends on scheduling. The kernel keeps only
 pass/fail flags per relay and forms each check in place, so deciding 100k
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -382,72 +382,42 @@ def _blocks(config: TrialConfig, params: SystemParams):
 
 def _run_shared(fn, jobs) -> list:
     """[fn(job) for job in jobs], with `jobs` advanced on the calling thread
-    only and, with two workers, the jobs it yields shared with the helper
-    thread: the helper takes the oldest waiting job whenever it is free, and
-    the calling thread takes one whenever two or more are waiting, then
-    takes what is left once `jobs` is spent. Results keep the jobs' order,
-    so nothing the caller makes of them depends on which thread ran which
-    job. The first error of either thread is raised once both have stopped."""
+    only and, with two workers, each job it yields put in the helper
+    thread's queue: the calling thread takes the oldest waiting job back
+    whenever two or more wait, and every waiting job once `jobs` is spent.
+    Results keep the jobs' order, so nothing the caller makes of them
+    depends on which thread ran which job. The first error of either thread
+    is raised once no job of this call runs or waits."""
     if _WORKERS < 2:
         return [fn(job) for job in jobs]
+    pool = _helper_pool()
     results: list = []
-    waiting: list = []  # (index, job), oldest first
-    ready = threading.Condition()
-    spent = failed = False
+    queued: list = []  # (index, box, future) of the jobs handed over and not collected, oldest first
 
-    def run(item) -> None:
-        value = fn(item[1])
-        with ready:  # the calling thread may be appending to `results`
-            results[item[0]] = value
+    def take_back(most: int) -> None:
+        """Collect the finished jobs, raising the helper's error, then decide
+        the oldest waiting ones here until at most `most` wait."""
+        while queued and queued[0][2].done():
+            index, _, future = queued.pop(0)
+            results[index] = future.result()
+        for index, box, future in queued[:len(queued) - most]:  # one the helper has started is not cancelled
+            if future.cancel():
+                queued.remove((index, box, future))
+                results[index] = fn(box.pop())
 
-    def helper() -> None:
-        nonlocal failed
-        try:
-            while True:
-                with ready:
-                    while not (waiting or spent or failed):
-                        ready.wait()
-                    if not waiting:
-                        return
-                    item = waiting.pop(0)
-                run(item)
-        except BaseException:
-            with ready:
-                failed = True
-                waiting.clear()
-            raise
-
-    future = _helper_pool().submit(helper)
     try:
         for job in jobs:
-            with ready:
-                if failed:  # the helper's error is raised below
-                    break
-                waiting.append((len(results), job))
-                results.append(None)
-                ready.notify()
-                mine = waiting.pop(0) if len(waiting) >= 2 else None
-            if mine is not None:
-                run(mine)
-        with ready:
-            spent = True
-            ready.notify()
-        while True:
-            with ready:
-                if not waiting:
-                    break
-                mine = waiting.pop(0)
-            run(mine)
+            box = [job]  # emptied when the job is taken back: the executor's queue keeps the box
+            queued.append((len(results), box, pool.submit(lambda box: fn(box.pop()), box)))
+            results.append(None)
+            take_back(1)
+        take_back(0)
+        for index, _, future in queued:
+            results[index] = future.result()
     except BaseException:
-        with ready:
-            failed = True
-            waiting.clear()
-            ready.notify()
-        if not future.cancel():
+        for future in [future for *_, future in queued if not future.cancel()]:
             future.exception()  # wait for its current job: none of this call's work outlives it
         raise
-    if not future.cancel():  # a helper that never started has taken no job
-        future.result()
     return results
 
 

@@ -301,11 +301,14 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
 def transmission_plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> list[tuple]:
     """The `transmission_args` of each distinct transmission of the scheme at
     n = 1..K (`SchemeKind.reads`), in order of first use; none under an
-    infeasible split."""
+    infeasible split, and none whose constants a, b or c overflow, as where
+    the relay SNR underflows; a mixture that still reads one evaluates it
+    alone (`quadrature._read`)."""
     if feasibility_check(params, policy) is not None:
         return []
     sends = dict.fromkeys(SchemeKind(scheme).reads(n, params.K) for n in range(1, params.K + 1))
-    return [transmission_args(params, policy, kind, n) for kind, n in sends]
+    plan = [transmission_args(params, policy, kind, n) for kind, n in sends]
+    return [args for args in plan if all(map(math.isfinite, (args[3].a, args[3].b, args[3].c)))]
 
 
 def conditional(scheme: SchemeKind, n: int, K: int, outage: Callable[[Transmission, int], float]) -> float:

@@ -28,7 +28,6 @@ from noma_relay_secrecy import (
     TrialConfig,
     estimate_many,
     g_kernel,
-    h_kernel,
     quadrature,
     scaled_params,
     sdo,
@@ -39,6 +38,7 @@ from noma_relay_secrecy import (
 from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy.channels import jammed_ratio_terms
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
+from noma_relay_secrecy.quadrature import h_kernel
 
 QUAD = quadrature(300)
 MC = TrialConfig(trials=1_000_000, seed=42)

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -353,6 +354,35 @@ def test_drawn_jobs_wait_in_a_short_queue(monkeypatch):
         return item[1]
 
     assert max(montecarlo._run_shared(fn, jobs())) <= 3
+
+
+@pytest.mark.parametrize("slow", ["helper", "calling thread"])
+def test_jobs_taken_back_are_let_go(monkeypatch, slow):
+    # a job the calling thread takes back from the helper's queue must not
+    # stay alive there until the helper reaches it: whichever thread is the
+    # slow one, a job is drawn only while at most three drawn jobs live
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+
+    class Job:
+        pass
+
+    refs = []
+    alive = []
+
+    def jobs():
+        for _ in range(60):
+            alive.append(sum(ref() is not None for ref in refs))
+            job = Job()
+            refs.append(weakref.ref(job))
+            yield job
+            del job
+
+    def fn(job):
+        if (threading.current_thread() is threading.main_thread()) == (slow == "calling thread"):
+            time.sleep(0.005)
+
+    montecarlo._run_shared(fn, jobs())
+    assert max(alive) <= 3, alive
 
 
 def test_error_in_a_helper_block_surfaces(monkeypatch):

@@ -4,10 +4,18 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import grid_params
+from conftest import fixed_policy, grid_params
 
 from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SchemeKind, SystemParams
-from noma_relay_secrecy.params import Transmission, clamp_probability, conditional, feasibility_check, scheme_constants
+from noma_relay_secrecy.params import (
+    Transmission,
+    clamp_probability,
+    conditional,
+    feasibility_check,
+    scheme_constants,
+    transmission_args,
+    transmission_plan,
+)
 
 
 def test_thresholds_and_eta():
@@ -167,3 +175,16 @@ def test_reads_is_the_transmission_and_its_set_size(scheme):
             sends, size = scheme.reads(n, K)
             assert sends is scheme.transmission(n, K)
             assert size == (1 if sends is Transmission.SINGLE else n)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_a_plan_leaves_out_transmissions_whose_constants_overflow(scheme):
+    # at -3200 dB the relay SNR underflows to 1e-320, where a = b = inf and
+    # c = -inf; no relay decodes there, so no securing integral is listed.
+    # At 10 dB every distinct transmission is, in order of first use
+    policy = fixed_policy(0.2, alphaJ=0.5)
+    assert transmission_plan(grid_params(K=3, P_dB=-3200.0), policy, scheme) == []
+    params = grid_params(K=3)
+    sends = dict.fromkeys(scheme.reads(n, 3) for n in range(1, 4))
+    want = [transmission_args(params, policy, kind, n) for kind, n in sends]
+    assert transmission_plan(params, policy, scheme) == want
