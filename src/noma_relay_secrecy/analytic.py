@@ -20,13 +20,14 @@ The constants, the laws, the jamming split and the clip to [0, 1] come from
 `params`, as in every engine.
 
 `sop_total` runs the one flow of `quadrature`: plan, batch, one mixture.
-`_plan` lists the decoding probabilities and each n's securing integral,
-whose arguments come from the builder the conditionals read through
-(`params.transmission_args`), and `quadrature._evaluate` returns their
-values in a dict, which the readers take as `values`. Within one call, or
-one sweep, each distinct integral is evaluated once: the single-relay term
-serves every scheme and n that sends singly, and a combined term at n or a
-jammed term with K - n idle relays serves every K that needs it.
+`_plan` names what one point reads, the decoding probabilities and each
+transmission's securing integral (`params.transmission_plan`), and
+`quadrature._evaluate` returns their values in a dict by those names: the
+`values` each reader indexes, planning its own if given none. Within one
+call, or one sweep, each distinct integral is evaluated once: the
+single-relay term serves every scheme and n that sends singly, and a
+combined term at n or a jammed term with K - n idle relays serves every K
+that needs it.
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ from .params import (
     clamp_probability,
     conditional,
     mixture,
-    transmission_args,
     transmission_plan,
 )
 from .quadrature import (
@@ -61,7 +61,6 @@ from .quadrature import (
     _check_domain,
     _column,
     _evaluate,
-    _read,
     _signed_log_pow,
     convolve_series,
     g_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
@@ -80,8 +79,10 @@ def decoding_set_pmf(params: SystemParams, *, values: dict | None = None) -> np.
 
     The miss probability 1 - chi is the gain CDF at eta, not 1 - chi
     itself, which cancels to rounding noise (even below 0) once chi is
-    within an ulp of 1."""
-    chi, miss = _read(values, _decode_probs, params.links.source_relay, params.eta)
+    within an ulp of 1. Both are read from values, or from a plan of their own."""
+    if values is None:
+        [values] = _evaluate([_plan(params, None, (), None)])
+    chi, miss = values["decoding"]
     k = params.K
     return np.array([math.comb(k, n) * chi**n * miss ** (k - n) for n in range(k + 1)])
 
@@ -155,6 +156,7 @@ def _joint_secrecy_prob(
     an `_evaluate` call, in batches. A series base lambda1*b or
     lambda2*|c| that underflows to 0.0 has no logarithm (ValueError).
     """
+    consts.check_finite()
     lambda1, lambda2 = user1.rate, user2.rate
     a, b, c, q, r = consts.a, consts.b, consts.c, consts.v, consts.u
     base1, base2 = lambda1 * b, lambda2 * abs(c)
@@ -171,11 +173,11 @@ def _joint_secrecy_prob(
 
 def _secured(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int, quad: QuadratureSpec,
              values: dict | None) -> float:
-    """P(both users secured) when n decoding relays transmit as `sends`
-    (`params.transmission_args`), read from values (`quadrature._read`); 0
-    for an infeasible split."""
-    args = transmission_args(params, policy, sends, n)
-    return 0.0 if args is None else _read(values, _joint_secrecy_prob, *args, quad)
+    """P(both users secured) when n decoding relays transmit as `sends`: the
+    value of that name in values or, with values None, in its own plan's."""
+    if values is None:
+        [values] = _evaluate([_plan(params, policy, [(sends, n)], quad)])
+    return values[(sends, n)]
 
 
 def sop_tmrc_cond(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSpec, *,
@@ -220,12 +222,15 @@ def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, val
     return 1.0 - delta4(params, policy, n, quad, values=values)
 
 
-def _plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec) -> list:
-    """What `sop_total` reads at one point (`quadrature._evaluate`): the
-    decoding probabilities and each transmission's securing integral
-    (`params.transmission_plan`)."""
-    decoding = (_decode_probs, (params.links.source_relay, params.eta))
-    return [decoding] + [(_joint_secrecy_prob, (*args, quad)) for args in transmission_plan(params, policy, scheme)]
+def _plan(params: SystemParams, policy: PowerPolicy | None, reads, quad: QuadratureSpec | None) -> dict:
+    """What the readers read at one point, by name (`quadrature._evaluate`):
+    "decoding", the decoding probabilities, and for each (sends, size) of
+    reads, a scheme or a list (`params.transmission_plan`), its securing
+    integral, or (float, (0.0,)), the constant 0.0, under an infeasible split."""
+    plan = {"decoding": (_decode_probs, (params.links.source_relay, params.eta))}
+    for name, args in transmission_plan(params, policy, reads).items():
+        plan[name] = (float, (0.0,)) if args is None else (_joint_secrecy_prob, (*args, quad))
+    return plan
 
 
 def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec) -> float:
@@ -248,7 +253,7 @@ def sop_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, qua
 
     With values None it evaluates its `_plan` in batches (`quadrature._evaluate`)
     and runs the mixture once on the values; a sweep passes the values of
-    all its points, planned already, and the call runs the mixture alone."""
+    the point, planned already, and the call runs the mixture alone."""
     if values is None:
-        values = _evaluate(_plan(params, policy, scheme, quad))
+        [values] = _evaluate([_plan(params, policy, scheme, quad)])
     return _mixture(params, policy, scheme, quad, values)

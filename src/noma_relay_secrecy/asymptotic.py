@@ -20,24 +20,24 @@ describes, hence it is omitted on the dynamic branch.
 Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
 transmit off its `SchemeKind` record through the mixture the exact engine
 runs too (`params.conditional`, `params.mixture`): combining, a single
-relay, or a jammed one. This engine supplies each one's outage (`_outage`),
-one leading-order complement (`_leading_complement`) under the exact
-engine's eavesdropper law for that transmission (`channels.combined_law`,
-`channels.jammed_law`): the ceiling mass (`_ceiling_mass`), which
-`sop_floor_cond` keeps alone, plus the integral of three user terms
-(`_leading_integral`), summed at each quadrature node and integrated once
-by the kernel both engines share (`quadrature.series_integrals`). This
-engine supplies its user rows, the leading terms (`_leading_user_rows`). No
-engine calls `g_kernel` or `h_kernel`; both remain the per-term references
-of the complement.
+relay, or a jammed one. This engine supplies each one's outage (`_outage`)
+at leading order under the exact engine's eavesdropper law for that
+transmission (`channels.combined_law`, `channels.jammed_law`): the ceiling
+mass (`_ceiling_mass`), which `sop_floor_cond` keeps alone, plus the
+integral of three user terms (`_leading_integral`), summed at each
+quadrature node and integrated once by the kernel both engines share
+(`quadrature.series_integrals`). This engine supplies its user rows, the
+leading terms (`_leading_user_rows`). No engine calls `g_kernel` or
+`h_kernel`; both remain the per-term references of the outage.
 
-The complement reads only its arguments, which the builder both engines
-share forms (`params.transmission_args`). `sop_asym_total` runs the exact
-engine's flow, plan, batch, one mixture: `_plan` lists each n's leading
-integral and, under a fixed split, its ceiling mass, `quadrature._evaluate`
-returns their values in a dict (`values`), and each distinct one is
-evaluated once per call or sweep, in batches that share the law's density
-rows with the exact engine (`quadrature.law_rows`).
+`sop_asym_total` runs the exact engine's flow, plan, batch, one mixture:
+`_plan` names each transmission's leading integral and ceiling mass (the
+constant 0.0 where a term is not kept), from the arguments the builder
+both engines share forms (`params.transmission_plan`), and
+`quadrature._evaluate` returns their values in a dict by those names
+(`values`). Each distinct one is evaluated once per call or sweep, in
+batches that share the law's density rows with the exact engine
+(`quadrature.law_rows`).
 """
 from __future__ import annotations
 
@@ -63,7 +63,6 @@ from .params import (
     clamp_probability,
     conditional,
     mixture,
-    transmission_args,
     transmission_plan,
 )
 from .quadrature import (
@@ -73,7 +72,6 @@ from .quadrature import (
     _check_domain,
     _column,
     _evaluate,
-    _read,
     _signed_log_pow,
     g_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
     h_kernel,  # noqa: F401  (re-exported for bench/spans.py, which traces it here)
@@ -152,14 +150,15 @@ def _leading_integral(
     law: EavesdropperLaw,
     quad: QuadratureSpec,
 ) -> SeriesItem:
-    """The securing part of `_leading_complement`: the law's integral below
-    the ceiling of three user terms phi1*B^tau_u, phi2*c^tau_u*C^tau_u and
-    -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with B = b + theta1*x and
+    """A transmission's leading-order outage below the ceiling (`_outage`):
+    the law's integral of three user terms phi1*B^tau_u, phi2*c^tau_u*C^tau_u
+    and -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with B = b + theta1*x and
     C = 1 + u/(1-vx). They are summed at each node, as
     `analytic._joint_secrecy_prob` sums its series, and integrated once. The
     function prepares the integral's `SeriesItem`; as a `_batched` integral
     it is evaluated once per argument tuple of an `_evaluate` call, in batches.
     """
+    consts.check_finite()
     _check_domain(consts.a, consts.v, "pole")
     b, c, u, v = consts.b, consts.c, consts.u, consts.v
     log_phi1 = _log_leading_coeff(user1.rate, tau_u)
@@ -174,46 +173,21 @@ def _leading_integral(
     return SeriesItem(consts.a, law.rate, law.log_front, law, law.degree + tau_u, tau_u + law.n_rows, user, quad)
 
 
-def _ceiling_mass(law: EavesdropperLaw, a: float) -> float:
+def _ceiling_mass(law: EavesdropperLaw, consts: SchemeConstants) -> float:
     """P(X > a): the eavesdropper gain already beyond the ceiling."""
-    return float(law.survival(a))
-
-
-def _leading_complement(
-    user1: NakagamiParams,
-    user2: NakagamiParams,
-    theta1: float,
-    consts: SchemeConstants,
-    alpha2: float,
-    tau_u: int,
-    law: EavesdropperLaw,
-    quad: QuadratureSpec | None,
-    include_floor: bool,
-    *,
-    values: dict | None = None,
-) -> float:
-    """Leading-order P(outage) of one transmission with Gamma(tau_u) user links
-    at the rates of user1 and user2 when the eavesdropper's gain follows
-    `law`, floor term first; with quad None, the floor term alone.
-
-    The user CDFs collapse to phi*x^tau_u, so below the ceiling the outage
-    mass is the law's integral of three user terms (`_leading_integral`);
-    above it, the floor is the ceiling mass (`_ceiling_mass`). Both are read
-    from values (`quadrature._read`).
-    """
-    floor = _read(values, _ceiling_mass, law, consts.a) if include_floor else 0.0
-    if quad is None:
-        return floor
-    return floor + _read(values, _leading_integral, user1, user2, theta1, consts, alpha2, tau_u, law, quad)
+    consts.check_finite()
+    return float(law.survival(consts.a))
 
 
 def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec | None, include_floor: bool,
             values: dict | None, sends: Transmission, n: int) -> float:
     """The outage of `params.conditional` on an already scaled scenario: the
-    transmission's complement, certain outage under an infeasible split.
-    With quad None only the floor terms are kept."""
-    args = transmission_args(params, policy, sends, n)
-    return 1.0 if args is None else clamp_probability(_leading_complement(*args, quad, include_floor, values=values))
+    transmission's ceiling mass plus its leading integral, read by name from
+    values or, with values None, from its own plan, which keeps the floor
+    with include_floor and the integral unless quad is None."""
+    if values is None:
+        [values] = _evaluate([_plan(params, policy, [(sends, n)], quad, include_floor)])
+    return clamp_probability(values[("ceiling", sends, n)] + values[(sends, n)])
 
 
 def _decoding_miss(scaled: SystemParams) -> float:
@@ -227,18 +201,25 @@ def _decoding_miss(scaled: SystemParams) -> float:
     return miss
 
 
-def _plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
-          quad: QuadratureSpec) -> list:
-    """What `sop_asym_total` reads at one point (`quadrature._evaluate`): each
-    transmission's leading integral (`params.transmission_plan`) and, when
-    the floor is kept, its ceiling mass. Raises where `_mixture` does."""
-    scaled = scaled_params(params, scaling)
-    _decoding_miss(scaled)
-    plan = []
-    for args in transmission_plan(scaled, policy, scheme):
-        plan.append((_leading_integral, (*args, quad)))
-        if not policy.is_dynamic:
-            plan.append((_ceiling_mass, (args[-1], args[3].a)))  # the law and its ceiling
+def _plan(params: SystemParams, policy: PowerPolicy, reads, quad: QuadratureSpec | None, include_floor: bool,
+          scaling: AsymptoticScaling | None = None) -> dict:
+    """What `_outage` reads at one point, by name (`quadrature._evaluate`):
+    for each (sends, size) of reads, a scheme or a list
+    (`params.transmission_plan`), its leading integral, unless quad is None,
+    and as ("ceiling", sends, size) its ceiling mass, if include_floor; a
+    term not kept is (float, (0.0,)), the constant 0.0, and an infeasible
+    split's ceiling mass is the constant 1.0, certain outage. With scaling,
+    the point is params moved onto it, and it raises where `_mixture` does."""
+    if scaling is not None:
+        params = scaled_params(params, scaling)
+        _decoding_miss(params)
+    plan = {}
+    for name, args in transmission_plan(params, policy, reads).items():
+        if args is None:
+            plan[name], plan[("ceiling", *name)] = (float, (0.0,)), (float, (1.0,))
+            continue
+        plan[name] = (float, (0.0,)) if quad is None else (_leading_integral, (*args, quad))
+        plan[("ceiling", *name)] = (_ceiling_mass, (args[-1], args[3])) if include_floor else (float, (0.0,))
     return plan
 
 
@@ -251,7 +232,7 @@ def sop_asym_cond(
     quad: QuadratureSpec,
 ) -> float:
     """Asymptotic SOP given n decoding relays under the scheme: one
-    complement, evaluated alone."""
+    transmission's outage, planned and evaluated alone."""
     outage = partial(_outage, scaled_params(params, scaling), policy, quad, not policy.is_dynamic, None)
     return conditional(SchemeKind(scheme), n, params.K, outage)
 
@@ -275,15 +256,17 @@ def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind
     probability (ValueError). Plans, batches and mixes once, or mixes the
     values a sweep passes, as `sop_total` does."""
     if values is None:
-        values = _evaluate(_plan(params, policy, scheme, scaling, quad))
+        [values] = _evaluate([_plan(params, policy, scheme, quad, not policy.is_dynamic, scaling)])
     return _mixture(params, policy, scheme, scaling, quad, values)
 
 
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
     """The conditional SOP's high-gain floor: the securing terms vanish with the
     user-link coefficients and only the eavesdropper-side mass above the
-    ceiling a survives, i.e. each complement's floor term."""
+    ceiling a survives, i.e. each transmission's ceiling mass."""
     return conditional(SchemeKind(scheme), n, params.K, partial(_outage, params, policy, None, True, None))
+
+
 def sop_floor_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> float:
     """High-gain floor of the total SOP: all relays decode, so n = K."""
     return sop_floor_cond(params, policy, scheme, params.K)

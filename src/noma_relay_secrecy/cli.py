@@ -253,11 +253,11 @@ def _engine_sop(engine: str, params: SystemParams, policy: PowerPolicy, scheme: 
     return sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad, values=values)
 
 
-def _engine_plan(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad) -> list:
-    """What `_engine_sop` reads at the point: its engine's `_plan`."""
+def _engine_plan(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad) -> dict:
+    """What `_engine_sop` reads at the point, by name: its engine's `_plan`."""
     if engine == "analytic":
         return analytic._plan(params, policy, scheme, quad)
-    return asymptotic._plan(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)
+    return asymptotic._plan(params, policy, scheme, quad, not policy.is_dynamic, AsymptoticScaling(*params.links.frame))
 
 
 def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> list[dict]:
@@ -270,8 +270,8 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     flow: plan, batch, one mixture. The plans of all rows are evaluated in
     batches before the first row (`quadrature._evaluate`), so each distinct
     integral is evaluated once per sweep, and each row's engine call runs
-    its mixture once, on those values (`values=`). A row whose plan raises
-    has its engine call raise the error into its error column.
+    its mixture once, on its plan's values (`values=`). A row whose plan
+    raises gets none, and its engine call raises the error into its row.
     """
     engines = tuple(engines) if engines is not None else cfg.engines
     if cfg.sweep_var is None:
@@ -285,17 +285,17 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
              for scheme in cfg.schemes]
     quad = quadrature(cfg.quad_n) if calls else None
     rows: list[dict] = []
-    plan: list = []
+    plans: list = []
     for _, params, policy, engine, scheme in calls:
         try:
-            plan += _engine_plan(engine, params, policy, scheme, quad)
+            plans.append(_engine_plan(engine, params, policy, scheme, quad))
         except Exception:  # noqa: BLE001 - the row's engine call raises it again
-            continue
-    values = _evaluate(plan)
-    for value, params, policy, engine, scheme in calls:
+            plans.append(None)
+    values = _evaluate([plan or {} for plan in plans])
+    for (value, params, policy, engine, scheme), plan, point in zip(calls, plans, values):
         row = _blank_row(cfg, value, scheme, engine)
         try:
-            row["sop"] = _engine_sop(engine, params, policy, scheme, quad, values)
+            row["sop"] = _engine_sop(engine, params, policy, scheme, quad, None if plan is None else point)
             if engine == "asymptotic" and policy.is_dynamic:
                 row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
         except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep

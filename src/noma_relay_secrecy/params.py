@@ -4,10 +4,11 @@ Holds the relay-network parameters, the power-allocation policy (fixed split
 or the gain-driven dynamic rule), the scheme record every engine reads (how a
 decoding set transmits and how an outage is blamed on a user), the threshold
 constants, and the result record every engine returns. Values that several engines
-derive are defined here once: `jamming_split`, `transmission_args`, `clamp_probability`,
-and the SOP itself, one mixture over the decoding-set size of the three
-per-transmission outages (`conditional`, `mixture`); an engine supplies only
-those outages.
+derive are defined here once: `jamming_split`, `clamp_probability`, what each
+transmission of a point reads (`transmission_plan`, by name, with the split
+checked once per point), and the SOP itself, one mixture over the
+decoding-set size of the three per-transmission outages (`conditional`,
+`mixture`); an engine supplies only those outages.
 All rates are in nats per channel use; capacities carry the 1/2 pre-log of
 the two-slot protocol, so a secrecy rate R maps to the threshold theta = exp(2R).
 """
@@ -261,6 +262,12 @@ class SchemeConstants:
         """h = lambda2*alpha2/d of the weak user's e^{-h/(1 - v*x)}, which screens each securing integrand's pole."""
         return lambda2 * alpha2 / self.d
 
+    def check_finite(self) -> None:
+        """Raise a ValueError naming each of a, b, c that overflows, as where the relay SNR underflows."""
+        bad = ", ".join(f"{name}={getattr(self, name)!r}" for name in "abc" if not math.isfinite(getattr(self, name)))
+        if bad:
+            raise ValueError(f"threshold constants {bad} are not finite: the relay SNR underflows")
+
 
 def scheme_constants(theta1: float, theta2: float, alpha1: float, alpha2: float, rho: float) -> SchemeConstants:
     """Build the threshold constants; requires a feasible split (alpha1*theta2 < 1)."""
@@ -274,18 +281,16 @@ def scheme_constants(theta1: float, theta2: float, alpha1: float, alpha2: float,
     return SchemeConstants(a=a, b=b, c=c, d=d, u=alpha2 / (d * c), v=rho**2 * alpha1**2 * alpha2 * theta2 / d)
 
 
-def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int) -> tuple | None:
+def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int) -> tuple:
     """What the securing integral of n decoding relays that transmit as
     `sends` reads, in either engine: (user1, user2, theta1, constants,
-    alpha2, tau_u, law); None under an infeasible split, which secures no one.
+    alpha2, tau_u, law), under a feasible split (`transmission_plan` checks).
 
     When n relays combine, each sends at P_R/n and every receiver sums their
     n gains; a single relay is that at n = 1 (`SchemeKind.reads`). A jammed
     one sends at rho3 while the strongest of the K - n idle relays jams the
     eavesdropper at rho4.
     """
-    if feasibility_check(params, policy) is not None:
-        return None
     alpha1, alpha2 = policy.resolve(params.links)
     links = params.links
     if sends is Transmission.JAMMED:
@@ -298,17 +303,17 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
     return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, tau_u, law
 
 
-def transmission_plan(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> list[tuple]:
-    """The `transmission_args` of each distinct transmission of the scheme at
-    n = 1..K (`SchemeKind.reads`), in order of first use; none under an
-    infeasible split, and none whose constants a, b or c overflow, as where
-    the relay SNR underflows; a mixture that still reads one evaluates it
-    alone (`quadrature._read`)."""
-    if feasibility_check(params, policy) is not None:
-        return []
-    sends = dict.fromkeys(SchemeKind(scheme).reads(n, params.K) for n in range(1, params.K + 1))
-    plan = [transmission_args(params, policy, kind, n) for kind, n in sends]
-    return [args for args in plan if all(map(math.isfinite, (args[3].a, args[3].b, args[3].c)))]
+def transmission_plan(params: SystemParams, policy: PowerPolicy, reads) -> dict:
+    """The `transmission_args` of each distinct (sends, size) of reads, by
+    that name, in order of first use; a scheme reads what it reads at
+    n = 1..K (`SchemeKind.reads`). The split is checked once: under an
+    infeasible one each name maps to None, which secures no one."""
+    if isinstance(reads, str):  # a scheme, or its name
+        reads = [SchemeKind(reads).reads(n, params.K) for n in range(1, params.K + 1)]
+    names = dict.fromkeys(reads)
+    if names and feasibility_check(params, policy) is not None:
+        return names
+    return {name: transmission_args(params, policy, *name) for name in names}
 
 
 def conditional(scheme: SchemeKind, n: int, K: int, outage: Callable[[Transmission, int], float]) -> float:

@@ -23,14 +23,14 @@ term's degree. `g_kernel` and `h_kernel` evaluate one term of each shape on
 its own. No engine calls them: they are the tests' per-term references,
 kept in the package for `bench/spans.py` and `bench/micro.py`.
 
-The flow is plan, batch, one mixture. An engine call, or `cli.run_sweep`
-for all its points, lists what it reads as (function, arguments) entries
-(each engine's `_plan`). `_evaluate` returns their values in a dict the
-caller owns, each distinct entry evaluated once and the `_batched` integrals
-in batches of one integrand shape; a law's density rows are built once per
-cut in that call (`law_rows`), read-only, and read by both engines. The
-mixture then reads each value from the dict (`_read`). Nothing is kept past
-the caller's dict.
+The flow is plan, batch, one mixture. Each engine's `_plan` names the
+(function, arguments) entries one point reads: each integral by its
+transmission (sends, size), the decoding probabilities, the ceiling masses.
+`_evaluate` takes the plans of a call, or of a sweep (`cli.run_sweep`),
+evaluates each distinct entry once, the `_batched` integrals in batches of
+one integrand shape, and returns one dict per plan by its names, which the
+readers index (`values`). A law's density rows are built once per cut in
+that call (`law_rows`), read-only, and read by both engines.
 """
 from __future__ import annotations
 
@@ -95,36 +95,40 @@ def _batched(user_rows):
     return lambda prepare: BatchedIntegral(prepare, user_rows)
 
 
-def _evaluate(plan) -> dict:
-    """The values of the plan's distinct (function, arguments) entries, by
-    entry: `_batched` integrals in batches of one integral and shape, every
-    other function one by one. The law rows the batches build are kept for
-    the call's length, so every batch that reads a (law, cut) reads one
-    array. An entry that raises (a series base that underflows, say) is
-    left out: its reader raises the error (`_read`)."""
+class _Values(dict):
+    """One plan's values by name (`_evaluate`); reading an entry that raised raises its error."""
+
+    def __getitem__(self, name):
+        value = super().__getitem__(name)
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+
+def _evaluate(plans: list[dict]) -> list[dict]:
+    """One dict of values per plan, by the plan's names: each distinct
+    (function, arguments) entry of the plans evaluated once, `_batched`
+    integrals in batches of one integral and shape, every other function
+    one by one. The law rows the batches build are kept for the call's
+    length, so every batch that reads a (law, cut) reads one array. An
+    entry that raises (a series base that underflows, say) is tried once
+    and left out of the batches; each read of its name raises its error."""
     values: dict = {}
     rows: dict = {}
     batches: dict = {}
-    for key in dict.fromkeys(plan):
-        fn, args = key
+    for entry in dict.fromkeys(entry for plan in plans for entry in plan.values()):
+        fn, args = entry
         try:
             if isinstance(fn, BatchedIntegral):
                 item = fn.prepare(*args)
-                batches.setdefault((fn, item.shape), []).append((key, item))
+                batches.setdefault((fn, item.shape), []).append((entry, item))
             else:
-                values[key] = fn(*args)
-        except Exception:  # noqa: BLE001 - its reader raises it, whatever it is
-            continue
+                values[entry] = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - its readers raise it, whatever it is
+            values[entry] = exc
     for (integral, _), entries in batches.items():
-        values.update(zip((key for key, _ in entries), integral.evaluate([item for _, item in entries], rows)))
-    return values
-
-
-def _read(values: dict | None, fn, *args):
-    """fn(*args) from values, or, where values lacks it (None, or an entry
-    that raised in `_evaluate`), evaluated alone, raising what it raises."""
-    value = None if values is None else values.get((fn, args))
-    return fn(*args) if value is None else value
+        values.update(zip((entry for entry, _ in entries), integral.evaluate([item for _, item in entries], rows)))
+    return [_Values((name, values[entry]) for name, entry in plan.items()) for plan in plans]
 
 
 class QuadratureSpec:

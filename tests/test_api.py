@@ -159,6 +159,21 @@ def test_every_traced_name_resolves():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
+def test_every_unused_import_is_a_traced_re_export():
+    # a name imported only to be re-exported (`# noqa: F401`) stays in a
+    # module for the benchmark's traced run alone, so it must be one the
+    # FULL tuple resolves there; once the bench stops reading it, it goes
+    traced = {(module_name, attr) for module_name, attr, _span in _bench_spans().FULL}
+    pinned = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                pinned |= {(path.stem, alias.asname or alias.name) for alias in node.names
+                           if "# noqa: F401" in lines[alias.lineno - 1]}
+    assert pinned and pinned <= traced, sorted(pinned - traced)
+
+
 def test_traced_layers_see_the_engines_calls(monkeypatch):
     # the benchmark's per-layer spans wrap module globals, so they count a
     # layer only while the engines call it through that global: a call routed

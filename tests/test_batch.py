@@ -190,7 +190,7 @@ def test_one_evaluate_keeps_one_read_only_array_per_law_and_cut(monkeypatch):
         return _original(law, cuts, quad, rows)
 
     monkeypatch.setattr(quadrature_module, "law_rows", keeping)
-    _evaluate([(integral, args) for integral in REFERENCES for args in integral_args(params, DYNAMIC)])
+    _evaluate([dict(enumerate((integral, args) for integral in REFERENCES for args in integral_args(params, DYNAMIC)))])
     rows = kept[0]
     assert all(other is rows for other in kept)
     assert len({law for law, _, _ in rows}) == 4  # idle counts 1..4

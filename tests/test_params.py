@@ -6,7 +6,18 @@ import math
 import pytest
 from conftest import fixed_policy, grid_params
 
-from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SchemeKind, SystemParams
+from noma_relay_secrecy import (
+    AsymptoticScaling,
+    LinkSet,
+    NakagamiParams,
+    PowerPolicy,
+    SchemeKind,
+    SystemParams,
+    analytic,
+    quadrature,
+    sop_asym_total,
+    sop_total,
+)
 from noma_relay_secrecy.params import (
     Transmission,
     clamp_probability,
@@ -16,6 +27,7 @@ from noma_relay_secrecy.params import (
     transmission_args,
     transmission_plan,
 )
+from noma_relay_secrecy.quadrature import _evaluate
 
 
 def test_thresholds_and_eta():
@@ -178,13 +190,43 @@ def test_reads_is_the_transmission_and_its_set_size(scheme):
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
-def test_a_plan_leaves_out_transmissions_whose_constants_overflow(scheme):
+def test_a_plan_leaves_out_transmissions_whose_constants_overflow(scheme, monkeypatch):
     # at -3200 dB the relay SNR underflows to 1e-320, where a = b = inf and
-    # c = -inf; no relay decodes there, so no securing integral is listed.
-    # At 10 dB every distinct transmission is, in order of first use
+    # c = -inf: the plan names every transmission, but its integral is left
+    # out of the batches and reading it raises. At 10 dB the plan holds the
+    # arguments of every distinct transmission, in order of first use
     policy = fixed_policy(0.2, alphaJ=0.5)
-    assert transmission_plan(grid_params(K=3, P_dB=-3200.0), policy, scheme) == []
+    names = list(dict.fromkeys(scheme.reads(n, 3) for n in range(1, 4)))
+    integral = analytic._joint_secrecy_prob
+    monkeypatch.setattr(integral, "evaluate", lambda items, rows: pytest.fail("an overflowing item was batched"))
+    plan = analytic._plan(grid_params(K=3, P_dB=-3200.0), policy, scheme, quadrature(300))
+    assert list(plan) == ["decoding", *names]
+    [values] = _evaluate([plan])
+    for name in names:
+        with pytest.raises(ValueError, match=r"^threshold constants a=inf, b=inf, c=-inf are not finite"):
+            values[name]
     params = grid_params(K=3)
-    sends = dict.fromkeys(scheme.reads(n, 3) for n in range(1, 4))
-    want = [transmission_args(params, policy, kind, n) for kind, n in sends]
+    want = {name: transmission_args(params, policy, *name) for name in names}
     assert transmission_plan(params, policy, scheme) == want
+    assert list(transmission_plan(params, fixed_policy(0.7), scheme).values()) == [None] * len(names)
+
+
+def _underflowing_relay_snr() -> SystemParams:
+    # the relays decode (P_S = 10), but their SNR P_R/sigma2 underflows
+    links = LinkSet(*(NakagamiParams(2, omega) for omega in (10.0, 10.0**1.2, 10.0, 10.0**-0.5)))
+    return SystemParams(K=3, links=links, P_S=10.0, P_R=1e-320, sigma2=1.0, R1_th=0.2, R2_th=0.1, R1_s=0.1, R2_s=0.2)
+
+
+@pytest.mark.parametrize("policy", [fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)],
+                         ids=["fixed", "dynamic"])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_an_underflowing_relay_snr_names_the_overflowing_constants(scheme, policy):
+    # every securing transmission has a = b = inf and c = -inf here: both
+    # engines refuse the point by name, with no numpy warning on the way
+    # (the suite fails on any RuntimeWarning), rather than a bare NaN
+    params, quad = _underflowing_relay_snr(), quadrature(300)
+    message = r"^threshold constants a=inf, b=inf, c=-inf are not finite: the relay SNR underflows$"
+    with pytest.raises(ValueError, match=message):
+        sop_total(params, policy, scheme, quad)
+    with pytest.raises(ValueError, match=message):
+        sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)

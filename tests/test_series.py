@@ -1,7 +1,8 @@
 """Node-series integrals against explicit per-term g/h-kernel sums.
 
-`_joint_secrecy_prob`, `delta4` and `asymptotic._leading_complement` sum their
-series at every quadrature node and integrate once. Quadrature is linear, so
+`_joint_secrecy_prob`, `delta4` and the asymptotic leading integral (beside
+its ceiling mass, `_leading_complement` below) sum their series at every
+quadrature node and integrate once. Quadrature is linear, so
 they must equal the per-term sums below (one kernel call per series term, the
 way the closed forms are written) up to rounding, including where the
 domain cut of `_effective_upper` differs between terms of different degree.
@@ -31,7 +32,7 @@ from noma_relay_secrecy import (
     sop_total,
 )
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
-from noma_relay_secrecy.asymptotic import _leading_complement
+from noma_relay_secrecy.asymptotic import _ceiling_mass, _leading_integral
 from noma_relay_secrecy.channels import (
     EavesdropperLaw,
     combined_law,
@@ -55,6 +56,13 @@ QUAD = quadrature(300)
 
 def assert_close(got: float, ref: float) -> None:
     assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-15), (got, ref)
+
+
+def _leading_complement(user1, user2, theta1, consts, alpha2, tau_u, law, quad, include_floor) -> float:
+    """The asymptotic engine's leading-order outage of one transmission: the
+    ceiling mass, if kept, plus the leading integral, each evaluated alone."""
+    floor = _ceiling_mass(law, consts) if include_floor else 0.0
+    return floor + _leading_integral(user1, user2, theta1, consts, alpha2, tau_u, law, quad)
 
 
 def joint_args(params, policy, n):
@@ -112,7 +120,7 @@ def delta4_per_term(params, policy, n, quad):
 
 
 def combined_complement_args(params, alpha1, alpha2, n, quad, include_floor):
-    """The arguments the asymptotic engine hands _leading_complement when n relays combine."""
+    """The arguments of _leading_complement when n relays combine."""
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, params.P_R / (n * params.sigma2))
     links = params.links
     law = combined_law(links.relay_eaves, n)
@@ -142,7 +150,7 @@ def combined_complement_closed_form(params, alpha1, alpha2, n, quad, include_flo
 
 
 def jammed_complement_args(params, policy, alpha1, alpha2, n, quad, include_floor):
-    """The arguments the asymptotic engine hands _leading_complement when an idle relay jams."""
+    """The arguments of _leading_complement when an idle relay jams."""
     rho3, rho4 = jamming_split(policy.alphaJ, params.rho2)
     consts = scheme_constants(params.theta1, params.theta2, alpha1, alpha2, rho3)
     links = params.links

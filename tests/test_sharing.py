@@ -2,25 +2,28 @@
 evaluated once, and every result stays what a fresh evaluation gives.
 
 `run_sweep` evaluates every integral its analytic and asymptotic rows read in
-batches before the first row, into one dict of values that each row's engine
-call reads (`values=`); a `sop_total` or `sop_asym_total` call given no
-values batches its own integrals. So a row of a sweep must equal, bit for
-bit, the value (or the error text) of a direct call at that point, which
-shares nothing with the other points.
+batches before the first row, into one dict of values per row, by the names
+of the row's plan, that the row's engine call reads (`values=`); a
+`sop_total` or `sop_asym_total` call given no values plans and batches its
+own. So a row of a sweep must equal, bit for bit, the value (or the error
+text) of a direct call at that point, which shares nothing with the other
+points, and the row call itself builds nothing.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 from conftest import fixed_policy, grid_params
 
-from noma_relay_secrecy import AsymptoticScaling, analytic, asymptotic, channels, cli, sop_asym_total, sop_total
+import noma_relay_secrecy
+from noma_relay_secrecy import AsymptoticScaling, SchemeKind, analytic, asymptotic, channels, cli, sop_asym_total, sop_total
 from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
-from noma_relay_secrecy.quadrature import _evaluate, _read, law_rows, quadrature
+from noma_relay_secrecy.quadrature import _evaluate, law_rows, quadrature
 
 quadrature_module = importlib.import_module("noma_relay_secrecy.quadrature")
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,11 +160,11 @@ def _record_batch_step(monkeypatch) -> tuple[list, list]:
     batch step evaluates, as (integral, items)."""
     listed, batches, step = [], [], []
 
-    def evaluate(keys, _original=cli._evaluate):
-        listed.extend(keys)
+    def evaluate(plans, _original=cli._evaluate):
+        listed.extend(entry for plan in plans for entry in plan.values())
         step.append(True)
         try:
-            return _original(keys)
+            return _original(plans)
         finally:
             step.pop()
 
@@ -250,8 +253,8 @@ def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     computed = _count_shared(monkeypatch)
     computed_in_step = []
 
-    def evaluate(keys, _inner=cli._evaluate):
-        values = _inner(keys)
+    def evaluate(plans, _inner=cli._evaluate):
+        values = _inner(plans)
         computed_in_step.append(len(computed))
         return values
 
@@ -260,7 +263,10 @@ def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     assert all(not row["error"] for row in rows)
     in_step = [item for _, batch in batches for item in batch]
     integrals = {key for key in listed if key[0] in INTEGRALS.values()}
-    shared = set(listed) - integrals
+    # a term a plan does not keep (the ceiling mass under the dynamic split) is the constant 0.0
+    constants = {key for key in listed if key[0] is float}
+    assert constants == ({(float, (0.0,))} if cfg.policy.is_dynamic else set())
+    shared = set(listed) - integrals - constants
     # every listed integral is evaluated in the batch step, once, and the
     # row calls that follow evaluate none
     assert len(in_step) == len(integrals) == len(items[analytic]) + len(items[asymptotic])
@@ -375,8 +381,8 @@ def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
 
     monkeypatch.setattr(quadrature_module, "law_rows", keeping)
     scaling = AsymptoticScaling(*params.links.frame)
-    plan = analytic._plan(params, policy, "odrs", quad) + asymptotic._plan(params, policy, "odrs", scaling, quad)
-    values = _evaluate(plan)
+    plans = [analytic._plan(params, policy, "odrs", quad), asymptotic._plan(params, policy, "odrs", quad, True, scaling)]
+    values = _evaluate(plans)
     # every batch of the one `_evaluate` keeps its law rows in one dict; the
     # engines integrate the three jammed laws over one cut each here, and
     # both read the one array of each (law, cut), built once
@@ -390,9 +396,11 @@ def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 0.0
-    # the rows are not among the values, and a fresh dict builds its own, just as read-only
-    assert {fn for fn, _ in values} == {analytic._decode_probs, analytic._joint_secrecy_prob,
-                                        asymptotic._leading_integral, asymptotic._ceiling_mass}
+    # the rows are not among the values, which are the plans' names, and a
+    # fresh dict builds its own, just as read-only
+    assert [list(point) for point in values] == [list(plan) for plan in plans]
+    assert {fn for plan in plans for fn, _ in plan.values()} == {
+        analytic._decode_probs, analytic._joint_secrecy_prob, asymptotic._leading_integral, asymptotic._ceiling_mass}
     (law, cut, _), block = next(iter(rows.items()))
     fresh = law_rows(law, [cut], quad, {})[0]
     assert fresh is not block and not fresh.flags.writeable and fresh.tobytes() == block.tobytes()
@@ -408,11 +416,56 @@ def test_a_raising_call_is_not_stored():
     def square(x):
         return x * x
 
-    # an entry listed twice is tried once, and the one that raises is left out
-    values = _evaluate([(fail, (1,)), (square, (3,)), (fail, (1,))])
-    assert values == {(square, (3,)): 9} and calls == [1]
-    # its reader evaluates it alone, each time, and raises what it raised
-    for _ in range(2):
+    # an entry that two plans list is tried once, and its error stands in
+    # for its value in each plan's dict, under that plan's name for it
+    values = _evaluate([{"a": (fail, (1,)), "b": (square, (3,))}, {"c": (fail, (1,))}])
+    assert calls == [1] and [list(point) for point in values] == [["a", "b"], ["c"]]
+    # each reader of it raises the stored error, and none calls it again
+    for point, name in ((values[0], "a"), (values[1], "c"), (values[1], "c")):
         with pytest.raises(ValueError, match="bad 1"):
-            _read(values, fail, 1)
-    assert calls == [1, 1, 1] and _read(values, square, 3) == 9
+            point[name]
+    assert calls == [1] and values[0]["b"] == 9
+
+
+def test_row_calls_rebuild_nothing(tmp_path, monkeypatch):
+    # both engines, both splits, all four schemes, partial decoding: the
+    # plans build each point's transmissions, and the row calls only read
+    params_module = importlib.import_module("noma_relay_secrecy.params")
+    modules = [importlib.import_module(f"noma_relay_secrecy.{info.name}")
+               for info in pkgutil.iter_modules(noma_relay_secrecy.__path__)]
+    inside: list = [None]  # the builder calls of the innermost plan or row call
+    for name in ("transmission_args", "scheme_constants", "feasibility_check"):
+        original = getattr(params_module, name)
+
+        def counting(*args, _name=name, _original=original):
+            if inside[-1] is not None:
+                inside[-1].append((_name, args))
+            return _original(*args)
+
+        for module in modules:  # every namespace that binds it, so no caller goes around
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    calls: dict = {"_engine_plan": [], "_engine_sop": []}
+    for name, made in calls.items():
+        def within(*args, _original=getattr(cli, name), _made=made):
+            _made.append((args, []))
+            inside.append(_made[-1][1])
+            try:
+                return _original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cli, name, within)
+    rows = []
+    for split in (FIXED, DYNAMIC):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_config(split, "P_dB", [20.0, 25.0])))
+        rows += run_sweep(load_config(str(path)))
+    assert len(rows) == 2 * 2 * len(SCHEMES) * 2 and all(not row["error"] for row in rows)
+    assert len(calls["_engine_sop"]) == len(calls["_engine_plan"]) == len(rows)
+    assert all(built == [] for _, built in calls["_engine_sop"])
+    for (_, params, _, scheme, _), built in calls["_engine_plan"]:
+        names = list(dict.fromkeys(SchemeKind(scheme).reads(n, params.K) for n in range(1, params.K + 1)))
+        assert [args[2:] for name, args in built if name == "transmission_args"] == names
+        assert sum(name == "scheme_constants" for name, _ in built) == len(names)
+        assert sum(name == "feasibility_check" for name, _ in built) == 1
