@@ -1,33 +1,28 @@
 """Closed-form secrecy outage probability for the four relay-selection schemes.
 
-The outage mixture runs over the size n of the decoding set (binomial with
-per-relay success chi), and `params.mixture` writes it for both closed-form
-engines. Conditioned on n (`sop_cond`), a scheme's relays transmit in one of
-three ways (`SchemeKind.transmission`), and this engine supplies each one's
-outage (`_outage`): all n combine (`sop_tmrc_cond`), the best single relay
-sends (`delta1`), or it sends while an idle relay jams (`delta4`). Each is
-one securing integral of the users' Gamma survival series against the
-eavesdropper's gain law (`_joint_secrecy_prob`); only the law changes
-(`channels.combined_law`, `channels.jammed_law`). Written out, that is one
-g-kernel (h-kernel under jamming) integral per series term; here the series
-are summed at each quadrature node and integrated once, by the kernel both
-engines share (`quadrature.series_integrals`), the same sum because
-quadrature is linear. This engine supplies its user rows (`_user_rows`). Given the eavesdropper
-gain x, both users stay secure iff x < a, the strong user's gain exceeds
-b + theta1*x, and the weak user's exceeds c*(1 + u/(1-v*x)), v = 1/a; only
-below the ceiling a can that hold, which creates the high-SNR outage floor.
-The constants, the laws, the jamming split and the clip to [0, 1] come from
-`params`, as in every engine.
+The SOP mixes, over the size n of the decoding set (binomial with per-relay
+success chi), the outage given n, as `params.mixture` writes it for both
+closed-form engines. Given n, a scheme's relays transmit in one of three ways
+(`SchemeKind.transmission`), and this engine supplies each one's outage
+(`_outage`): all n combine (`sop_tmrc_cond`), the best single relay sends
+(`delta1`), or it sends while an idle relay jams (`delta4`). Each is one
+securing integral of the users' Gamma survival series against the
+eavesdropper's gain law (`_joint_secrecy_prob`; `channels.combined_law`,
+`channels.jammed_law`), summed at each node and integrated once by the kernel
+both engines share (`quadrature.series_integrals`), from this engine's user
+rows (`_user_rows`). Given the eavesdropper gain x, both users stay secure
+iff x < a, the strong user's gain exceeds b + theta1*x, and the weak user's
+exceeds c*(1 + u/(1-v*x)), v = 1/a; only below the ceiling a can that hold,
+which creates the high-SNR outage floor. The constants, the laws, the
+jamming split and the clip to [0, 1] come from `params`, as in every engine.
 
-`sop_total` runs the one flow of `quadrature`: plan, batch, one mixture.
-`_plan` names what one point reads, the decoding probabilities and each
-transmission's securing integral (`params.transmission_plan`), and
-`quadrature._evaluate` returns their values in a dict by those names: the
-`values` each reader indexes, planning its own if given none. Within one
-call, or one sweep, each distinct integral is evaluated once: the
-single-relay term serves every scheme and n that sends singly, and a
-combined term at n or a jammed term with K - n idle relays serves every K
-that needs it.
+`sop_total` runs the flow of `quadrature`: plan, batch, one mixture. `_plan`
+names what one point reads: the decoding-set law ("pmf") and each
+transmission's securing integral (`params.transmission_plan`), for one
+scheme or, in a sweep, for all of them. `quadrature._evaluate` returns their
+values by those names (`values`), and the mixture only reads them; a reader
+given no values plans its own. Each distinct integral is evaluated once per
+call or sweep.
 """
 from __future__ import annotations
 
@@ -55,9 +50,9 @@ from .params import (
     transmission_plan,
 )
 from .quadrature import (
+    BatchedIntegral,
     QuadratureSpec,
     SeriesItem,
-    _batched,
     _check_domain,
     _column,
     _evaluate,
@@ -69,34 +64,32 @@ from .quadrature import (
 )
 
 
-def _decode_probs(source_relay: NakagamiParams, eta: float) -> tuple[float, float]:
-    """P(G_sr >= eta) and P(G_sr < eta), each to its own relative precision."""
-    return gain_tails(source_relay, eta)
+def _decoding_pmf(source_relay: NakagamiParams, eta: float, k: int) -> np.ndarray:
+    """Entry n is C(k,n) chi^n miss^{k-n} at chi = P(G_sr >= eta), read-only: a point's rows all read it."""
+    chi, miss = gain_tails(source_relay, eta)
+    pmf = np.array([math.comb(k, n) * chi**n * miss ** (k - n) for n in range(k + 1)])
+    pmf.setflags(write=False)
+    return pmf
 
 
 def decoding_set_pmf(params: SystemParams, *, values: dict | None = None) -> np.ndarray:
-    """Binomial law of the decoding-set size; entry n is C(K,n) chi^n miss^{K-n}.
-
-    The miss probability 1 - chi is the gain CDF at eta, not 1 - chi
-    itself, which cancels to rounding noise (even below 0) once chi is
-    within an ulp of 1. Both are read from values, or from a plan of their own."""
+    """Binomial law of the decoding-set size (`_decoding_pmf`, read-only),
+    read from values or from a plan of its own. The miss probability 1 - chi is the
+    gain CDF at eta, not 1 - chi itself, which cancels to rounding noise
+    (even below 0) once chi is within an ulp of 1."""
     if values is None:
         [values] = _evaluate([_plan(params, None, (), None)])
-    chi, miss = values["decoding"]
-    k = params.K
-    return np.array([math.comb(k, n) * chi**n * miss ** (k - n) for n in range(k + 1)])
+    return values["pmf"]
 
 
 @lru_cache(maxsize=64)
-def _degree_column(tau_u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The degrees k < tau_u as a column against (items, nodes) arrays, with
-    log k! and (-1)^k beside them (read-only)."""
+def _degree_column(tau_u: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degrees k < tau_u as a column against (items, nodes) arrays, and log k! (read-only)."""
     k = np.arange(tau_u)[:, None, None]
     log_fact = np.array([math.lgamma(i + 1) for i in range(tau_u)])[:, None, None]
-    columns = (k, log_fact, 1.0 - 2.0 * (k % 2))
-    for col in columns:
+    for col in (k, log_fact):
         col.setflags(write=False)
-    return columns
+    return k, log_fact
 
 
 def _user_series(base: np.ndarray, tau_u: int, log_rate: np.ndarray, alternate: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -106,12 +99,12 @@ def _user_series(base: np.ndarray, tau_u: int, log_rate: np.ndarray, alternate: 
     alternate multiplies row k by (-1)^k, the sign carried by powers of the
     negative weak-user constant.
     """
-    k, log_fact, alternating = _degree_column(tau_u)
-    log_coef = k * log_rate - log_fact
+    k, log_fact = _degree_column(tau_u)
     logmag, sign = _signed_log_pow(base, k)
+    np.add(k * log_rate - log_fact, logmag, out=logmag)
     if alternate:
-        sign = sign * alternating
-    return series_rows(range(tau_u), log_coef + logmag, sign, tau_u)
+        sign[1::2] *= -1.0
+    return series_rows(range(tau_u), logmag, sign, tau_u)
 
 
 def _user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -132,7 +125,7 @@ def _user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndarray, ...
     return (-(h / one_minus_qx), shift1, shift2), convolve_series(rows1, rows2)
 
 
-@_batched(_user_rows)
+@partial(BatchedIntegral, user_rows=_user_rows)
 def _joint_secrecy_prob(
     user1: NakagamiParams,
     user2: NakagamiParams,
@@ -151,7 +144,7 @@ def _joint_secrecy_prob(
     integrand with powers k, j (times the law's density rows, if it has any),
     whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
     summed at each node and the integral is taken once. The function
-    prepares the integral's `SeriesItem`; as a `_batched` integral it reads
+    prepares the integral's `SeriesItem`; as a `BatchedIntegral` it reads
     nothing but its arguments and is evaluated once per argument tuple of
     an `_evaluate` call, in batches. A series base lambda1*b or
     lambda2*|c| that underflows to 0.0 has no logarithm (ValueError).
@@ -224,10 +217,10 @@ def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, val
 
 def _plan(params: SystemParams, policy: PowerPolicy | None, reads, quad: QuadratureSpec | None) -> dict:
     """What the readers read at one point, by name (`quadrature._evaluate`):
-    "decoding", the decoding probabilities, and for each (sends, size) of
-    reads, a scheme or a list (`params.transmission_plan`), its securing
-    integral, or (float, (0.0,)), the constant 0.0, under an infeasible split."""
-    plan = {"decoding": (_decode_probs, (params.links.source_relay, params.eta))}
+    "pmf", the decoding-set law, and for each (sends, size) of reads, names
+    or schemes (`params.transmission_plan`), its securing integral, or
+    (float, (0.0,)), the constant 0.0, under an infeasible split."""
+    plan = {"pmf": (_decoding_pmf, (params.links.source_relay, params.eta, params.K))}
     for name, args in transmission_plan(params, policy, reads).items():
         plan[name] = (float, (0.0,)) if args is None else (_joint_secrecy_prob, (*args, quad))
     return plan
@@ -242,8 +235,7 @@ def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: i
 def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec,
              values: dict) -> SopResult:
     """The body of `sop_total`: the conditionals mixed over the decoding-set law."""
-    outage = partial(_outage, params, policy, quad, values)
-    total = mixture(decoding_set_pmf(params, values=values), SchemeKind(scheme), outage)
+    total = mixture(values["pmf"], SchemeKind(scheme), partial(_outage, params, policy, quad, values))
     return SopResult(value=clamp_probability(float(total)), engine="analytic")
 
 
@@ -252,8 +244,7 @@ def sop_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, qua
     """Total SOP: mixture of the conditional SOPs over the decoding-set law.
 
     With values None it evaluates its `_plan` in batches (`quadrature._evaluate`)
-    and runs the mixture once on the values; a sweep passes the values of
-    the point, planned already, and the call runs the mixture alone."""
+    and mixes once; a sweep passes the point's values, and the call only mixes."""
     if values is None:
         [values] = _evaluate([_plan(params, policy, scheme, quad)])
     return _mixture(params, policy, scheme, quad, values)

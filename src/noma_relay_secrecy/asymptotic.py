@@ -9,35 +9,27 @@ probabilities are assembled directly as floor plus leading terms, never as
 in double precision.
 
 The eavesdropper-ceiling mass (the chance the eavesdropper gain already
-exceeds the weak user's SINR ceiling) is kept or dropped depending on the
-power policy. Under a fixed split the ceiling is pinned, that mass is a
-constant, and it is the leading term: the SOP floor. Under the dynamic rule
-the ceiling recedes with omega2 and the mass decays faster than any power,
-so at leading order only the polynomial terms remain; evaluating the ceiling
-mass at finite omega2 would bury the power-law decay the diversity order
-describes, hence it is omitted on the dynamic branch.
+exceeds the weak user's SINR ceiling) is kept or dropped by the power
+policy. Under a fixed split the ceiling is pinned, the mass is a constant,
+and it is the leading term: the SOP floor. Under the dynamic rule the
+ceiling recedes with omega2 and the mass decays faster than any power, so
+it is omitted there: at finite omega2 it would bury the power-law decay the
+diversity order describes.
 
-Given the decoding-set size n, `sop_asym_cond` reads how the scheme's relays
-transmit off its `SchemeKind` record through the mixture the exact engine
-runs too (`params.conditional`, `params.mixture`): combining, a single
-relay, or a jammed one. This engine supplies each one's outage (`_outage`)
-at leading order under the exact engine's eavesdropper law for that
-transmission (`channels.combined_law`, `channels.jammed_law`): the ceiling
-mass (`_ceiling_mass`), which `sop_floor_cond` keeps alone, plus the
-integral of three user terms (`_leading_integral`), summed at each
-quadrature node and integrated once by the kernel both engines share
-(`quadrature.series_integrals`). This engine supplies its user rows, the
-leading terms (`_leading_user_rows`). No engine calls `g_kernel` or
-`h_kernel`; both remain the per-term references of the outage.
+The schemes mix as in the exact engine (`params.conditional`,
+`params.mixture`), and this engine supplies each transmission's outage
+(`_outage`) at leading order under the exact engine's eavesdropper law: the
+ceiling mass (`_ceiling_mass`), which `sop_floor_cond` keeps alone, plus the
+integral of three user terms (`_leading_integral`, from this engine's user
+rows `_leading_user_rows`) in the kernel both engines share
+(`quadrature.series_integrals`).
 
 `sop_asym_total` runs the exact engine's flow, plan, batch, one mixture:
-`_plan` names each transmission's leading integral and ceiling mass (the
-constant 0.0 where a term is not kept), from the arguments the builder
-both engines share forms (`params.transmission_plan`), and
-`quadrature._evaluate` returns their values in a dict by those names
-(`values`). Each distinct one is evaluated once per call or sweep, in
-batches that share the law's density rows with the exact engine
-(`quadrature.law_rows`).
+`_plan` moves the point onto the scaling frame once (`scaled_params`) and
+names its leading decoding weights ("weights") and each transmission's
+leading integral and ceiling mass (0.0 where a term is not kept), for one
+scheme or, in a sweep, all (`params.transmission_plan`); the mixture only
+reads their values (`quadrature._evaluate`).
 """
 from __future__ import annotations
 
@@ -66,9 +58,9 @@ from .params import (
     transmission_plan,
 )
 from .quadrature import (
+    BatchedIntegral,
     QuadratureSpec,
     SeriesItem,
-    _batched,
     _check_domain,
     _column,
     _evaluate,
@@ -139,7 +131,7 @@ def _leading_user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndar
     return (shift,), rows
 
 
-@_batched(_leading_user_rows)
+@partial(BatchedIntegral, user_rows=_leading_user_rows)
 def _leading_integral(
     user1: NakagamiParams,
     user2: NakagamiParams,
@@ -155,7 +147,7 @@ def _leading_integral(
     and -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with B = b + theta1*x and
     C = 1 + u/(1-vx). They are summed at each node, as
     `analytic._joint_secrecy_prob` sums its series, and integrated once. The
-    function prepares the integral's `SeriesItem`; as a `_batched` integral
+    function prepares the integral's `SeriesItem`; as a `BatchedIntegral`
     it is evaluated once per argument tuple of an `_evaluate` call, in batches.
     """
     consts.check_finite()
@@ -201,19 +193,25 @@ def _decoding_miss(scaled: SystemParams) -> float:
     return miss
 
 
+def _decoding_weights(scaled: SystemParams) -> tuple[float, ...]:
+    """The leading decoding-set weights C(K,n)*miss^(K-n), n = 0..K (`_decoding_miss`)."""
+    miss = _decoding_miss(scaled)
+    return tuple(math.comb(scaled.K, n) * miss ** (scaled.K - n) for n in range(scaled.K + 1))
+
+
 def _plan(params: SystemParams, policy: PowerPolicy, reads, quad: QuadratureSpec | None, include_floor: bool,
           scaling: AsymptoticScaling | None = None) -> dict:
     """What `_outage` reads at one point, by name (`quadrature._evaluate`):
-    for each (sends, size) of reads, a scheme or a list
-    (`params.transmission_plan`), its leading integral, unless quad is None,
-    and as ("ceiling", sends, size) its ceiling mass, if include_floor; a
-    term not kept is (float, (0.0,)), the constant 0.0, and an infeasible
-    split's ceiling mass is the constant 1.0, certain outage. With scaling,
-    the point is params moved onto it, and it raises where `_mixture` does."""
+    for each (sends, size) of reads, names or schemes (`params.transmission_plan`),
+    its leading integral, unless quad is None, and as ("ceiling", sends, size)
+    its ceiling mass, if include_floor; a term not kept is (float, (0.0,)), the
+    constant 0.0, and an infeasible split's ceiling mass is 1.0, certain outage.
+    With scaling, the point is params moved onto it, once, and "weights" names
+    its leading decoding weights (`_decoding_weights`), which `_mixture` reads."""
+    plan = {}
     if scaling is not None:
         params = scaled_params(params, scaling)
-        _decoding_miss(params)
-    plan = {}
+        plan["weights"] = (_decoding_weights, (params,))
     for name, args in transmission_plan(params, policy, reads).items():
         if args is None:
             plan[name], plan[("ceiling", *name)] = (float, (0.0,)), (float, (1.0,))
@@ -237,14 +235,12 @@ def sop_asym_cond(
     return conditional(SchemeKind(scheme), n, params.K, outage)
 
 
-def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
-             quad: QuadratureSpec, values: dict) -> float:
-    """The body of `sop_asym_total`: the conditionals mixed over the leading decoding-set weights."""
-    scaled = scaled_params(params, scaling)
-    miss = _decoding_miss(scaled)
-    weights = [math.comb(scaled.K, n) * miss ** (scaled.K - n) for n in range(scaled.K + 1)]
-    outage = partial(_outage, scaled, policy, quad, not policy.is_dynamic, values)
-    return clamp_probability(mixture(weights, SchemeKind(scheme), outage))
+def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec,
+             values: dict) -> float:
+    """The body of `sop_asym_total`: the conditionals mixed over the leading
+    decoding-set weights, all read from values by name."""
+    outage = partial(_outage, params, policy, quad, not policy.is_dynamic, values)
+    return clamp_probability(mixture(values["weights"], SchemeKind(scheme), outage))
 
 
 def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
@@ -254,10 +250,10 @@ def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind
     phi_R*eta^mR of a relay's decoding miss must lie below 1, or the source
     hop is not in the high-gain regime and the weights do not sum to a
     probability (ValueError). Plans, batches and mixes once, or mixes the
-    values a sweep passes, as `sop_total` does."""
+    values a sweep passes, planned on scaling, as `sop_total` does."""
     if values is None:
         [values] = _evaluate([_plan(params, policy, scheme, quad, not policy.is_dynamic, scaling)])
-    return _mixture(params, policy, scheme, scaling, quad, values)
+    return _mixture(params, policy, scheme, quad, values)
 
 
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:

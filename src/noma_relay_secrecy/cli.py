@@ -246,18 +246,17 @@ def _blank_row(cfg: ExperimentConfig, value: float, scheme: SchemeKind, engine: 
 
 def _engine_sop(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad,
                 values: dict) -> float:
-    """The engine's SOP at one point through its entry point (`sop_total`,
-    `sop_asym_total`), reading the sweep's values."""
+    """The engine's SOP at one point through `sop_total` or `sop_asym_total`, mixing the point's values."""
     if engine == "analytic":
         return sop_total(params, policy, scheme, quad, values=values).value
     return sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad, values=values)
 
 
-def _engine_plan(engine: str, params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad) -> dict:
-    """What `_engine_sop` reads at the point, by name: its engine's `_plan`."""
+def _engine_plan(engine: str, params: SystemParams, policy: PowerPolicy, schemes, quad) -> dict:
+    """What `_engine_sop` reads at the point for any of the schemes, by name: its engine's `_plan`."""
     if engine == "analytic":
-        return analytic._plan(params, policy, scheme, quad)
-    return asymptotic._plan(params, policy, scheme, quad, not policy.is_dynamic, AsymptoticScaling(*params.links.frame))
+        return analytic._plan(params, policy, schemes, quad)
+    return asymptotic._plan(params, policy, schemes, quad, not policy.is_dynamic, AsymptoticScaling(*params.links.frame))
 
 
 def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> list[dict]:
@@ -267,11 +266,11 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     `P_dB`, `alpha1` or `alphaJ` sweep are simulated on one shared draw,
     which makes their curves paired; `omega2_dB`, `K` and `m` sweeps draw
     afresh at every point. The analytic and asymptotic rows run in one
-    flow: plan, batch, one mixture. The plans of all rows are evaluated in
-    batches before the first row (`quadrature._evaluate`), so each distinct
-    integral is evaluated once per sweep, and each row's engine call runs
-    its mixture once, on its plan's values (`values=`). A row whose plan
-    raises gets none, and its engine call raises the error into its row.
+    flow: plan, batch, one mixture. Each (point, engine) has one plan, of
+    what all schemes read there, and the plans are evaluated in batches
+    before the first row (`quadrature._evaluate`), each distinct integral
+    once per sweep; each row's engine call only mixes its point's values
+    (`values=`). Where a plan raises, each row's engine call raises it.
     """
     engines = tuple(engines) if engines is not None else cfg.engines
     if cfg.sweep_var is None:
@@ -279,28 +278,26 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     else:
         values = list(cfg.sweep_values)
     points = [(value, *_point_scenario(cfg, None if cfg.sweep_var is None else value)) for value in values]
-    calls = [(value, params, policy, engine, scheme)
-             for value, params, policy in points
-             for engine in engines if engine != "montecarlo"
-             for scheme in cfg.schemes]
-    quad = quadrature(cfg.quad_n) if calls else None
-    rows: list[dict] = []
+    planned = [(i, engine) for i in range(len(points)) for engine in engines if engine != "montecarlo"]
+    quad = quadrature(cfg.quad_n) if planned else None
     plans: list = []
-    for _, params, policy, engine, scheme in calls:
+    for i, engine in planned:
         try:
-            plans.append(_engine_plan(engine, params, policy, scheme, quad))
-        except Exception:  # noqa: BLE001 - the row's engine call raises it again
+            plans.append(_engine_plan(engine, points[i][1], points[i][2], cfg.schemes, quad))
+        except Exception:  # noqa: BLE001 - each row's engine call raises it again
             plans.append(None)
-    values = _evaluate([plan or {} for plan in plans])
-    for (value, params, policy, engine, scheme), plan, point in zip(calls, plans, values):
-        row = _blank_row(cfg, value, scheme, engine)
-        try:
-            row["sop"] = _engine_sop(engine, params, policy, scheme, quad, None if plan is None else point)
-            if engine == "asymptotic" and policy.is_dynamic:
-                row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
-        except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
-            row["error"] = str(exc)
-        rows.append(row)
+    rows: list[dict] = []
+    for (i, engine), plan, point in zip(planned, plans, _evaluate([plan or {} for plan in plans])):
+        value, params, policy = points[i]
+        for scheme in cfg.schemes:
+            row = _blank_row(cfg, value, scheme, engine)
+            try:
+                row["sop"] = _engine_sop(engine, params, policy, scheme, quad, None if plan is None else point)
+                if engine == "asymptotic" and policy.is_dynamic:
+                    row["sdo"] = sdo(scheme, _sdo_inputs(params, policy))
+            except Exception as exc:  # noqa: BLE001 - a bad point must not kill the sweep
+                row["error"] = str(exc)
+            rows.append(row)
     if "montecarlo" in engines and points:
         groups = [points] if cfg.sweep_var in _SHARED_DRAW_VARS else [[point] for point in points]
         for group in groups:

@@ -18,7 +18,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from typing import Callable
 
 from .channels import NakagamiParams, _check_finite, _is_count, combined_law, jammed_law
@@ -305,12 +304,13 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
 
 def transmission_plan(params: SystemParams, policy: PowerPolicy, reads) -> dict:
     """The `transmission_args` of each distinct (sends, size) of reads, by
-    that name, in order of first use; a scheme reads what it reads at
-    n = 1..K (`SchemeKind.reads`). The split is checked once: under an
-    infeasible one each name maps to None, which secures no one."""
+    that name, in order of first use; reads lists names or schemes, or is one
+    scheme, which reads what it reads at n = 1..K (`SchemeKind.reads`). The
+    split is checked once: if infeasible each name maps to None, securing no one."""
     if isinstance(reads, str):  # a scheme, or its name
-        reads = [SchemeKind(reads).reads(n, params.K) for n in range(1, params.K + 1)]
-    names = dict.fromkeys(reads)
+        reads = [reads]
+    names = dict.fromkeys(name for read in reads for name in (
+        [SchemeKind(read).reads(n, params.K) for n in range(1, params.K + 1)] if isinstance(read, str) else [read]))
     if names and feasibility_check(params, policy) is not None:
         return names
     return {name: transmission_args(params, policy, *name) for name in names}
@@ -335,12 +335,18 @@ def mixture(weights, scheme: SchemeKind, outage: Callable[[Transmission, int], f
     from 0 over n = 0..K, K = len(weights) - 1, each outage formed once. A
     weight of exactly 0.0 is a null event: its conditional, which may be NaN
     there (no relay can decode), is not formed."""
-    outage = cache(outage)
+    formed: dict = {}
+
+    def once(sends: Transmission, n: int) -> float:
+        if (sends, n) not in formed:
+            formed[sends, n] = outage(sends, n)
+        return formed[sends, n]
+
     K = len(weights) - 1
     total = 0.0
     for n, weight in enumerate(weights):
         if weight != 0.0:
-            total += weight * conditional(scheme, n, K, outage)
+            total += weight * conditional(scheme, n, K, once)
     return total
 
 

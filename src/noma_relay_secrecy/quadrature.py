@@ -1,35 +1,30 @@
 """Gauss-Legendre evaluation of the security-probability integrals.
 
-Every integral runs over (0, a) where the integrand may have a screened
-singularity at the right endpoint: the factor exp(-h/(1-qx)) (resp.
-exp(-r/(1-vy))) drives the integrand to zero there whenever h > 0 (r > 0).
-By construction the constants satisfy q*a = 1 exactly, so the 1/(1-qx) pole
-sits on the boundary, strictly outside the open node set; only a pole in the
-interior (q*a > 1) is an error. Node values are combined in log space with
-sign tracking so the huge-but-cancelling endpoint factors never produce
-0 * inf.
+Every integral runs over (0, a), where a factor exp(-h/(1-qx)) (resp.
+exp(-r/(1-vy))) may screen a singularity at the right endpoint. By
+construction q*a = 1, so the 1/(1-qx) pole sits on the boundary, outside the
+open node set; only an interior pole (q*a > 1) is an error. Node values are
+combined in log space with sign tracking, so the huge but cancelling
+endpoint factors never produce 0 * inf.
 
-The closed-form SOPs are finite series of such integrals that share one
-integrand shape, and both engines integrate one kind of series: user rows
-times an eavesdropper law's density rows, rows indexed by polynomial degree,
-convolved along the degree axis and summed at each node (`SeriesItem`).
-`series_integrals` is the one kernel that evaluates them, a batch at a time:
-the items of a batch share their shape (degrees, law degree and row count,
-node count) and differ in their constants, so their nodes stack as one
-(items, nodes) array and every step is one array operation for all of them,
-each item at its own cut(s). An engine supplies only its user-row builder.
-Degrees are grouped by their `_effective_upper` cut, which depends on a
-term's degree. `g_kernel` and `h_kernel` evaluate one term of each shape on
-its own. No engine calls them: they are the tests' per-term references,
-kept in the package for `bench/spans.py` and `bench/micro.py`.
+Both closed-form engines integrate one kind of series (`SeriesItem`): user
+rows times an eavesdropper law's density rows, rows indexed by polynomial
+degree, convolved along the degree axis and summed at each node.
+`series_integrals` is the one kernel: the items of a batch share their shape
+and differ in their constants, so their nodes stack as one (items, nodes)
+array, each item at its own `_effective_upper` cut(s), and an engine supplies
+only its user rows. `g_kernel` and `h_kernel` evaluate one term of each shape
+alone. No engine calls them: they are the tests' per-term references, kept in
+the package for `bench/spans.py` and `bench/micro.py`.
 
-The flow is plan, batch, one mixture. Each engine's `_plan` names the
+The flow is plan, batch, one mixture. An engine's `_plan` names the
 (function, arguments) entries one point reads: each integral by its
-transmission (sends, size), the decoding probabilities, the ceiling masses.
-`_evaluate` takes the plans of a call, or of a sweep (`cli.run_sweep`),
-evaluates each distinct entry once, the `_batched` integrals in batches of
-one integrand shape, and returns one dict per plan by its names, which the
-readers index (`values`). A law's density rows are built once per cut in
+transmission (sends, size), the decoding law or the leading decoding
+weights, and the ceiling masses. `cli.run_sweep` plans each (point, engine)
+once, for all of the config's schemes. `_evaluate` evaluates each distinct
+entry of its plans once, the `BatchedIntegral`s in batches of one shape,
+and returns one dict per plan by its names (`values`): every scheme's row at
+the point only mixes them. A law's density rows are built once per cut in
 that call (`law_rows`), read-only, and read by both engines.
 """
 from __future__ import annotations
@@ -44,9 +39,9 @@ if TYPE_CHECKING:
 
 _POLE_TOL = 1e-9
 _TAIL_LOG = 60.0
-# Series elements (rows x nodes) per item block of a batch, 128 kB of floats:
-# the block's other arrays are about as large, and some five are alive at once.
-_BATCH_ELEMENTS = 2**14
+# Series elements (rows x nodes) per item block, 256 kB of floats. Sized on a high-gain pass's peak RSS
+# (bench/rss_probe.py): 38.3 MB at 2**14, 38.8 MB at this 2**15 (27 items of 4 rows, 300 nodes), 40.0 MB at 2**16.
+_BATCH_ELEMENTS = 2**15
 
 
 def _effective_upper(a: float, f: float, degree: float) -> float:
@@ -66,11 +61,13 @@ def _effective_upper(a: float, f: float, degree: float) -> float:
 
 
 class BatchedIntegral:
-    """A securing integral that `_evaluate` evaluates in batches (`_batched`).
+    """A securing integral that `_evaluate` evaluates in batches.
 
-    `prepare(*args)` turns the arguments into a `SeriesItem`, raising for
-    arguments the integral refuses, and `user_rows` is the engine's row
-    builder. Called with its arguments it is a batch of one.
+    `prepare(*args)` turns the arguments, which must be hashable, into a
+    `SeriesItem` that depends on nothing else, raising for arguments the
+    integral refuses; `user_rows` is the engine's row builder. Decorate the
+    preparing function with `partial(BatchedIntegral, user_rows=...)`.
+    Called with its arguments it is a batch of one.
     """
 
     def __init__(self, prepare: Callable[..., SeriesItem], user_rows):
@@ -87,14 +84,6 @@ class BatchedIntegral:
         return series_integrals(items, self.user_rows, {} if rows is None else rows)
 
 
-def _batched(user_rows):
-    """Decorator: a function that prepares one `SeriesItem` from its arguments
-    becomes the `BatchedIntegral` of those arguments, whose user rows
-    `user_rows` builds. The arguments must be hashable and the item must
-    depend on nothing else."""
-    return lambda prepare: BatchedIntegral(prepare, user_rows)
-
-
 class _Values(dict):
     """One plan's values by name (`_evaluate`); reading an entry that raised raises its error."""
 
@@ -107,28 +96,29 @@ class _Values(dict):
 
 def _evaluate(plans: list[dict]) -> list[dict]:
     """One dict of values per plan, by the plan's names: each distinct
-    (function, arguments) entry of the plans evaluated once, `_batched`
-    integrals in batches of one integral and shape, every other function
-    one by one. The law rows the batches build are kept for the call's
-    length, so every batch that reads a (law, cut) reads one array. An
-    entry that raises (a series base that underflows, say) is tried once
-    and left out of the batches; each read of its name raises its error."""
-    values: dict = {}
+    (function, arguments) entry of the plans evaluated once, each
+    `BatchedIntegral` in batches of one shape, every other function one by
+    one. The law rows the batches build are kept for the call's length, so
+    every batch that reads a (law, cut) reads one array. An entry that raises
+    is tried once and left out of the batches; each read of it raises its error."""
+    slots: dict = {}  # each distinct entry's index, so each is hashed once per plan that lists it
+    reads = [[slots.setdefault(entry, len(slots)) for entry in plan.values()] for plan in plans]
+    values: list = [None] * len(slots)
     rows: dict = {}
     batches: dict = {}
-    for entry in dict.fromkeys(entry for plan in plans for entry in plan.values()):
-        fn, args = entry
+    for slot, (fn, args) in enumerate(slots):
         try:
             if isinstance(fn, BatchedIntegral):
                 item = fn.prepare(*args)
-                batches.setdefault((fn, item.shape), []).append((entry, item))
+                batches.setdefault((fn, item.shape), []).append((slot, item))
             else:
-                values[entry] = fn(*args)
+                values[slot] = fn(*args)
         except Exception as exc:  # noqa: BLE001 - its readers raise it, whatever it is
-            values[entry] = exc
+            values[slot] = exc
     for (integral, _), entries in batches.items():
-        values.update(zip((entry for entry, _ in entries), integral.evaluate([item for _, item in entries], rows)))
-    return [_Values((name, values[entry]) for name, entry in plan.items()) for plan in plans]
+        for (slot, _), value in zip(entries, integral.evaluate([item for _, item in entries], rows)):
+            values[slot] = value
+    return [_Values(zip(plan, map(values.__getitem__, read))) for plan, read in zip(plans, reads)]
 
 
 class QuadratureSpec:
@@ -188,16 +178,23 @@ def law_rows(law, cuts: list[float], quad: QuadratureSpec, rows: dict) -> list[n
 def _signed_log_pow(base: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """k*log|base| and sign(base)^k elementwise; k = 0 contributes nothing.
 
-    k is a nonnegative integer or an integer array broadcasting against base.
-    The sign comes from k's parity, not a float power: sign(base) at odd k,
-    its square at even k > 0 and 1 at k = 0, which is sign(base)^k for every
-    base, ±0, NaN and ±inf included.
+    k is a nonnegative integer, or a column of them, shape (n, 1, ..., 1),
+    for n rows of powers along a new first axis. The sign comes from k's
+    parity, not a float power: sign(base) at odd k, its square at even
+    k > 0 and 1 at k = 0, which is sign(base)^k for every base, ±0, NaN and
+    ±inf included. Each row is written once, into arrays the caller owns.
     """
     k = np.asarray(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = np.where(k == 0, 0.0, k * np.log(np.abs(base)))
+        logmag = np.multiply(k, np.log(np.abs(base)))
     sign = np.sign(base)
-    return logmag, np.where(k % 2 == 1, sign, np.where(k == 0, 1.0, sign * sign))
+    square, signs = sign * sign, np.empty_like(logmag)
+    log_rows, sign_rows = (out.reshape((k.size,) + sign.shape) for out in (logmag, signs))  # views
+    for row, power in enumerate(k.ravel().tolist()):
+        if power == 0:
+            log_rows[row] = 0.0
+        sign_rows[row] = 1.0 if power == 0 else sign if power % 2 else square
+    return logmag, signs
 
 
 def _check_domain(a: float, pole: float, name: str) -> None:
@@ -219,9 +216,10 @@ def series_rows(degrees, log_mag: np.ndarray, sign: np.ndarray, n_rows: int) -> 
     """
     shift = log_mag.max(axis=0)
     shift = np.where(np.isfinite(shift), shift, 0.0)  # a node where every entry is 0
-    scaled = sign * np.exp(log_mag - shift)
+    scaled = np.subtract(log_mag, shift)
+    np.multiply(sign, np.exp(scaled, out=scaled), out=scaled)
     if tuple(degrees) == tuple(range(n_rows)):
-        return shift, 0.0 + scaled  # one entry per row: the loop's 0 + row, signed zeros included
+        return shift, np.add(0.0, scaled, out=scaled)  # one entry per row: the loop's 0 + row, signed zeros too
     rows = np.zeros((n_rows,) + shift.shape)
     for degree, row in zip(degrees, scaled):
         rows[degree] += row
@@ -282,11 +280,11 @@ def series_integrals(items: list[SeriesItem], user_rows, rows: dict) -> list[flo
     weights in its own dot product.
     """
     quad = items[0].quad
-    cuts = [[_effective_upper(it.a, it.decay, it.degree0 + s) for s in range(it.n_degrees)] for it in items]
+    cuts = [_degree_cuts(item) for item in items]
     partitions: dict[tuple, list[int]] = {}
     for i, item_cuts in enumerate(cuts):
         distinct = list(dict.fromkeys(item_cuts))
-        partitions.setdefault(tuple(distinct.index(cut) for cut in item_cuts), []).append(i)
+        partitions.setdefault(tuple(map(distinct.index, item_cuts)), []).append(i)
     # with one node the axis-0 sums reduce pairwise, not row by row, unless
     # several items stand beside it, so there every item is its own block
     step = 1 if quad.n == 1 else max(1, _BATCH_ELEMENTS // (items[0].n_degrees * quad.n))
@@ -301,6 +299,16 @@ def series_integrals(items: list[SeriesItem], user_rows, rows: dict) -> list[flo
                 for i, value in zip(block, values):
                     totals[i] += value
     return totals
+
+
+def _degree_cuts(item: SeriesItem) -> list[float]:
+    """Each degree's `_effective_upper` cut; cuts grow with the degree, so all after the first a are a."""
+    cuts = []
+    for s in range(item.n_degrees):
+        cuts.append(_effective_upper(item.a, item.decay, item.degree0 + s))
+        if cuts[-1] == item.a:
+            return cuts + [item.a] * (item.n_degrees - s - 1)
+    return cuts
 
 
 def _column(values) -> np.ndarray:

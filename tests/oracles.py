@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from noma_relay_secrecy.analytic import _decode_probs
 from noma_relay_secrecy.channels import (
     NakagamiParams,
     _as_given,
@@ -75,9 +74,8 @@ def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
 
 
 def decode_prob_chi(params: SystemParams) -> float:
-    """Probability chi that one relay decodes both messages: P(G_sr >= eta),
-    evaluated once per (source link, eta) inside a sharing scope."""
-    return _decode_probs(params.links.source_relay, params.eta)[0]
+    """Probability chi that one relay decodes both messages: P(G_sr >= eta)."""
+    return gain_tails(params.links.source_relay, params.eta)[0]
 
 
 def _scheme_codes(

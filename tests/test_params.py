@@ -193,22 +193,27 @@ def test_reads_is_the_transmission_and_its_set_size(scheme):
 def test_a_plan_leaves_out_transmissions_whose_constants_overflow(scheme, monkeypatch):
     # at -3200 dB the relay SNR underflows to 1e-320, where a = b = inf and
     # c = -inf: the plan names every transmission, but its integral is left
-    # out of the batches and reading it raises. At 10 dB the plan holds the
-    # arguments of every distinct transmission, in order of first use
+    # out of the batches and reading it raises, while the decoding law beside
+    # it reads. At 10 dB the plan holds the arguments of every distinct
+    # transmission, in order of first use, and a plan of several schemes
+    # (one sweep point's, `cli.run_sweep`) holds each name once
     policy = fixed_policy(0.2, alphaJ=0.5)
     names = list(dict.fromkeys(scheme.reads(n, 3) for n in range(1, 4)))
     integral = analytic._joint_secrecy_prob
     monkeypatch.setattr(integral, "evaluate", lambda items, rows: pytest.fail("an overflowing item was batched"))
     plan = analytic._plan(grid_params(K=3, P_dB=-3200.0), policy, scheme, quadrature(300))
-    assert list(plan) == ["decoding", *names]
+    assert list(plan) == ["pmf", *names]
     [values] = _evaluate([plan])
     for name in names:
         with pytest.raises(ValueError, match=r"^threshold constants a=inf, b=inf, c=-inf are not finite"):
             values[name]
+    assert values["pmf"].shape == (4,)
     params = grid_params(K=3)
     want = {name: transmission_args(params, policy, *name) for name in names}
     assert transmission_plan(params, policy, scheme) == want
     assert list(transmission_plan(params, fixed_policy(0.7), scheme).values()) == [None] * len(names)
+    union = list(dict.fromkeys(s.reads(n, 3) for s in (scheme, *SchemeKind) for n in range(1, 4)))
+    assert list(transmission_plan(params, policy, [scheme, *SchemeKind])) == union
 
 
 def _underflowing_relay_snr() -> SystemParams:

@@ -1,13 +1,14 @@
 """Sharing: an integral needed twice inside one engine call, or one sweep, is
 evaluated once, and every result stays what a fresh evaluation gives.
 
-`run_sweep` evaluates every integral its analytic and asymptotic rows read in
-batches before the first row, into one dict of values per row, by the names
-of the row's plan, that the row's engine call reads (`values=`); a
-`sop_total` or `sop_asym_total` call given no values plans and batches its
-own. So a row of a sweep must equal, bit for bit, the value (or the error
-text) of a direct call at that point, which shares nothing with the other
-points, and the row call itself builds nothing.
+`run_sweep` plans each (point, engine) once, for every scheme, and evaluates
+every integral its analytic and asymptotic rows read in batches before the
+first row, into one dict of values per plan, by the plan's names, that each
+row's engine call at that point reads (`values=`); a `sop_total` or
+`sop_asym_total` call given no values plans and batches its own. So a row of
+a sweep must equal, bit for bit, the value (or the error text) of a direct
+call at that point, which shares nothing with the other points, and the row
+call itself builds nothing.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -234,7 +236,7 @@ def _count_shared(monkeypatch) -> list:
     """Every value the engines' planned functions other than the batched
     integrals compute, as (function, arguments)."""
     computed = []
-    for module, name in ((analytic, "_decode_probs"), (asymptotic, "_ceiling_mass")):
+    for module, name in ((analytic, "_decoding_pmf"), (asymptotic, "_decoding_weights"), (asymptotic, "_ceiling_mass")):
         def counting(*args, _module=module, _name=name, _original=getattr(module, name)):
             computed.append((getattr(_module, _name), args))
             return _original(*args)
@@ -251,9 +253,10 @@ def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     listed, batches = _record_batch_step(monkeypatch)
     items = _count_items(monkeypatch)
     computed = _count_shared(monkeypatch)
-    computed_in_step = []
+    computed_in_step, planned = [], []
 
     def evaluate(plans, _inner=cli._evaluate):
+        planned.append(len(plans))
         values = _inner(plans)
         computed_in_step.append(len(computed))
         return values
@@ -261,6 +264,9 @@ def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     monkeypatch.setattr(cli, "_evaluate", evaluate)
     rows = run_sweep(cfg)
     assert all(not row["error"] for row in rows)
+    # one plan per (point, engine), whatever the number of schemes
+    points = len(cfg.sweep_values)
+    assert planned == [points * 2] and len(rows) == points * 2 * len(SCHEMES)
     in_step = [item for _, batch in batches for item in batch]
     integrals = {key for key in listed if key[0] in INTEGRALS.values()}
     # a term a plan does not keep (the ceiling mass under the dynamic split) is the constant 0.0
@@ -271,12 +277,15 @@ def test_rows_read_the_values_of_the_batch_step(tmp_path, monkeypatch, body):
     # row calls that follow evaluate none
     assert len(in_step) == len(integrals) == len(items[analytic]) + len(items[asymptotic])
     assert len(batches) < len(in_step)
-    # so is every decoding probability and, under a fixed split, ceiling
-    # mass: the row calls compute no shared value, they only read them
+    # so is each point's decoding law, its leading decoding weights and,
+    # under a fixed split, each ceiling mass: the row calls compute no
+    # shared value, they only read them
     assert computed_in_step == [len(computed)]
     assert len(computed) == len(set(computed)) and set(computed) == shared
-    assert {fn for fn, _ in shared} == ({analytic._decode_probs} if cfg.policy.is_dynamic
-                                        else {analytic._decode_probs, asymptotic._ceiling_mass})
+    laws = {analytic._decoding_pmf, asymptotic._decoding_weights}
+    assert {fn for fn, _ in shared} == (laws if cfg.policy.is_dynamic else laws | {asymptotic._ceiling_mass})
+    for fn in laws:
+        assert sum(computed_fn is fn for computed_fn, _ in computed) == points
 
 
 def test_a_sweep_makes_one_engine_call_per_row(tmp_path):
@@ -301,6 +310,46 @@ def test_a_sweep_makes_one_engine_call_per_row(tmp_path):
     assert rec.captured_rows == rows and any(row["error"] for row in rows)
     for engine, span in (("analytic", "analytic.sop_total"), ("asymptotic", "asymptotic.sop_asym_total")):
         assert layers[span]["calls"] == sum(row["engine"] == engine for row in rows) == 2 * len(SCHEMES)
+
+
+def test_each_row_mixes_its_point_values_through_one_cli_engine_call(tmp_path, monkeypatch):
+    # the benchmark's light spans wrap `cli.sop_total` and `cli.sop_asym_total`,
+    # and its latency figures (`analytic_p50_ref`, say) are those calls: a
+    # sweep that went around these globals would leave bench/run.py no samples
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = {name: span for module, name, span in spans.LIGHT if module == "cli"}
+    assert wrapped["sop_total"] == "analytic.sop_total" and wrapped["sop_asym_total"] == "asymptotic.sop_asym_total"
+    seen: dict = {"sop_total": [], "sop_asym_total": []}
+    for name, made in seen.items():
+        def counting(*args, _original=getattr(cli, name), _made=made, **kwargs):
+            _made.append(kwargs["values"])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    rows = []
+    for split in (FIXED, DYNAMIC):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_config(split, "omega2_dB", [25.0, 30.0])))
+        rows += run_sweep(load_config(str(path)))
+    assert all(not row["error"] for row in rows)
+    for engine, name in (("analytic", "sop_total"), ("asymptotic", "sop_asym_total")):
+        assert len(seen[name]) == sum(row["engine"] == engine for row in rows) == 2 * 2 * len(SCHEMES)
+        # every scheme at a point mixes the one dict of that point's values
+        assert all(values is not None for values in seen[name]) and len({id(v) for v in seen[name]}) == 2 * 2
+
+
+@pytest.mark.parametrize("var, values", [("P_dB", [10.0, 10.0, 15.0]), ("omega2_dB", [30.0, 25.0, 30.0])])
+def test_a_repeated_sweep_value_repeats_its_rows_bit_for_bit(tmp_path, var, values):
+    # the repeated points plan the same entries, so they read one value each
+    rows = _check_rows_match_direct_calls(tmp_path, _config(FIXED, var, values))
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault((row["sweep_value"], row["scheme"], row["engine"]), []).append(row)
+    repeated = [group for group in groups.values() if len(group) > 1]
+    assert len(rows) == 3 * len(SCHEMES) * 2 and len(repeated) == len(SCHEMES) * 2
+    assert all(len(group) == 2 and repr(group[0]) == repr(group[1]) for group in repeated)
 
 
 def test_each_mixture_runs_once_per_row_and_per_call(tmp_path, monkeypatch):
@@ -381,14 +430,17 @@ def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
 
     monkeypatch.setattr(quadrature_module, "law_rows", keeping)
     scaling = AsymptoticScaling(*params.links.frame)
-    plans = [analytic._plan(params, policy, "odrs", quad), asymptotic._plan(params, policy, "odrs", quad, True, scaling)]
+    # one point's plans, as `cli.run_sweep` makes them: each engine's, of what every scheme reads
+    schemes = list(SchemeKind)
+    plans = [analytic._plan(params, policy, schemes, quad), asymptotic._plan(params, policy, schemes, quad, True, scaling)]
     values = _evaluate(plans)
     # every batch of the one `_evaluate` keeps its law rows in one dict; the
     # engines integrate the three jammed laws over one cut each here, and
     # both read the one array of each (law, cut), built once
     rows = kept[0]
     assert all(other is rows for other in kept)
-    assert list(rows) == [(item.law, item.a, quad) for item in items[analytic][:3]]
+    jammed = [item for item in items[analytic] if item.law.rows is not None]
+    assert list(rows) == [(item.law, item.a, quad) for item in jammed] and len(jammed) == 3
     assert sum(item.law.rows is not None for item in items[asymptotic]) == 3
     assert len(counted_jammed_rows) == len(rows) == 3
     for (law, cut, _), block in rows.items():
@@ -400,7 +452,10 @@ def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
     # fresh dict builds its own, just as read-only
     assert [list(point) for point in values] == [list(plan) for plan in plans]
     assert {fn for plan in plans for fn, _ in plan.values()} == {
-        analytic._decode_probs, analytic._joint_secrecy_prob, asymptotic._leading_integral, asymptotic._ceiling_mass}
+        analytic._decoding_pmf, analytic._joint_secrecy_prob,
+        asymptotic._decoding_weights, asymptotic._leading_integral, asymptotic._ceiling_mass}
+    # the point's decoding law and leading weights are shared, and read-only
+    assert not values[0]["pmf"].flags.writeable and isinstance(values[1]["weights"], tuple)
     (law, cut, _), block = next(iter(rows.items()))
     fresh = law_rows(law, [cut], quad, {})[0]
     assert fresh is not block and not fresh.flags.writeable and fresh.tobytes() == block.tobytes()
@@ -428,24 +483,29 @@ def test_a_raising_call_is_not_stored():
 
 
 def test_row_calls_rebuild_nothing(tmp_path, monkeypatch):
-    # both engines, both splits, all four schemes, partial decoding: the
-    # plans build each point's transmissions, and the row calls only read
-    params_module = importlib.import_module("noma_relay_secrecy.params")
+    # both engines, both splits, all four schemes, partial decoding: one plan
+    # per (point, engine) builds each distinct transmission of the point once
+    # and moves it onto the asymptotic frame once, the batch step forms each
+    # point's decoding law and weights once, and the row calls only mix
+    builders = {"params": ("transmission_plan", "transmission_args", "scheme_constants", "feasibility_check"),
+                "analytic": ("decoding_set_pmf", "_decoding_pmf"),
+                "asymptotic": ("scaled_params", "_decoding_weights", "_decoding_miss")}
     modules = [importlib.import_module(f"noma_relay_secrecy.{info.name}")
                for info in pkgutil.iter_modules(noma_relay_secrecy.__path__)]
-    inside: list = [None]  # the builder calls of the innermost plan or row call
-    for name in ("transmission_args", "scheme_constants", "feasibility_check"):
-        original = getattr(params_module, name)
+    inside: list = [None]  # the builder calls of the innermost plan, batch step or row call
+    for home, names in builders.items():
+        for name in names:
+            original = getattr(importlib.import_module(f"noma_relay_secrecy.{home}"), name)
 
-        def counting(*args, _name=name, _original=original):
-            if inside[-1] is not None:
-                inside[-1].append((_name, args))
-            return _original(*args)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                if inside[-1] is not None:
+                    inside[-1].append((_name, args))
+                return _original(*args, **kwargs)
 
-        for module in modules:  # every namespace that binds it, so no caller goes around
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
-    calls: dict = {"_engine_plan": [], "_engine_sop": []}
+            for module in modules:  # every namespace that binds it, so no caller goes around
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+    calls: dict = {"_engine_plan": [], "_evaluate": [], "_engine_sop": []}
     for name, made in calls.items():
         def within(*args, _original=getattr(cli, name), _made=made):
             _made.append((args, []))
@@ -462,10 +522,15 @@ def test_row_calls_rebuild_nothing(tmp_path, monkeypatch):
         path.write_text(json.dumps(_config(split, "P_dB", [20.0, 25.0])))
         rows += run_sweep(load_config(str(path)))
     assert len(rows) == 2 * 2 * len(SCHEMES) * 2 and all(not row["error"] for row in rows)
-    assert len(calls["_engine_sop"]) == len(calls["_engine_plan"]) == len(rows)
+    assert len(calls["_engine_sop"]) == len(rows) and len(calls["_engine_plan"]) == 2 * 2 * 2
     assert all(built == [] for _, built in calls["_engine_sop"])
-    for (_, params, _, scheme, _), built in calls["_engine_plan"]:
-        names = list(dict.fromkeys(SchemeKind(scheme).reads(n, params.K) for n in range(1, params.K + 1)))
+    for (engine, params, _, schemes, _), built in calls["_engine_plan"]:
+        names = list(dict.fromkeys(scheme.reads(n, params.K) for scheme in schemes for n in range(1, params.K + 1)))
         assert [args[2:] for name, args in built if name == "transmission_args"] == names
-        assert sum(name == "scheme_constants" for name, _ in built) == len(names)
-        assert sum(name == "feasibility_check" for name, _ in built) == 1
+        counts = Counter(name for name, _ in built)
+        assert counts == {"transmission_plan": 1, "feasibility_check": 1, "transmission_args": len(names),
+                          "scheme_constants": len(names), **({"scaled_params": 1} if engine == "asymptotic" else {})}
+    for (plans,), built in calls["_evaluate"]:  # two points, one analytic and one asymptotic plan each
+        counts = Counter(name for name, _ in built)
+        assert len(plans) == 4
+        assert counts == {"_decoding_pmf": 2, "_decoding_weights": 2, "_decoding_miss": 2}
