@@ -7,11 +7,13 @@ closed-form engines. Given n, a scheme's relays transmit in one of three ways
 (`_outage`): all n combine (`sop_tmrc_cond`), the best single relay sends
 (`delta1`), or it sends while an idle relay jams (`delta4`). Each is one
 securing integral of the users' Gamma survival series against the
-eavesdropper's gain law (`_joint_secrecy_prob`; `channels.combined_law`,
-`channels.jammed_law`), summed at each node and integrated once by the kernel
-both engines share (`quadrature.series_integrals`), from this engine's user
-rows (`_user_rows`). Given the eavesdropper gain x, both users stay secure
-iff x < a, the strong user's gain exceeds b + theta1*x, and the weak user's
+eavesdropper's gain law (`_joint_secrecy_prob`; `channels.combined_law`, a
+Gamma law, and `channels.jammed_law`, whose density carries one row in the
+eavesdropper gain), summed at each node, times the law's row if it has one,
+and integrated once by the kernel both engines share
+(`quadrature.series_integrals`), from this engine's user rows
+(`_user_rows`). Given the eavesdropper gain x, both users stay secure iff
+x < a, the strong user's gain exceeds b + theta1*x, and the weak user's
 exceeds c*(1 + u/(1-v*x)), v = 1/a; only below the ceiling a can that hold,
 which creates the high-SNR outage floor. The constants, the laws, the
 jamming split and the clip to [0, 1] come from `params`, as in every engine.
@@ -141,8 +143,8 @@ def _joint_secrecy_prob(
 
     Expands the two user survival series under the eavesdropper-gain integral;
     the (k, j) term is (lambda1*b)^k/k! * (lambda2*c)^j/j! times a g-kernel
-    integrand with powers k, j (times the law's density rows, if it has any),
-    whose sign (-1)^j cancels the sign of c^j. Both series and the rows are
+    integrand with powers k, j (times the law's density row, if it has one),
+    whose sign (-1)^j cancels the sign of c^j. Both series and the row are
     summed at each node and the integral is taken once. The function
     prepares the integral's `SeriesItem`; as a `BatchedIntegral` it reads
     nothing but its arguments and is evaluated once per argument tuple of
@@ -161,7 +163,7 @@ def _joint_secrecy_prob(
     user = (tau_u, theta1 / b, r, q, consts.screening(lambda2, alpha2), math.log(base1), math.log(base2))
     f = lambda1 * theta1 + law.rate
     log_front = law.log_front - lambda1 * b - lambda2 * c
-    return SeriesItem(a, f, log_front, law, law.degree, 2 * tau_u - 1 + law.n_rows - 1, user, quad)
+    return SeriesItem(a, f, log_front, law, law.degree, 2 * tau_u - 1, user, quad)
 
 
 def _secured(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int, quad: QuadratureSpec,

@@ -112,7 +112,7 @@ def _leading_user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndar
 
     They do not depend on the eavesdropper's law, so a batch builds them
     once for every jammed decoding-set size, whose integrals differ only in
-    the law's front and rows.
+    the law's front and row.
     """
     tau_u = users[0][0]
     b, theta1, u, v, h, log_phi1, log_phi2c, sign_phi2c = (_column(col) for col in list(zip(*users))[1:])
@@ -162,7 +162,7 @@ def _leading_integral(
     # without it the quadrature blows up with the node count.
     h = consts.screening(user2.rate, alpha2)
     user = (tau_u, b, theta1, u, v, h, log_phi1, log_phi2c, sign_phi2c)
-    return SeriesItem(consts.a, law.rate, law.log_front, law, law.degree + tau_u, tau_u + law.n_rows, user, quad)
+    return SeriesItem(consts.a, law.rate, law.log_front, law, law.degree + tau_u, tau_u + 1, user, quad)
 
 
 def _ceiling_mass(law: EavesdropperLaw, consts: SchemeConstants) -> float:

@@ -306,14 +306,22 @@ def transmission_plan(params: SystemParams, policy: PowerPolicy, reads) -> dict:
     """The `transmission_args` of each distinct (sends, size) of reads, by
     that name, in order of first use; reads lists names or schemes, or is one
     scheme, which reads what it reads at n = 1..K (`SchemeKind.reads`). The
-    split is checked once: if infeasible each name maps to None, securing no one."""
+    split is checked once: if infeasible each name maps to None, securing no one.
+    A single relay sends as one relay combining, so (SINGLE, 1) maps to the
+    tuple of (COMBINED, 1), built once for both."""
     if isinstance(reads, str):  # a scheme, or its name
         reads = [reads]
     names = dict.fromkeys(name for read in reads for name in (
         [SchemeKind(read).reads(n, params.K) for n in range(1, params.K + 1)] if isinstance(read, str) else [read]))
     if names and feasibility_check(params, policy) is not None:
         return names
-    return {name: transmission_args(params, policy, *name) for name in names}
+    built: dict = {}
+    for name in names:
+        same = (Transmission.COMBINED, 1) if name[0] is Transmission.SINGLE else name
+        if same not in built:
+            built[same] = transmission_args(params, policy, *same)
+        names[name] = built[same]
+    return names
 
 
 def conditional(scheme: SchemeKind, n: int, K: int, outage: Callable[[Transmission, int], float]) -> float:

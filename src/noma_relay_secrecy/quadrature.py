@@ -8,8 +8,8 @@ combined in log space with sign tracking, so the huge but cancelling
 endpoint factors never produce 0 * inf.
 
 Both closed-form engines integrate one kind of series (`SeriesItem`): user
-rows times an eavesdropper law's density rows, rows indexed by polynomial
-degree, convolved along the degree axis and summed at each node.
+rows, indexed by polynomial degree, times an eavesdropper law's density
+row, summed at each node.
 `series_integrals` is the one kernel: the items of a batch share their shape
 and differ in their constants, so their nodes stack as one (items, nodes)
 array, each item at its own `_effective_upper` cut(s), and an engine supplies
@@ -24,7 +24,7 @@ weights, and the ceiling masses. `cli.run_sweep` plans each (point, engine)
 once, for all of the config's schemes. `_evaluate` evaluates each distinct
 entry of its plans once, the `BatchedIntegral`s in batches of one shape,
 and returns one dict per plan by its names (`values`): every scheme's row at
-the point only mixes them. A law's density rows are built once per cut in
+the point only mixes them. A law's density row is built once per cut in
 that call (`law_rows`), read-only, and read by both engines.
 """
 from __future__ import annotations
@@ -156,21 +156,21 @@ def quadrature(n: int = 300) -> QuadratureSpec:
 
 
 def law_rows(law, cuts: list[float], quad: QuadratureSpec, rows: dict) -> list[np.ndarray]:
-    """An eavesdropper law's density rows `law.rows` at the nodes of (0, cut)
-    for each cut, each a read-only array of shape (law.n_rows, nodes).
+    """An eavesdropper law's density row `law.row` at the nodes of (0, cut)
+    for each cut, each a read-only array of shape (nodes,).
 
     Each is built once per (law, cut, quad) and kept in rows: the rows of
-    every cut rows lacks come from one `law.rows` call over all their nodes,
-    stacked, and each cut's slice is kept on its own. Every transmission,
+    every cut rows lacks come from one `law.row` call over all their nodes,
+    stacked, and each cut's row is kept on its own. Every transmission,
     scheme and sweep point of either engine that integrates the law over
     that cut in one `_evaluate` reads the one array, so none may write to it.
     """
     keys = [(law, cut, quad) for cut in cuts]
     missing = [key for key in dict.fromkeys(keys) if key not in rows]
     if missing:
-        built = law.rows(quad.nodes_on(_column([cut for _, cut, _ in missing])))
+        built = law.row(quad.nodes_on(_column([cut for _, cut, _ in missing])))
         for j, key in enumerate(missing):
-            block = rows[key] = built[:, j]
+            block = rows[key] = built[j]
             block.setflags(write=False)
     return [rows[key] for key in keys]
 
@@ -239,8 +239,8 @@ class SeriesItem(NamedTuple):
 
         exp(log_front) * x^(law.degree - 1) * e^(-decay*x) * sum_s series[s](x)
 
-    where the series is the engine's user rows convolved with the law's
-    density rows (if it has any), row s of degree degree0 + s. The engine's
+    where the series is the engine's user rows times the law's density row
+    (if it has one), row s of degree degree0 + s. The engine's
     row builder (`series_integrals`) reads `user`, the item's user
     constants, and adds its own log terms to the log scale. The domain must
     hold no interior pole (`_check_domain`); each degree keeps the
@@ -259,9 +259,8 @@ class SeriesItem(NamedTuple):
 
     @property
     def shape(self) -> tuple:
-        """What the items of one batch share: degrees, law degree and rows, and nodes."""
-        law = self.law
-        return self.degree0, self.n_degrees, law.degree, law.n_rows, law.rows is None, self.quad
+        """What the items of one batch share: degrees, law degree and row, and nodes."""
+        return self.degree0, self.n_degrees, self.law.degree, self.law.row is None, self.quad
 
 
 def series_integrals(items: list[SeriesItem], user_rows, rows: dict) -> list[float]:
@@ -332,15 +331,15 @@ def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int]
         terms, series = [term[pick] for term in terms], series[:, pick]
     for term in terms:
         log_scale = log_scale + term
-    if law.rows is not None:
+    if law.row is not None:
         by_law: dict = {}
         for i, item in enumerate(items):
             by_law.setdefault(item.law, []).append(i)
         stacked = [None] * len(items)
         for item_law, at in by_law.items():
-            for i, law_block in zip(at, law_rows(item_law, [cuts[i] for i in at], quad, rows)):
-                stacked[i] = law_block
-        series = convolve_series(series, np.stack(stacked, axis=1))
+            for i, law_row in zip(at, law_rows(item_law, [cuts[i] for i in at], quad, rows)):
+                stacked[i] = law_row
+        series = series * np.stack(stacked)
     kept = series if len(keep) == len(series) else series[keep]  # the same rows, without a copy
     with np.errstate(over="ignore"):
         vals = np.exp(log_scale) * kept.sum(axis=0)

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 from conftest import db, grid_params
-from oracles import jammed_ratio_cdf, jammed_ratio_pdf, max_gain_pdf, paired_verdicts
+from oracles import jammed_expansion, jammed_ratio_cdf, jammed_ratio_pdf, max_gain_pdf, paired_verdicts
 from scipy import integrate, special, stats
 
 from noma_relay_secrecy import (
@@ -36,7 +36,6 @@ from noma_relay_secrecy import (
     sop_total,
 )
 from noma_relay_secrecy.analytic import sop_cond
-from noma_relay_secrecy.channels import jammed_ratio_terms
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
 from noma_relay_secrecy.quadrature import h_kernel
 
@@ -149,7 +148,8 @@ def test_two_step_equivalence():
 
 def test_zero_jamming_reduction():
     # With no jamming power the dual selection collapses to single
-    # selection: analytic values to 1e-10, simulated verdicts exactly.
+    # selection: analytic and high-gain values bit for bit (the jammed law
+    # is then the single gain's), simulated verdicts exactly.
     quiet = PowerPolicy.fixed(0.2, alphaJ=0.0)
     worst = 0.0
     for K in (2, 3):
@@ -157,7 +157,11 @@ def test_zero_jamming_reduction():
             params = grid_params(K=K, P_dB=P_dB)
             worst = max(worst, abs(sop_total(params, quiet, SchemeKind.ODRS, QUAD).value
                                    - sop_total(params, quiet, SchemeKind.OSRS, QUAD).value))
-    assert worst <= 1e-10
+            high_gain = grid_params(K=K, P_dB=P_dB + 20.0, omegaR_dB=-10.0)
+            scaling = AsymptoticScaling(*high_gain.links.frame)
+            assert (sop_asym_total(high_gain, quiet, SchemeKind.ODRS, scaling, QUAD)
+                    == sop_asym_total(high_gain, quiet, SchemeKind.OSRS, scaling, QUAD))
+    assert worst == 0.0
     params = grid_params(K=3, P_dB=10.0)
     matches, trials = paired_verdicts(params, quiet, SchemeKind.ODRS, SchemeKind.OSRS, MC)
     assert matches == trials
@@ -298,7 +302,7 @@ def test_kernel_quadrature_oracles():
         cst = scheme_constants(params.theta1, params.theta2, policy.alpha1,
                                1.0 - policy.alpha1, (1.0 - policy.alphaJ) * params.rho2)
         links = params.links
-        terms = jammed_ratio_terms(links.relay_eaves, params.K - n, rho4)
+        _, terms = jammed_expansion(links.relay_eaves, params.K - n, rho4)
         term = terms[int(rng.integers(0, len(terms)))]
         b_exp = int(rng.integers(0, links.m_u))
         c_exp = int(rng.integers(0, links.m_u))

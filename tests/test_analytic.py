@@ -119,7 +119,7 @@ def test_dual_selection_without_jamming_reduces():
         params = grid_params(K=K, P_dB=P_dB, m=m)
         odrs = sop_total(params, policy, SchemeKind.ODRS, QUAD).value
         osrs = sop_total(params, policy, SchemeKind.OSRS, QUAD).value
-        assert odrs == pytest.approx(osrs, abs=1e-10)
+        assert odrs == osrs
 
 
 def test_dual_selection_full_set_routes_to_single():

@@ -53,7 +53,8 @@ def test_every_export_is_importable_and_documented():
 def test_test_only_references_live_in_the_oracles():
     # the references only tests call are in tests/oracles.py, not the package
     moved = ("gain_cdf", "gain_pdf", "mrc_sum_cdf", "max_gain_pdf", "jammed_ratio_cdf", "jammed_ratio_pdf",
-             "decode_prob_chi", "_scheme_codes", "paired_verdicts")
+             "decode_prob_chi", "_scheme_codes", "paired_verdicts", "enumerate_multinomial_terms", "jammed_table",
+             "jammed_ratio_pdf_rows", "jammed_ratio_survival")
     for module in (channels, analytic, montecarlo):
         assert not [name for name in moved if hasattr(module, name)], module.__name__
 

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 from conftest import db, fixed_policy, grid_params
-from oracles import mrc_sum_cdf
+from oracles import expansion_survival, mrc_sum_cdf
 
 from noma_relay_secrecy import (
     AsymptoticScaling,
@@ -24,7 +24,7 @@ from noma_relay_secrecy import (
 )
 from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
-from noma_relay_secrecy.channels import gain_survival, jammed_ratio_survival
+from noma_relay_secrecy.channels import gain_survival
 from noma_relay_secrecy.params import scheme_constants
 
 QUAD = quadrature(300)
@@ -146,7 +146,7 @@ def test_floor_formulas():
     rho3 = 0.5 * params.rho2
     consts_j = scheme_constants(params.theta1, params.theta2, alpha1, 0.8, rho3)
     tail = float(
-        jammed_ratio_survival(params.links.relay_eaves, 1, 0.5 * params.rho2, consts_j.a)
+        expansion_survival(params.links.relay_eaves, 1, 0.5 * params.rho2, consts_j.a)
     )
     assert sop_floor_cond(params, policy, SchemeKind.ODRS, 2) == pytest.approx(tail**2, rel=1e-12)
     # infeasible split floors at certain outage

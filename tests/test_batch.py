@@ -4,7 +4,7 @@
 evaluated in batches of one integrand shape (`quadrature.series_integrals`),
 each item at its own cut(s). The references below are the one-integral
 bodies the engines ran before: one `series_integral` per integral, its
-integrand built on the nodes of one cut, the law's rows evaluated on those
+integrand built on the nodes of one cut, the law's row evaluated on those
 nodes alone. Every batched value must carry the same bits (`float.hex`),
 whatever the batch mixes and however its items are blocked.
 """
@@ -19,7 +19,7 @@ import pytest
 from conftest import db, fixed_policy, grid_params
 
 from noma_relay_secrecy import AsymptoticScaling, PowerPolicy, analytic, asymptotic, scaled_params
-from noma_relay_secrecy.channels import NakagamiParams, jammed_ratio_pdf_rows
+from noma_relay_secrecy.channels import NakagamiParams, jammed_law
 from noma_relay_secrecy.params import Transmission, transmission_args
 from noma_relay_secrecy.quadrature import (
     _check_domain,
@@ -75,11 +75,11 @@ def reference_joint(user1, user2, theta1, consts, alpha2, tau_u, law, quad) -> f
         series = convolve_series(rows1, rows2)
         power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0
         log_scale = log_front + power - f * x - h / one_minus_qx + shift1 + shift2
-        if law.rows is not None:
-            series = convolve_series(series, law.rows(x))
+        if law.row is not None:
+            series = series * law.row(x)
         return log_scale, series
 
-    return reference_series_integral(a, q, f, law.degree, 2 * tau_u - 1 + law.n_rows - 1, integrand, quad)
+    return reference_series_integral(a, q, f, law.degree, 2 * tau_u - 1, integrand, quad)
 
 
 def reference_leading(user1, user2, theta1, consts, alpha2, tau_u, law, quad) -> float:
@@ -102,9 +102,9 @@ def reference_leading(user1, user2, theta1, consts, alpha2, tau_u, law, quad) ->
         )
         power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0
         log_scale = law.log_front + power - law.rate * x + shift
-        return log_scale, user if law.rows is None else convolve_series(user, law.rows(x))
+        return log_scale, user if law.row is None else user * law.row(x)
 
-    degree0, n_degrees = law.degree + tau_u, tau_u + law.n_rows
+    degree0, n_degrees = law.degree + tau_u, tau_u + 1
     return reference_series_integral(consts.a, consts.v, law.rate, degree0, n_degrees, integrand, quad)
 
 
@@ -162,7 +162,7 @@ def test_batches_equal_one_integral_evaluations_bit_for_bit(integral, monkeypatc
                      for _, it in entries]
         partitions[shape] = len({tuple(cuts.index(c) for c in cuts) for cuts in cut_lists})
         rates[shape] = len({it.law.rate for _, it in entries})
-        counts[shape] = len({it.law for _, it in entries if it.law.rows is not None})
+        counts[shape] = len({it.law for _, it in entries if it.law.row is not None})
     assert max(partitions.values()) >= 2  # a batch whose items fall on cuts differently
     assert max(rates.values()) >= 2  # equal shapes, unequal law rates
     assert max(counts.values()) >= 7  # jammed counts 1..7 in one batch
@@ -196,7 +196,7 @@ def test_one_evaluate_keeps_one_read_only_array_per_law_and_cut(monkeypatch):
     assert len({law for law, _, _ in rows}) == 4  # idle counts 1..4
     for (law, cut, quad), block in rows.items():
         assert not block.flags.writeable
-        assert block.tobytes() == law.rows(quad.nodes_on(cut)).tobytes()
+        assert block.tobytes() == law.row(quad.nodes_on(cut)).tobytes()
         assert law_rows(law, [cut], quad, {})[0].tobytes() == block.tobytes()
 
 
@@ -207,7 +207,7 @@ def test_jammed_rows_over_stacked_nodes_equal_each_cut_alone(m):
         p_e = NakagamiParams(m, 10.0 ** rng.uniform(-1.5, 0.5))
         rho4 = 10.0 ** rng.uniform(-1.0, 2.0)
         cuts = 10.0 ** rng.uniform(-3.0, 1.0, size=5)
-        stacked = jammed_ratio_pdf_rows(p_e, count, rho4, QUAD.nodes_on(cuts[:, None]))
+        row = jammed_law(p_e, count, rho4).row
+        stacked = row(QUAD.nodes_on(cuts[:, None]))
         for j, cut in enumerate(cuts):
-            alone = jammed_ratio_pdf_rows(p_e, count, rho4, QUAD.nodes_on(cut))
-            assert np.ascontiguousarray(stacked[:, j]).tobytes() == alone.tobytes(), (count, j)
+            assert stacked[j].tobytes() == row(QUAD.nodes_on(cut)).tobytes(), (count, j)

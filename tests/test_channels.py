@@ -2,24 +2,31 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from oracles import gain_cdf, gain_pdf, jammed_ratio_cdf, jammed_ratio_pdf, max_gain_pdf, mrc_sum_cdf
+from oracles import (
+    enumerate_multinomial_terms,
+    expansion_pdf,
+    expansion_survival,
+    gain_cdf,
+    gain_pdf,
+    jammed_ratio_cdf,
+    jammed_ratio_pdf,
+    max_gain_pdf,
+    mrc_sum_cdf,
+)
 from scipy import integrate, special, stats
 
 from noma_relay_secrecy.channels import (
     NakagamiParams,
+    _jammed_weights,
     combined_law,
-    enumerate_multinomial_terms,
     gain_survival,
     gain_tails,
-    jammed_ratio_pdf_rows,
-    jammed_ratio_survival,
     jammed_law,
     jammed_ratio_terms,
-    jammed_table,
     sample_gain,
 )
 
@@ -155,21 +162,24 @@ def test_max_gain_pdf_normalizes():
 
 def test_jammed_ratio_limits():
     p = NakagamiParams(2, 0.8)
+    survival = jammed_law(p, 2, 1.5).survival
     assert jammed_ratio_cdf(p, 2, 1.5, 0.0) == 0.0
-    assert jammed_ratio_survival(p, 2, 1.5, 0.0) == 1.0
+    assert survival(0.0) == 1.0
     assert jammed_ratio_cdf(p, 2, 1.5, 500.0) == pytest.approx(1.0, abs=1e-10)
+    # against the retired expansion's CDF, a form of its own
     y = np.linspace(0.0, 10.0, 30)
-    total = jammed_ratio_cdf(p, 2, 1.5, y) + jammed_ratio_survival(p, 2, 1.5, y)
+    total = (1.0 - expansion_survival(p, 2, 1.5, y)) + survival(y)
     assert np.allclose(total, 1.0, atol=1e-12)
 
 
 def test_jammed_ratio_rho_zero_collapses():
-    # without jamming power the ratio is the plain gain
+    # without jamming power the ratio is the plain gain, and its law the gain's own
     p = NakagamiParams(3, 1.2)
     y = np.linspace(0.0, 8.0, 25)
-    assert np.allclose(
-        jammed_ratio_survival(p, 2, 0.0, y), gain_survival(p, y), atol=1e-12
-    )
+    for count in range(1, 8):
+        assert jammed_law(p, count, 0.0) == combined_law(p, 1)
+        assert jammed_law(p, count, 0.0).survival(y).tobytes() == gain_survival(p, y).tobytes()
+    assert np.allclose(expansion_survival(p, 2, 0.0, y), gain_survival(p, y), atol=1e-12)
 
 
 def test_jammed_ratio_pdf_is_cdf_derivative():
@@ -311,82 +321,147 @@ def test_tails_at_infinity():
         assert gain_survival(p, np.array([math.inf, 2.0]))[0] == 0.0
 
 
-def _pdf_rows_from_terms(p_e, count, rho4, y):
-    """The jammed-density rows built straight from jammed_ratio_terms at
-    every call, as before the table: the reference for the cached table."""
+def _row_from_terms(p_e, count, rho4, y):
+    """The jammed density row summed straight from jammed_ratio_terms, in their
+    order, at every call: the reference for the law's row over cached weights."""
     y = np.asarray(y, dtype=float)
-    terms = jammed_ratio_terms(p_e, count, rho4)
-    k = np.array([t.k for t in terms])
-    col = (-1,) + (1,) * y.ndim
-    big_c = np.array([t.C for t in terms], dtype=float).reshape(col)
-    big_d = np.array([t.D for t in terms]).reshape(col)
-    delta = np.array([t.delta for t in terms]).reshape(col)
-    y_pow = np.power(y, np.arange(p_e.m + 1).reshape(col))
-    numer = rho4 * p_e.rate * y_pow[k + 1] + big_d * y_pow[k] - big_c * k.reshape(col) * y_pow[np.maximum(k - 1, 0)]
-    shared, which = np.unique([(t.C, t.varsigma + 1) for t in terms], axis=0, return_inverse=True)
-    denom = np.power(rho4 * y + shared[:, 0].reshape(col), shared[:, 1].reshape(col))
-    vals = delta * numer / denom[which.ravel()]
-    return np.stack([vals[k == i].sum(axis=0) for i in range(p_e.m)])
+    row = np.zeros(y.shape)
+    for big_c, s, w in jammed_ratio_terms(p_e, count, rho4):
+        row = row + w * np.power(big_c + rho4 * y, -s)
+    return row
 
 
 def test_cached_jammed_rows_equal_rows_from_terms():
-    # up to 720 terms (count 8, m 3): the k-slices span several term blocks
+    # one term per distinct (C, s): C = 1+u for u < count, s from m to m + u*(m-1) + m
     y = np.concatenate([[0.0], np.linspace(1e-6, 25.0, 300)])
     for m_e in (1, 2, 3):
         p = NakagamiParams(m_e, 0.6)
         for count in range(1, 9):
-            for rho4 in (0.0, 5.0):
-                for _ in range(2):  # the first call builds the table, the second reads it
-                    for at in (y, 1.3, np.array([1.3]), y.reshape(1, -1), np.stack([y, 0.5 * y])):
-                        got = jammed_ratio_pdf_rows(p, count, rho4, at)
-                        assert np.array_equal(got, _pdf_rows_from_terms(p, count, rho4, at))
-    with pytest.raises(ValueError):
-        jammed_ratio_pdf_rows(NakagamiParams(2, 1.0), 0, 1.0, y)
-    with pytest.raises(ValueError):
-        jammed_table(NakagamiParams(2, 1.0), 2, 1.0).delta[0] = 0.0
+            terms = jammed_ratio_terms(p, count, 5.0)
+            assert jammed_ratio_terms(p, count, 5.0) is terms  # built once
+            distinct = sum(u * (m_e - 1) + m_e + 1 for u in range(count))
+            assert len(terms) == len({(c, s) for c, s, _ in terms}) == distinct
+            row = jammed_law(p, count, 5.0).row
+            for at in (y, np.array(1.3), np.array([1.3]), y.reshape(1, -1), np.stack([y, 0.5 * y])):
+                assert row(at).tobytes() == _row_from_terms(p, count, 5.0, at).tobytes()
+    assert len(jammed_ratio_terms(NakagamiParams(3, 1.0), 7, 1.0)) == 70  # the expansion had 504
+    assert len(jammed_ratio_terms(NakagamiParams(2, 1.0), 3, 1.0)) == 12  # and 18
+    for bad in ((0, 1.0), (2, -1.0)):
+        with pytest.raises(ValueError):
+            jammed_law(NakagamiParams(2, 1.0), *bad)
 
 
 def _survival_by_term_loop(p_e, count, rho4, y):
-    """P(Y > y) summed term by term in table order with numpy powers, as
-    before the table's arrays: the reference the array evaluation must equal."""
-    y = np.asarray(y, dtype=float)
-    tab = jammed_table(p_e, count, rho4)
+    """P(Y > y) summed term by term from the survival weights, on one array:
+    the reference that one value and every shape of array must equal."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     acc = np.zeros_like(y)
-    for t in tab.terms:
-        acc = acc + t.delta * np.power(y, t.k) / np.power(t.C + rho4 * y, t.varsigma)
-    return tab.phi0 * np.exp(-p_e.rate * y) * acc
+    for k, big_c, s, w in _jammed_weights(p_e, count, rho4)[1]:
+        acc = acc + w * (p_e.rate * y) ** k * np.power(big_c + rho4 * y, -s)
+    return np.exp(-p_e.rate * y) * acc
 
 
 def test_jammed_survival_equals_the_term_loop_bit_for_bit():
-    # up to 720 terms (count 8, m 3): an array y spans several term blocks
     rng = np.random.default_rng(11)
     y = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(1e-6, 30.0, 97), rng.uniform(0.0, 5.0, 40)])
     for m_e in (1, 2, 3):
         p = NakagamiParams(m_e, 0.6)
         for count in range(1, 9):
-            for rho4 in (0.0, 0.37, 5.0):
+            for rho4 in (0.37, 5.0):
+                survival = jammed_law(p, count, rho4).survival
+                ref = _survival_by_term_loop(p, count, rho4, y)
                 for at in (y, y.reshape(2, -1), y[:1]):
-                    got = jammed_ratio_survival(p, count, rho4, at)
-                    assert got.tobytes() == _survival_by_term_loop(p, count, rho4, at).tobytes()
-                for yi in y[::9].tolist():
-                    got = jammed_ratio_survival(p, count, rho4, yi)
-                    assert type(got) is float
-                    assert np.float64(got).tobytes() == _survival_by_term_loop(p, count, rho4, yi).tobytes()
+                    want = _survival_by_term_loop(p, count, rho4, at).reshape(at.shape)
+                    assert survival(at).tobytes() == want.tobytes()
+                assert survival(y).tobytes() == ref.tobytes()
+                for yi, want in zip(y[::9].tolist(), ref[::9]):
+                    got = survival(yi)
+                    assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
     with pytest.raises(ValueError):
-        jammed_table(NakagamiParams(2, 1.0), 2, 1.0).rank[0] = 0
+        jammed_law(NakagamiParams(2, 1.0), 2, 1.0).survival(-0.1)
 
 
-def test_jammed_rows_peak_memory_is_block_sized():
-    # 504 terms at 300 nodes: one (terms, nodes) temporary alone is 1.2 MB
-    p, y = NakagamiParams(3, 0.6), np.linspace(1e-6, 25.0, 300)
-    jammed_ratio_pdf_rows(p, 7, 3.0, y)  # builds the table outside the measurement
-    tracemalloc.start()
-    try:
-        jammed_ratio_pdf_rows(p, 7, 3.0, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5e6
+def _mpmath_jammed(m, rate, count, rho4, ys):
+    """[(density, survival)] of Y = G/(1 + rho4*H) at each y of ys in 40-digit
+    arithmetic, from the integral over H of its order-statistic density: G's
+    density at y*(1 + rho4*h) times (1 + rho4*h), and G's survival there. With
+    z = lambda*h, H's CDF^(count-1) is sum_u C(count-1,u) (-1)^u e^(-u*z) P(z)^u,
+    P(z) = sum_{k<m} z^k/k!, and each integral of z^n*e^(-beta*z) is n!/beta^(n+1)."""
+    with mpmath.workdps(40):
+        series = [mpmath.mpf(1) / math.factorial(k) for k in range(m)]
+        power, coeffs = [mpmath.mpf(1)], []  # P^u's coefficients; (u, B, A_{u,B})
+        for u in range(count):
+            coeffs += [(u, big_b, (-1) ** u * math.comb(count - 1, u) * c) for big_b, c in enumerate(power)]
+            power = [mpmath.fsum(power[i] * series[b - i] for i in range(len(power)) if 0 <= b - i < m)
+                     for b in range(len(power) + m - 1)]
+        lam, jam_rate = mpmath.mpf(rate), mpmath.mpf(rho4) / rate
+        out = []
+        for y in ys:
+            y = mpmath.mpf(y)
+            density = survival = mpmath.mpf(0)
+            for u, big_b, a in coeffs:
+                beta = 1 + u + rho4 * y
+
+                def moment(k):  # integral of z^(m-1+B) (1 + rho4*z/lambda)^k e^(-beta*z) dz
+                    return mpmath.fsum(math.comb(k, j) * jam_rate**j * math.factorial(m - 1 + big_b + j)
+                                       / beta ** (m + big_b + j) for j in range(k + 1))
+
+                density += a * moment(m)
+                survival += a * mpmath.fsum((lam * y) ** k / math.factorial(k) * moment(k) for k in range(m))
+            front = count * mpmath.exp(-lam * y) / math.factorial(m - 1)
+            density *= front * lam**m * y ** (m - 1) / math.factorial(m - 1)
+            out.append((float(density), float(survival * front)))
+        return out
+
+
+def test_jammed_law_matches_mpmath():
+    # Both closed forms cancel alternating terms as rho4*y grows, so each is
+    # measured against 40 digits. The (C, s) sums hold 1e-9 relative up to
+    # rho4*y = 3, where they are mostly 1-2 orders closer than the retired
+    # expansion (tests/oracles.py). Past it both lose digits to the same
+    # cancellation (the survival sums are the expansion's terms with like
+    # (k, C, s) merged), and at a few values the expansion rounds closer, by
+    # up to 12x where either is off by more than 1e-12: there the sums must
+    # stay within 20x of it, plus 1e-12.
+    worst_near = 0.0
+    for m in (1, 2, 3):
+        p = NakagamiParams(m, 1.3)
+        for count in range(1, 8):
+            for rho4 in (0.5, 5.0):
+                jam = np.geomspace(0.01, 15.0, 25)
+                y = jam / rho4
+                want = np.array(_mpmath_jammed(m, p.rate, count, rho4, y.tolist())).T
+                got = (jammed_ratio_pdf(p, count, rho4, y), jammed_law(p, count, rho4).survival(y))
+                old = (expansion_pdf(p, count, rho4, y), expansion_survival(p, count, rho4, y))
+                for new_v, old_v, ref in zip(got, old, want):
+                    err, old_err = np.abs(new_v / ref - 1.0), np.abs(old_v / ref - 1.0)
+                    worst_near = max(worst_near, err[jam <= 3.0].max())
+                    assert np.all(err <= 20.0 * old_err + 1e-12), (m, count, rho4, jam, err, old_err)
+    assert worst_near < 1e-9
+
+
+def test_jammed_law_reference_is_the_integral_over_h():
+    # the 40-digit closed form above against mpmath's own quadrature of the
+    # same integral over h, at a few points
+    for m, count, rho4, y in ((1, 3, 0.5, 2.0), (2, 4, 5.0, 0.3), (3, 7, 5.0, 0.6), (3, 2, 0.5, 10.0)):
+        lam = m / 1.3
+        with mpmath.workdps(30):
+            def tail(z):
+                return mpmath.exp(-z) * mpmath.fsum(z**k / mpmath.factorial(k) for k in range(m))
+
+            def gain_density(z):
+                return lam * z ** (m - 1) * mpmath.exp(-z) / mpmath.factorial(m - 1)
+
+            def h_density(h):
+                return count * gain_density(lam * h) * (1 - tail(lam * h)) ** (count - 1)
+
+            span = [0, 1 / lam, 10 / lam, mpmath.inf]
+            density = mpmath.quad(lambda h: h_density(h) * (1 + rho4 * h) * gain_density(lam * y * (1 + rho4 * h)),
+                                  span)
+            survival = mpmath.quad(lambda h: h_density(h) * tail(lam * y * (1 + rho4 * h)), span)
+        [got] = _mpmath_jammed(m, lam, count, rho4, [y])
+        assert got[0] == pytest.approx(float(density), rel=1e-14)
+        assert got[1] == pytest.approx(float(survival), rel=1e-14)
 
 
 def test_laws_built_from_the_same_arguments_are_equal():

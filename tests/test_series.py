@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 from conftest import db, fixed_policy, grid_params
+from oracles import expansion_survival, jammed_expansion
 from scipy import special
 
 from noma_relay_secrecy import (
@@ -33,13 +34,7 @@ from noma_relay_secrecy import (
 )
 from noma_relay_secrecy.analytic import _joint_secrecy_prob, delta4
 from noma_relay_secrecy.asymptotic import _ceiling_mass, _leading_integral
-from noma_relay_secrecy.channels import (
-    EavesdropperLaw,
-    combined_law,
-    jammed_law,
-    jammed_ratio_survival,
-    jammed_ratio_terms,
-)
+from noma_relay_secrecy.channels import EavesdropperLaw, combined_law, jammed_law
 from noma_relay_secrecy.params import feasibility_check, jamming_split, scheme_constants
 from noma_relay_secrecy.quadrature import (
     _effective_upper,
@@ -110,7 +105,7 @@ def delta4_per_term(params, policy, n, quad):
                 + q * math.log(lambda2 * abs(c)) - math.lgamma(q + 1)
             )
             coef = (-1.0) ** q * math.exp(log_pq)
-            for t in jammed_ratio_terms(p_e, params.K - n, rho4):
+            for t in jammed_expansion(p_e, params.K - n, rho4)[1]:
                 hval = h_kernel(
                     1.0 / v, p, q, f, lambda2 * c * u, u, v, b, params.theta1,
                     t.k, t.varsigma, t.C, t.D, rho4, lambda_e, quad,
@@ -169,10 +164,10 @@ def odrs_complement_per_term(params, policy, alpha1, alpha2, n, quad, include_fl
     b, c, u, v = consts.b, consts.c, consts.u, consts.v
     count = params.K - n
     phi0 = count * lam_e**p_e.m / math.factorial(p_e.m - 1)
-    floor = float(jammed_ratio_survival(p_e, count, rho4, 1.0 / v)) if include_floor else 0.0
+    floor = float(expansion_survival(p_e, count, rho4, 1.0 / v)) if include_floor else 0.0
     r_screen = links.relay_user2.rate * c * u
     s_b = s_c = s_bc = 0.0
-    for t in jammed_ratio_terms(p_e, count, rho4):
+    for t in jammed_expansion(p_e, count, rho4)[1]:
         args = (t.k, t.varsigma, t.C, t.D, rho4, lam_e, quad)
         # only the terms with the weak user's pole carry its screening factor
         s_b += t.delta * h_kernel(1.0 / v, m_u, 0, lam_e, 0.0, u, v, b, params.theta1, *args)
@@ -313,7 +308,7 @@ def test_series_integral_gives_each_degree_its_own_cut():
     a = consts.a
     f = params.links.relay_user1.rate * params.theta1 + law.rate
     degree0, n_degrees = law.degree, 2 * tau_u - 1
-    flat = EavesdropperLaw(0.0, law.rate, 1, 1, None, law.survival)  # no x^(degree-1): the scale is 0
+    flat = EavesdropperLaw(0.0, law.rate, 1, None, law.survival)  # no x^(degree-1): the scale is 0
     cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
     own_nodes = [QUAD.map_to(cut)[0] for cut in cuts]
     assert len(set(cuts)) >= 2

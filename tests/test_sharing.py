@@ -25,6 +25,7 @@ from conftest import fixed_policy, grid_params
 import noma_relay_secrecy
 from noma_relay_secrecy import AsymptoticScaling, SchemeKind, analytic, asymptotic, channels, cli, sop_asym_total, sop_total
 from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
+from noma_relay_secrecy.params import Transmission
 from noma_relay_secrecy.quadrature import _evaluate, law_rows, quadrature
 
 quadrature_module = importlib.import_module("noma_relay_secrecy.quadrature")
@@ -118,9 +119,9 @@ def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path, monkeypatch)
     raising = [args for integral, args in dict.fromkeys(listed) if integral is exact and _raises(exact, args)]
     fine = [args for integral, args in dict.fromkeys(listed) if integral is exact and not _raises(exact, args)]
     assert raising and fine
-    def form(args):  # what sets an item's shape: tau_u, the law's degree and rows, the nodes
+    def form(args):  # what sets an item's shape: tau_u, the law's degree and row, the nodes
         law = args[-2]
-        return args[5], law.degree, law.n_rows, law.rows is None, args[-1]
+        return args[5], law.degree, law.row is None, args[-1]
 
     assert {form(args) for args in raising} <= {form(args) for args in fine}
     assert sum(len(items) for integral, items in batches if integral is exact) == len(fine)
@@ -383,16 +384,17 @@ def test_a_rebuilt_law_is_the_same_store_key(tmp_path, monkeypatch):
 
 @pytest.fixture
 def counted_jammed_rows(monkeypatch):
-    """Every jammed_ratio_pdf_rows evaluation as (count, node bytes); the law
-    cache is cleared on both sides so that no law binds the other function."""
+    """Every jammed density row evaluation (`channels._jammed_row`) as (count,
+    node bytes); the law cache is cleared on both sides so that no law binds
+    the other function."""
     calls = []
-    original = channels.jammed_ratio_pdf_rows
+    original = channels._jammed_row
 
     def counting(p_e, count, rho4, y):
         calls.append((count, y.tobytes()))
         return original(p_e, count, rho4, y)
 
-    monkeypatch.setattr(channels, "jammed_ratio_pdf_rows", counting)
+    monkeypatch.setattr(channels, "_jammed_row", counting)
     channels.jammed_law.cache_clear()
     yield calls
     channels.jammed_law.cache_clear()
@@ -404,7 +406,7 @@ def test_a_sweep_builds_each_jammed_table_once(tmp_path, counted_jammed_rows):
     rows = run_sweep(load_config(str(path)))
     assert all(not row["error"] for row in rows)
     # 3 points x 2 engines x 3 jammed sizes read the rows; under the pinned
-    # ceiling no cut applies, so the idle counts 1..3 give 3 distinct tables
+    # ceiling no cut applies, so the idle counts 1..3 give 3 distinct rows
     assert len(counted_jammed_rows) == len(set(counted_jammed_rows)) == 3
 
 
@@ -439,15 +441,15 @@ def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
     # both read the one array of each (law, cut), built once
     rows = kept[0]
     assert all(other is rows for other in kept)
-    jammed = [item for item in items[analytic] if item.law.rows is not None]
+    jammed = [item for item in items[analytic] if item.law.row is not None]
     assert list(rows) == [(item.law, item.a, quad) for item in jammed] and len(jammed) == 3
-    assert sum(item.law.rows is not None for item in items[asymptotic]) == 3
+    assert sum(item.law.row is not None for item in items[asymptotic]) == 3
     assert len(counted_jammed_rows) == len(rows) == 3
     for (law, cut, _), block in rows.items():
         assert law_rows(law, [cut], quad, rows)[0] is block
         assert not block.flags.writeable
         with pytest.raises(ValueError):
-            block[0, 0] = 0.0
+            block[0] = 0.0
     # the rows are not among the values, which are the plans' names, and a
     # fresh dict builds its own, just as read-only
     assert [list(point) for point in values] == [list(plan) for plan in plans]
@@ -485,8 +487,9 @@ def test_a_raising_call_is_not_stored():
 def test_row_calls_rebuild_nothing(tmp_path, monkeypatch):
     # both engines, both splits, all four schemes, partial decoding: one plan
     # per (point, engine) builds each distinct transmission of the point once
-    # and moves it onto the asymptotic frame once, the batch step forms each
-    # point's decoding law and weights once, and the row calls only mix
+    # (a single relay's is one relay combining) and moves it onto the
+    # asymptotic frame once, the batch step forms each point's decoding law
+    # and weights once, and the row calls only mix
     builders = {"params": ("transmission_plan", "transmission_args", "scheme_constants", "feasibility_check"),
                 "analytic": ("decoding_set_pmf", "_decoding_pmf"),
                 "asymptotic": ("scaled_params", "_decoding_weights", "_decoding_miss")}
@@ -525,11 +528,14 @@ def test_row_calls_rebuild_nothing(tmp_path, monkeypatch):
     assert len(calls["_engine_sop"]) == len(rows) and len(calls["_engine_plan"]) == 2 * 2 * 2
     assert all(built == [] for _, built in calls["_engine_sop"])
     for (engine, params, _, schemes, _), built in calls["_engine_plan"]:
-        names = list(dict.fromkeys(scheme.reads(n, params.K) for scheme in schemes for n in range(1, params.K + 1)))
-        assert [args[2:] for name, args in built if name == "transmission_args"] == names
+        names = dict.fromkeys(scheme.reads(n, params.K) for scheme in schemes for n in range(1, params.K + 1))
+        distinct = list(dict.fromkeys((Transmission.COMBINED, n) if sends is Transmission.SINGLE else (sends, n)
+                                      for sends, n in names))
+        assert (Transmission.SINGLE, 1) in names and len(distinct) == len(names) - 1
+        assert [args[2:] for name, args in built if name == "transmission_args"] == distinct
         counts = Counter(name for name, _ in built)
-        assert counts == {"transmission_plan": 1, "feasibility_check": 1, "transmission_args": len(names),
-                          "scheme_constants": len(names), **({"scaled_params": 1} if engine == "asymptotic" else {})}
+        assert counts == {"transmission_plan": 1, "feasibility_check": 1, "transmission_args": len(distinct),
+                          "scheme_constants": len(distinct), **({"scaled_params": 1} if engine == "asymptotic" else {})}
     for (plans,), built in calls["_evaluate"]:  # two points, one analytic and one asymptotic plan each
         counts = Counter(name for name, _ in built)
         assert len(plans) == 4
