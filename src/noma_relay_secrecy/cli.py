@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -89,6 +90,14 @@ class ExperimentConfig:
     quad_n: int
     out: str | None
 
+    @functools.cached_property
+    def points(self) -> tuple[tuple[float, SystemParams, PowerPolicy], ...]:
+        """(sweep value, params, policy) at each sweep point, or at the base
+        P_dB when there is no sweep (`_point_scenario`); built once."""
+        if self.sweep_var is None:
+            return ((10.0 * math.log10(self.params.P_S), self.params, self.policy),)
+        return tuple((value, *_point_scenario(self, value)) for value in self.sweep_values)
+
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a flat JSON config; fill documented defaults."""
@@ -148,12 +157,11 @@ def load_config(path: str) -> ExperimentConfig:
         params=params, policy=policy, schemes=schemes, engines=engines,
         sweep_var=sweep_var, sweep_values=sweep_values, mc=mc, quad_n=quad_n, out=out,
     )
-    # Each sweep point is built as `run_sweep` builds it, so the scenario classes check its values.
-    for value in sweep_values:
-        try:
-            _point_scenario(cfg, value)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    # Each sweep point is built here, once, so the scenario classes check its values.
+    try:
+        cfg.points
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -273,11 +281,7 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     (`values=`). Where a plan raises, each row's engine call raises it.
     """
     engines = tuple(engines) if engines is not None else cfg.engines
-    if cfg.sweep_var is None:
-        values = [10.0 * math.log10(cfg.params.P_S)]
-    else:
-        values = list(cfg.sweep_values)
-    points = [(value, *_point_scenario(cfg, None if cfg.sweep_var is None else value)) for value in values]
+    points = cfg.points
     planned = [(i, engine) for i in range(len(points)) for engine in engines if engine != "montecarlo"]
     quad = quadrature(cfg.quad_n) if planned else None
     plans: list = []
@@ -306,7 +310,7 @@ def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> li
     return rows
 
 
-def _mc_rows(cfg: ExperimentConfig, points: list[tuple[float, SystemParams, PowerPolicy]]) -> list[dict]:
+def _mc_rows(cfg: ExperimentConfig, points: Sequence[tuple[float, SystemParams, PowerPolicy]]) -> list[dict]:
     """Monte Carlo rows of sweep points that share one draw."""
     keys = [(i, scheme) for i in range(len(points)) for scheme in cfg.schemes]
     rows = [_blank_row(cfg, points[i][0], scheme, "montecarlo") for i, scheme in keys]
@@ -324,19 +328,12 @@ def _mc_rows(cfg: ExperimentConfig, points: list[tuple[float, SystemParams, Powe
     return rows
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10e")
-    return str(value)
-
-
 def write_rows(rows: list[dict], out: str | None) -> None:
-    """Write CSV (header always) to a path, or stdout when out is None."""
+    """Write CSV (header always) to a path, or stdout when out is None; floats as .10e."""
     def _dump(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(row[col]) for col in _COLUMNS])
+        cells = [[format(v, ".10e") if isinstance(v, float) else str(v) for v in map(row.__getitem__, _COLUMNS)]
+                 for row in rows]
+        csv.writer(fh).writerows([_COLUMNS, *cells])
 
     if out is None:
         _dump(sys.stdout)

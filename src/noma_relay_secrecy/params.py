@@ -8,7 +8,10 @@ derive are defined here once: `jamming_split`, `clamp_probability`, what each
 transmission of a point reads (`transmission_plan`, by name, with the split
 checked once per point), and the SOP itself, one mixture over the
 decoding-set size of the three per-transmission outages (`conditional`,
-`mixture`); an engine supplies only those outages.
+`mixture`); an engine supplies only those outages. What a scheme's set of
+n out of K relays reads, and the power its outage takes, is one row of a
+table built once per (scheme, K) (`read_table`), which the plan lists
+names from and the mixture walks.
 All rates are in nats per channel use; capacities carry the 1/2 pre-log of
 the two-slot protocol, so a secrecy rate R maps to the threshold theta = exp(2R).
 """
@@ -18,13 +21,15 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 from .channels import NakagamiParams, _check_finite, _is_count, combined_law, jammed_law
 
 
-class Transmission(Enum):
-    """How the relays of a decoding set send to the users."""
+class Transmission(str, Enum):
+    """How the relays of a decoding set send to the users. A str, so that a
+    (sends, size) name hashes with str's own hash."""
 
     COMBINED = "combined"  # all n relays send at P_R/n; every receiver sums their gains
     SINGLE = "single"  # the best relay sends at full power P_R
@@ -302,17 +307,31 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
     return links.relay_user1, links.relay_user2, params.theta1, consts, alpha2, tau_u, law
 
 
+@lru_cache(maxsize=64)
+def read_table(scheme: SchemeKind, K: int) -> tuple:
+    """What each decoding set of a scheme over K relays reads: row n, n = 1..K,
+    is (sends, size, power), the (sends, size) of `SchemeKind.reads` and the
+    power its outage takes in `conditional`: 1 for a combining set, one
+    transmission, and n otherwise, where the set fails iff all n candidates
+    fail, taken as independent. Row 0, the empty set, is None."""
+    rows = [None]
+    for n in range(1, K + 1):
+        sends, size = SchemeKind(scheme).reads(n, K)
+        rows.append((sends, size, 1 if sends is Transmission.COMBINED else n))
+    return tuple(rows)
+
+
 def transmission_plan(params: SystemParams, policy: PowerPolicy, reads) -> dict:
     """The `transmission_args` of each distinct (sends, size) of reads, by
     that name, in order of first use; reads lists names or schemes, or is one
-    scheme, which reads what it reads at n = 1..K (`SchemeKind.reads`). The
-    split is checked once: if infeasible each name maps to None, securing no one.
-    A single relay sends as one relay combining, so (SINGLE, 1) maps to the
-    tuple of (COMBINED, 1), built once for both."""
-    if isinstance(reads, str):  # a scheme, or its name
+    scheme, which reads its `read_table` rows n = 1..K. The split is checked
+    once: if infeasible each name maps to None, securing no one. A single
+    relay sends as one relay combining, so (SINGLE, 1) maps to the tuple of
+    (COMBINED, 1), built once for both."""
+    if isinstance(reads, str):  # a scheme, or its name; a Transmission alone is no scheme and raises
         reads = [reads]
     names = dict.fromkeys(name for read in reads for name in (
-        [SchemeKind(read).reads(n, params.K) for n in range(1, params.K + 1)] if isinstance(read, str) else [read]))
+        [row[:2] for row in read_table(SchemeKind(read), params.K)[1:]] if isinstance(read, str) else [read]))
     if names and feasibility_check(params, policy) is not None:
         return names
     built: dict = {}
@@ -325,45 +344,48 @@ def transmission_plan(params: SystemParams, policy: PowerPolicy, reads) -> dict:
 
 
 def conditional(scheme: SchemeKind, n: int, K: int, outage: Callable[[Transmission, int], float]) -> float:
-    """The outage probability given n of K relays decode. outage(sends, n) is
-    one transmission's outage at the set size it reads (`SchemeKind.reads`).
-    A selection fails iff all n candidates fail, taken as independent, hence
-    the n-th power; n combining relays are one transmission."""
+    """The outage probability given n of K relays decode: outage(sends, size),
+    one transmission's outage at the set size it reads, to the power of row n
+    of `read_table`."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
+    if n > K:
+        raise ValueError(f"n must be at most K={K}, got {n!r}")
     if n == 0:
         return 1.0  # empty decoding set: outage is certain
-    sends, size = scheme.reads(n, K)
-    p = outage(sends, size)
-    return p if sends is Transmission.COMBINED else p**n
+    sends, size, power = read_table(scheme, K)[n]
+    return outage(sends, size) ** power
 
 
 def mixture(weights, scheme: SchemeKind, outage: Callable[[Transmission, int], float]) -> float:
     """Every engine's SOP: weights[n] * `conditional`(n) summed left to right
-    from 0 over n = 0..K, K = len(weights) - 1, each outage formed once. A
-    weight of exactly 0.0 is a null event: its conditional, which may be NaN
-    there (no relay can decode), is not formed."""
+    from 0 over n = 0..K, K = len(weights) - 1, walking `read_table` and
+    forming each outage once. A weight of exactly 0.0 is a null event: its
+    conditional, which may be NaN there (no relay can decode), is not formed."""
     formed: dict = {}
-
-    def once(sends: Transmission, n: int) -> float:
-        if (sends, n) not in formed:
-            formed[sends, n] = outage(sends, n)
-        return formed[sends, n]
-
-    K = len(weights) - 1
     total = 0.0
-    for n, weight in enumerate(weights):
-        if weight != 0.0:
-            total += weight * conditional(scheme, n, K, once)
+    for weight, row in zip(weights, read_table(scheme, len(weights) - 1)):
+        if weight == 0.0:
+            continue
+        if row is None:  # empty decoding set: outage is certain
+            total += weight
+            continue
+        sends, size, power = row
+        p = formed.get((sends, size))
+        if p is None:
+            p = formed[sends, size] = outage(sends, size)
+        total += weight * p**power
     return total
 
 
 def clamp_probability(p: float) -> float:
     """p clipped to [0, 1]: the one place an engine's rounding past either end
     is cut. A NaN is no rounding and raises, so its row fails loudly."""
+    if 0.0 <= p <= 1.0:
+        return p
     if math.isnan(p):
         raise ValueError("probability is NaN")
-    return min(max(p, 0.0), 1.0)
+    return 0.0 if p < 0.0 else 1.0
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import json
 import math
+import random
 import re
 import sys
 from functools import partial
@@ -33,7 +34,7 @@ from noma_relay_secrecy import (
 from noma_relay_secrecy import analytic, asymptotic, channels, montecarlo
 from noma_relay_secrecy.analytic import decoding_set_pmf, sop_cond
 from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
-from noma_relay_secrecy.params import Transmission, mixture
+from noma_relay_secrecy.params import Transmission, conditional, mixture
 
 QUAD = quadrature(300)
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,6 +112,42 @@ def test_the_one_mixture_sums_as_each_engine_loop_did(scheme):
             loop += weight * sop_asym_cond(params, policy, scheme, n, scaling, QUAD)
         one = mixture(weights, scheme, partial(asymptotic._outage, scaled, policy, QUAD, not policy.is_dynamic, None))
         assert one.hex() == loop.hex()
+
+    # the walk over the read table, K = 1..8: it sums, bit for bit, the
+    # per-n conditionals, each the outage `SchemeKind.reads` names, one
+    # relay's to the n-th power, added left to right from 0.0; a weight of
+    # 0.0 skips its conditional, here one whose outage is NaN, and each
+    # outage read is formed once
+    rng = random.Random(7)
+    for K in range(1, 9):
+        names = [scheme.reads(n, K) for n in range(1, K + 1)]
+        outages = {name: rng.random() for name in names}
+        weights = [rng.random() for _ in range(K + 1)]
+        weights[rng.randrange(K + 1)] = 0.0
+        alone = [n for n in range(1, K + 1) if names.count(names[n - 1]) == 1]
+        if alone:
+            weights[alone[-1]], outages[names[alone[-1] - 1]] = 0.0, math.nan
+            assert math.isnan(conditional(scheme, alone[-1], K, lambda sends, size: outages[sends, size]))
+        formed = []
+
+        def outage(sends, size):
+            formed.append((sends, size))
+            return outages[sends, size]
+
+        one = mixture(weights, scheme, outage)
+        assert len(formed) == len(set(formed))
+        assert set(formed) == {names[n - 1] for n in range(1, K + 1) if weights[n] != 0.0}
+        loop = 0.0
+        for n, weight in enumerate(weights):
+            if weight != 0.0:
+                cond = conditional(scheme, n, K, lambda sends, size: outages[sends, size])
+                if n == 0:
+                    assert cond == 1.0
+                else:
+                    p = outages[names[n - 1]]
+                    assert cond.hex() == (p if names[n - 1][0] is Transmission.COMBINED else p**n).hex()
+                loop += weight * cond
+        assert not math.isnan(one) and one.hex() == loop.hex()
 
 
 def test_no_module_keeps_ambient_state():

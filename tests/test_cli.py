@@ -491,3 +491,22 @@ def test_demo_stdout_matches_golden(demo):
         capture_output=True, text=True, check=True, env=env,
     )
     assert proc.stdout == (ROOT / "tests" / "golden" / f"demo_{demo}.txt").read_text()
+
+
+def test_each_sweep_point_is_built_once(tmp_path, monkeypatch):
+    # load_config builds each point to check its values (`ExperimentConfig.points`),
+    # and run_sweep and validate, which sweeps twice, read those builds
+    built = []
+    original = cli._point_scenario
+
+    def counting(cfg, value):
+        built.append(value)
+        return original(cfg, value)
+
+    monkeypatch.setattr(cli, "_point_scenario", counting)
+    raw = _base_config(scheme=["osrs"], trials=2000, sweep={"var": "P_dB", "values": [5.0, 10.0, 15.0]})
+    cfg = load_config(_write(tmp_path, raw))
+    rows = run_sweep(cfg)
+    validate(cfg)
+    assert built == [5.0, 10.0, 15.0]
+    assert [row["sweep_value"] for row in rows] == [5.0, 10.0, 15.0] and not any(row["error"] for row in rows)

@@ -1,6 +1,7 @@
 """Scenario container, power policies, and the per-scheme threshold constants."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -23,6 +24,7 @@ from noma_relay_secrecy.params import (
     clamp_probability,
     conditional,
     feasibility_check,
+    read_table,
     scheme_constants,
     transmission_args,
     transmission_plan,
@@ -162,6 +164,8 @@ def test_the_conditional_of_an_empty_or_negative_set():
         assert conditional(scheme, 0, 3, outage) == 1.0
         with pytest.raises(ValueError, match="n must be nonnegative"):
             conditional(scheme, -1, 3, outage)
+        with pytest.raises(ValueError, match="n must be at most K=3, got 4"):
+            conditional(scheme, 4, 3, outage)
 
 
 def test_only_candidates_are_raised_to_the_nth_power():
@@ -235,3 +239,28 @@ def test_an_underflowing_relay_snr_names_the_overflowing_constants(scheme, polic
         sop_total(params, policy, scheme, quad)
     with pytest.raises(ValueError, match=message):
         sop_asym_total(params, policy, scheme, AsymptoticScaling(*params.links.frame), quad)
+
+
+def test_a_plan_lists_the_names_of_the_per_n_reads_loop():
+    # plan keys and golden row order hang on this order: for every ordered
+    # subset of schemes and every K <= 8, the names the read table lists are
+    # those of `SchemeKind.reads` over n = 1..K, scheme by scheme, each at
+    # its first use (an infeasible split lists them without building any)
+    policy = fixed_policy(0.99)
+    for K in range(1, 9):
+        params = grid_params(K=K)
+        assert feasibility_check(params, policy) is not None
+        for size in range(1, len(SchemeKind) + 1):
+            for schemes in itertools.permutations(SchemeKind, size):
+                want = dict.fromkeys(s.reads(n, K) for s in schemes for n in range(1, K + 1))
+                assert list(transmission_plan(params, policy, schemes)) == list(want)
+        for scheme in SchemeKind:
+            rows = [(*scheme.reads(n, K), 1 if scheme.reads(n, K)[0] is Transmission.COMBINED else n)
+                    for n in range(1, K + 1)]
+            assert read_table(scheme, K) == (None, *rows)
+            by_name = transmission_plan(params, policy, scheme.value)
+            assert list(by_name) == list(transmission_plan(params, policy, [scheme]))
+    # a Transmission is a str too, but never a scheme
+    for reads in (Transmission.SINGLE, [Transmission.COMBINED]):
+        with pytest.raises(ValueError, match="is not a valid SchemeKind"):
+            transmission_plan(grid_params(), policy, reads)

@@ -25,7 +25,7 @@ from conftest import fixed_policy, grid_params
 import noma_relay_secrecy
 from noma_relay_secrecy import AsymptoticScaling, SchemeKind, analytic, asymptotic, channels, cli, sop_asym_total, sop_total
 from noma_relay_secrecy.cli import _point_scenario, load_config, run_sweep
-from noma_relay_secrecy.params import Transmission
+from noma_relay_secrecy.params import Transmission, read_table
 from noma_relay_secrecy.quadrature import _evaluate, law_rows, quadrature
 
 quadrature_module = importlib.import_module("noma_relay_secrecy.quadrature")
@@ -482,6 +482,30 @@ def test_a_raising_call_is_not_stored():
         with pytest.raises(ValueError, match="bad 1"):
             point[name]
     assert calls == [1] and values[0]["b"] == 9
+
+
+def test_row_calls_derive_no_reads(tmp_path, monkeypatch):
+    # each row's mixture walks one cached read table per (scheme, K): over a
+    # K = 4 sweep of all four schemes, both engines and both splits,
+    # `SchemeKind.reads` runs once per (scheme, n), not once per row and n
+    read_table.cache_clear()
+    calls: Counter = Counter()
+    original = SchemeKind.reads
+
+    def counting(self, n, K):
+        calls[self, n, K] += 1
+        return original(self, n, K)
+
+    monkeypatch.setattr(SchemeKind, "reads", counting)
+    for split in (FIXED, DYNAMIC):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_config(split, "P_dB", [20.0, 25.0], K=4)))
+        rows = run_sweep(load_config(str(path)))
+        assert len(rows) == 2 * 2 * len(SCHEMES) and not any(row["error"] for row in rows)
+    assert calls == Counter({(scheme, n, 4): 1 for scheme in SchemeKind for n in range(1, 5)})
+    # every mixture step keys a dict by a (sends, size) name: a Transmission
+    # hashes with str's own C hash, not Enum's Python-level __hash__
+    assert Transmission.__hash__ is str.__hash__ and SchemeKind.__hash__ is str.__hash__
 
 
 def test_row_calls_rebuild_nothing(tmp_path, monkeypatch):
