@@ -52,7 +52,6 @@ from .params import (
     transmission_plan,
 )
 from .quadrature import (
-    BatchedIntegral,
     QuadratureSpec,
     SeriesItem,
     _check_domain,
@@ -127,7 +126,6 @@ def _user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndarray, ...
     return (-(h / one_minus_qx), shift1, shift2), convolve_series(rows1, rows2)
 
 
-@partial(BatchedIntegral, user_rows=_user_rows)
 def _joint_secrecy_prob(
     user1: NakagamiParams,
     user2: NakagamiParams,
@@ -146,10 +144,9 @@ def _joint_secrecy_prob(
     integrand with powers k, j (times the law's density row, if it has one),
     whose sign (-1)^j cancels the sign of c^j. Both series and the row are
     summed at each node and the integral is taken once. The function
-    prepares the integral's `SeriesItem`; as a `BatchedIntegral` it reads
-    nothing but its arguments and is evaluated once per argument tuple of
-    an `_evaluate` call, in batches. A series base lambda1*b or
-    lambda2*|c| that underflows to 0.0 has no logarithm (ValueError).
+    returns the integral's `SeriesItem`, with this engine's `_user_rows`,
+    which `_evaluate` batches. A series base lambda1*b or lambda2*|c| that
+    underflows to 0.0 has no logarithm (ValueError).
     """
     consts.check_finite()
     lambda1, lambda2 = user1.rate, user2.rate
@@ -163,7 +160,7 @@ def _joint_secrecy_prob(
     user = (tau_u, theta1 / b, r, q, consts.screening(lambda2, alpha2), math.log(base1), math.log(base2))
     f = lambda1 * theta1 + law.rate
     log_front = law.log_front - lambda1 * b - lambda2 * c
-    return SeriesItem(a, f, log_front, law, law.degree, 2 * tau_u - 1, user, quad)
+    return SeriesItem(a, f, log_front, law, law.degree, 2 * tau_u - 1, user, _user_rows, quad)
 
 
 def _secured(params: SystemParams, policy: PowerPolicy, sends: Transmission, n: int, quad: QuadratureSpec,
@@ -234,13 +231,6 @@ def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: i
     return conditional(SchemeKind(scheme), n, params.K, partial(_outage, params, policy, quad, None))
 
 
-def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec,
-             values: dict) -> SopResult:
-    """The body of `sop_total`: the conditionals mixed over the decoding-set law."""
-    total = mixture(values["pmf"], SchemeKind(scheme), partial(_outage, params, policy, quad, values))
-    return SopResult(value=clamp_probability(float(total)), engine="analytic")
-
-
 def sop_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec, *,
               values: dict | None = None) -> SopResult:
     """Total SOP: mixture of the conditional SOPs over the decoding-set law.
@@ -249,4 +239,5 @@ def sop_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, qua
     and mixes once; a sweep passes the point's values, and the call only mixes."""
     if values is None:
         [values] = _evaluate([_plan(params, policy, scheme, quad)])
-    return _mixture(params, policy, scheme, quad, values)
+    total = mixture(values["pmf"], scheme, partial(_outage, params, policy, quad, values))
+    return SopResult(value=clamp_probability(float(total)), engine="analytic")

@@ -10,26 +10,27 @@ in double precision.
 
 The eavesdropper-ceiling mass (the chance the eavesdropper gain already
 exceeds the weak user's SINR ceiling) is kept or dropped by the power
-policy. Under a fixed split the ceiling is pinned, the mass is a constant,
-and it is the leading term: the SOP floor. Under the dynamic rule the
-ceiling recedes with omega2 and the mass decays faster than any power, so
-it is omitted there: at finite omega2 it would bury the power-law decay the
-diversity order describes.
+policy, a rule that lives in `_plan` alone. Under a fixed split the
+ceiling is pinned, the mass is a constant, and it is the leading term: the
+SOP floor. Under the dynamic rule the ceiling recedes with omega2 and the
+mass decays faster than any power, so it is omitted there: at finite
+omega2 it would bury the power-law decay the diversity order describes.
 
 The schemes mix as in the exact engine (`params.conditional`,
 `params.mixture`), and this engine supplies each transmission's outage
 (`_outage`) at leading order under the exact engine's eavesdropper law: the
-ceiling mass (`_ceiling_mass`), which `sop_floor_cond` keeps alone, plus the
-integral of three user terms (`_leading_integral`, from this engine's user
-rows `_leading_user_rows`) in the kernel both engines share
-(`quadrature.series_integrals`).
+ceiling mass (`_ceiling_mass`) plus the integral of three user terms
+(`_leading_integral`, from this engine's user rows `_leading_user_rows`) in
+the kernel both engines share (`quadrature.series_integrals`). The floors
+(`sop_floor_cond`, `sop_floor_total`) read each transmission's ceiling mass
+directly, with no plan.
 
 `sop_asym_total` runs the exact engine's flow, plan, batch, one mixture:
-`_plan` moves the point onto the scaling frame once (`scaled_params`) and
-names its leading decoding weights ("weights") and each transmission's
-leading integral and ceiling mass (0.0 where a term is not kept), for one
-scheme or, in a sweep, all (`params.transmission_plan`); the mixture only
-reads their values (`quadrature._evaluate`).
+it moves the point onto the scaling frame once (`scaled_params`), and
+`_plan` names the point's leading decoding weights ("weights") and each
+transmission's leading integral and ceiling mass, for one scheme or, in a
+sweep, all (`params.transmission_plan`); the mixture only reads their
+values (`quadrature._evaluate`).
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ from .params import (
     transmission_plan,
 )
 from .quadrature import (
-    BatchedIntegral,
     QuadratureSpec,
     SeriesItem,
     _check_domain,
@@ -131,7 +131,6 @@ def _leading_user_rows(users: list[tuple], x: np.ndarray) -> tuple[tuple[np.ndar
     return (shift,), rows
 
 
-@partial(BatchedIntegral, user_rows=_leading_user_rows)
 def _leading_integral(
     user1: NakagamiParams,
     user2: NakagamiParams,
@@ -147,8 +146,8 @@ def _leading_integral(
     and -phi1*phi2*c^tau_u*B^tau_u*C^tau_u, with B = b + theta1*x and
     C = 1 + u/(1-vx). They are summed at each node, as
     `analytic._joint_secrecy_prob` sums its series, and integrated once. The
-    function prepares the integral's `SeriesItem`; as a `BatchedIntegral`
-    it is evaluated once per argument tuple of an `_evaluate` call, in batches.
+    function returns the integral's `SeriesItem`, with this engine's
+    `_leading_user_rows`, which `_evaluate` batches.
     """
     consts.check_finite()
     _check_domain(consts.a, consts.v, "pole")
@@ -162,7 +161,8 @@ def _leading_integral(
     # without it the quadrature blows up with the node count.
     h = consts.screening(user2.rate, alpha2)
     user = (tau_u, b, theta1, u, v, h, log_phi1, log_phi2c, sign_phi2c)
-    return SeriesItem(consts.a, law.rate, law.log_front, law, law.degree + tau_u, tau_u + 1, user, quad)
+    return SeriesItem(consts.a, law.rate, law.log_front, law, law.degree + tau_u, tau_u + 1, user,
+                      _leading_user_rows, quad)
 
 
 def _ceiling_mass(law: EavesdropperLaw, consts: SchemeConstants) -> float:
@@ -171,14 +171,13 @@ def _ceiling_mass(law: EavesdropperLaw, consts: SchemeConstants) -> float:
     return float(law.survival(consts.a))
 
 
-def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec | None, include_floor: bool,
-            values: dict | None, sends: Transmission, n: int) -> float:
+def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, values: dict | None,
+            sends: Transmission, n: int) -> float:
     """The outage of `params.conditional` on an already scaled scenario: the
     transmission's ceiling mass plus its leading integral, read by name from
-    values or, with values None, from its own plan, which keeps the floor
-    with include_floor and the integral unless quad is None."""
+    values or, with values None, from its own plan."""
     if values is None:
-        [values] = _evaluate([_plan(params, policy, [(sends, n)], quad, include_floor)])
+        [values] = _evaluate([_plan(params, policy, [(sends, n)], quad)])
     return clamp_probability(values[("ceiling", sends, n)] + values[(sends, n)])
 
 
@@ -199,25 +198,21 @@ def _decoding_weights(scaled: SystemParams) -> tuple[float, ...]:
     return tuple(math.comb(scaled.K, n) * miss ** (scaled.K - n) for n in range(scaled.K + 1))
 
 
-def _plan(params: SystemParams, policy: PowerPolicy, reads, quad: QuadratureSpec | None, include_floor: bool,
-          scaling: AsymptoticScaling | None = None) -> dict:
-    """What `_outage` reads at one point, by name (`quadrature._evaluate`):
-    for each (sends, size) of reads, names or schemes (`params.transmission_plan`),
-    its leading integral, unless quad is None, and as ("ceiling", sends, size)
-    its ceiling mass, if include_floor; a term not kept is (float, (0.0,)), the
-    constant 0.0, and an infeasible split's ceiling mass is 1.0, certain outage.
-    With scaling, the point is params moved onto it, once, and "weights" names
-    its leading decoding weights (`_decoding_weights`), which `_mixture` reads."""
-    plan = {}
-    if scaling is not None:
-        params = scaled_params(params, scaling)
-        plan["weights"] = (_decoding_weights, (params,))
+def _plan(params: SystemParams, policy: PowerPolicy, reads, quad: QuadratureSpec) -> dict:
+    """What the readers read at one point already on its scaling frame, by
+    name (`quadrature._evaluate`): "weights", its leading decoding weights
+    (`_decoding_weights`), and for each (sends, size) of reads, names or
+    schemes (`params.transmission_plan`), its leading integral and, as
+    ("ceiling", sends, size), its ceiling mass. The mass is kept unless the
+    split is dynamic, where it is (float, (0.0,)), the constant 0.0; under an
+    infeasible split the integral is 0.0 and the mass 1.0, certain outage."""
+    plan = {"weights": (_decoding_weights, (params,))}
     for name, args in transmission_plan(params, policy, reads).items():
         if args is None:
             plan[name], plan[("ceiling", *name)] = (float, (0.0,)), (float, (1.0,))
             continue
-        plan[name] = (float, (0.0,)) if quad is None else (_leading_integral, (*args, quad))
-        plan[("ceiling", *name)] = (_ceiling_mass, (args[-1], args[3])) if include_floor else (float, (0.0,))
+        plan[name] = (_leading_integral, (*args, quad))
+        plan[("ceiling", *name)] = (float, (0.0,)) if policy.is_dynamic else (_ceiling_mass, (args[-1], args[3]))
     return plan
 
 
@@ -231,16 +226,8 @@ def sop_asym_cond(
 ) -> float:
     """Asymptotic SOP given n decoding relays under the scheme: one
     transmission's outage, planned and evaluated alone."""
-    outage = partial(_outage, scaled_params(params, scaling), policy, quad, not policy.is_dynamic, None)
+    outage = partial(_outage, scaled_params(params, scaling), policy, quad, None)
     return conditional(SchemeKind(scheme), n, params.K, outage)
-
-
-def _mixture(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec,
-             values: dict) -> float:
-    """The body of `sop_asym_total`: the conditionals mixed over the leading
-    decoding-set weights, all read from values by name."""
-    outage = partial(_outage, params, policy, quad, not policy.is_dynamic, values)
-    return clamp_probability(mixture(values["weights"], SchemeKind(scheme), outage))
 
 
 def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
@@ -249,18 +236,24 @@ def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind
     power, and each weighs the `sop_asym_cond` of its n. The leading power
     phi_R*eta^mR of a relay's decoding miss must lie below 1, or the source
     hop is not in the high-gain regime and the weights do not sum to a
-    probability (ValueError). Plans, batches and mixes once, or mixes the
-    values a sweep passes, planned on scaling, as `sop_total` does."""
+    probability (ValueError). Plans on scaling, batches and mixes once, or
+    mixes the values a sweep passes, planned on scaling, as `sop_total` does."""
     if values is None:
-        [values] = _evaluate([_plan(params, policy, scheme, quad, not policy.is_dynamic, scaling)])
-    return _mixture(params, policy, scheme, quad, values)
+        [values] = _evaluate([_plan(scaled_params(params, scaling), policy, scheme, quad)])
+    outage = partial(_outage, params, policy, quad, values)
+    return clamp_probability(mixture(values["weights"], scheme, outage))
 
 
 def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
     """The conditional SOP's high-gain floor: the securing terms vanish with the
     user-link coefficients and only the eavesdropper-side mass above the
-    ceiling a survives, i.e. each transmission's ceiling mass."""
-    return conditional(SchemeKind(scheme), n, params.K, partial(_outage, params, policy, None, True, None))
+    ceiling a survives, i.e. each transmission's ceiling mass, read directly
+    (`_ceiling_mass`), or 1.0 under an infeasible split."""
+    def floor(sends: Transmission, size: int) -> float:
+        args = transmission_plan(params, policy, [(sends, size)])[sends, size]
+        return 1.0 if args is None else clamp_probability(_ceiling_mass(args[-1], args[3]))
+
+    return conditional(SchemeKind(scheme), n, params.K, floor)
 
 
 def sop_floor_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> float:

@@ -264,7 +264,8 @@ def _engine_plan(engine: str, params: SystemParams, policy: PowerPolicy, schemes
     """What `_engine_sop` reads at the point for any of the schemes, by name: its engine's `_plan`."""
     if engine == "analytic":
         return analytic._plan(params, policy, schemes, quad)
-    return asymptotic._plan(params, policy, schemes, quad, not policy.is_dynamic, AsymptoticScaling(*params.links.frame))
+    scaled = asymptotic.scaled_params(params, AsymptoticScaling(*params.links.frame))
+    return asymptotic._plan(scaled, policy, schemes, quad)
 
 
 def run_sweep(cfg: ExperimentConfig, engines: Sequence[str] | None = None) -> list[dict]:

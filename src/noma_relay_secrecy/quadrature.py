@@ -20,16 +20,18 @@ the package for `bench/spans.py` and `bench/micro.py`.
 The flow is plan, batch, one mixture. An engine's `_plan` names the
 (function, arguments) entries one point reads: each integral by its
 transmission (sends, size), the decoding law or the leading decoding
-weights, and the ceiling masses. `cli.run_sweep` plans each (point, engine)
-once, for all of the config's schemes. `_evaluate` evaluates each distinct
-entry of its plans once, the `BatchedIntegral`s in batches of one shape,
-and returns one dict per plan by its names (`values`): every scheme's row at
+weights, and the ceiling masses. An entry is a value or an integral: its
+function returns the value, or the integral's `SeriesItem`, which carries
+the engine's user-row builder. `cli.run_sweep` plans each (point, engine)
+once, for all of the config's schemes. `_evaluate` calls each distinct
+entry of its plans once, evaluates the items in batches of one shape, and
+returns one dict per plan by its names (`values`): every scheme's row at
 the point only mixes them. A law's density row is built once per cut in
 that call (`law_rows`), read-only, and read by both engines.
 """
 from __future__ import annotations
 
-from functools import lru_cache, update_wrapper
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -60,32 +62,8 @@ def _effective_upper(a: float, f: float, degree: float) -> float:
     return a if cut >= a else cut
 
 
-class BatchedIntegral:
-    """A securing integral that `_evaluate` evaluates in batches.
-
-    `prepare(*args)` turns the arguments, which must be hashable, into a
-    `SeriesItem` that depends on nothing else, raising for arguments the
-    integral refuses; `user_rows` is the engine's row builder. Decorate the
-    preparing function with `partial(BatchedIntegral, user_rows=...)`.
-    Called with its arguments it is a batch of one.
-    """
-
-    def __init__(self, prepare: Callable[..., SeriesItem], user_rows):
-        update_wrapper(self, prepare)
-        self.prepare = prepare
-        self.user_rows = user_rows
-
-    def __call__(self, *args) -> float:
-        return self.evaluate([self.prepare(*args)])[0]
-
-    def evaluate(self, items: list[SeriesItem], rows: dict | None = None) -> list[float]:
-        """The values of prepared items of one shape (`SeriesItem.shape`);
-        `rows` keeps the law rows they build (`law_rows`)."""
-        return series_integrals(items, self.user_rows, {} if rows is None else rows)
-
-
 class _Values(dict):
-    """One plan's values by name (`_evaluate`); reading an entry that raised raises its error."""
+    """One plan's values by name (`_evaluate`) when an entry raised: reading it raises its error."""
 
     def __getitem__(self, name):
         value = super().__getitem__(name)
@@ -96,29 +74,33 @@ class _Values(dict):
 
 def _evaluate(plans: list[dict]) -> list[dict]:
     """One dict of values per plan, by the plan's names: each distinct
-    (function, arguments) entry of the plans evaluated once, each
-    `BatchedIntegral` in batches of one shape, every other function one by
-    one. The law rows the batches build are kept for the call's length, so
-    every batch that reads a (law, cut) reads one array. An entry that raises
-    is tried once and left out of the batches; each read of it raises its error."""
+    (function, arguments) entry of the plans called once. An entry whose
+    function returns a `SeriesItem` is an integral, evaluated in a batch of
+    its `SeriesItem.shape`; any other result is its value. The law rows the
+    batches build are kept for the call's length, so every batch that reads
+    a (law, cut) reads one array. An entry that raises is tried once and left
+    out of the batches; a plan that lists it gets a `_Values`, where each
+    read of it raises its error, and every other plan a plain dict."""
     slots: dict = {}  # each distinct entry's index, so each is hashed once per plan that lists it
     reads = [[slots.setdefault(entry, len(slots)) for entry in plan.values()] for plan in plans]
     values: list = [None] * len(slots)
-    rows: dict = {}
+    failed: set = set()
     batches: dict = {}
     for slot, (fn, args) in enumerate(slots):
         try:
-            if isinstance(fn, BatchedIntegral):
-                item = fn.prepare(*args)
-                batches.setdefault((fn, item.shape), []).append((slot, item))
-            else:
-                values[slot] = fn(*args)
+            value = fn(*args)
         except Exception as exc:  # noqa: BLE001 - its readers raise it, whatever it is
-            values[slot] = exc
-    for (integral, _), entries in batches.items():
-        for (slot, _), value in zip(entries, integral.evaluate([item for _, item in entries], rows)):
+            value = exc
+            failed.add(slot)
+        if isinstance(value, SeriesItem):
+            batches.setdefault(value.shape, []).append(slot)
+        values[slot] = value
+    rows: dict = {}
+    for batch in batches.values():
+        for slot, value in zip(batch, series_integrals([values[slot] for slot in batch], rows)):
             values[slot] = value
-    return [_Values(zip(plan, map(values.__getitem__, read))) for plan, read in zip(plans, reads)]
+    return [(dict if failed.isdisjoint(read) else _Values)(zip(plan, map(values.__getitem__, read)))
+            for plan, read in zip(plans, reads)]
 
 
 class QuadratureSpec:
@@ -240,8 +222,8 @@ class SeriesItem(NamedTuple):
         exp(log_front) * x^(law.degree - 1) * e^(-decay*x) * sum_s series[s](x)
 
     where the series is the engine's user rows times the law's density row
-    (if it has one), row s of degree degree0 + s. The engine's
-    row builder (`series_integrals`) reads `user`, the item's user
+    (if it has one), row s of degree degree0 + s. The engine's row builder
+    `user_rows` (`series_integrals`) reads `user`, the item's user
     constants, and adds its own log terms to the log scale. The domain must
     hold no interior pole (`_check_domain`); each degree keeps the
     `_effective_upper` cut a separate g/h-kernel call would give it (decay
@@ -255,19 +237,20 @@ class SeriesItem(NamedTuple):
     degree0: int
     n_degrees: int
     user: tuple
+    user_rows: Callable
     quad: QuadratureSpec
 
     @property
     def shape(self) -> tuple:
-        """What the items of one batch share: degrees, law degree and row, and nodes."""
-        return self.degree0, self.n_degrees, self.law.degree, self.law.row is None, self.quad
+        """What the items of one batch share: row builder, degrees, law degree and row, and nodes."""
+        return self.user_rows, self.degree0, self.n_degrees, self.law.degree, self.law.row is None, self.quad
 
 
-def series_integrals(items: list[SeriesItem], user_rows, rows: dict) -> list[float]:
+def series_integrals(items: list[SeriesItem], rows: dict) -> list[float]:
     """The integrals of a batch of items of one `SeriesItem.shape`.
 
-    `user_rows(users, x)` builds the user factor of distinct user constant
-    tuples `users` at their nodes x, shape (len(users), nodes): it returns
+    Their `user_rows(users, x)` builds the user factor of distinct user
+    constant tuples `users` at their nodes x, shape (len(users), nodes): it returns
     (terms, rows), log-scale terms of x's shape, added to the log scale in
     order, and rows of shape (user degrees,) + x.shape. Items of equal user
     constants and cut share one build, and the law rows are read from and
@@ -294,7 +277,7 @@ def series_integrals(items: list[SeriesItem], user_rows, rows: dict) -> list[flo
             block = members[start : start + step]
             for keep in groups:
                 block_cuts = [cuts[i][keep[0]] for i in block]
-                values = _block_integrals([items[i] for i in block], block_cuts, keep, user_rows, rows)
+                values = _block_integrals([items[i] for i in block], block_cuts, keep, rows)
                 for i, value in zip(block, values):
                     totals[i] += value
     return totals
@@ -315,9 +298,9 @@ def _column(values) -> np.ndarray:
     return np.array(values)[:, None]
 
 
-def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int], user_rows, rows: dict) -> list[float]:
+def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int], rows: dict) -> list[float]:
     """The integrals over each item's cut of the series degrees `keep`, which share that cut."""
-    quad, law = items[0].quad, items[0].law
+    quad, law, user_rows = items[0].quad, items[0].law, items[0].user_rows
     x, w = quad.map_to(_column(cuts))  # row i: map_to(cuts[i])
     power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
     log_scale = _column([it.log_front for it in items]) + power - _column([it.decay for it in items]) * x

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from noma_relay_secrecy import LinkSet, NakagamiParams, PowerPolicy, SystemParams
+from noma_relay_secrecy.quadrature import SeriesItem, series_integrals
 
 
 def db(x: float) -> float:
@@ -30,3 +31,8 @@ def grid_params(
 
 def fixed_policy(alpha1: float = 0.2, alphaJ: float = 0.0) -> PowerPolicy:
     return PowerPolicy.fixed(alpha1, alphaJ=alphaJ)
+
+
+def integrate(item: SeriesItem) -> float:
+    """The value of one integral alone: its `SeriesItem` in a batch of one."""
+    return series_integrals([item], {})[0]

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import fixed_policy, grid_params
+from conftest import fixed_policy, grid_params, integrate
 from oracles import decode_prob_chi, gain_cdf
 from scipy import stats
 
@@ -177,4 +177,4 @@ def test_an_underflowing_user_series_base_is_named():
     for user1, user2, name in ((tiny, fine, "lambda1*b"), (fine, tiny, "lambda2*|c|")):
         with pytest.raises(ValueError, match=rf"^user series base {re.escape(name)} underflows to 0\.0"):
             _joint_secrecy_prob(user1, user2, params.theta1, consts, 0.8, 2, law, QUAD)
-    assert 0.0 <= _joint_secrecy_prob(fine, fine, params.theta1, consts, 0.8, 2, law, QUAD) <= 1.0
+    assert 0.0 <= integrate(_joint_secrecy_prob(fine, fine, params.theta1, consts, 0.8, 2, law, QUAD)) <= 1.0

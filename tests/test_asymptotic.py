@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import pytest
 from conftest import db, fixed_policy, grid_params
@@ -22,10 +23,12 @@ from noma_relay_secrecy import (
     sop_floor_total,
     sop_total,
 )
+from noma_relay_secrecy import asymptotic
 from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
 from noma_relay_secrecy.channels import gain_survival
-from noma_relay_secrecy.params import scheme_constants
+from noma_relay_secrecy.params import conditional, scheme_constants
+from noma_relay_secrecy.quadrature import _evaluate
 
 QUAD = quadrature(300)
 
@@ -161,6 +164,29 @@ def test_dynamic_split_keeps_decaying():
         scaling = AsymptoticScaling(1.5, 2.0, db(dB))
         vals.append(sop_asym_total(params, policy, SchemeKind.OSRS, scaling, QUAD))
     assert vals[0] > vals[1] > vals[2] > 0.0
+
+
+def test_a_conditional_reads_no_decoding_weights():
+    # every high-gain plan names the leading decoding weights, but only the
+    # total reads them: where the source hop is not high-gain they raise, and
+    # each conditional still reads its transmission's outage from the plan
+    params = grid_params(K=3, omegaR_dB=-10.0)
+    scaling = AsymptoticScaling(*params.links.frame)
+    scaled = scaled_params(params, scaling)
+    message = r"^phi_R\*eta\^mR must lie below 1 for the high-gain decoding weights"
+    with pytest.raises(ValueError, match=message):
+        asymptotic._decoding_miss(scaled)
+    for policy in (fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)):
+        for scheme in SchemeKind:
+            [values] = _evaluate([asymptotic._plan(scaled, policy, scheme, QUAD)])
+            with pytest.raises(ValueError, match=message):
+                values["weights"]
+            for n in range(params.K + 1):
+                cond = sop_asym_cond(params, policy, scheme, n, scaling, QUAD)
+                outage = partial(asymptotic._outage, scaled, policy, QUAD, values)
+                assert 0.0 < cond <= 1.0 and cond.hex() == conditional(scheme, n, params.K, outage).hex()
+            with pytest.raises(ValueError, match=message):
+                sop_asym_total(params, policy, scheme, scaling, QUAD)
 
 
 def test_sdo_values():

@@ -29,6 +29,7 @@ from noma_relay_secrecy.quadrature import (
     convolve_series,
     law_rows,
     quadrature,
+    series_integrals,
     series_rows,
 )
 
@@ -146,7 +147,7 @@ def _batches(integral) -> dict[tuple, list]:
     by_shape: dict[tuple, list] = {}
     for params, policy in SCENARIOS:
         for args in integral_args(params, policy):
-            item = integral.prepare(*args)
+            item = integral(*args)
             by_shape.setdefault(item.shape, []).append((args, item))
     return by_shape
 
@@ -171,11 +172,11 @@ def test_batches_equal_one_integral_evaluations_bit_for_bit(integral, monkeypatc
         items = [item for _, item in entries]
         for budget in (quadrature_module._BATCH_ELEMENTS, 1, 2**20):  # per-item blocks up to one block
             monkeypatch.setattr(quadrature_module, "_BATCH_ELEMENTS", budget)
-            assert [value.hex() for value in integral.evaluate(items)] == want
-        # an item alone gives what it gives in its batch, and so does the engine's call
+            assert [value.hex() for value in series_integrals(items, {})] == want
+        # an item alone gives what it gives in its batch, and so does a plan of its entry alone
         for (args, item), value in zip(entries, want):
-            assert integral.evaluate([item])[0].hex() == value
-            assert integral(*args).hex() == value
+            assert series_integrals([item], {})[0].hex() == value
+            assert _evaluate([{"alone": (integral, args)}])[0]["alone"].hex() == value
 
 
 def test_one_evaluate_keeps_one_read_only_array_per_law_and_cut(monkeypatch):

@@ -1,6 +1,7 @@
 """Scenario container, power policies, and the per-scheme threshold constants."""
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 
@@ -203,8 +204,9 @@ def test_a_plan_leaves_out_transmissions_whose_constants_overflow(scheme, monkey
     # (one sweep point's, `cli.run_sweep`) holds each name once
     policy = fixed_policy(0.2, alphaJ=0.5)
     names = list(dict.fromkeys(scheme.reads(n, 3) for n in range(1, 4)))
-    integral = analytic._joint_secrecy_prob
-    monkeypatch.setattr(integral, "evaluate", lambda items, rows: pytest.fail("an overflowing item was batched"))
+    quadrature_module = importlib.import_module("noma_relay_secrecy.quadrature")
+    monkeypatch.setattr(quadrature_module, "series_integrals",
+                        lambda items, rows: pytest.fail("an overflowing item was batched"))
     plan = analytic._plan(grid_params(K=3, P_dB=-3200.0), policy, scheme, quadrature(300))
     assert list(plan) == ["pmf", *names]
     [values] = _evaluate([plan])
@@ -264,3 +266,17 @@ def test_a_plan_lists_the_names_of_the_per_n_reads_loop():
     for reads in (Transmission.SINGLE, [Transmission.COMBINED]):
         with pytest.raises(ValueError, match="is not a valid SchemeKind"):
             transmission_plan(grid_params(), policy, reads)
+
+
+def test_a_scheme_and_its_name_read_one_table():
+    # a str enum member hashes and compares as its value, so the read table
+    # caches a scheme and its name under one key, and the engines' mixtures,
+    # which pass the scheme on as given, give one value for both
+    assert read_table("odrs", 4) is read_table(SchemeKind.ODRS, 4)
+    params, policy, quad = grid_params(K=4, P_dB=20.0, omegaR_dB=-10.0), fixed_policy(0.2, alphaJ=0.5), quadrature(300)
+    scaling = AsymptoticScaling(*params.links.frame)
+    for scheme in SchemeKind:
+        by_name = sop_total(params, policy, scheme.value, quad).value
+        assert by_name.hex() == sop_total(params, policy, scheme, quad).value.hex()
+        by_name = sop_asym_total(params, policy, scheme.value, scaling, quad)
+        assert by_name.hex() == sop_asym_total(params, policy, scheme, scaling, quad).hex()

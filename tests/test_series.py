@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import db, fixed_policy, grid_params
+from conftest import db, fixed_policy, grid_params, integrate
 from oracles import expansion_survival, jammed_expansion
 from scipy import special
 
@@ -57,7 +57,7 @@ def _leading_complement(user1, user2, theta1, consts, alpha2, tau_u, law, quad, 
     """The asymptotic engine's leading-order outage of one transmission: the
     ceiling mass, if kept, plus the leading integral, each evaluated alone."""
     floor = _ceiling_mass(law, consts) if include_floor else 0.0
-    return floor + _leading_integral(user1, user2, theta1, consts, alpha2, tau_u, law, quad)
+    return floor + integrate(_leading_integral(user1, user2, theta1, consts, alpha2, tau_u, law, quad))
 
 
 def joint_args(params, policy, n):
@@ -203,7 +203,7 @@ def asymptotic_frame(params, omega2_dB):
 def test_joint_secrecy_series_matches_per_term():
     for rng, params, policy in random_scenarios(20241017, 10):
         args = joint_args(params, policy, int(rng.integers(1, params.K + 1)))
-        assert_close(_joint_secrecy_prob(*args), joint_per_term(*args))
+        assert_close(integrate(_joint_secrecy_prob(*args)), joint_per_term(*args))
 
 
 def test_delta4_series_matches_per_term():
@@ -260,7 +260,7 @@ def test_series_keep_each_degrees_domain_cut(m):
         f = params.links.relay_user1.rate * params.theta1 + law.rate
         cuts = {_effective_upper(consts.a, f, law.degree + s) for s in range(2 * tau_u - 1)}
         assert len(cuts) == 2 * tau_u - 1 and max(cuts) < consts.a
-        assert_close(_joint_secrecy_prob(*args), joint_per_term(*args))
+        assert_close(integrate(_joint_secrecy_prob(*args)), joint_per_term(*args))
         assert_close(delta4(params, policy, n, QUAD), delta4_per_term(params, policy, n, QUAD))
         scaled = asymptotic_frame(params, 30.0)
         alpha1, alpha2 = policy.resolve(scaled.links)
@@ -313,8 +313,8 @@ def test_series_integral_gives_each_degree_its_own_cut():
     own_nodes = [QUAD.map_to(cut)[0] for cut in cuts]
     assert len(set(cuts)) >= 2
     received = []
-    item = SeriesItem(a, f, 0.0, flat, degree0, n_degrees, (0, f), QUAD)
-    (total,) = series_integrals([item], _cut_probe([cuts], received), {})
+    item = SeriesItem(a, f, 0.0, flat, degree0, n_degrees, (0, f), _cut_probe([cuts], received), QUAD)
+    (total,) = series_integrals([item], {})
     assert len(received) == len(set(cuts))
     assert all(any(np.array_equal(x[0], own) for own in own_nodes) for _, x in received)
     assert all(x.shape == (1, QUAD.n) for _, x in received)  # one item, one row of nodes per cut
@@ -322,11 +322,12 @@ def test_series_integral_gives_each_degree_its_own_cut():
 
     # a second item whose degrees fall on cuts differently (none cut, here)
     # is evaluated beside it, each on its own cuts, and neither value moves
-    wide = SeriesItem(a, f * 1e-6, 0.0, flat, degree0, n_degrees, (1, f * 1e-6), QUAD)
     wide_cuts = [_effective_upper(a, f * 1e-6, degree0 + s) for s in range(n_degrees)]
     assert set(wide_cuts) == {a}
+    probe = _cut_probe([cuts, wide_cuts], received)
+    wide = SeriesItem(a, f * 1e-6, 0.0, flat, degree0, n_degrees, (1, f * 1e-6), probe, QUAD)
     received.clear()
-    totals = series_integrals([item, wide], _cut_probe([cuts, wide_cuts], received), {})
+    totals = series_integrals([item._replace(user_rows=probe), wide], {})
     assert totals[0] == total
     assert totals[1] == pytest.approx(n_degrees * a, rel=1e-12)
     assert len(received) == len(set(cuts)) + 1

@@ -136,11 +136,13 @@ def test_a_raising_integral_fails_every_row_that_needs_it(tmp_path, monkeypatch)
 
 
 INTEGRALS = {analytic: analytic._joint_secrecy_prob, asymptotic: asymptotic._leading_integral}
+# each engine by the user-row builder its integrals' items carry
+ENGINES = {analytic._user_rows: analytic, asymptotic._leading_user_rows: asymptotic}
 
 
 def _raises(integral, args) -> bool:
     try:
-        integral.prepare(*args)
+        integral(*args)
     except ValueError:
         return True
     return False
@@ -149,12 +151,13 @@ def _raises(integral, args) -> bool:
 def _count_items(monkeypatch) -> dict:
     """Every item each engine's integral evaluates, by engine module."""
     counts = {module: [] for module in INTEGRALS}
-    for module, integral in INTEGRALS.items():
-        def counting(items, *rows, _seen=counts[module], _original=integral.evaluate):
-            _seen.extend(items)
-            return _original(items, *rows)
 
-        monkeypatch.setattr(integral, "evaluate", counting)
+    def counting(items, rows, _original=quadrature_module.series_integrals):
+        for item in items:
+            counts[ENGINES[item.user_rows]].append(item)
+        return _original(items, rows)
+
+    monkeypatch.setattr(quadrature_module, "series_integrals", counting)
     return counts
 
 
@@ -172,13 +175,13 @@ def _record_batch_step(monkeypatch) -> tuple[list, list]:
             step.pop()
 
     monkeypatch.setattr(cli, "_evaluate", evaluate)
-    for integral in INTEGRALS.values():
-        def recording(items, *rows, _integral=integral, _original=integral.evaluate):
-            if step:
-                batches.append((_integral, items))
-            return _original(items, *rows)
 
-        monkeypatch.setattr(integral, "evaluate", recording)
+    def recording(items, rows, _original=quadrature_module.series_integrals):
+        if step:
+            batches.append((INTEGRALS[ENGINES[items[0].user_rows]], items))
+        return _original(items, rows)
+
+    monkeypatch.setattr(quadrature_module, "series_integrals", recording)
     return listed, batches
 
 
@@ -341,6 +344,33 @@ def test_each_row_mixes_its_point_values_through_one_cli_engine_call(tmp_path, m
         assert all(values is not None for values in seen[name]) and len({id(v) for v in seen[name]}) == 2 * 2
 
 
+def test_a_clean_plan_is_a_plain_dict(tmp_path, monkeypatch):
+    # a plan whose entries all evaluated hands its rows a plain dict, read with
+    # dict's own __getitem__; only a plan with an entry that raised hands them
+    # the dict that raises that entry's error on each read
+    seen: dict = {"sop_total": [], "sop_asym_total": []}
+    for name, made in seen.items():
+        def recording(*args, _original=getattr(cli, name), _made=made, **kwargs):
+            _made.append(type(kwargs["values"]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    path = tmp_path / "cfg.json"
+    for split in (FIXED, DYNAMIC):
+        path.write_text(json.dumps(_config(split, "P_dB", [20.0, 25.0])))
+        assert not any(row["error"] for row in run_sweep(load_config(str(path))))
+    assert [len(made) for made in seen.values()] == [2 * 2 * len(SCHEMES)] * 2
+    assert all(kind is dict for made in seen.values() for kind in made)
+    for made in seen.values():
+        made.clear()
+    path.write_text(json.dumps(RAISING))
+    run_sweep(load_config(str(path)))
+    # at 10 dB then 200 dB: the analytic plan raises at 200 dB, the asymptotic one at 10 dB
+    raised = quadrature_module._Values
+    n = len(SCHEMES)
+    assert seen == {"sop_total": [dict] * n + [raised] * n, "sop_asym_total": [raised] * n + [dict] * n}
+
+
 @pytest.mark.parametrize("var, values", [("P_dB", [10.0, 10.0, 15.0]), ("omega2_dB", [30.0, 25.0, 30.0])])
 def test_a_repeated_sweep_value_repeats_its_rows_bit_for_bit(tmp_path, var, values):
     # the repeated points plan the same entries, so they read one value each
@@ -354,7 +384,7 @@ def test_a_repeated_sweep_value_repeats_its_rows_bit_for_bit(tmp_path, var, valu
 
 
 def test_each_mixture_runs_once_per_row_and_per_call(tmp_path, monkeypatch):
-    bodies = {module: _count_calls(monkeypatch, module, "_mixture") for module in INTEGRALS}
+    bodies = {module: _count_calls(monkeypatch, module, "mixture") for module in INTEGRALS}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_config(FIXED, "P_dB", [20.0, 25.0])))
     rows = run_sweep(load_config(str(path)))
@@ -434,7 +464,8 @@ def test_shared_law_rows_are_read_only(monkeypatch, counted_jammed_rows):
     scaling = AsymptoticScaling(*params.links.frame)
     # one point's plans, as `cli.run_sweep` makes them: each engine's, of what every scheme reads
     schemes = list(SchemeKind)
-    plans = [analytic._plan(params, policy, schemes, quad), asymptotic._plan(params, policy, schemes, quad, True, scaling)]
+    plans = [analytic._plan(params, policy, schemes, quad),
+             asymptotic._plan(asymptotic.scaled_params(params, scaling), policy, schemes, quad)]
     values = _evaluate(plans)
     # every batch of the one `_evaluate` keeps its law rows in one dict; the
     # engines integrate the three jammed laws over one cut each here, and
