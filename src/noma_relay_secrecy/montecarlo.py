@@ -47,10 +47,12 @@ one whole chunk of those draws would hold 25.6 MB.
 All threshold checks are done in cross-multiplied form, 1 + leg SNR against
 theta * (1 + tap SNR), e.g. the user-2 check reads
 (1 + rho*g2) >= theta2 * (1 + alpha2*rho*gE) * (1 + alpha1*rho*g2)
-after clearing the SINR denominator. The float ratios of the same quantities
-only rank relays inside argmax selections and attribute outages to a user;
-they never decide a verdict that the boolean checks did not, and they are
-formed only on the trials whose outage they attribute.
+after clearing the SINR denominator. An outage is blamed on the users whose
+checks the relay a scheme ranks first fails. Where every decoding relay
+fails the same checks, so does the first-ranked one, and those checks blame
+the trial; the float ratios of the same quantities, which rank relays by
+argmax, are formed only on the outage trials whose decoding relays fail
+different checks. They never decide a verdict the boolean checks did not.
 """
 from __future__ import annotations
 
@@ -186,8 +188,11 @@ class _Selection:
 
     One instance serves every scheme that sends singly (osrs and tsrs): each
     transmits from one relay at the full relay SNR against the plain
-    eavesdropper gain. Only the pass/fail of each check is kept; the margins
-    that rank relays are formed again on the trials whose outage they blame.
+    eavesdropper gain. Only the pass/fail of each check is kept, and per
+    trial whether some decoding relay passes and whether some fails each
+    user's check. Where the decoding relays of an outage trial all fail the
+    same checks, those blame it; the margins that rank relays are formed
+    again only on the outage trials whose decoding relays disagree.
     """
 
     def __init__(self, rule: _Rule, rho: float, dec, live, g_1, g_2, ge, cols=None) -> None:
@@ -200,10 +205,15 @@ class _Selection:
         self.live = live
         self.ok1 = np.greater_equal(*_sides1(rule, rho, self._user(g_1), ge))
         self.ok2 = np.greater_equal(*_sides2(rule, rho, self._user(g_2), ge))
+        dec_ok1 = dec & self.ok1
+        self.pass1, self.fail1 = dec_ok1.any(axis=0), (dec > self.ok1).any(axis=0)
+        self.fail2 = (dec > self.ok2).any(axis=0)
+        # Some decoding relays pass a check and others fail it.
+        self.split = (self.pass1 & self.fail1) | ((dec & self.ok2).any(axis=0) & self.fail2)
         # Secure iff some decoding relay passes both checks. For tsrs this is
         # the same event: a relay passing both has margin r2 >= 1, so the best
         # r2 among the relays passing user 1's check passes user 2's too.
-        self.secure = live & (dec & self.ok1 & self.ok2).any(axis=0)
+        self.secure = (dec_ok1 & self.ok2).any(axis=0)
 
     def _user(self, g, trials=None) -> np.ndarray:
         """A user link's gains at the given trials of the selection (None: all)."""
@@ -228,25 +238,29 @@ class _Selection:
         outage by the two-step ranking or by the best worst-user margin."""
         (self.two_step if two_step else self.pick_one)(codes)
 
+    def _blame(self, codes, outage, margin) -> None:
+        """Code each `outage` trial by the checks failed by its decoding relay
+        of best `margin(trials)`, ranked only where the relays disagree."""
+        # int8 as `codes` is: an int64 temporary raised relay-grid's peak RSS by 1%
+        np.copyto(codes, self.fail2.view(np.int8) * 2 + self.fail1, where=outage)
+        ranked = np.flatnonzero(outage & self.split)
+        if ranked.size:
+            best = self._best(ranked, margin(ranked))
+            codes[ranked] = (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
+
     def pick_one(self, codes) -> None:
         """Outages go to the users failed by the relay of best worst-user margin."""
         codes[self.secure] = _SECURE
-        out = np.flatnonzero(self.live & ~self.secure)
-        if out.size:
-            margin = np.minimum(self._margin(_sides1, self.g_1, out), self._margin(_sides2, self.g_2, out))
-            best = self._best(out, margin)
-            codes[out] = (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
+        self._blame(codes, self.live & ~self.secure, lambda trials: np.minimum(
+            self._margin(_sides1, self.g_1, trials), self._margin(_sides2, self.g_2, trials)))
 
     def two_step(self, codes) -> None:
         """Keep the relays passing user 1's check, then take the best user-2
-        margin among them; with none left, the best user-1 margin."""
+        margin among them; with none left, the best user-1 margin, whose
+        relay fails user 1's check as every decoding relay does."""
         codes[self.secure] = _SECURE
-        has = (self.dec & self.ok1).any(axis=0)
-        codes[self.live & has & ~self.secure] = _U2
-        none = np.flatnonzero(self.live & ~has)
-        if none.size:
-            best = self._best(none, self._margin(_sides1, self.g_1, none))
-            codes[none] = _U1 + 2 * (~np.take(self.ok2, best))
+        codes[self.live & self.pass1 & ~self.secure] = _U2
+        self._blame(codes, self.live & ~self.pass1, partial(self._margin, _sides1, self.g_1))
 
 
 def _combined_codes(rule: _Rule, dec, n, g_1, g_2, g_e) -> np.ndarray:
@@ -474,6 +488,8 @@ def estimate_many(params, policy, schemes, config: TrialConfig) -> dict:
     """
     scenarios = _scenarios(params, policy)
     kinds = [SchemeKind(s) for s in schemes]
+    if not kinds:
+        raise ValueError("schemes must be a nonempty sequence")
     # One outcome tally per distinct verdict; each (position, scheme) reads one.
     tallies: dict[_Rule, dict] = {}
     slots = {}

@@ -1,7 +1,9 @@
 """Simulator checks: reproducibility, scheme equivalences, conditional laws."""
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -207,13 +209,14 @@ def test_dynamic_policy_simulates():
     assert 0.0 < est.p_hat < 1.0
 
 
-def _outcome_by_hand(params, policy, scheme, g_sr, g_1, g_2, g_e) -> int:
-    """One trial's outcome code from the four selection rules, in plain Python floats."""
+def _trial_checks(params, policy, scheme, g_sr, g_1, g_2, g_e) -> dict:
+    """One trial's (ok1, ok2, margin1, margin2) per decoding relay, in plain
+    Python floats; for tmrc one entry, None, for the decoding relays' sums."""
     alpha1, alpha2 = policy.resolve(params.links)
     rho = params.rho2
     dec = [k for k in range(params.K) if g_sr[k] >= params.eta]
     if not dec:
-        return OUTCOME_LABELS.index("no_relay")
+        return {}
 
     def checks(rho, g1, g2, ge):
         lhs1 = 1.0 + alpha1 * rho * g1
@@ -222,12 +225,8 @@ def _outcome_by_hand(params, policy, scheme, g_sr, g_1, g_2, g_e) -> int:
         rhs2 = params.theta2 * (1.0 + alpha2 * rho * ge) * (1.0 + alpha1 * rho * g2)
         return lhs1 >= rhs1, lhs2 >= rhs2, lhs1 / rhs1, lhs2 / rhs2
 
-    def code(ok1, ok2):
-        return int(not ok1) + 2 * int(not ok2)
-
     if scheme is SchemeKind.TMRC:
-        ok1, ok2, _, _ = checks(rho / len(dec), *(sum(g[k] for k in dec) for g in (g_1, g_2, g_e)))
-        return code(ok1, ok2)
+        return {None: checks(rho / len(dec), *(sum(g[k] for k in dec) for g in (g_1, g_2, g_e)))}
     ge = list(g_e)
     idle = [k for k in range(params.K) if k not in dec]
     if scheme is SchemeKind.ODRS and idle:
@@ -235,18 +234,55 @@ def _outcome_by_hand(params, policy, scheme, g_sr, g_1, g_2, g_e) -> int:
         jam = max(g_e[k] for k in idle)
         ge = [g / (1.0 + policy.alphaJ * params.rho2 * jam) for g in g_e]
         rho = (1.0 - policy.alphaJ) * params.rho2
-    c = {k: checks(rho, g_1[k], g_2[k], ge[k]) for k in dec}
+    return {k: checks(rho, g_1[k], g_2[k], ge[k]) for k in dec}
+
+
+def _outcome_by_hand(scheme, c: dict) -> int:
+    """One trial's outcome code from the four selection rules, given its `_trial_checks`."""
+    if not c:
+        return OUTCOME_LABELS.index("no_relay")
+
+    def code(ok1, ok2):
+        return int(not ok1) + 2 * int(not ok2)
+
+    if scheme is SchemeKind.TMRC:
+        return code(*c[None][:2])
     if scheme is SchemeKind.TSRS:
-        psi = [k for k in dec if c[k][0]]
+        psi = [k for k in c if c[k][0]]
         if psi:
             j = max(psi, key=lambda k: c[k][3])
             return code(True, c[j][1])
-        i = max(dec, key=lambda k: c[k][2])
+        i = max(c, key=lambda k: c[k][2])
         return code(False, c[i][1])
-    if any(c[k][0] and c[k][1] for k in dec):
+    if any(c[k][0] and c[k][1] for k in c):
         return 0
-    best = max(dec, key=lambda k: min(c[k][2], c[k][3]))  # max keeps the first on ties
+    best = max(c, key=lambda k: min(c[k][2], c[k][3]))  # max keeps the first on ties
     return code(c[best][0], c[best][1])
+
+
+def _blame(scheme, c: dict) -> str | None:
+    """How a selection scheme blames one trial's outage by a ranking of its
+    decoding relays' margins: "agree" where they all fail the same checks, so
+    any relay the ranking picks fails those, and "rank" where they differ.
+    None where no ranking blames the trial: no outage, no decoding relay, or
+    tmrc, or a tsrs trial with a relay passing user 1. `c` is its `_trial_checks`."""
+    if not c or scheme is SchemeKind.TMRC:
+        return None
+    if any(ok1 and (ok2 or scheme is SchemeKind.TSRS) for ok1, ok2, *_ in c.values()):
+        return None  # secure, or a tsrs outage blamed on user 2 alone
+    return "agree" if len({ok[:2] for ok in c.values()}) == 1 else "rank"
+
+
+def _assert_both_blames_seen(blames) -> None:
+    """Every selection scheme's outages were blamed both ways, so comparing
+    with the hand rules covers the margin ranking and the shared verdict."""
+    for scheme in (SchemeKind.OSRS, SchemeKind.TSRS, SchemeKind.ODRS):
+        assert blames[scheme, "agree"] > 0 and blames[scheme, "rank"] > 0, (scheme, blames)
+
+
+def _weak_user1(params):
+    """`params` with the strong user's link at 0 dB (m 2, omega 1)."""
+    return dataclasses.replace(params, links=dataclasses.replace(params.links, relay_user1=NakagamiParams(2, 1.0)))
 
 
 def test_kernel_matches_per_trial_rules():
@@ -254,20 +290,22 @@ def test_kernel_matches_per_trial_rules():
     # eavesdropper's (0 dB) leave every outcome in play, and make the relay a
     # rule ranks first matter to how an outage is attributed
     seen = set()
+    blames = collections.Counter()
     for K in range(1, 10):
-        base = grid_params(K=K, P_dB=10.0, omegaE_dB=0.0, omegaR_dB=-10.0)
-        links = dataclasses.replace(base.links, relay_user1=NakagamiParams(2, 1.0))
-        params = dataclasses.replace(base, links=links)
+        params = _weak_user1(grid_params(K=K, P_dB=10.0, omegaE_dB=0.0, omegaR_dB=-10.0))
         draws = _draw_chunk(params, np.random.default_rng(100 + K), 600)
         for alpha_j in (0.0, 0.5):
             policy = fixed_policy(0.2, alphaJ=alpha_j)
             for scheme in SchemeKind:
                 codes = _scheme_codes(params, policy, scheme, *draws)
-                want = [_outcome_by_hand(params, policy, scheme, *(g[:, t] for g in draws))
-                        for t in range(codes.size)]
+                trials = [[g[:, t] for g in draws] for t in range(codes.size)]
+                checks = [_trial_checks(params, policy, scheme, *gains) for gains in trials]
+                want = [_outcome_by_hand(scheme, c) for c in checks]
                 assert codes.tolist() == want, (K, alpha_j, scheme)
                 seen.update(want)
+                blames.update((scheme, _blame(scheme, c)) for c in checks)
     assert seen == set(range(len(OUTCOME_LABELS)))
+    _assert_both_blames_seen(blames)
 
 
 def test_kernel_reuses_the_single_relay_verdict():
@@ -275,22 +313,29 @@ def test_kernel_reuses_the_single_relay_verdict():
     # odrs sends as osrs does and takes its codes, and some have an idle relay
     # to jam; the kernel must get both right when odrs comes alone, with tsrs
     # only (so the pick-one codes odrs starts from are not otherwise wanted)
-    # and with every scheme
-    for K in range(1, 10):
+    # and with every scheme. The reference user links rarely leave decoding
+    # relays failing different checks; with a weak strong-user link the blame
+    # of many outages turns on the ranking.
+    blames = collections.Counter()
+    for K, weak in itertools.product(range(1, 10), (False, True)):
         params = grid_params(K=K, P_dB=0.0, omegaR_dB=10.0)
+        params = _weak_user1(params) if weak else params
         draws = _draw_chunk(params, np.random.default_rng(200 + K), 1_500)
         n = (draws[0] >= params.eta).sum(axis=0)
         assert (n == K).any() and (K == 1 or ((0 < n) & (n < K)).any()), K
+        trials = [[g[:, t] for g in draws] for t in range(n.size)]
         for alpha_j in (0.0, 0.5):
             policy = fixed_policy(0.2, alphaJ=alpha_j)
-            want = {s: [_outcome_by_hand(params, policy, s, *(g[:, t] for g in draws)) for t in range(n.size)]
-                    for s in SchemeKind}
+            checks = {s: [_trial_checks(params, policy, s, *gains) for gains in trials] for s in SchemeKind}
+            want = {s: [_outcome_by_hand(s, c) for c in checks[s]] for s in SchemeKind}
+            blames.update((s, _blame(s, c)) for s in SchemeKind for c in checks[s])
             for schemes in ([SchemeKind.ODRS], [SchemeKind.ODRS, SchemeKind.TSRS],
                             [SchemeKind.TSRS, SchemeKind.ODRS], list(SchemeKind)):
                 verdicts = {_verdict(s, policy): s for s in schemes}
                 codes = _block_codes(_rule(params, policy), tuple(verdicts), *draws)
                 for verdict, scheme in verdicts.items():
-                    assert codes[verdict].tolist() == want[scheme], (K, alpha_j, schemes, scheme)
+                    assert codes[verdict].tolist() == want[scheme], (K, weak, alpha_j, schemes, scheme)
+    _assert_both_blames_seen(blames)
 
 
 def test_worker_count_does_not_change_estimates(monkeypatch):
@@ -556,3 +601,38 @@ def test_estimate_many_rejects_scenarios_without_shared_draws():
         estimate_many([], [], ["osrs"], config)
     with pytest.raises(ValueError, match="both"):
         estimate_many(base, [policy], ["osrs"], config)
+
+
+def test_estimate_many_rejects_no_schemes_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew gains for no scheme")
+
+    monkeypatch.setattr(montecarlo, "sample_gain", no_draws)
+    with pytest.raises(ValueError, match="schemes"):
+        estimate_many(grid_params(K=8), fixed_policy(0.2), [], TrialConfig(trials=1_000_000, seed=1))
+
+
+# Outcome counts (u1 only, u2 only, both, no relay) per scheme, recorded
+# before the outage blame shared one code among decoding relays failing the
+# same checks: the blame must keep every trial's code.
+PINNED_BREAKDOWNS = {
+    (0, "tmrc"): (0, 0, 0, 199999), (0, "osrs"): (0, 0, 0, 199999),
+    (0, "tsrs"): (0, 0, 0, 199999), (0, "odrs"): (0, 0, 0, 199999),
+    (1, "tmrc"): (16, 102305, 83, 11612), (1, "osrs"): (41, 49212, 136, 11612),
+    (1, "tsrs"): (16, 49290, 83, 11612), (1, "odrs"): (41, 1209, 3, 11612),
+    (2, "tmrc"): (0, 200000, 0, 0), (2, "osrs"): (0, 188430, 52, 0),
+    (2, "tsrs"): (0, 188482, 0, 0), (2, "odrs"): (0, 179510, 47, 0),
+    "tmrc": (1, 109243, 5, 0), "osrs": (54, 49472, 124, 0),
+    "tsrs": (1, 49648, 1, 0), "odrs": (54, 49446, 124, 0),
+}
+
+
+def test_breakdowns_are_pinned():
+    config = TrialConfig(trials=200_000, seed=1)
+    policy = fixed_policy(0.2, alphaJ=0.5)
+    grid = [grid_params(K=4, P_dB=p, omegaR_dB=-10.0) for p in (0.0, 10.0, 20.0)]
+    got = {(i, s.value): tuple(e.breakdown.values())
+           for (i, s), e in estimate_many(grid, [policy] * len(grid), list(SchemeKind), config).items()}
+    got.update((s.value, tuple(e.breakdown.values()))
+               for s, e in estimate_many(grid_params(K=2), policy, list(SchemeKind), config).items())
+    assert got == PINNED_BREAKDOWNS
