@@ -47,7 +47,6 @@ from .params import (
     SystemParams,
     Transmission,
     clamp_probability,
-    conditional,
     mixture,
     transmission_plan,
 )
@@ -66,21 +65,14 @@ from .quadrature import (
 
 
 def _decoding_pmf(source_relay: NakagamiParams, eta: float, k: int) -> np.ndarray:
-    """Entry n is C(k,n) chi^n miss^{k-n} at chi = P(G_sr >= eta), read-only: a point's rows all read it."""
+    """The binomial law of the decoding-set size: entry n is C(k,n) chi^n
+    miss^{k-n} at chi = P(G_sr >= eta), read-only, as a point's rows all read
+    it. The miss probability is the gain CDF at eta, not 1 - chi, which cancels
+    to rounding noise (even below 0) once chi is within an ulp of 1."""
     chi, miss = gain_tails(source_relay, eta)
     pmf = np.array([math.comb(k, n) * chi**n * miss ** (k - n) for n in range(k + 1)])
     pmf.setflags(write=False)
     return pmf
-
-
-def decoding_set_pmf(params: SystemParams, *, values: dict | None = None) -> np.ndarray:
-    """Binomial law of the decoding-set size (`_decoding_pmf`, read-only),
-    read from values or from a plan of its own. The miss probability 1 - chi is the
-    gain CDF at eta, not 1 - chi itself, which cancels to rounding noise
-    (even below 0) once chi is within an ulp of 1."""
-    if values is None:
-        [values] = _evaluate([_plan(params, None, (), None)])
-    return values["pmf"]
 
 
 @lru_cache(maxsize=64)
@@ -205,7 +197,7 @@ def delta4(params: SystemParams, policy: PowerPolicy, n: int, quad: QuadratureSp
 
 def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, values: dict | None,
             sends: Transmission, n: int) -> float:
-    """The outage of `params.conditional`: combining is `sop_tmrc_cond`, a
+    """The outage `params.mixture` reads: combining is `sop_tmrc_cond`, a
     single candidate fails with 1 - delta1 and a jammed one with 1 - delta4."""
     if sends is Transmission.COMBINED:
         return sop_tmrc_cond(params, policy, n, quad, values=values)
@@ -223,12 +215,6 @@ def _plan(params: SystemParams, policy: PowerPolicy | None, reads, quad: Quadrat
     for name, args in transmission_plan(params, policy, reads).items():
         plan[name] = (float, (0.0,)) if args is None else (_joint_secrecy_prob, (*args, quad))
     return plan
-
-
-def sop_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec) -> float:
-    """Outage probability given n decoding relays under the scheme: one
-    securing integral, evaluated alone (a batch of one)."""
-    return conditional(SchemeKind(scheme), n, params.K, partial(_outage, params, policy, quad, None))
 
 
 def sop_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, quad: QuadratureSpec, *,

@@ -16,14 +16,14 @@ SOP floor. Under the dynamic rule the ceiling recedes with omega2 and the
 mass decays faster than any power, so it is omitted there: at finite
 omega2 it would bury the power-law decay the diversity order describes.
 
-The schemes mix as in the exact engine (`params.conditional`,
-`params.mixture`), and this engine supplies each transmission's outage
-(`_outage`) at leading order under the exact engine's eavesdropper law: the
-ceiling mass (`_ceiling_mass`) plus the integral of three user terms
-(`_leading_integral`, from this engine's user rows `_leading_user_rows`) in
-the kernel both engines share (`quadrature.series_integrals`). The floors
-(`sop_floor_cond`, `sop_floor_total`) read each transmission's ceiling mass
-directly, with no plan.
+The schemes mix as in the exact engine (`params.mixture`), and this engine
+supplies each transmission's outage (`_outage`) at leading order under the
+exact engine's eavesdropper law: the ceiling mass (`_ceiling_mass`) plus the
+integral of three user terms (`_leading_integral`, from this engine's user
+rows `_leading_user_rows`) in the kernel both engines share
+(`quadrature.series_integrals`). The floor (`sop_floor_total`) reads the
+ceiling mass of row K of the read table (`params.read_table`) directly,
+with no plan.
 
 `sop_asym_total` runs the exact engine's flow, plan, batch, one mixture:
 it moves the point onto the scaling frame once (`scaled_params`), and
@@ -54,8 +54,8 @@ from .params import (
     SystemParams,
     Transmission,
     clamp_probability,
-    conditional,
     mixture,
+    read_table,
     transmission_plan,
 )
 from .quadrature import (
@@ -171,13 +171,11 @@ def _ceiling_mass(law: EavesdropperLaw, consts: SchemeConstants) -> float:
     return float(law.survival(consts.a))
 
 
-def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, values: dict | None,
+def _outage(params: SystemParams, policy: PowerPolicy, quad: QuadratureSpec, values: dict,
             sends: Transmission, n: int) -> float:
-    """The outage of `params.conditional` on an already scaled scenario: the
+    """The outage `params.mixture` reads, on an already scaled scenario: the
     transmission's ceiling mass plus its leading integral, read by name from
-    values or, with values None, from its own plan."""
-    if values is None:
-        [values] = _evaluate([_plan(params, policy, [(sends, n)], quad)])
+    the values of a `_plan`."""
     return clamp_probability(values[("ceiling", sends, n)] + values[(sends, n)])
 
 
@@ -216,24 +214,10 @@ def _plan(params: SystemParams, policy: PowerPolicy, reads, quad: QuadratureSpec
     return plan
 
 
-def sop_asym_cond(
-    params: SystemParams,
-    policy: PowerPolicy,
-    scheme: SchemeKind,
-    n: int,
-    scaling: AsymptoticScaling,
-    quad: QuadratureSpec,
-) -> float:
-    """Asymptotic SOP given n decoding relays under the scheme: one
-    transmission's outage, planned and evaluated alone."""
-    outage = partial(_outage, scaled_params(params, scaling), policy, quad, None)
-    return conditional(SchemeKind(scheme), n, params.K, outage)
-
-
 def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, scaling: AsymptoticScaling,
                    quad: QuadratureSpec, *, values: dict | None = None) -> float:
     """Asymptotic total SOP: decoding-set weights collapse to their leading
-    power, and each weighs the `sop_asym_cond` of its n. The leading power
+    power, and each weighs the outage given its n. The leading power
     phi_R*eta^mR of a relay's decoding miss must lie below 1, or the source
     hop is not in the high-gain regime and the weights do not sum to a
     probability (ValueError). Plans on scaling, batches and mixes once, or
@@ -244,21 +228,15 @@ def sop_asym_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind
     return clamp_probability(mixture(values["weights"], scheme, outage))
 
 
-def sop_floor_cond(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int) -> float:
-    """The conditional SOP's high-gain floor: the securing terms vanish with the
-    user-link coefficients and only the eavesdropper-side mass above the
-    ceiling a survives, i.e. each transmission's ceiling mass, read directly
-    (`_ceiling_mass`), or 1.0 under an infeasible split."""
-    def floor(sends: Transmission, size: int) -> float:
-        args = transmission_plan(params, policy, [(sends, size)])[sends, size]
-        return 1.0 if args is None else clamp_probability(_ceiling_mass(args[-1], args[3]))
-
-    return conditional(SchemeKind(scheme), n, params.K, floor)
-
-
 def sop_floor_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind) -> float:
-    """High-gain floor of the total SOP: all relays decode, so n = K."""
-    return sop_floor_cond(params, policy, scheme, params.K)
+    """High-gain floor of the total SOP: all relays decode, so n = K, and the
+    securing terms vanish with the user-link coefficients. Only the mass of
+    the eavesdropper gain above the ceiling a survives: the ceiling mass of
+    the transmission that row K of the read table names (`_ceiling_mass`),
+    read directly, or 1.0 under an infeasible split, to that row's power."""
+    sends, size, power = read_table(SchemeKind(scheme), params.K)[params.K]
+    args = transmission_plan(params, policy, [(sends, size)])[sends, size]
+    return (1.0 if args is None else clamp_probability(_ceiling_mass(args[-1], args[3]))) ** power
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ constants, and the result record every engine returns. Values that several engin
 derive are defined here once: `jamming_split`, `clamp_probability`, what each
 transmission of a point reads (`transmission_plan`, by name, with the split
 checked once per point), and the SOP itself, one mixture over the
-decoding-set size of the three per-transmission outages (`conditional`,
-`mixture`); an engine supplies only those outages. What a scheme's set of
-n out of K relays reads, and the power its outage takes, is one row of a
-table built once per (scheme, K) (`read_table`), which the plan lists
-names from and the mixture walks.
+decoding-set size of the three per-transmission outages (`mixture`); an
+engine supplies only those outages. The SOP given one size n is that
+mixture at the one-hot weight row of n. What a scheme's set of n out of K
+relays reads, and the power its outage takes, is one row of a table built
+once per (scheme, K) (`read_table`), which the plan lists names from and
+the mixture walks.
 All rates are in nats per channel use; capacities carry the 1/2 pre-log of
 the two-slot protocol, so a secrecy rate R maps to the threshold theta = exp(2R).
 """
@@ -311,7 +312,7 @@ def transmission_args(params: SystemParams, policy: PowerPolicy, sends: Transmis
 def read_table(scheme: SchemeKind, K: int) -> tuple:
     """What each decoding set of a scheme over K relays reads: row n, n = 1..K,
     is (sends, size, power), the (sends, size) of `SchemeKind.reads` and the
-    power its outage takes in `conditional`: 1 for a combining set, one
+    power its outage takes in `mixture`: 1 for a combining set, one
     transmission, and n otherwise, where the set fails iff all n candidates
     fail, taken as independent. Row 0, the empty set, is None."""
     rows = [None]
@@ -343,25 +344,14 @@ def transmission_plan(params: SystemParams, policy: PowerPolicy, reads) -> dict:
     return names
 
 
-def conditional(scheme: SchemeKind, n: int, K: int, outage: Callable[[Transmission, int], float]) -> float:
-    """The outage probability given n of K relays decode: outage(sends, size),
-    one transmission's outage at the set size it reads, to the power of row n
-    of `read_table`."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
-    if n > K:
-        raise ValueError(f"n must be at most K={K}, got {n!r}")
-    if n == 0:
-        return 1.0  # empty decoding set: outage is certain
-    sends, size, power = read_table(scheme, K)[n]
-    return outage(sends, size) ** power
-
-
 def mixture(weights, scheme: SchemeKind, outage: Callable[[Transmission, int], float]) -> float:
-    """Every engine's SOP: weights[n] * `conditional`(n) summed left to right
-    from 0 over n = 0..K, K = len(weights) - 1, walking `read_table` and
-    forming each outage once. A weight of exactly 0.0 is a null event: its
-    conditional, which may be NaN there (no relay can decode), is not formed."""
+    """Every engine's SOP: weights[n] times the outage given n summed left to
+    right from 0.0 over n = 0..K, K = len(weights) - 1, walking `read_table`
+    and forming each outage once. Given n the outage is 1.0 for the empty set
+    and otherwise outage(sends, size), one transmission's outage at the set
+    size row n reads, to the power of that row. A weight of exactly 0.0 is a
+    null event: its outage, which may be NaN there (no relay can decode), is
+    not formed."""
     formed: dict = {}
     total = 0.0
     for weight, row in zip(weights, read_table(scheme, len(weights) - 1)):

@@ -3,8 +3,9 @@
 Each is the direct form of a value the package computes another way: the
 single-link CDF and PDF, the MRC-sum CDF, the max-gain PDF of the
 multinomial expansion, the jammed ratio's CDF and PDF read off its law, the
-per-relay decoding probability chi, and the Monte Carlo verdicts of one
-scheme or of two schemes side by side. The jammed ratio's retired
+per-relay decoding probability chi, the SOP of one decoding-set size in
+either closed-form engine, and the Monte Carlo verdicts of one scheme or of
+two schemes side by side. The jammed ratio's retired
 multinomial expansion stays here too (`jammed_expansion`), one term per
 (composition, k, j): the per-term reference of the h kernel checks, and the
 form the package's (C, s) sums are measured against. The package's engines
@@ -14,14 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from noma_relay_secrecy import analytic, asymptotic
+from noma_relay_secrecy.asymptotic import AsymptoticScaling, scaled_params
 from noma_relay_secrecy.channels import NakagamiParams, _as_given, _mrc_params, gain_tails, jammed_law
 from noma_relay_secrecy.montecarlo import TrialConfig, _block_codes, _blocks, _rule, _run_shared, _SECURE, _verdict
-from noma_relay_secrecy.params import PowerPolicy, SchemeKind, SystemParams
+from noma_relay_secrecy.params import PowerPolicy, SchemeKind, SystemParams, mixture
+from noma_relay_secrecy.quadrature import QuadratureSpec, _evaluate
 
 
 def gain_cdf(p: NakagamiParams, x):
@@ -198,6 +202,24 @@ def jammed_ratio_pdf(p_e: NakagamiParams, count: int, rho4: float, y):
 def decode_prob_chi(params: SystemParams) -> float:
     """Probability chi that one relay decodes both messages: P(G_sr >= eta)."""
     return gain_tails(params.links.source_relay, params.eta)[0]
+
+
+def size_sop(params: SystemParams, policy: PowerPolicy, scheme: SchemeKind, n: int, quad: QuadratureSpec,
+             scaling: AsymptoticScaling | None = None) -> float:
+    """The SOP given n of the K relays decode: the exact engine's or, given a
+    scaling, the high-gain engine's on that frame. The engine's own plan of
+    the point is evaluated once, and `params.mixture` reads it at the one-hot
+    weight row of n: the outage given n that the engine's total weighs."""
+    engine, point = (analytic, params) if scaling is None else (asymptotic, scaled_params(params, scaling))
+    [values] = _evaluate([engine._plan(point, policy, scheme, quad)])
+    return mixture(one_hot(n, params.K), scheme, partial(engine._outage, point, policy, quad, values))
+
+
+def one_hot(n: int, K: int) -> list[float]:
+    """The weight row over set sizes 0..K that puts all its weight on n."""
+    weights = [0.0] * (K + 1)
+    weights[n] = 1.0
+    return weights
 
 
 def _scheme_codes(

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 from conftest import db, grid_params
-from oracles import jammed_expansion, jammed_ratio_cdf, jammed_ratio_pdf, max_gain_pdf, paired_verdicts
+from oracles import jammed_expansion, jammed_ratio_cdf, jammed_ratio_pdf, max_gain_pdf, paired_verdicts, size_sop
 from scipy import integrate, special, stats
 
 from noma_relay_secrecy import (
@@ -35,7 +35,6 @@ from noma_relay_secrecy import (
     sop_floor_total,
     sop_total,
 )
-from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy.params import feasibility_check, scheme_constants
 from noma_relay_secrecy.quadrature import h_kernel
 
@@ -168,7 +167,7 @@ def test_zero_jamming_reduction():
     # with every relay decoding there is no idle jammer, so the jammed
     # branch must route to the plain selection even at alphaJ > 0
     loud = PowerPolicy.fixed(0.2, alphaJ=0.5)
-    assert sop_cond(params, loud, SchemeKind.ODRS, 3, QUAD) == sop_cond(params, loud, SchemeKind.OSRS, 3, QUAD)
+    assert size_sop(params, loud, SchemeKind.ODRS, 3, QUAD) == size_sop(params, loud, SchemeKind.OSRS, 3, QUAD)
     _report("zero-jamming reduction", f"analytic gap <= {worst:.1e}, "
             f"{matches}/{trials} verdicts match, full-set branch exact")
 

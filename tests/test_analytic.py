@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 from conftest import fixed_policy, grid_params, integrate
-from oracles import decode_prob_chi, gain_cdf
+from oracles import decode_prob_chi, gain_cdf, size_sop
 from scipy import stats
 
 from noma_relay_secrecy import (
@@ -20,13 +20,7 @@ from noma_relay_secrecy import (
     quadrature,
     sop_total,
 )
-from noma_relay_secrecy.analytic import (
-    _joint_secrecy_prob,
-    decoding_set_pmf,
-    delta1,
-    sop_cond,
-    sop_tmrc_cond,
-)
+from noma_relay_secrecy.analytic import _decoding_pmf, _joint_secrecy_prob, delta1, sop_tmrc_cond
 from noma_relay_secrecy.cli import _point_scenario, load_config
 from noma_relay_secrecy.params import Transmission, transmission_args
 
@@ -39,7 +33,8 @@ def test_decode_prob_frozen():
 
 
 def test_decoding_set_pmf_frozen():
-    pmf = decoding_set_pmf(grid_params(K=2))
+    params = grid_params(K=2)
+    pmf = _decoding_pmf(params.links.source_relay, params.eta, params.K)
     expect = [1.7876550806520216e-08, 0.0002673706851643361, 0.9997326114382848]
     assert pmf == pytest.approx(expect, rel=1e-10)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -50,7 +45,7 @@ def test_decoding_set_pmf_matches_binom():
         params = grid_params(K=k, omegaR_dB=0.0)
         chi = decode_prob_chi(params)
         ref = stats.binom.pmf(np.arange(k + 1), k, chi)
-        assert decoding_set_pmf(params) == pytest.approx(ref, rel=1e-12)
+        assert _decoding_pmf(params.links.source_relay, params.eta, k) == pytest.approx(ref, rel=1e-12)
 
 
 def test_decoding_weights_keep_a_tiny_miss_probability(tmp_path):
@@ -69,7 +64,7 @@ def test_decoding_weights_keep_a_tiny_miss_probability(tmp_path):
     chi = decode_prob_chi(params)
     miss = gain_cdf(params.links.source_relay, params.eta)
     assert 0.0 < miss < 1e-18
-    pmf = decoding_set_pmf(params)
+    pmf = _decoding_pmf(params.links.source_relay, params.eta, params.K)
     assert np.all(pmf >= 0.0)
     assert abs(pmf.sum() - 1.0) <= 1e-15
     assert pmf[params.K - 1] == params.K * chi ** (params.K - 1) * miss
@@ -82,8 +77,8 @@ def test_conditionals_are_probabilities():
         for n in range(1, K + 1):
             for val in (
                 sop_tmrc_cond(params, policy, n, QUAD),
-                sop_cond(params, policy, SchemeKind.OSRS, n, QUAD),
-                sop_cond(params, policy, SchemeKind.ODRS, n, QUAD),
+                size_sop(params, policy, SchemeKind.OSRS, n, QUAD),
+                size_sop(params, policy, SchemeKind.ODRS, n, QUAD),
             ):
                 assert 0.0 <= val <= 1.0
 
@@ -91,7 +86,7 @@ def test_conditionals_are_probabilities():
 def test_osrs_cond_nonincreasing_in_n():
     params = grid_params(K=3)
     policy = fixed_policy(0.2)
-    vals = [sop_cond(params, policy, SchemeKind.OSRS, n, QUAD) for n in range(4)]
+    vals = [size_sop(params, policy, SchemeKind.OSRS, n, QUAD) for n in range(4)]
     assert all(lo >= hi for lo, hi in zip(vals, vals[1:]))
 
 
@@ -125,7 +120,7 @@ def test_dual_selection_without_jamming_reduces():
 def test_dual_selection_full_set_routes_to_single():
     params = grid_params(K=3)
     policy = fixed_policy(0.2, alphaJ=0.5)
-    assert sop_cond(params, policy, SchemeKind.ODRS, 3, QUAD) == sop_cond(params, policy, SchemeKind.OSRS, 3, QUAD)
+    assert size_sop(params, policy, SchemeKind.ODRS, 3, QUAD) == size_sop(params, policy, SchemeKind.OSRS, 3, QUAD)
 
 
 def test_infeasible_split_is_certain_outage():

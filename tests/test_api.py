@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from conftest import db, fixed_policy, grid_params
+from oracles import one_hot, size_sop
 
 import noma_relay_secrecy
 from noma_relay_secrecy import (
@@ -32,9 +33,9 @@ from noma_relay_secrecy import (
     sop_total,
 )
 from noma_relay_secrecy import analytic, asymptotic, channels, montecarlo
-from noma_relay_secrecy.analytic import decoding_set_pmf, sop_cond
-from noma_relay_secrecy.asymptotic import _leading_coeff, sop_asym_cond, sop_floor_cond
-from noma_relay_secrecy.params import Transmission, conditional, mixture
+from noma_relay_secrecy.asymptotic import _leading_coeff
+from noma_relay_secrecy.params import Transmission, mixture
+from noma_relay_secrecy.quadrature import _evaluate
 
 QUAD = quadrature(300)
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,11 +68,11 @@ def test_every_scheme_is_a_mixture_of_its_conditionals(scheme):
     params = grid_params(K=3, omegaR_dB=0.0)
     assert scheme.transmission(params.K, params.K) is not Transmission.JAMMED
     scaling = AsymptoticScaling(1.5, 2.0, db(30.0))
+    pmf = analytic._decoding_pmf(params.links.source_relay, params.eta, params.K)
     for policy in (fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)):
-        pmf = decoding_set_pmf(params)
         total = 0.0
         for n in range(params.K + 1):
-            total += pmf[n] * sop_cond(params, policy, scheme, n, QUAD)
+            total += pmf[n] * size_sop(params, policy, scheme, n, QUAD)
         assert sop_total(params, policy, scheme, QUAD).value == min(max(float(total), 0.0), 1.0)
 
         scaled = scaled_params(params, scaling)
@@ -79,11 +80,9 @@ def test_every_scheme_is_a_mixture_of_its_conditionals(scheme):
         miss = _leading_coeff(scaled.links.source_relay.rate, m_r) * scaled.eta**m_r
         total = 0.0
         for n in range(params.K + 1):
-            total += math.comb(params.K, n) * miss ** (params.K - n) * sop_asym_cond(
-                params, policy, scheme, n, scaling, QUAD)
+            total += math.comb(params.K, n) * miss ** (params.K - n) * size_sop(
+                params, policy, scheme, n, QUAD, scaling)
         assert sop_asym_total(params, policy, scheme, scaling, QUAD) == min(max(total, 0.0), 1.0)
-
-        assert sop_floor_total(params, policy, scheme) == sop_floor_cond(params, policy, scheme, params.K)
 
     # the simulator and the diversity orders take every scheme too
     policy = PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)
@@ -99,9 +98,9 @@ def test_the_one_mixture_sums_as_each_engine_loop_did(scheme):
     params = grid_params(K=3, omegaR_dB=0.0)
     scaling = AsymptoticScaling(1.5, 2.0, db(30.0))
     scaled = scaled_params(params, scaling)
+    pmf = analytic._decoding_pmf(params.links.source_relay, params.eta, params.K)
     for policy in (fixed_policy(0.2, alphaJ=0.5), PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)):
-        pmf = decoding_set_pmf(params)
-        loop = sum(pmf[n] * sop_cond(params, policy, scheme, n, QUAD) for n in range(params.K + 1))
+        loop = sum(pmf[n] * size_sop(params, policy, scheme, n, QUAD) for n in range(params.K + 1))
         one = mixture(pmf, scheme, partial(analytic._outage, params, policy, QUAD, None))
         assert float(one).hex() == float(loop).hex()
 
@@ -109,8 +108,9 @@ def test_the_one_mixture_sums_as_each_engine_loop_did(scheme):
         weights = [math.comb(params.K, n) * miss ** (params.K - n) for n in range(params.K + 1)]
         loop = 0.0
         for n, weight in enumerate(weights):
-            loop += weight * sop_asym_cond(params, policy, scheme, n, scaling, QUAD)
-        one = mixture(weights, scheme, partial(asymptotic._outage, scaled, policy, QUAD, None))
+            loop += weight * size_sop(params, policy, scheme, n, QUAD, scaling)
+        [values] = _evaluate([asymptotic._plan(scaled, policy, scheme, QUAD)])
+        one = mixture(weights, scheme, partial(asymptotic._outage, scaled, policy, QUAD, values))
         assert one.hex() == loop.hex()
 
     # the walk over the read table, K = 1..8: it sums, bit for bit, the
@@ -127,7 +127,7 @@ def test_the_one_mixture_sums_as_each_engine_loop_did(scheme):
         alone = [n for n in range(1, K + 1) if names.count(names[n - 1]) == 1]
         if alone:
             weights[alone[-1]], outages[names[alone[-1] - 1]] = 0.0, math.nan
-            assert math.isnan(conditional(scheme, alone[-1], K, lambda sends, size: outages[sends, size]))
+            assert math.isnan(mixture(one_hot(alone[-1], K), scheme, lambda sends, size: outages[sends, size]))
         formed = []
 
         def outage(sends, size):
@@ -139,15 +139,33 @@ def test_the_one_mixture_sums_as_each_engine_loop_did(scheme):
         assert set(formed) == {names[n - 1] for n in range(1, K + 1) if weights[n] != 0.0}
         loop = 0.0
         for n, weight in enumerate(weights):
-            if weight != 0.0:
-                cond = conditional(scheme, n, K, lambda sends, size: outages[sends, size])
-                if n == 0:
-                    assert cond == 1.0
-                else:
-                    p = outages[names[n - 1]]
-                    assert cond.hex() == (p if names[n - 1][0] is Transmission.COMBINED else p**n).hex()
-                loop += weight * cond
+            if weight != 0.0 and n == 0:
+                loop += weight  # the empty set's outage is certain
+            elif weight != 0.0:
+                p = outages[names[n - 1]]
+                loop += weight * (p if names[n - 1][0] is Transmission.COMBINED else p**n)
         assert not math.isnan(one) and one.hex() == loop.hex()
+
+
+def test_per_size_values_match_golden():
+    # the per-size readers this package had before one size's SOP became the
+    # mixture at a one-hot weight row wrote tests/golden/per_size.txt; the
+    # one mixture, the floor and the decoding law reproduce it bit for bit
+    params = grid_params(K=3, omegaR_dB=0.0)
+    scaling = AsymptoticScaling(1.5, 2.0, db(30.0))
+    splits = {"fixed-0.2-jam-0.5": fixed_policy(0.2, alphaJ=0.5), "fixed-0.7": fixed_policy(0.7),
+              "dynamic-5-0.1-jam-0.5": PowerPolicy.dynamic(5.0, 0.1, alphaJ=0.5)}
+    lines = []
+    for label, policy in splits.items():
+        for scheme in SchemeKind:
+            for n in range(params.K + 1):
+                lines.append(f"exact {label} {scheme.value} {n} {size_sop(params, policy, scheme, n, QUAD).hex()}")
+                lines.append(f"high-gain {label} {scheme.value} {n} "
+                             f"{size_sop(params, policy, scheme, n, QUAD, scaling).hex()}")
+            lines.append(f"floor {label} {scheme.value} {sop_floor_total(params, policy, scheme).hex()}")
+    pmf = analytic._decoding_pmf(params.links.source_relay, params.eta, params.K)
+    lines += [f"pmf {n} {float(p).hex()}" for n, p in enumerate(pmf)]
+    assert "\n".join(lines) + "\n" == (ROOT / "tests" / "golden" / "per_size.txt").read_text()
 
 
 def test_no_module_keeps_ambient_state():
@@ -164,15 +182,14 @@ def test_no_module_keeps_ambient_state():
 
 
 @pytest.mark.parametrize("reader", [sop_total, sop_asym_total, analytic.delta1, analytic.delta4,
-                                    analytic.sop_tmrc_cond, decoding_set_pmf])
+                                    analytic.sop_tmrc_cond])
 def test_values_is_keyword_only_on_the_readers(reader):
     # the benchmark's spans find quad as a reader's last positional argument
     # (bench/spans._quad_arg), so values must not take that place
     *positional, last = inspect.signature(reader).parameters.values()
     assert last.name == "values" and last.kind is inspect.Parameter.KEYWORD_ONLY and last.default is None
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in positional)
-    if reader is not decoding_set_pmf:
-        assert positional[-1].name == "quad"
+    assert positional[-1].name == "quad"
 
 
 def _bench_module(name: str):
@@ -233,6 +250,26 @@ def test_every_import_is_used_exported_or_a_re_export():
                 if name not in read and name not in exported and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.stem}.{name}")
     assert not unused, unused
+
+
+def test_every_definition_is_read_exported_or_traced():
+    # a module-level function or class of the package must be read somewhere
+    # in it, be listed in an __all__, or be a name the benchmark's FULL tuple
+    # traces; a reader only tests call belongs in tests/oracles.py
+    traced = {attr for _module, attr, _span in _bench_spans().FULL}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))}
+    read, exported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+    unread = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read | exported | traced]
+    assert not unread, unread
 
 
 def test_traced_layers_see_the_engines_calls(monkeypatch):

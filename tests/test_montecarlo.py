@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 from conftest import fixed_policy, grid_params
-from oracles import _scheme_codes, paired_verdicts
+from oracles import _scheme_codes, paired_verdicts, size_sop
 
 from noma_relay_secrecy import (
     NakagamiParams,
@@ -25,7 +25,6 @@ from noma_relay_secrecy import (
     estimate_sop,
     quadrature,
 )
-from noma_relay_secrecy.analytic import sop_cond
 from noma_relay_secrecy import montecarlo
 from noma_relay_secrecy.montecarlo import (
     OUTCOME_LABELS,
@@ -172,16 +171,16 @@ def test_conditional_outage_given_set_size():
         codes = _scheme_codes(params, policy, scheme, g_sr, g_1, g_2, g_e)
         for n in (1, 2, 3):
             freq, sigma = freq_and_sigma(codes, n)
-            assert abs(sop_cond(params, policy, scheme, n, QUAD) - freq) < 3.0 * sigma
+            assert abs(size_sop(params, policy, scheme, n, QUAD) - freq) < 3.0 * sigma
 
     codes = _scheme_codes(params, policy_j, SchemeKind.ODRS, g_sr, g_1, g_2, g_e)
     for n in (1, 3):  # exact branches: single candidate, and full set (no jammer)
         freq, sigma = freq_and_sigma(codes, n)
-        assert abs(sop_cond(params, policy_j, SchemeKind.ODRS, n, QUAD) - freq) < 3.0 * sigma
+        assert abs(size_sop(params, policy_j, SchemeKind.ODRS, n, QUAD) - freq) < 3.0 * sigma
     # at n=2 the two candidates share one jammer gain; the analytic product
     # of marginals undershoots the correlated outage by a small fixed amount
     freq, _ = freq_and_sigma(codes, 2)
-    assert abs(sop_cond(params, policy_j, SchemeKind.ODRS, 2, QUAD) - freq) < 3.5e-3
+    assert abs(size_sop(params, policy_j, SchemeKind.ODRS, 2, QUAD) - freq) < 3.5e-3
 
 
 def test_infeasible_split_always_outages():

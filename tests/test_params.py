@@ -7,6 +7,7 @@ import math
 
 import pytest
 from conftest import fixed_policy, grid_params
+from oracles import one_hot
 
 from noma_relay_secrecy import (
     AsymptoticScaling,
@@ -23,8 +24,8 @@ from noma_relay_secrecy import (
 from noma_relay_secrecy.params import (
     Transmission,
     clamp_probability,
-    conditional,
     feasibility_check,
+    mixture,
     read_table,
     scheme_constants,
     transmission_args,
@@ -157,16 +158,12 @@ def test_a_nan_probability_is_not_clamped_away():
         clamp_probability(math.nan)
 
 
-def test_the_conditional_of_an_empty_or_negative_set():
+def test_the_outage_of_an_empty_set_is_certain():
     def outage(sends, n):
-        raise AssertionError("no transmission is formed for n <= 0")
+        raise AssertionError("no transmission is formed for the empty set")
 
     for scheme in SchemeKind:
-        assert conditional(scheme, 0, 3, outage) == 1.0
-        with pytest.raises(ValueError, match="n must be nonnegative"):
-            conditional(scheme, -1, 3, outage)
-        with pytest.raises(ValueError, match="n must be at most K=3, got 4"):
-            conditional(scheme, 4, 3, outage)
+        assert mixture(one_hot(0, 3), scheme, outage) == 1.0
 
 
 def test_only_candidates_are_raised_to_the_nth_power():
@@ -176,11 +173,11 @@ def test_only_candidates_are_raised_to_the_nth_power():
         read.append((sends, n))
         return 0.5
 
-    assert conditional(SchemeKind.TMRC, 3, 4, outage) == 0.5  # combining: one outage, not 0.5**3
-    assert conditional(SchemeKind.OSRS, 3, 4, outage) == 0.5**3
-    assert conditional(SchemeKind.TSRS, 3, 4, outage) == 0.5**3
-    assert conditional(SchemeKind.ODRS, 3, 4, outage) == 0.5**3
-    assert conditional(SchemeKind.ODRS, 4, 4, outage) == 0.5**4  # no idle relay left to jam
+    assert mixture(one_hot(3, 4), SchemeKind.TMRC, outage) == 0.5  # combining: one outage, not 0.5**3
+    assert mixture(one_hot(3, 4), SchemeKind.OSRS, outage) == 0.5**3
+    assert mixture(one_hot(3, 4), SchemeKind.TSRS, outage) == 0.5**3
+    assert mixture(one_hot(3, 4), SchemeKind.ODRS, outage) == 0.5**3
+    assert mixture(one_hot(4, 4), SchemeKind.ODRS, outage) == 0.5**4  # no idle relay left to jam
     S, J, C = Transmission.SINGLE, Transmission.JAMMED, Transmission.COMBINED
     assert read == [(C, 3), (S, 1), (S, 1), (J, 3), (S, 1)]
 

@@ -546,7 +546,7 @@ def test_row_calls_rebuild_nothing(tmp_path, monkeypatch):
     # asymptotic frame once, the batch step forms each point's decoding law
     # and weights once, and the row calls only mix
     builders = {"params": ("transmission_plan", "transmission_args", "scheme_constants", "feasibility_check"),
-                "analytic": ("decoding_set_pmf", "_decoding_pmf"),
+                "analytic": ("_decoding_pmf",),
                 "asymptotic": ("scaled_params", "_decoding_weights", "_decoding_miss")}
     modules = [importlib.import_module(f"noma_relay_secrecy.{info.name}")
                for info in pkgutil.iter_modules(noma_relay_secrecy.__path__)]
