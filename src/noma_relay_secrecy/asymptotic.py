@@ -233,7 +233,11 @@ def sop_floor_total(params: SystemParams, policy: PowerPolicy, scheme: SchemeKin
     securing terms vanish with the user-link coefficients. Only the mass of
     the eavesdropper gain above the ceiling a survives: the ceiling mass of
     the transmission that row K of the read table names (`_ceiling_mass`),
-    read directly, or 1.0 under an infeasible split, to that row's power."""
+    read directly, or 1.0 under an infeasible split, to that row's power.
+
+    The floor exists only under a fixed split. A dynamic split is accepted
+    and returns the same row-K ceiling mass, which `sop_asym_total` leaves
+    out there (its plan zeroes every ceiling mass), so the two disagree."""
     sends, size, power = read_table(SchemeKind(scheme), params.K)[params.K]
     args = transmission_plan(params, policy, [(sends, size)])[sends, size]
     return (1.0 if args is None else clamp_probability(_ceiling_mass(args[-1], args[3]))) ** power

@@ -53,6 +53,12 @@ fails the same checks, so does the first-ranked one, and those checks blame
 the trial; the float ratios of the same quantities, which rank relays by
 argmax, are formed only on the outage trials whose decoding relays fail
 different checks. They never decide a verdict the boolean checks did not.
+
+No select or masked write that branches on the draws forms a verdict: relay
+sums and the jammer multiply gains by 0/1 flags, and each outcome code sums
+bool votes. np.where and boolean-index writes gave the same bytes 2-3x
+slower where half the relays decode and the flags are random. Subsets go
+by index: the trials with an idle relay to jam, and the split outages ranked.
 """
 from __future__ import annotations
 
@@ -192,17 +198,17 @@ class _Selection:
     trial whether some decoding relay passes and whether some fails each
     user's check. Where the decoding relays of an outage trial all fail the
     same checks, those blame it; the margins that rank relays are formed
-    again only on the outage trials whose decoding relays disagree.
+    again only on the outage trials whose decoding relays disagree. Codes
+    are sums of the votes, not masked writes, which branch on them (slower).
     """
 
-    def __init__(self, rule: _Rule, rho: float, dec, live, g_1, g_2, ge, cols=None) -> None:
-        """`dec`, `live` and `ge` are the selection's trials' own; `g_1` and
-        `g_2` are the block's, and the trials are its columns `cols` (None:
-        every column), so a subset's user gains are never copied whole."""
+    def __init__(self, rule: _Rule, rho: float, dec, g_1, g_2, ge, cols=None) -> None:
+        """`dec` and `ge` are the selection's trials' own; `g_1` and `g_2`
+        are the block's, and the trials are its columns `cols` (None: every
+        column), so a subset's user gains are never copied whole."""
         self.rule, self.rho, self.cols = rule, rho, cols
         self.g_1, self.g_2, self.ge = g_1, g_2, ge
         self.dec = dec
-        self.live = live
         self.ok1 = np.greater_equal(*_sides1(rule, rho, self._user(g_1), ge))
         self.ok2 = np.greater_equal(*_sides2(rule, rho, self._user(g_2), ge))
         dec_ok1 = dec & self.ok1
@@ -228,53 +234,52 @@ class _Selection:
         lhs /= rhs
         return lhs
 
-    def _best(self, trials, margin) -> np.ndarray:
-        """Flat index of the decoding relay of best margin in each of `trials`."""
-        sel = _first_argmax(np.where(np.take(self.dec, trials, axis=1), margin, -np.inf))
-        return sel * self.dec.shape[1] + trials
+    def _ranked_codes(self, two_step: bool, trials) -> np.ndarray:
+        """Codes of the given outage trials by the checks failed by their
+        decoding relay of best margin: the user-1 margin under two-step (no
+        relay of these trials passes user 1), else the worst-user margin."""
+        margin = self._margin(_sides1, self.g_1, trials)
+        if not two_step:
+            np.minimum(margin, self._margin(_sides2, self.g_2, trials), out=margin)
+        dec = np.take(self.dec, trials, axis=1)
+        best = _first_argmax(np.where(dec, margin, -np.inf)) * self.dec.shape[1] + trials
+        return (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
 
-    def decide(self, two_step: bool, codes) -> None:
-        """Write the outcome of every decoding trial into `codes`, blaming an
-        outage by the two-step ranking or by the best worst-user margin."""
-        (self.two_step if two_step else self.pick_one)(codes)
-
-    def _blame(self, codes, outage, margin) -> None:
-        """Code each `outage` trial by the checks failed by its decoding relay
-        of best `margin(trials)`, ranked only where the relays disagree."""
-        # int8 as `codes` is: an int64 temporary raised relay-grid's peak RSS by 1%
-        np.copyto(codes, self.fail2.view(np.int8) * 2 + self.fail1, where=outage)
-        ranked = np.flatnonzero(outage & self.split)
+    def decide(self, two_step: bool) -> np.ndarray:
+        """Outcome code of every trial with a decoding relay (0 where none).
+        Two-step blames user 2 alone where some relay passes user 1's check
+        (each such relay fails user 2's) but none passes both."""
+        blamed = ~self.pass1 if two_step else ~self.secure  # the outages a ranking may blame
+        codes = (self.fail2 & ~self.secure).view(np.int8) * 2
+        codes += self.fail1 & blamed
+        ranked = np.flatnonzero(blamed & self.split)
         if ranked.size:
-            best = self._best(ranked, margin(ranked))
-            codes[ranked] = (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
+            codes[ranked] = self._ranked_codes(two_step, ranked)
+        return codes
 
-    def pick_one(self, codes) -> None:
-        """Outages go to the users failed by the relay of best worst-user margin."""
-        codes[self.secure] = _SECURE
-        self._blame(codes, self.live & ~self.secure, lambda trials: np.minimum(
-            self._margin(_sides1, self.g_1, trials), self._margin(_sides2, self.g_2, trials)))
 
-    def two_step(self, codes) -> None:
-        """Keep the relays passing user 1's check, then take the best user-2
-        margin among them; with none left, the best user-1 margin, whose
-        relay fails user 1's check as every decoding relay does."""
-        codes[self.secure] = _SECURE
-        codes[self.live & self.pass1 & ~self.secure] = _U2
-        self._blame(codes, self.live & ~self.pass1, partial(self._margin, _sides1, self.g_1))
+def _decoding_sum(g, dec) -> np.ndarray:
+    """Per trial, g summed over the decoding relays in relay order: bit for
+    bit np.where(dec, g, 0.0).sum(axis=0) for finite gains, but for the sign
+    of a zero sum, which no check sees (each adds 1 to it)."""
+    return (g * dec).sum(axis=0)
+
+
+def _idle_max(g, dec) -> np.ndarray:
+    """Per trial with an idle relay, the largest idle gain: bit for bit
+    np.where(dec, -np.inf, g).max(axis=0) there, a zero's sign aside."""
+    return (g * ~dec).max(axis=0)
 
 
 def _combined_codes(rule: _Rule, dec, n, g_1, g_2, g_e) -> np.ndarray:
     """Outcome code per trial when the n decoding relays all send at P_R/n
-    and every receiver sums their gains (undefined where n = 0)."""
-    rho1 = rule.rho2 / np.maximum(n, 1)
-
-    def summed(g):
-        return np.where(dec, g, 0.0).sum(axis=0)
-
-    s_e = summed(g_e)
-    codes = (~np.greater_equal(*_sides2(rule, rho1, summed(g_2), s_e))).view(np.int8)
+    and every receiver sums their gains (undefined where n = 0); the sums
+    multiply by the flags, which does not branch on them as a select does."""
+    rho1 = np.divide(rule.rho2, np.maximum(n, 1), dtype=np.float64)
+    s_e = _decoding_sum(g_e, dec)
+    codes = (~np.greater_equal(*_sides2(rule, rho1, _decoding_sum(g_2, dec), s_e))).view(np.int8)
     codes *= 2
-    codes += ~np.greater_equal(*_sides1(rule, rho1, summed(g_1), s_e))
+    codes += ~np.greater_equal(*_sides1(rule, rho1, _decoding_sum(g_1, dec), s_e))
     return codes
 
 
@@ -283,10 +288,8 @@ def _jammed_codes(rule: _Rule, alpha_j: float, two_step: bool, trials, dec, g_1,
     relay, when the strongest idle relay's eavesdropper link is jammed."""
     dec, g_e = np.take(dec, trials, axis=1), np.take(g_e, trials, axis=1)
     rho3, rho4 = jamming_split(alpha_j, rule.rho2)
-    g_e /= 1.0 + rho4 * np.where(dec, -np.inf, g_e).max(axis=0)
-    codes = np.empty(trials.size, dtype=np.int8)
-    _Selection(rule, rho3, dec, True, g_1, g_2, g_e, cols=trials).decide(two_step, codes)
-    return codes
+    g_e /= 1.0 + rho4 * _idle_max(g_e, dec)
+    return _Selection(rule, rho3, dec, g_1, g_2, g_e, cols=trials).decide(two_step)
 
 
 def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
@@ -300,34 +303,34 @@ def _block_codes(rule: _Rule, verdicts, g_sr, g_1, g_2, g_e) -> dict:
     """
     k = g_sr.shape[0]
     dec = g_sr >= rule.eta
-    n = dec.sum(axis=0)
+    n = dec.sum(axis=0, dtype=np.min_scalar_type(k))  # the narrowest count that holds K
     live = n > 0
-    out = {v: np.full(n.shape, _NO_RELAY, dtype=np.int8) for v in verdicts}
-    if not live.any():
-        return out
+    no_relay = np.multiply(~live, _NO_RELAY, dtype=np.int8)  # above every other code
     # The single-relay verdicts the jammed ones start from, wanted or not;
     # sorted, every single-relay verdict comes before every jammed one.
-    codes_of = dict(out)
+    codes_of = dict.fromkeys(verdicts)
     for sends, two_step, _ in verdicts:
         if sends is Transmission.JAMMED:
-            codes_of.setdefault((Transmission.SINGLE, two_step, None), np.full(n.shape, _NO_RELAY, dtype=np.int8))
+            codes_of.setdefault((Transmission.SINGLE, two_step, None))
     single = None  # the checks every single-relay verdict reads
     for verdict in sorted(codes_of, key=lambda v: v[0] is Transmission.JAMMED):
         sends, two_step, alpha_j = verdict
-        codes = codes_of[verdict]
-        if sends is Transmission.COMBINED:
-            codes[live] = _combined_codes(rule, dec, n, g_1, g_2, g_e)[live]
-        elif sends is Transmission.SINGLE:
-            if single is None:
-                single = _Selection(rule, rule.rho2, dec, live, g_1, g_2, g_e)
-            single.decide(two_step, codes)
-        else:
+        if sends is Transmission.JAMMED:
             single = None  # every single-relay verdict is decided
-            codes[:] = codes_of[Transmission.SINGLE, two_step, None]
+            codes = codes_of[Transmission.SINGLE, two_step, None].copy()
             idle = np.flatnonzero(live & (n < k))  # the trials with an idle relay to jam
             if idle.size:
                 codes[idle] = _jammed_codes(rule, alpha_j, two_step, idle, dec, g_1, g_2, g_e)
-    return out
+        else:
+            if sends is Transmission.COMBINED:
+                codes = _combined_codes(rule, dec, n, g_1, g_2, g_e)
+            else:
+                if single is None:
+                    single = _Selection(rule, rule.rho2, dec, g_1, g_2, g_e)
+                codes = single.decide(two_step)
+            np.maximum(codes, no_relay, out=codes)
+        codes_of[verdict] = codes
+    return {v: codes_of[v] for v in verdicts}
 
 
 def _chunk_sizes(config: TrialConfig):

@@ -29,6 +29,9 @@ from noma_relay_secrecy import montecarlo
 from noma_relay_secrecy.montecarlo import (
     OUTCOME_LABELS,
     _block_codes,
+    _decoding_sum,
+    _idle_max,
+    _Selection,
     _block_step,
     _blocks,
     _chunk_sizes,
@@ -38,7 +41,7 @@ from noma_relay_secrecy.montecarlo import (
     _verdict,
 )
 from noma_relay_secrecy.channels import sample_gain
-from noma_relay_secrecy.params import LinkSet, scheme_constants
+from noma_relay_secrecy.params import LinkSet, Transmission, jamming_split, scheme_constants
 
 QUAD = quadrature(300)
 LINKS = ("source_relay", "relay_user1", "relay_user2", "relay_eaves")
@@ -337,6 +340,86 @@ def test_kernel_reuses_the_single_relay_verdict():
     _assert_both_blames_seen(blames)
 
 
+def _masked_write_codes(sel, two_step: bool, live) -> np.ndarray:
+    """A selection's codes as they were written before the codes became
+    sums of votes: a boolean-index write per outcome, a masked copy of the
+    shared blame, and the ranking of the split outage trials."""
+    codes = np.full(live.shape, OUTCOME_LABELS.index("no_relay"), dtype=np.int8)
+    codes[sel.secure] = OUTCOME_LABELS.index("secure")
+    if two_step:
+        codes[live & sel.pass1 & ~sel.secure] = OUTCOME_LABELS.index("u2")
+    outage = live & ~(sel.pass1 if two_step else sel.secure)
+    np.copyto(codes, sel.fail2.view(np.int8) * 2 + sel.fail1, where=outage)
+    ranked = np.flatnonzero(outage & sel.split)
+    if ranked.size:
+        codes[ranked] = sel._ranked_codes(two_step, ranked)
+    return codes
+
+
+def _hand_blocks():
+    """(params, relay-major draws) of hand-built blocks: K = 1, and K = 3 with
+    a column where no relay decodes, one where every relay does, and a -0.0
+    gain at a decoding relay; then a random half-decoding block at K = 3."""
+    params1, params3 = (_weak_user1(grid_params(K=K, omegaE_dB=0.0, omegaR_dB=-10.0)) for K in (1, 3))
+    up, down = 2.0 * params3.eta, 0.5 * params3.eta
+    yield params1, (np.array([[up, up, down]]), np.array([[-0.0, 3.0, 1.0]]),
+                    np.array([[-0.0, 2.0, 1.0]]), np.array([[-0.0, 0.1, 1.0]]))
+    g_sr = np.array([[down, up, up, down], [down, up, down, up], [down, up, up, up]])
+    g_1 = np.array([[1.0, -0.0, 0.2, 4.0], [2.0, 5.0, 0.5, 1.5], [0.3, 0.4, -0.0, 2.5]])
+    yield params3, (g_sr, g_1, g_1[::-1].copy(), np.array([[0.1, -0.0, 0.3, 0.2], [0.2, 0.1, 0.4, 0.0],
+                                                           [0.3, 0.2, 0.1, 0.6]]))
+    yield params3, _draw_chunk(params3, np.random.default_rng(5), 3_000)
+
+
+def test_mask_arithmetic_equals_the_selects():
+    # the mask products and vote sums give the bytes the np.where selects and
+    # boolean-index writes gave: relay sums over every column, the idle-relay
+    # maximum over the columns with an idle relay (the only ones it is asked
+    # for), and every code of the single-relay and jammed verdicts
+    seen = set()
+    for params, (g_sr, g_1, g_2, g_e) in _hand_blocks():
+        dec = g_sr >= params.eta
+        live, idle = dec.any(axis=0), ~dec.all(axis=0)
+        for g in (g_sr, g_1, g_2, g_e):
+            summed, where = _decoding_sum(g, dec), np.where(dec, g, 0.0).sum(axis=0)
+            assert (summed.view(np.int64) == where.view(np.int64)).all()
+            largest, where = _idle_max(g, dec)[idle], np.where(dec, -np.inf, g).max(axis=0)[idle]
+            assert (largest.view(np.int64) == where.view(np.int64)).all()
+        rule = _rule(params, fixed_policy(0.2, alphaJ=0.5))
+        rho3, rho4 = jamming_split(0.5, rule.rho2)
+        jammed = np.flatnonzero(live & idle)
+        dec_j, ge_j = dec[:, jammed], g_e[:, jammed]
+        ge_j = ge_j / (1.0 + rho4 * np.where(dec_j, -np.inf, ge_j).max(axis=0))
+        for two_step in (False, True):
+            single, jam = (Transmission.SINGLE, two_step, None), (Transmission.JAMMED, two_step, 0.5)
+            codes = _block_codes(rule, (single, jam), g_sr, g_1, g_2, g_e)
+            want = _masked_write_codes(_Selection(rule, rule.rho2, dec, g_1, g_2, g_e), two_step, live)
+            assert codes[single].dtype == np.int8 and codes[single].tolist() == want.tolist(), (params.K, two_step)
+            seen.update(want.tolist())
+            sel = _Selection(rule, rho3, dec_j, g_1, g_2, ge_j, cols=jammed)
+            want[jammed] = _masked_write_codes(sel, two_step, np.ones(jammed.size, dtype=bool))
+            assert codes[jam].tolist() == want.tolist(), (params.K, two_step)
+    assert seen == set(range(len(OUTCOME_LABELS)))
+
+
+@pytest.mark.parametrize("K", [256, 300])
+def test_decoding_counts_hold_every_relay(K):
+    # every relay decodes, so a count too narrow for K would wrap to a
+    # smaller n, here 0 at K = 256, and code trials with relays as no_relay
+    params = grid_params(K=K)
+    policy = fixed_policy(0.2, alphaJ=0.5)
+    rng = np.random.default_rng(K)
+    draws = (np.full((K, 4), 2.0 * params.eta), *(rng.exponential(0.5, (K, 4)) for _ in range(3)))
+    verdicts = {_verdict(s, policy): s for s in SchemeKind}
+    codes = _block_codes(_rule(params, policy), tuple(verdicts), *draws)
+    for verdict, scheme in verdicts.items():
+        assert OUTCOME_LABELS.index("no_relay") not in codes[verdict].tolist(), scheme
+    trials = [[g[:, t] for g in draws] for t in range(4)]
+    want = [_outcome_by_hand(SchemeKind.TMRC, _trial_checks(params, policy, SchemeKind.TMRC, *gains))
+            for gains in trials]
+    assert codes[_verdict(SchemeKind.TMRC, policy)].tolist() == want
+
+
 def test_worker_count_does_not_change_estimates(monkeypatch):
     config = TrialConfig(trials=120_000, seed=5, chunk=50_000)
     params = [grid_params(K=3, P_dB=p, omegaR_dB=0.0) for p in (0.0, 10.0, 20.0)]
@@ -624,6 +707,16 @@ PINNED_BREAKDOWNS = {
     "tmrc": (1, 109243, 5, 0), "osrs": (54, 49472, 124, 0),
     "tsrs": (1, 49648, 1, 0), "odrs": (54, 49446, 124, 0),
 }
+# (breakdown, p_hat) per (K, scheme) at omegaR_dB=-10, where each relay
+# decodes about half the trials: the decoding masks are random, so the block
+# verdicts' masked sums, idle-relay maxima and blame codes all see mixed
+# columns. Recorded before those verdicts stopped selecting on the masks.
+PINNED_HALF_DECODING = {
+    (1, "tmrc"): ((26, 50540, 207, 98110), 0.744415), (1, "osrs"): ((26, 50540, 207, 98110), 0.744415),
+    (1, "tsrs"): ((26, 50540, 207, 98110), 0.744415), (1, "odrs"): ((26, 50540, 207, 98110), 0.744415),
+    (8, "tmrc"): ((3, 119401, 8, 700), 0.60056), (8, "osrs"): ((28, 18054, 35, 700), 0.094085),
+    (8, "tsrs"): ((3, 18106, 8, 700), 0.094085), (8, "odrs"): ((3, 19, 0, 700), 0.00361),
+}
 
 
 def test_breakdowns_are_pinned():
@@ -635,3 +728,6 @@ def test_breakdowns_are_pinned():
     got.update((s.value, tuple(e.breakdown.values()))
                for s, e in estimate_many(grid_params(K=2), policy, list(SchemeKind), config).items())
     assert got == PINNED_BREAKDOWNS
+    half = {(K, s.value): (tuple(e.breakdown.values()), e.p_hat) for K in (1, 8)
+            for s, e in estimate_many(grid_params(K=K, omegaR_dB=-10.0), policy, list(SchemeKind), config).items()}
+    assert half == PINNED_HALF_DECODING
