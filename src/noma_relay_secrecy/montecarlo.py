@@ -147,17 +147,6 @@ def _verdict(scheme: SchemeKind, policy: PowerPolicy) -> tuple[Transmission, boo
     return scheme.sends, scheme.two_step, policy.alphaJ if scheme.sends is Transmission.JAMMED else None
 
 
-def _first_argmax(key: np.ndarray) -> np.ndarray:
-    """Row of each column's maximum, the first such row on ties (as np.argmax)."""
-    best = key[0]
-    sel = np.zeros(key.shape[1], dtype=np.intp)
-    for r in range(1, key.shape[0]):
-        better = key[r] > best
-        best = np.where(better, key[r], best)
-        sel[better] = r
-    return sel
-
-
 def _sides1(rule: _Rule, rho, g1, ge):
     """Both sides of user 1's secrecy check, (1 + alpha1*rho*g1, theta1 * (1 + alpha1*rho*ge)).
 
@@ -242,7 +231,7 @@ class _Selection:
         if not two_step:
             np.minimum(margin, self._margin(_sides2, self.g_2, trials), out=margin)
         dec = np.take(self.dec, trials, axis=1)
-        best = _first_argmax(np.where(dec, margin, -np.inf)) * self.dec.shape[1] + trials
+        best = np.argmax(np.where(dec, margin, -np.inf), axis=0) * self.dec.shape[1] + trials
         return (~np.take(self.ok1, best)) + 2 * (~np.take(self.ok2, best))
 
     def decide(self, two_step: bool) -> np.ndarray:

@@ -12,7 +12,7 @@ rows, indexed by polynomial degree, times an eavesdropper law's density
 row, summed at each node.
 `series_integrals` is the one kernel: the items of a batch share their shape
 and differ in their constants, so their nodes stack as one (items, nodes)
-array, each item at its own `_effective_upper` cut(s), and an engine supplies
+array, each item over its one `_effective_upper` cut, and an engine supplies
 only its user rows. `g_kernel` and `h_kernel` evaluate one term of each shape
 alone. No engine calls them: they are the tests' per-term references, kept in
 the package for `bench/spans.py` and `bench/micro.py`.
@@ -105,13 +105,15 @@ def _evaluate(plans: list[dict]) -> list[dict]:
 
 class QuadratureSpec:
     """Gauss-Legendre abscissae and weights on [-1, 1], read-only: every
-    caller of `quadrature` shares one spec per node count."""
+    caller of `quadrature` shares one spec per node count. At least two
+    nodes: over one, numpy would sum a lone item's series pairwise rather
+    than row by row, and its value would leave its batch's bits."""
 
     __slots__ = ("n", "nodes", "weights", "_shifted")
 
     def __init__(self, n: int = 300):
-        if int(n) != n or n < 1:
-            raise ValueError(f"node count must be a positive integer, got {n!r}")
+        if int(n) != n or n < 2:
+            raise ValueError(f"node count must be an integer >= 2, got {n!r}")
         self.n = int(n)
         nodes, weights = np.polynomial.legendre.leggauss(self.n)
         shifted = nodes + 1.0  # each mapping of the nodes starts from it
@@ -225,9 +227,10 @@ class SeriesItem(NamedTuple):
     (if it has one), row s of degree degree0 + s. The engine's row builder
     `user_rows` (`series_integrals`) reads `user`, the item's user
     constants, and adds its own log terms to the log scale. The domain must
-    hold no interior pole (`_check_domain`); each degree keeps the
-    `_effective_upper` cut a separate g/h-kernel call would give it (decay
-    f = `decay`).
+    hold no interior pole (`_check_domain`). The item has one cut, the
+    `_effective_upper` cut of its highest degree (decay f = `decay`): the
+    largest of its degrees' cuts, so no degree loses more of its tail than
+    at its own cut.
     """
 
     a: float
@@ -252,45 +255,20 @@ def series_integrals(items: list[SeriesItem], rows: dict) -> list[float]:
     Their `user_rows(users, x)` builds the user factor of distinct user
     constant tuples `users` at their nodes x, shape (len(users), nodes): it returns
     (terms, rows), log-scale terms of x's shape, added to the log scale in
-    order, and rows of shape (user degrees,) + x.shape. Items of equal user
-    constants and cut share one build, and the law rows are read from and
-    kept in rows (`law_rows`). Items are grouped by how their
-    degrees fall on cuts; each group is evaluated in item blocks of about
-    `_BATCH_ELEMENTS` series elements, each cut once for the whole block.
-    An item's value is what a batch of it alone gives, bit for bit: every
-    step is elementwise or an axis-0 reduction, and each item meets its
-    weights in its own dot product.
+    order, and rows of shape (user degrees,) + x.shape. Each item is
+    integrated over one cut, that of its highest degree (`SeriesItem`), in
+    item blocks of about `_BATCH_ELEMENTS` series elements. Items of equal
+    user constants and cut share one build, and the law rows are read from
+    and kept in rows (`law_rows`). An item's value is what a batch of it
+    alone gives, bit for bit: every step is elementwise or an axis-0
+    reduction, and each item meets its weights in its own dot product.
     """
-    quad = items[0].quad
-    cuts = [_degree_cuts(item) for item in items]
-    partitions: dict[tuple, list[int]] = {}
-    for i, item_cuts in enumerate(cuts):
-        distinct = list(dict.fromkeys(item_cuts))
-        partitions.setdefault(tuple(map(distinct.index, item_cuts)), []).append(i)
-    # with one node the axis-0 sums reduce pairwise, not row by row, unless
-    # several items stand beside it, so there every item is its own block
-    step = 1 if quad.n == 1 else max(1, _BATCH_ELEMENTS // (items[0].n_degrees * quad.n))
-    totals = [0.0] * len(items)
-    for partition, members in partitions.items():
-        groups = [[s for s, g in enumerate(partition) if g == group] for group in range(max(partition) + 1)]
-        for start in range(0, len(members), step):
-            block = members[start : start + step]
-            for keep in groups:
-                block_cuts = [cuts[i][keep[0]] for i in block]
-                values = _block_integrals([items[i] for i in block], block_cuts, keep, rows)
-                for i, value in zip(block, values):
-                    totals[i] += value
+    cuts = [_effective_upper(it.a, it.decay, it.degree0 + it.n_degrees - 1) for it in items]
+    step = max(1, _BATCH_ELEMENTS // (items[0].n_degrees * items[0].quad.n))
+    totals = []
+    for start in range(0, len(items), step):
+        totals += _block_integrals(items[start : start + step], cuts[start : start + step], rows)
     return totals
-
-
-def _degree_cuts(item: SeriesItem) -> list[float]:
-    """Each degree's `_effective_upper` cut; cuts grow with the degree, so all after the first a are a."""
-    cuts = []
-    for s in range(item.n_degrees):
-        cuts.append(_effective_upper(item.a, item.decay, item.degree0 + s))
-        if cuts[-1] == item.a:
-            return cuts + [item.a] * (item.n_degrees - s - 1)
-    return cuts
 
 
 def _column(values) -> np.ndarray:
@@ -298,8 +276,8 @@ def _column(values) -> np.ndarray:
     return np.array(values)[:, None]
 
 
-def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int], rows: dict) -> list[float]:
-    """The integrals over each item's cut of the series degrees `keep`, which share that cut."""
+def _block_integrals(items: list[SeriesItem], cuts: list[float], rows: dict) -> list[float]:
+    """The integrals of a block of items, each over its cut."""
     quad, law, user_rows = items[0].quad, items[0].law, items[0].user_rows
     x, w = quad.map_to(_column(cuts))  # row i: map_to(cuts[i])
     power = (law.degree - 1.0) * np.log(x) if law.degree > 1 else 0.0  # the law's x^(degree-1)
@@ -323,9 +301,8 @@ def _block_integrals(items: list[SeriesItem], cuts: list[float], keep: list[int]
             for i, law_row in zip(at, law_rows(item_law, [cuts[i] for i in at], quad, rows)):
                 stacked[i] = law_row
         series = series * np.stack(stacked)
-    kept = series if len(keep) == len(series) else series[keep]  # the same rows, without a copy
     with np.errstate(over="ignore"):
-        vals = np.exp(log_scale) * kept.sum(axis=0)
+        vals = np.exp(log_scale) * series.sum(axis=0)
     return [float(np.dot(w[i], vals[i])) for i in range(len(items))]
 
 

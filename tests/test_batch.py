@@ -2,11 +2,12 @@
 
 `analytic._joint_secrecy_prob` and `asymptotic._leading_integral` are
 evaluated in batches of one integrand shape (`quadrature.series_integrals`),
-each item at its own cut(s). The references below are the one-integral
-bodies the engines ran before: one `series_integral` per integral, its
-integrand built on the nodes of one cut, the law's row evaluated on those
-nodes alone. Every batched value must carry the same bits (`float.hex`),
-whatever the batch mixes and however its items are blocked.
+each item over one cut, that of its highest degree. The references below
+are the one-integral bodies the engines ran before: one `series_integral`
+per integral, its integrand built on the nodes of that cut, the law's row
+evaluated on those nodes alone. Every batched value must carry the same
+bits (`float.hex`), whatever the batch mixes and however its items are
+blocked.
 """
 from __future__ import annotations
 
@@ -39,16 +40,11 @@ QUAD = quadrature(300)
 
 def reference_series_integral(a, pole, f, degree0, n_degrees, integrand, quad) -> float:
     _check_domain(a, pole, "pole")
-    cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
-    total = 0.0
-    for cut in dict.fromkeys(cuts):
-        x, w = quad.map_to(cut)
-        log_scale, series = integrand(x, cut)
-        keep = [s for s, c in enumerate(cuts) if c == cut]
-        with np.errstate(over="ignore"):
-            vals = np.exp(log_scale) * series[keep].sum(axis=0)
-        total += float(np.dot(w, vals))
-    return total
+    x, w = quad.map_to(_effective_upper(a, f, degree0 + n_degrees - 1))
+    log_scale, series = integrand(x)
+    with np.errstate(over="ignore"):
+        vals = np.exp(log_scale) * series.sum(axis=0)
+    return float(np.dot(w, vals))
 
 
 def reference_user_series(base, tau_u, log_rate, alternate):
@@ -69,7 +65,7 @@ def reference_joint(user1, user2, theta1, consts, alpha2, tau_u, law, quad) -> f
     f = lambda1 * theta1 + law.rate
     c1 = theta1 / b
 
-    def integrand(x, cut):
+    def integrand(x):
         one_minus_qx = 1.0 - q * x
         shift1, rows1 = reference_user_series(1.0 + c1 * x, tau_u, log_base1, alternate=False)
         shift2, rows2 = reference_user_series(1.0 + r / one_minus_qx, tau_u, log_base2, alternate=True)
@@ -90,7 +86,7 @@ def reference_leading(user1, user2, theta1, consts, alpha2, tau_u, law, quad) ->
     sign_phi2c = math.copysign(1.0, c) ** tau_u
     h = consts.screening(user2.rate, alpha2)
 
-    def integrand(x, cut):
+    def integrand(x):
         one_minus_vx = 1.0 - v * x
         log_b, sign_b = _signed_log_pow(b + theta1 * x, tau_u)
         log_c, sign_c = _signed_log_pow(1.0 + u / one_minus_vx, tau_u)
@@ -129,7 +125,7 @@ SCENARIOS = [
     # jammed counts 1..7 under both splits, at m = 1, 2, 3
     *[(grid_params(K=8, m=m, omegaR_dB=-10.0), policy) for m in (1, 2) for policy in (FIXED, DYNAMIC)],
     (grid_params(K=8, m=3, P_dB=15.0), FIXED),
-    # omega_E = -40 dB: every degree has its own cut; at -37 dB the user
+    # omega_E = -40 dB cuts every integral short; at -37 dB the user
     # constants are the same, and the cuts are not
     (grid_params(K=3, P_dB=0.0, omegaE_dB=-40.0, m=2), FIXED),
     (grid_params(K=3, P_dB=0.0, omegaE_dB=-37.0, m=2), FIXED),
@@ -157,14 +153,13 @@ def test_batches_equal_one_integral_evaluations_bit_for_bit(integral, monkeypatc
     reference = REFERENCES[integral]
     by_shape = _batches(integral)
     # the batches mix what the kernel must keep apart per item
-    partitions, rates, counts = Counter(), Counter(), Counter()
+    short, rates, counts = Counter(), Counter(), Counter()
     for shape, entries in by_shape.items():
-        cut_lists = [[_effective_upper(it.a, it.decay, it.degree0 + s) for s in range(it.n_degrees)]
-                     for _, it in entries]
-        partitions[shape] = len({tuple(cuts.index(c) for c in cuts) for cuts in cut_lists})
+        short[shape] = len({_effective_upper(it.a, it.decay, it.degree0 + it.n_degrees - 1) < it.a
+                            for _, it in entries})
         rates[shape] = len({it.law.rate for _, it in entries})
         counts[shape] = len({it.law for _, it in entries if it.law.row is not None})
-    assert max(partitions.values()) >= 2  # a batch whose items fall on cuts differently
+    assert max(short.values()) == 2  # a batch with an item cut short beside one that is not
     assert max(rates.values()) >= 2  # equal shapes, unequal law rates
     assert max(counts.values()) >= 7  # jammed counts 1..7 in one batch
     for entries in by_shape.values():

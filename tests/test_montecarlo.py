@@ -652,6 +652,44 @@ def test_margin_ties_go_to_the_first_relay():
             assert _one_trial(params, fixed_policy(0.2), scheme, *gains) == label, (scheme, g_2)
 
 
+def test_checks_keep_their_float64_ties():
+    # The relay SNR at P_dB = 7 has no float32 value, so a check formed in
+    # another precision or order moves off its exact ties. 400 trials put the
+    # strong user's check on its tie, its sides formed as `_trial_checks`
+    # forms them (the user passes), and 400 step its gain down until it
+    # fails; the relay decodes and user 2 passes with room to spare.
+    params = grid_params(K=1, P_dB=7.0)
+    alpha1 = 0.2
+    policy = fixed_policy(alpha1)
+    a1_rho = alpha1 * params.rho2
+    rng = np.random.default_rng(5)
+    ties, below, g_e = [], [], []
+    while len(ties) < 400:
+        ge = float(rng.exponential(0.02))
+        rhs = params.theta1 * (1.0 + a1_rho * ge)
+        g1 = (rhs - 1.0) / a1_rho
+        for _ in range(4):  # walk g1 by ulps onto the tie, where one exists
+            lhs = 1.0 + a1_rho * g1
+            if lhs == rhs:
+                break
+            g1 = math.nextafter(g1, math.inf if lhs < rhs else 0.0)
+        else:
+            continue
+        low = g1
+        while 1.0 + a1_rho * low >= rhs:
+            low = math.nextafter(low, 0.0)
+        ties.append(g1)
+        below.append(low)
+        g_e.append(ge)
+    draws = (np.ones((1, 800)), np.array([ties + below]), np.full((1, 800), 50.0), np.array([g_e + g_e]))
+    want = [0] * 400 + [1] * 400
+    trials = [[g[:, t] for g in draws] for t in range(800)]
+    assert [_outcome_by_hand(SchemeKind.TMRC, _trial_checks(params, policy, SchemeKind.TMRC, *gains))
+            for gains in trials] == want
+    for scheme in (SchemeKind.TMRC, SchemeKind.OSRS):
+        assert _scheme_codes(params, policy, scheme, *draws).tolist() == want, scheme
+
+
 def test_estimate_many_scenarios_equal_separate_calls():
     config = TrialConfig(trials=120_000, seed=9, chunk=50_000)
     scenarios = [

@@ -16,6 +16,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(0)
     with pytest.raises(ValueError):
+        QuadratureSpec(1)
+    with pytest.raises(ValueError):
         QuadratureSpec(2.5)
     spec = QuadratureSpec(50)
     x, w = spec.map_to(3.0)

@@ -284,53 +284,53 @@ def test_identity_series_rows_keep_each_entry_in_its_row():
     assert np.array_equal(series_rows(order.tolist(), log_mag[order], sign[order], n)[1], rows)
 
 
-def _cut_probe(item_cuts: list[list[float]], received: list):
-    """A user-row builder for items whose user constants are (index, f): row s
-    of item i is 1 on the nodes of its own cut item_cuts[i][s] and NaN on any
-    others, and its log term +f*x cancels the e^{-f x} of the kernel's scale."""
+def _cut_probe(n_degrees: int, item_cuts: list[float], received: list):
+    """A user-row builder for items whose user constants are (index, f): each
+    of the n_degrees rows of item i is 1 on the nodes of its cut item_cuts[i]
+    and NaN on any others, and its log term +f*x cancels the e^{-f x} of the
+    kernel's scale."""
 
     def user_rows(users, x):
         received.append((users, x))
-        rows = np.empty((len(item_cuts[0]),) + x.shape)
+        rows = np.empty((n_degrees,) + x.shape)
         for u, (i, _) in enumerate(users):
-            for s, cut in enumerate(item_cuts[i]):
-                rows[s, u] = 1.0 if np.array_equal(x[u], QUAD.map_to(cut)[0]) else np.nan
+            rows[:, u] = 1.0 if np.array_equal(x[u], QUAD.map_to(item_cuts[i])[0]) else np.nan
         return (np.array([f for _, f in users])[:, None] * x,), rows
 
     return user_rows
 
 
-def test_series_integral_gives_each_degree_its_own_cut():
+def test_series_integral_cuts_each_item_at_its_highest_degree():
     # omega_E = -40 dB cuts every degree's domain short at a point that grows
-    # with the degree; degree s must be integrated on the nodes of its own cut
+    # with the degree; the item is integrated on the nodes of the largest
+    # cut, its highest degree's, with its user rows built once
     params = grid_params(K=4, P_dB=0.0, omegaE_dB=-40.0, m=2)
     _, _, _, consts, _, tau_u, law, _ = joint_args(params, fixed_policy(0.2), 2)
     a = consts.a
     f = params.links.relay_user1.rate * params.theta1 + law.rate
     degree0, n_degrees = law.degree, 2 * tau_u - 1
     flat = EavesdropperLaw(0.0, law.rate, 1, None, law.survival)  # no x^(degree-1): the scale is 0
-    cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
-    own_nodes = [QUAD.map_to(cut)[0] for cut in cuts]
-    assert len(set(cuts)) >= 2
+    degree_cuts = [_effective_upper(a, f, degree0 + s) for s in range(n_degrees)]
+    cut = degree_cuts[-1]
+    assert len(set(degree_cuts)) == n_degrees and cut == max(degree_cuts) < a
     received = []
-    item = SeriesItem(a, f, 0.0, flat, degree0, n_degrees, (0, f), _cut_probe([cuts], received), QUAD)
+    item = SeriesItem(a, f, 0.0, flat, degree0, n_degrees, (0, f), _cut_probe(n_degrees, [cut], received), QUAD)
     (total,) = series_integrals([item], {})
-    assert len(received) == len(set(cuts))
-    assert all(any(np.array_equal(x[0], own) for own in own_nodes) for _, x in received)
-    assert all(x.shape == (1, QUAD.n) for _, x in received)  # one item, one row of nodes per cut
-    assert total == pytest.approx(sum(cuts), rel=1e-12)  # each degree counted once, over its own cut
+    assert len(received) == 1  # one build for the item
+    assert received[0][1].shape == (1, QUAD.n) and np.array_equal(received[0][1][0], QUAD.map_to(cut)[0])
+    assert total == pytest.approx(n_degrees * cut, rel=1e-12)  # every degree over the one cut
 
-    # a second item whose degrees fall on cuts differently (none cut, here)
-    # is evaluated beside it, each on its own cuts, and neither value moves
-    wide_cuts = [_effective_upper(a, f * 1e-6, degree0 + s) for s in range(n_degrees)]
-    assert set(wide_cuts) == {a}
-    probe = _cut_probe([cuts, wide_cuts], received)
-    wide = SeriesItem(a, f * 1e-6, 0.0, flat, degree0, n_degrees, (1, f * 1e-6), probe, QUAD)
+    # a second item that is not cut short is evaluated beside it in one
+    # block, each on its own cut, and neither value moves
+    wide_f = f * 1e-6
+    assert _effective_upper(a, wide_f, degree0 + n_degrees - 1) == a
+    probe = _cut_probe(n_degrees, [cut, a], received)
+    wide = SeriesItem(a, wide_f, 0.0, flat, degree0, n_degrees, (1, wide_f), probe, QUAD)
     received.clear()
     totals = series_integrals([item._replace(user_rows=probe), wide], {})
     assert totals[0] == total
     assert totals[1] == pytest.approx(n_degrees * a, rel=1e-12)
-    assert len(received) == len(set(cuts)) + 1
+    assert len(received) == 1 and received[0][1].shape == (2, QUAD.n)  # one build for the block
 
 
 def test_engines_never_call_the_reference_kernels(monkeypatch):
